@@ -7,13 +7,16 @@ penalties, check termination, convexify, solve the bound-constrained QP,
 scale the curvature step against the QP step, and backtrack along the
 curvilinear path x + alpha*u + alpha^2*p.
 
+Each point is evaluated once, the start here and the rest as search
+trials; the accepted trial's evaluation is carried into the next step.
+
 Parameter staging per iteration k: the working set uses the flexible
 penalty carried over from the previous line search, classification runs
 against the pre-update reference state, and everything after the update
 (QP, scaling, search) uses the refreshed state. The penalty comparison
 for the flexible mu re-tests the previous accepted step under the
 parameters it was searched with, with the new regularization penalty as
-its floor.
+its floor, comparing the two merits that search produced.
 """
 
 import time
@@ -38,7 +41,7 @@ from .curvature import (
     scale,
 )
 from .errors import LineSearchFailure, QpFailure, QpInternalError
-from .factor import build_kkt, convexify, stage1_factorize
+from .factor import apply_shift, build_kkt, convexify, stage1_factorize
 from .merit import (
     MeritState,
     curvilinear_search,
@@ -47,9 +50,9 @@ from .merit import (
     merit_value,
     penalty_update,
 )
-from .model import evaluate, make_iterate
+from .model import checked_hessian, evaluate, make_iterate
 from .qpstep import solve_qp
-from .workset import estimate, restrict
+from .workset import estimate, restrict_columns, restrict_principal
 
 
 class SolveStatus(Enum):
@@ -191,7 +194,7 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
         return ev.H
     pi = state.y_E - ev.c / state.mu
     w_mult = -(pi + state.nu * (pi - iterate.y))
-    H = np.asarray(problem.hessian(iterate.x, w_mult), dtype=float)
+    H = checked_hessian(problem, iterate.x, w_mult)
     return 0.5 * (H + H.T)
 
 
@@ -212,11 +215,8 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
     theta = 0.0
     step = 1e-8 * (1.0 + h_scale)
     while True:
-        trial = base.copy()
-        if theta:
-            trial[bump_rows, bump_rows] += theta
         try:
-            np.linalg.cholesky(trial)
+            np.linalg.cholesky(apply_shift(base, bump_rows, theta))
             break
         except np.linalg.LinAlgError:
             theta = step if theta == 0.0 else 2.0 * theta
@@ -224,10 +224,13 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
                 raise QpInternalError(
                     "convexified Hessian cannot be made positive definite"
                 )
-    H_out = np.array(H_tilde, copy=True)
-    if theta:
-        H_out[bump_rows, bump_rows] += theta
-    return H_out, theta
+    return apply_shift(H_tilde, bump_rows, theta), theta
+
+
+def _free_factor(ev, ws, mu):
+    """Stage-1 factor of the free-variable KKT matrix at penalty mu."""
+    kkt = build_kkt(restrict_principal(ev.H, ws), restrict_columns(ev.J, ws), mu)
+    return stage1_factorize(kkt)
 
 
 def _zero_step(n, m):
@@ -288,8 +291,8 @@ def solve(problem, v0=None, config=None, trace=None):
             )
         )
 
+    ev = evaluate(problem, it)
     while True:
-        ev = evaluate(problem, it)
         # working set at the carried-over flexible penalty
         ws = estimate(it.x, mu, config.epsilon_a)
         mu_R_pre = fstate.mu_R if fstate is not None else config.mu0
@@ -298,10 +301,7 @@ def solve(problem, v0=None, config=None, trace=None):
         conv = None
         direction = no_direction(problem.n, problem.m)
         if ws.free.size:
-            H_F = restrict(ev.H, ws)
-            J_F = restrict(ev.J, ws) if problem.m else np.zeros((0, ws.free.size))
-            kkt = build_kkt(H_F, J_F, mu_R_pre)
-            factor = stage1_factorize(kkt)
+            factor = _free_factor(ev, ws, mu_R_pre)
             conv = convexify(factor, config.margin)
             if config.enable_curvature:
                 direction = extract_direction(factor, ws, H=ev.H, J=ev.J)
@@ -323,16 +323,7 @@ def solve(problem, v0=None, config=None, trace=None):
                 # the stronger penalty term can erase the negative curvature
                 direction = refresh_direction(direction, ev.H, ev.J, fstate.mu_R)
             if prev is not None:
-                mu = penalty_update(
-                    problem,
-                    it,
-                    prev["iterate"],
-                    prev["state"],
-                    prev["alpha"],
-                    prev["N"],
-                    prev["R"],
-                    fstate.mu_R,
-                )
+                mu = penalty_update(**prev, mu_R_next=fstate.mu_R)
             mu = max(mu, fstate.mu_R)
 
         ratio_now = direction.rayleigh if direction.exists else 0.0
@@ -363,10 +354,9 @@ def solve(problem, v0=None, config=None, trace=None):
         # convexified Hessian for the QP, certified positive definite
         # together with the penalty term at the regularization penalty
         state_R = _merit_state(fstate, fstate.mu_R, config)
-        H_tilde = np.array(ev.H, copy=True)
-        if conv is not None and conv.delta:
-            rows = ws.free[conv.shifted_rows]
-            H_tilde[rows, rows] += conv.delta
+        H_tilde = ev.H
+        if conv is not None:
+            H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
         h_scale = float(np.max(np.abs(ev.H), initial=0.0))
         try:
             H_used, _ = _certified_hessian(
@@ -401,11 +391,12 @@ def solve(problem, v0=None, config=None, trace=None):
         if norm_dv == 0.0 and norm_u == 0.0:
             # stationary for the current subproblem; only the parameter
             # updates can make progress, so take the null step
-            alpha, accepted, backtracks = 1.0, it, 0
+            alpha, accepted, ev_new, merit_new, backtracks = 1.0, it, ev, merit_here, 0
         else:
             try:
                 ls = curvilinear_search(
-                    problem, it, step, qp.dv, state_F, N_k, R_k, config.j_max
+                    problem, it, merit_here, step, qp.dv, state_F, N_k, R_k,
+                    config.j_max,
                 )
             except LineSearchFailure:
                 ls = None
@@ -415,7 +406,8 @@ def solve(problem, v0=None, config=None, trace=None):
                     norm_u = 0.0
                     try:
                         ls = curvilinear_search(
-                            problem, it, step, qp.dv, state_F, N_k, 0.0, config.j_max
+                            problem, it, merit_here, step, qp.dv, state_F, N_k, 0.0,
+                            config.j_max,
                         )
                     except LineSearchFailure as exc:
                         message = str(exc)
@@ -428,7 +420,9 @@ def solve(problem, v0=None, config=None, trace=None):
                     ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
                 )
                 break
-            alpha, accepted, backtracks = ls.alpha, ls.accepted, ls.j
+            alpha, accepted, ev_new, merit_new, backtracks = (
+                ls.alpha, ls.accepted, ls.ev, ls.merit_new, ls.j
+            )
 
         if trace is not None:
             trace.append(
@@ -449,22 +443,16 @@ def solve(problem, v0=None, config=None, trace=None):
             ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
             backtracks=backtracks,
         )
-        prev = {
-            "iterate": it,
-            "state": state_F,
-            "alpha": alpha,
-            "N": N_k,
-            "R": R_k,
-        }
-        it = accepted
+        prev = dict(merit_new=merit_new, merit_old=merit_here, state=state_F,
+                    alpha=alpha, N_k=N_k, R_k=R_k)
+        it, ev = accepted, ev_new
         k += 1
 
-    ev_final = evaluate(problem, it)
     return SolveResult(
         status=status,
         iterate=it,
         history=tuple(history),
-        f=ev_final.f,
+        f=ev.f,
         eta=last_meas.eta,
         omega_first=last_meas.omega_first,
         omega=last_meas.omega,
@@ -485,9 +473,7 @@ def second_order_certificate(problem, iterate, mu, epsilon_a=1e-2):
     ws = estimate(iterate.x, mu, epsilon_a)
     if ws.free.size == 0:
         return 0.0, ws, False
-    H_F = restrict(ev.H, ws)
-    J_F = restrict(ev.J, ws) if problem.m else np.zeros((0, ws.free.size))
-    factor = stage1_factorize(build_kkt(H_F, J_F, mu))
+    factor = _free_factor(ev, ws, mu)
     direction = extract_direction(factor, ws, H=ev.H, J=ev.J)
     if not direction.exists:
         return 0.0, ws, False

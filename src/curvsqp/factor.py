@@ -201,11 +201,11 @@ def convexify(factor, margin=0.5):
     return Convexification(delta=delta, shifted_rows=rows, margin=float(margin))
 
 
-def apply_shift(H_F, conv):
-    """Return H_F with the convexification shift added on its diagonal."""
-    H = np.array(H_F, dtype=float, copy=True)
-    if conv.delta:
-        H[conv.shifted_rows, conv.shifted_rows] += conv.delta
+def apply_shift(H, rows, delta):
+    """Copy of H with delta added on its diagonal at rows; delta 0 writes nothing."""
+    H = np.array(H, dtype=float, copy=True)
+    if delta:
+        H[rows, rows] += delta
     return H
 
 

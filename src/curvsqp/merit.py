@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LineSearchFailure
-from .model import Iterate, evaluate
+from .model import Evaluation, Iterate, evaluate
 
 SNAP_FACTOR = 1e-13
 
@@ -89,24 +89,23 @@ class LineSearchResult:
     alpha: float
     j: int
     accepted: Iterate
-    merit_old: float
+    ev: Evaluation
     merit_new: float
-    N_k: float
-    R_k: float
     n_trials: int
     bound_rejections: int
 
 
-def curvilinear_search(problem, iterate, step, dv, state, N_k, R_k, j_max=50):
+def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_max=50):
     """Backtrack along x + alpha*u + alpha^2*p (duals likewise).
 
     Accepts the first alpha = 2**-j whose trial point satisfies
 
-        M(trial) <= M(current) + alpha^2 eta_S N_k + alpha eta_S R_k
+        M(trial) <= merit_old + alpha^2 eta_S N_k + alpha eta_S R_k
 
-    with both model quantities nonpositive. Trial points that dip below
-    the bounds beyond roundoff are rejected without evaluation and count
-    as failed trials; components within the roundoff band are snapped to
+    with both model quantities nonpositive and merit_old = M(iterate) from
+    the caller; only trials are evaluated. Trial points that dip below the
+    bounds beyond roundoff are rejected without evaluation and count as
+    failed trials; components within the roundoff band are snapped to
     exactly zero before the merit is measured, so the accepted point is
     the one the inequality was verified at. Raises LineSearchFailure when
     j_max is exhausted.
@@ -116,8 +115,6 @@ def curvilinear_search(problem, iterate, step, dv, state, N_k, R_k, j_max=50):
     n = iterate.x.shape[0]
     u, w = step.u, step.w
     p, q = dv[:n], dv[n:]
-    ev0 = evaluate(problem, iterate)
-    m0 = merit_value(ev0, iterate, state)
     snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(iterate.x), initial=0.0)))
     trials = 0
     rejected = 0
@@ -133,23 +130,22 @@ def curvilinear_search(problem, iterate, step, dv, state, N_k, R_k, j_max=50):
             x_t = np.where(x_t < 0.0, 0.0, x_t)
         y_t = iterate.y + alpha * w + alpha * alpha * q
         cand = Iterate(x=x_t, y=y_t)
-        m_t = merit_value(evaluate(problem, cand), cand, state)
-        if m_t <= m0 + alpha * alpha * state.eta_S * N_k + alpha * state.eta_S * R_k:
+        ev_t = evaluate(problem, cand)
+        m_t = merit_value(ev_t, cand, state)
+        if m_t <= merit_old + alpha * alpha * state.eta_S * N_k + alpha * state.eta_S * R_k:
             return LineSearchResult(
                 alpha=alpha,
                 j=j,
                 accepted=cand,
-                merit_old=m0,
+                ev=ev_t,
                 merit_new=m_t,
-                N_k=N_k,
-                R_k=R_k,
                 n_trials=trials,
                 bound_rejections=rejected,
             )
     raise LineSearchFailure(
         f"no step accepted in {j_max + 1} trials",
         diagnostics={
-            "merit": m0,
+            "merit": merit_old,
             "N_k": N_k,
             "R_k": R_k,
             "norm_u": float(np.linalg.norm(u)),
@@ -159,18 +155,16 @@ def curvilinear_search(problem, iterate, step, dv, state, N_k, R_k, j_max=50):
     )
 
 
-def penalty_update(problem, accepted, previous, state, alpha, N_k, R_k, mu_R_next):
+def penalty_update(merit_new, merit_old, state, alpha, N_k, R_k, mu_R_next):
     """Flexible penalty after a step: keep mu, or drop toward mu_R.
 
-    The accepted point must beat the previous merit by at least the model
-    amounts at the damped step size alpha_bar = min(alpha_min, alpha);
-    otherwise mu falls to max(mu/2, mu_R_next). Both merits are taken at
-    the pre-update y_E and mu carried in state.
+    merit_new (accepted point) must beat merit_old (previous point) by at
+    least the model amounts at the damped step size alpha_bar =
+    min(alpha_min, alpha); otherwise mu falls to max(mu/2, mu_R_next).
+    Both merits are those the search measured, under state.
     """
     a = min(state.alpha_min, alpha)
-    lhs = merit_value(evaluate(problem, accepted), accepted, state)
-    rhs = merit_value(evaluate(problem, previous), previous, state)
-    rhs += a * state.eta_S * R_k + a * a * state.eta_S * N_k
-    if lhs <= rhs:
+    rhs = merit_old + (a * state.eta_S * R_k + a * a * state.eta_S * N_k)
+    if merit_new <= rhs:
         return state.mu
     return max(0.5 * state.mu, mu_R_next)

@@ -76,25 +76,39 @@ def evaluate(problem, iterate):
         g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
         c = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
         J = np.asarray(problem.jacobian(x), dtype=float).reshape(m, n)
+    except EvaluationError:
+        raise
+    except Exception as exc:
+        raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
+    H = checked_hessian(problem, x, y)
+    if g.shape != (n,):
+        raise EvaluationError(f"gradient has shape {g.shape}, expected ({n},)")
+    if c.shape != (m,):
+        raise EvaluationError(f"constraints have shape {c.shape}, expected ({m},)")
+    pieces = [np.array([f]), c, g, J.ravel()]
+    for p in pieces:
+        if not np.all(np.isfinite(p)):
+            raise EvaluationError(f"{problem.name}: non-finite evaluator output")
+    return Evaluation(f=f, c=c, g=g, J=J, H=H)
+
+
+def checked_hessian(problem, x, y):
+    """H(x, y) from the callback, with evaluate's checks on it."""
+    n = problem.n
+    try:
         H = np.asarray(problem.hessian(x, y), dtype=float)
     except EvaluationError:
         raise
     except Exception as exc:
         raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
-    if g.shape != (n,):
-        raise EvaluationError(f"gradient has shape {g.shape}, expected ({n},)")
-    if c.shape != (m,):
-        raise EvaluationError(f"constraints have shape {c.shape}, expected ({m},)")
     if H.shape != (n, n):
         raise EvaluationError(f"H has shape {H.shape}, expected ({n}, {n})")
-    pieces = [np.array([f]), c, g, J.ravel(), H.ravel()]
-    for p in pieces:
-        if not np.all(np.isfinite(p)):
-            raise EvaluationError(f"{problem.name}: non-finite evaluator output")
+    if not np.all(np.isfinite(H)):
+        raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     hnorm = float(np.max(np.abs(H), initial=0.0))
     if float(np.max(np.abs(H - H.T), initial=0.0)) > 1e-12 * (1.0 + hnorm):
         raise EvaluationError(f"{problem.name}: H is not symmetric")
-    return Evaluation(f=f, c=c, g=g, J=J, H=H)
+    return H
 
 
 @dataclass(frozen=True)

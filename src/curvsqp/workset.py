@@ -34,24 +34,22 @@ def estimate(x, mu, epsilon_a=1e-2):
     )
 
 
-def restrict(obj, ws, part="free", kind="auto"):
-    """Restrict a vector or matrix to one part of the working set.
+def restrict(v, ws, part="free"):
+    """Entries of the vector v on one part of the working set."""
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise ValueError("restrict takes a vector; see restrict_principal/_columns")
+    return v[ws.free if part == "free" else ws.active]
 
-    Vectors keep the selected entries. Square matrices are cut to the
-    principal submatrix on the selected indices; rectangular ones keep the
-    selected columns (constraint Jacobians). Pass kind="columns" or
-    kind="principal" to override the shape-based dispatch, which matters
-    only for a square Jacobian.
-    """
-    obj = np.asarray(obj)
-    idx = ws.free if part == "free" else ws.active
-    if obj.ndim == 1:
-        return obj[idx]
-    if obj.ndim == 2:
-        if kind == "principal" or (kind == "auto" and obj.shape[0] == obj.shape[1]):
-            return obj[np.ix_(idx, idx)]
-        return obj[:, idx]
-    raise ValueError("restrict handles 1-d and 2-d arrays only")
+
+def restrict_principal(A, ws):
+    """Principal submatrix of A on the free variables (a Hessian block)."""
+    return np.asarray(A)[np.ix_(ws.free, ws.free)]
+
+
+def restrict_columns(A, ws):
+    """Free columns of A with every row kept (a constraint Jacobian)."""
+    return np.asarray(A)[:, ws.free]
 
 
 def embed(values, ws, part="free"):

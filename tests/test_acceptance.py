@@ -63,7 +63,7 @@ def test_c02_convexified_kkt_has_target_inertia():
         nf, m = H.shape[0], J.shape[0]
         factor = stage1_factorize(build_kkt(H, J, mu))
         conv = convexify(factor)
-        H_t = apply_shift(H, conv)
+        H_t = apply_shift(H, conv.shifted_rows, conv.delta)
         shifted = build_kkt(H_t, J, mu)
         assert eigen(shifted.K).inertia == (nf, m, 0)
         B_t = H_t + (J.T @ J) / mu if m else H_t

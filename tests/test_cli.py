@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ def test_log_is_deterministic_and_well_formed(tmp_path):
     # one data row per iteration record, k strictly increasing from 0
     ks = [int(row.split(",")[0]) for row in lines[2:]]
     assert ks == list(range(len(ks)))
+
+
+@pytest.mark.parametrize("name", ["convex-qp", "cosine-saddle", "saddle-line"])
+def test_log_matches_the_golden_file(tmp_path, name):
+    # the committed logs pin every record of the built-in runs: a change
+    # meant to keep behaviour must keep them byte for byte
+    log = tmp_path / "log.csv"
+    assert main(["solve", name, "--log", str(log)]) == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.csv"
+    assert log.read_bytes() == golden.read_bytes()
 
 
 def test_report_document(tmp_path):

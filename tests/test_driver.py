@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from curvsqp.driver import (
     second_order_certificate,
     solve,
 )
+from curvsqp.errors import EvaluationError
 from curvsqp.merit import merit_value
 from curvsqp.model import NlpProblem, evaluate, make_iterate
 from curvsqp.problems import get_problem
@@ -96,6 +99,97 @@ def test_every_evaluation_respects_the_bounds():
     solve(probe)
     assert seen
     assert min(float(np.min(x)) for x in seen) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "name, points, hessians",
+    [("convex-qp", 8, 8), ("cosine-saddle", 7, 7), ("saddle-line", 5, 6)],
+)
+def test_each_point_is_evaluated_once(name, points, hessians):
+    base = get_problem(name)
+    calls = {"objective": 0, "hessian": 0}
+
+    def counted(key):
+        def callback(*args):
+            calls[key] += 1
+            return getattr(base, key)(*args)
+
+        return callback
+
+    problem = dataclasses.replace(
+        base, objective=counted("objective"), hessian=counted("hessian")
+    )
+    result = solve(problem)
+    # the start point, then every trial of every search (the built-ins
+    # never reject a trial at the bounds)
+    stepped = [
+        rec for rec in result.history
+        if rec.alpha > 0.0 and (rec.norm_dv > 0.0 or rec.norm_u > 0.0)
+    ]
+    assert calls["objective"] == 1 + sum(rec.backtracks + 1 for rec in stepped)
+    # plus one Hessian at the merit's multiplier per curvature step when
+    # there are constraints
+    curvature_steps = sum(1 for rec in result.history if rec.norm_u > 0.0)
+    assert calls["hessian"] == calls["objective"] + (curvature_steps if base.m else 0)
+    assert calls == {"objective": points, "hessian": hessians}
+
+
+def _hessian_failing_below_zero(failure):
+    base = get_problem("saddle-line")
+
+    def hessian(x, y):
+        if y[0] < 0.0:
+            return failure()
+        return base.hessian(x, y)
+
+    return dataclasses.replace(base, hessian=hessian)
+
+
+def _raise():
+    raise RuntimeError("no Hessian for negative multipliers")
+
+
+@pytest.mark.parametrize("failure", [lambda: np.full((2, 2), np.nan), _raise])
+def test_bad_merit_multiplier_hessian_is_an_evaluation_error(failure):
+    # the solve evaluates only y >= 0 here; the merit multiplier of the
+    # curvature step is negative, and its Hessian must be checked too
+    with pytest.raises(EvaluationError):
+        solve(_hessian_failing_below_zero(failure))
+
+
+def _square_jacobian_problem():
+    # f = -4 x0 x1 + x2 with rows [x2, x2, x0 + x1 - 2]: m == n == 3
+    J = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    return NlpProblem(
+        name="square-jacobian",
+        n=3,
+        m=3,
+        objective=lambda x: float(-4.0 * x[0] * x[1] + x[2]),
+        gradient=lambda x: np.array([-4.0 * x[1], -4.0 * x[0], 1.0]),
+        constraints=lambda x: np.array([x[2], x[2], x[0] + x[1] - 2.0]),
+        jacobian=lambda x: J,
+        hessian=lambda x, y: np.array([[0.0, -4.0, 0.0], [-4.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        x0=np.array([1.2, 0.8, 0.0]),
+        y0=np.zeros(3),
+    )
+
+
+def test_square_jacobian_keeps_its_constraint_rows():
+    result = solve(_square_jacobian_problem())
+    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
+    np.testing.assert_allclose(result.iterate.x, [1.0, 1.0, 0.0], atol=1e-6)
+    assert result.f == pytest.approx(-4.0, abs=1e-6)
+
+
+def test_certificate_with_a_square_jacobian():
+    # on the line x0 + x1 = 2 the objective curves upward; without that
+    # row the free block [[0, -4], [-4, 0]] would look like a saddle
+    ratio, ws, exists = second_order_certificate(
+        _square_jacobian_problem(), make_iterate([1.0, 1.0, 0.0], np.zeros(3)), 0.1
+    )
+    np.testing.assert_array_equal(ws.free, [0, 1])
+    assert not exists
+    assert ratio == 0.0
 
 
 def test_trace_lets_the_acceptance_inequality_be_rechecked():

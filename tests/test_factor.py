@@ -101,7 +101,7 @@ def test_convexify_hand_delta():
     conv = convexify(factor, margin=0.1)
     assert conv.delta == pytest.approx(3.3, abs=1e-12)
     assert conv.shifted_rows.shape == (1,)
-    H_tilde = apply_shift(HAND_H, conv)
+    H_tilde = apply_shift(HAND_H, conv.shifted_rows, conv.delta)
     shifted = build_kkt(H_tilde, HAND_J, 1.0)
     assert eigen(shifted.K).inertia == (2, 1, 0)
 
@@ -110,7 +110,7 @@ def test_convexify_empty_schur_is_identity():
     factor = stage1_factorize(build_kkt(np.diag([2.0, 3.0]), np.array([[1.0, 0.0]]), 0.5))
     conv = convexify(factor)
     assert conv.delta == 0.0
-    np.testing.assert_array_equal(apply_shift(np.diag([2.0, 3.0]), conv), np.diag([2.0, 3.0]))
+    np.testing.assert_array_equal(apply_shift(np.diag([2.0, 3.0]), conv.shifted_rows, conv.delta), np.diag([2.0, 3.0]))
 
 
 def test_convexify_needs_strict_margin():
@@ -121,7 +121,7 @@ def test_convexify_needs_strict_margin():
     assert inertia(H + 3.0 * np.eye(2)) != (2, 0, 0)
     conv = convexify(factor, margin=0.5)
     assert conv.delta == pytest.approx(4.5)
-    assert eigen(apply_shift(H, conv)).inertia == (2, 0, 0)
+    assert eigen(apply_shift(H, conv.shifted_rows, conv.delta)).inertia == (2, 0, 0)
 
 
 def test_inertia_examples():

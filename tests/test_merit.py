@@ -143,14 +143,24 @@ def _mstate(mu=1.0, **kw):
     return MeritState(y_E=np.zeros(0), mu=mu, mu_R=mu, **kw)
 
 
+def _merit(prob, point, state):
+    return merit_value(evaluate(prob, point), point, state)
+
+
+def _search(prob, it, step, dv, state, N_k, R_k, **kw):
+    """Search from it, with the start merit computed here as the driver does."""
+    return curvilinear_search(prob, it, _merit(prob, it, state), step, dv, state, N_k, R_k, **kw)
+
+
 def test_search_accepts_full_step():
     prob = _scalar_problem(lambda t: -t, lambda t: -1.0)
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
-    res = curvilinear_search(prob, it, step, np.array([1.0]), _mstate(), -1.0, 0.0)
+    res = _search(prob, it, step, np.array([1.0]), _mstate(), -1.0, 0.0)
     assert res.alpha == 1.0 and res.j == 0
     assert res.accepted.x[0] == 2.0
     assert res.merit_new == -2.0
+    assert res.ev.f == -2.0
 
 
 def test_search_backtracks_once():
@@ -158,7 +168,7 @@ def test_search_backtracks_once():
     prob = _scalar_problem(lambda t: t * (t - 0.8), lambda t: 2.0 * t - 0.8)
     it = make_iterate([0.0], [])
     step = ScaledStep(u=np.array([1.0]), w=np.zeros(0), beta=1.0)
-    res = curvilinear_search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0)
+    res = _search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0)
     assert res.j == 1 and res.alpha == 0.5
     assert res.n_trials == 2
 
@@ -173,18 +183,20 @@ def test_search_rejects_infeasible_trials_without_evaluating():
     prob = _scalar_problem(f, lambda t: 1.0)
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.array([-2.0]), w=np.zeros(0), beta=1.0)
-    res = curvilinear_search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0)
+    res = _search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0)
     assert res.alpha == 0.5
     assert res.bound_rejections == 1
-    # one evaluation at the start point, one at the accepted trial
+    # one evaluation at the start point (for the start merit), one at the
+    # accepted trial, whose evaluation the search returns
     assert calls == [1.0, 0.0]
+    assert res.ev.f == 0.0
 
 
 def test_search_snaps_roundoff_to_exact_zero():
     prob = _scalar_problem(lambda t: t, lambda t: 1.0)
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.array([-(1.0 + 5e-14)]), w=np.zeros(0), beta=1.0)
-    res = curvilinear_search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0)
+    res = _search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0)
     assert res.alpha == 1.0
     assert res.accepted.x[0] == 0.0
 
@@ -194,7 +206,7 @@ def test_search_exhausts_and_raises():
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.array([1.0]), w=np.zeros(0), beta=1.0)
     with pytest.raises(LineSearchFailure) as info:
-        curvilinear_search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0, j_max=5)
+        _search(prob, it, step, np.zeros(1), _mstate(), 0.0, -1.0, j_max=5)
     assert "6 trials" in str(info.value)
 
 
@@ -203,9 +215,9 @@ def test_search_rejects_positive_model_quantities():
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
     with pytest.raises(ValueError):
-        curvilinear_search(prob, it, step, np.ones(1), _mstate(), 1e-9, 0.0)
+        _search(prob, it, step, np.ones(1), _mstate(), 1e-9, 0.0)
     with pytest.raises(ValueError):
-        curvilinear_search(prob, it, step, np.ones(1), _mstate(), 0.0, 1e-9)
+        _search(prob, it, step, np.ones(1), _mstate(), 0.0, 1e-9)
 
 
 def test_penalty_update_keeps_mu_on_decrease():
@@ -213,7 +225,8 @@ def test_penalty_update_keeps_mu_on_decrease():
     state = _state([1.0], 1.0)
     previous = make_iterate([1.0, 1.0], [1.0])
     accepted = make_iterate([1.5, 0.5], [1.0])  # f drops from 1 to 0.75, c stays 0
-    assert penalty_update(prob, accepted, previous, state, 1.0, 0.0, 0.0, 0.4) == 1.0
+    m_acc, m_prev = _merit(prob, accepted, state), _merit(prob, previous, state)
+    assert penalty_update(m_acc, m_prev, state, 1.0, 0.0, 0.0, 0.4) == 1.0
 
 
 def test_penalty_update_drops_to_half():
@@ -221,7 +234,8 @@ def test_penalty_update_drops_to_half():
     state = _state([1.0], 1.0)
     previous = make_iterate([1.5, 0.5], [1.0])
     accepted = make_iterate([1.0, 1.0], [1.0])  # merit increases
-    assert penalty_update(prob, accepted, previous, state, 1.0, 0.0, 0.0, 0.4) == 0.5
+    m_acc, m_prev = _merit(prob, accepted, state), _merit(prob, previous, state)
+    assert penalty_update(m_acc, m_prev, state, 1.0, 0.0, 0.0, 0.4) == 0.5
 
 
 def test_penalty_update_floors_at_regularization():
@@ -229,7 +243,8 @@ def test_penalty_update_floors_at_regularization():
     state = _state([1.0], 0.6)
     previous = make_iterate([1.5, 0.5], [1.0])
     accepted = make_iterate([1.0, 1.0], [1.0])
-    assert penalty_update(prob, accepted, previous, state, 1.0, 0.0, 0.0, 0.4) == 0.4
+    m_acc, m_prev = _merit(prob, accepted, state), _merit(prob, previous, state)
+    assert penalty_update(m_acc, m_prev, state, 1.0, 0.0, 0.0, 0.4) == 0.4
 
 
 def test_penalty_update_damps_step_size():
@@ -239,7 +254,8 @@ def test_penalty_update_damps_step_size():
     state = _state([1.0], 1.0, alpha_min=1e-2)
     previous = make_iterate([1.0, 1.0], [1.0])
     accepted = make_iterate([1.1, 0.9], [1.0])  # merit falls by 0.01
-    kept = penalty_update(prob, accepted, previous, state, 1.0, -8.0, 0.0, 0.4)
+    m_acc, m_prev = _merit(prob, accepted, state), _merit(prob, previous, state)
+    kept = penalty_update(m_acc, m_prev, state, 1.0, -8.0, 0.0, 0.4)
     assert kept == 1.0
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvsqp.workset import embed, estimate, restrict
+from curvsqp.workset import embed, estimate, restrict, restrict_columns, restrict_principal
 
 
 def test_estimate_near_bound():
@@ -43,13 +43,13 @@ def test_estimate_monotone_in_mu():
 def test_restrict_principal_submatrix():
     ws = estimate(np.array([0.0, 1.0]), mu=0.1, epsilon_a=0.01)
     H = np.array([[1.0, 2.0], [2.0, 3.0]])
-    np.testing.assert_array_equal(restrict(H, ws), [[3.0]])
+    np.testing.assert_array_equal(restrict_principal(H, ws), [[3.0]])
 
 
 def test_restrict_jacobian_columns():
     ws = estimate(np.array([1.0, 1.0]), mu=0.1, epsilon_a=0.01)
     J = np.array([[1.0, 1.0]])
-    np.testing.assert_array_equal(restrict(J, ws), [[1.0, 1.0]])
+    np.testing.assert_array_equal(restrict_columns(J, ws), [[1.0, 1.0]])
 
 
 def test_restrict_vector_active_part():
@@ -57,11 +57,14 @@ def test_restrict_vector_active_part():
     np.testing.assert_array_equal(restrict(np.array([4.0, 5.0, 6.0]), ws, part="active"), [5.0])
 
 
-def test_restrict_square_jacobian_needs_kind():
-    # a square J would be cut as a principal block unless told otherwise
+def test_restrict_square_jacobian_keeps_every_row():
+    # the cut is named by the caller, never guessed from a square shape
     ws = estimate(np.array([0.0, 1.0]), mu=0.1, epsilon_a=0.01)
     J = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(restrict(J, ws, kind="columns"), [[2.0], [4.0]])
+    np.testing.assert_array_equal(restrict_columns(J, ws), [[2.0], [4.0]])
+    np.testing.assert_array_equal(restrict_principal(J, ws), [[4.0]])
+    with pytest.raises(ValueError):
+        restrict(J, ws)
 
 
 def test_restrict_rejects_3d():
