@@ -3,19 +3,11 @@
 Equality-constrained problems with nonnegativity bounds are driven to
 points satisfying second-order necessary optimality conditions. The
 negative-curvature machinery lives in factor/curvature; solve() in
-driver ties everything together.
+driver ties everything together. The package exports what the README's
+library section documents; every other name is imported from its own
+module.
 """
 
-from .classify import FilterState, Measures, classify, measures, update_state
-from .curvature import (
-    CurvatureDirection,
-    ScaledStep,
-    curvature_form,
-    extract_direction,
-    orient,
-    refresh_direction,
-    scale,
-)
 from .driver import (
     IterationRecord,
     SolveResult,
@@ -33,97 +25,33 @@ from .errors import (
     QpFailure,
     QpInternalError,
 )
-from .factor import (
-    Convexification,
-    KktSystem,
-    Stage1Factor,
-    apply_shift,
-    build_kkt,
-    convexify,
-    inertia,
-    stage1_factorize,
-)
-from .merit import (
-    LineSearchResult,
-    MeritState,
-    curvilinear_search,
-    merit_gradient,
-    merit_hessian,
-    merit_value,
-    penalty_update,
-)
-from .model import (
-    Evaluation,
-    Iterate,
-    NlpProblem,
-    check_derivatives,
-    evaluate,
-    make_iterate,
-)
-from .problemfile import ParsedProblem, Polynomial, parse_problem_file
-from .problems import get_problem, list_problems
-from .qpstep import QpStep, solve_qp
-from .workset import WorkingSet, embed, estimate, restrict
+from .factor import apply_shift
+from .merit import curvilinear_search, penalty_update
+from .model import NlpProblem, check_derivatives, make_iterate
+from .problemfile import parse_problem_file
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CurvSqpError",
-    "CurvatureDirection",
-    "Convexification",
-    "Evaluation",
     "EvaluationError",
     "FactorizationBreakdown",
-    "FilterState",
     "IterationRecord",
-    "Iterate",
-    "KktSystem",
     "LineSearchFailure",
-    "LineSearchResult",
-    "Measures",
-    "MeritState",
     "NlpProblem",
-    "ParsedProblem",
-    "Polynomial",
     "ProblemFormatError",
     "QpFailure",
     "QpInternalError",
-    "QpStep",
-    "ScaledStep",
     "SolveResult",
     "SolveStatus",
     "SolverConfig",
-    "Stage1Factor",
-    "WorkingSet",
     "apply_shift",
-    "build_kkt",
     "check_derivatives",
-    "classify",
-    "convexify",
-    "curvature_form",
     "curvilinear_search",
-    "embed",
-    "estimate",
-    "evaluate",
-    "extract_direction",
-    "get_problem",
-    "inertia",
-    "list_problems",
     "make_iterate",
-    "measures",
-    "merit_gradient",
-    "merit_hessian",
-    "merit_value",
-    "orient",
     "parse_problem_file",
     "penalty_update",
-    "refresh_direction",
-    "restrict",
-    "scale",
     "second_order_certificate",
     "solve",
-    "solve_qp",
-    "stage1_factorize",
-    "update_state",
     "__version__",
 ]

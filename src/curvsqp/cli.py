@@ -13,6 +13,7 @@ errors.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -112,6 +113,12 @@ def write_log(path, history):
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_number(value):
+    """value as a float, or None where JSON has no number (NaN, infinity)."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _write_report(path, problem, result):
     doc = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -120,11 +127,11 @@ def _write_report(path, problem, result):
         "exit_code": result.status.exit_code,
         "x": [float(v) for v in result.iterate.x],
         "y": [float(v) for v in result.iterate.y],
-        "f": result.f,
-        "eta": result.eta,
-        "omega": result.omega,
-        "omega_first": result.omega_first,
-        "curv_ratio": result.curv_ratio,
+        "f": _json_number(result.f),
+        "eta": _json_number(result.eta),
+        "omega": _json_number(result.omega),
+        "omega_first": _json_number(result.omega_first),
+        "curv_ratio": _json_number(result.curv_ratio),
         "iterations": result.iterations,
         "class_counts": result.class_counts,
         "wall_time_s": result.wall_time_s,
@@ -178,6 +185,8 @@ def main(argv=None):
         write_log(args.log, result.history)
     if args.report:
         _write_report(args.report, problem, result)
+    if result.status.exit_code == 4:
+        print(f"curvsqp: {result.message}", file=sys.stderr)
 
     print(
         f"{problem.name}: status={result.status.value} f={result.f:.9g} "

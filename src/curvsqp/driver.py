@@ -26,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .classify import (
+    Measures,
     classify as classify_iterate,
     initial_state,
     measures,
@@ -40,7 +41,13 @@ from .curvature import (
     refresh_direction,
     scale,
 )
-from .errors import LineSearchFailure, QpFailure, QpInternalError
+from .errors import (
+    EvaluationError,
+    FactorizationBreakdown,
+    LineSearchFailure,
+    QpFailure,
+    QpInternalError,
+)
 from .factor import apply_shift, build_kkt, convexify, stage1_factorize
 from .merit import (
     MeritState,
@@ -61,6 +68,8 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration-limit"
     LINE_SEARCH_FAILURE = "line-search-failure"
     QP_FAILURE = "qp-failure"
+    EVALUATION_ERROR = "evaluation-error"
+    FACTORIZATION_BREAKDOWN = "factorization-breakdown"
 
     @property
     def exit_code(self):
@@ -73,6 +82,8 @@ _EXIT_CODES = {
     SolveStatus.ITERATION_LIMIT: 3,
     SolveStatus.LINE_SEARCH_FAILURE: 4,
     SolveStatus.QP_FAILURE: 4,
+    SolveStatus.EVALUATION_ERROR: 4,
+    SolveStatus.FACTORIZATION_BREAKDOWN: 4,
 }
 
 
@@ -177,6 +188,13 @@ class SolveResult:
         return len(self.history)
 
 
+# the measures of an iterate the solve failed before measuring
+_UNMEASURED = Measures(
+    eta=np.nan, omega_first=np.nan, curv_ratio=np.nan,
+    omega=np.nan, phi_S=np.nan, phi_L=np.nan,
+)
+
+
 def _merit_state(fstate, mu, config):
     return MeritState(
         y_E=fstate.y_E,
@@ -244,6 +262,13 @@ def solve(problem, v0=None, config=None, trace=None):
     step (previous and accepted iterates, the merit state the search
     ran under, alpha, and the model quantities) so tests can re-verify
     the acceptance inequality independently.
+
+    A callback failure (EvaluationError) or a stage-1 breakdown
+    (FactorizationBreakdown) ends the solve with the matching status,
+    the exception's text as message and the records closed before it.
+    The result's measures are NaN when the failure came before the
+    final iterate was measured, and f too when the start point fails.
+    A bad start point still raises ValueError.
     """
     config = config if config is not None else SolverConfig()
     if v0 is None:
@@ -265,8 +290,8 @@ def solve(problem, v0=None, config=None, trace=None):
     counts = {"S": 0, "L": 0, "M": 0, "F": 0}
     status = SolveStatus.ITERATION_LIMIT
     message = ""
-    last_meas = None
-    last_ratio = 0.0
+    last_meas, last_ratio = _UNMEASURED, np.nan
+    ev = None
     k = 0
 
     def close(meas, label, alpha, norm_p, norm_u, ratio, merit, ws_size, **extra):
@@ -291,168 +316,179 @@ def solve(problem, v0=None, config=None, trace=None):
             )
         )
 
-    ev = evaluate(problem, it)
-    while True:
-        # working set at the carried-over flexible penalty
-        ws = estimate(it.x, mu, config.epsilon_a)
-        mu_R_pre = fstate.mu_R if fstate is not None else config.mu0
+    try:
+        ev = evaluate(problem, it)
+        while True:
+            # a failure before the measures below reports NaN measures
+            last_meas, last_ratio = _UNMEASURED, np.nan
+            # working set at the carried-over flexible penalty
+            ws = estimate(it.x, mu, config.epsilon_a)
+            mu_R_pre = fstate.mu_R if fstate is not None else config.mu0
 
-        factor = None
-        conv = None
-        direction = no_direction(problem.n, problem.m)
-        if ws.free.size:
-            factor = _free_factor(ev, ws, mu_R_pre)
-            conv = convexify(factor, config.margin)
-            if config.enable_curvature:
-                direction = extract_direction(factor, ws, H=ev.H, J=ev.J)
+            factor = None
+            conv = None
+            direction = no_direction(problem.n, problem.m)
+            if ws.free.size:
+                factor = _free_factor(ev, ws, mu_R_pre)
+                conv = convexify(factor, config.margin)
+                if config.enable_curvature:
+                    direction = extract_direction(factor, ws, H=ev.H, J=ev.J)
 
-        meas = measures(ev, it, direction, mu_R_pre)
-        last_meas = meas
+            meas = measures(ev, it, direction, mu_R_pre)
+            last_meas = meas
 
-        if fstate is None:
-            fstate = initial_state(meas, it.y, config.mu0, tau=config.tau0)
-            label = "-"
-        else:
-            pre_state = _merit_state(fstate, fstate.mu_R, config)
-            resid = merit_residuals(merit_gradient(ev, it, pre_state), it.x)
-            label = classify_iterate(meas, fstate, resid)
-            counts[label] += 1
-            mu_R_old = fstate.mu_R
-            fstate = update_state(label, fstate, meas, it)
-            if fstate.mu_R != mu_R_old and direction.exists:
-                # the stronger penalty term can erase the negative curvature
-                direction = refresh_direction(direction, ev.H, ev.J, fstate.mu_R)
-            if prev is not None:
-                mu = penalty_update(**prev, mu_R_next=fstate.mu_R)
-            mu = max(mu, fstate.mu_R)
+            if fstate is None:
+                fstate = initial_state(meas, it.y, config.mu0, tau=config.tau0)
+                label = "-"
+            else:
+                pre_state = _merit_state(fstate, fstate.mu_R, config)
+                resid = merit_residuals(merit_gradient(ev, it, pre_state), it.x)
+                label = classify_iterate(meas, fstate, resid)
+                counts[label] += 1
+                mu_R_old = fstate.mu_R
+                fstate = update_state(label, fstate, meas, it)
+                if fstate.mu_R != mu_R_old and direction.exists:
+                    # the stronger penalty term can erase the negative curvature
+                    direction = refresh_direction(direction, ev.H, ev.J, fstate.mu_R)
+                if prev is not None:
+                    mu = penalty_update(**prev, mu_R_next=fstate.mu_R)
+                mu = max(mu, fstate.mu_R)
 
-        ratio_now = direction.rayleigh if direction.exists else 0.0
-        last_ratio = ratio_now
-        state_F = _merit_state(fstate, mu, config)
-        merit_here = merit_value(ev, it, state_F)
+            ratio_now = direction.rayleigh if direction.exists else 0.0
+            last_ratio = ratio_now
+            state_F = _merit_state(fstate, mu, config)
+            merit_here = merit_value(ev, it, state_F)
 
-        first_order_ok = (
-            meas.eta <= config.tol_constraint
-            and meas.omega_first <= config.tol_first
-        )
-        if first_order_ok and (
-            not config.enable_curvature or ratio_now >= -config.tol_second
-        ):
-            status = (
-                SolveStatus.SECOND_ORDER_OPTIMAL
-                if config.enable_curvature
-                else SolveStatus.FIRST_ORDER_ONLY
+            first_order_ok = (
+                meas.eta <= config.tol_constraint
+                and meas.omega_first <= config.tol_first
             )
-            close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
-            break
-        if k >= config.max_iterations:
-            status = SolveStatus.ITERATION_LIMIT
-            message = "iteration limit reached before the optimality tests passed"
-            close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
-            break
-
-        # convexified Hessian for the QP, certified positive definite
-        # together with the penalty term at the regularization penalty
-        state_R = _merit_state(fstate, fstate.mu_R, config)
-        H_tilde = ev.H
-        if conv is not None:
-            H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
-        h_scale = float(np.max(np.abs(ev.H), initial=0.0))
-        try:
-            H_used, _ = _certified_hessian(
-                H_tilde, ev.J, fstate.mu_R, ws.active, h_scale
-            )
-            H_M = merit_hessian(ev, state_R, H_used)
-            grad_M = merit_gradient(ev, it, state_R)
-            qp = solve_qp(
-                H_M, grad_M, it.x, seed_active=ws.active, tol=config.qp_tol
-            )
-        except (QpFailure, QpInternalError) as exc:
-            status = SolveStatus.QP_FAILURE
-            message = str(exc)
-            close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
-            break
-        N_k = min(qp.model_decrease, 0.0)
-
-        direction = orient(direction, grad_M)
-        step = scale(direction, it.x, qp.p, config.u_max)
-        if direction.exists and step.beta > 0.0:
-            H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
-            sv = np.concatenate([step.u, step.w])
-            R_k = min(float(sv @ (merit_hessian(ev, state_R, H_exact) @ sv)), 0.0)
-        else:
-            step = _zero_step(problem.n, problem.m)
-            R_k = 0.0
-
-        norm_p = float(np.linalg.norm(qp.p))
-        norm_u = float(np.linalg.norm(step.u))
-        norm_dv = float(np.linalg.norm(qp.dv))
-
-        if norm_dv == 0.0 and norm_u == 0.0:
-            # stationary for the current subproblem; only the parameter
-            # updates can make progress, so take the null step
-            alpha, accepted, ev_new, merit_new, backtracks = 1.0, it, ev, merit_here, 0
-        else:
-            try:
-                ls = curvilinear_search(
-                    problem, it, merit_here, step, qp.dv, state_F, N_k, R_k,
-                    config.j_max,
+            if first_order_ok and (
+                not config.enable_curvature or ratio_now >= -config.tol_second
+            ):
+                status = (
+                    SolveStatus.SECOND_ORDER_OPTIMAL
+                    if config.enable_curvature
+                    else SolveStatus.FIRST_ORDER_ONLY
                 )
-            except LineSearchFailure:
-                ls = None
-                if norm_u > 0.0:
-                    step = _zero_step(problem.n, problem.m)
-                    R_k = 0.0
-                    norm_u = 0.0
-                    try:
-                        ls = curvilinear_search(
-                            problem, it, merit_here, step, qp.dv, state_F, N_k, 0.0,
-                            config.j_max,
-                        )
-                    except LineSearchFailure as exc:
-                        message = str(exc)
-                else:
-                    message = "no acceptable step along the QP direction"
-            if ls is None:
-                status = SolveStatus.LINE_SEARCH_FAILURE
-                close(
-                    meas, label, 0.0, norm_p, norm_u, ratio_now, merit_here,
-                    ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
-                )
+                close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
                 break
-            alpha, accepted, ev_new, merit_new, backtracks = (
-                ls.alpha, ls.accepted, ls.ev, ls.merit_new, ls.j
-            )
+            if k >= config.max_iterations:
+                status = SolveStatus.ITERATION_LIMIT
+                message = "iteration limit reached before the optimality tests passed"
+                close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
+                break
 
-        if trace is not None:
-            trace.append(
-                {
-                    "k": k,
-                    "previous": it,
-                    "accepted": accepted,
-                    "state": state_F,
-                    "alpha": alpha,
-                    "N_k": N_k,
-                    "R_k": R_k,
-                    "null_step": norm_dv == 0.0 and norm_u == 0.0,
-                }
-            )
+            # convexified Hessian for the QP, certified positive definite
+            # together with the penalty term at the regularization penalty
+            state_R = _merit_state(fstate, fstate.mu_R, config)
+            H_tilde = ev.H
+            if conv is not None:
+                H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
+            h_scale = float(np.max(np.abs(ev.H), initial=0.0))
+            try:
+                H_used, _ = _certified_hessian(
+                    H_tilde, ev.J, fstate.mu_R, ws.active, h_scale
+                )
+                H_M = merit_hessian(ev, state_R, H_used)
+                grad_M = merit_gradient(ev, it, state_R)
+                qp = solve_qp(
+                    H_M, grad_M, it.x, seed_active=ws.active, tol=config.qp_tol
+                )
+            except (QpFailure, QpInternalError) as exc:
+                status = SolveStatus.QP_FAILURE
+                message = str(exc)
+                close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
+                break
+            N_k = min(qp.model_decrease, 0.0)
 
-        close(
-            meas, label, alpha, norm_p, norm_u, ratio_now, merit_here,
-            ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
-            backtracks=backtracks,
+            direction = orient(direction, grad_M)
+            step = scale(direction, it.x, qp.p, config.u_max)
+            if direction.exists and step.beta > 0.0:
+                H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
+                sv = np.concatenate([step.u, step.w])
+                R_k = min(float(sv @ (merit_hessian(ev, state_R, H_exact) @ sv)), 0.0)
+            else:
+                step = _zero_step(problem.n, problem.m)
+                R_k = 0.0
+
+            norm_p = float(np.linalg.norm(qp.p))
+            norm_u = float(np.linalg.norm(step.u))
+            norm_dv = float(np.linalg.norm(qp.dv))
+
+            if norm_dv == 0.0 and norm_u == 0.0:
+                # stationary for the current subproblem; only the parameter
+                # updates can make progress, so take the null step
+                alpha, accepted, ev_new, merit_new, backtracks = 1.0, it, ev, merit_here, 0
+            else:
+                try:
+                    ls = curvilinear_search(
+                        problem, it, merit_here, step, qp.dv, state_F, N_k, R_k,
+                        config.j_max,
+                    )
+                except LineSearchFailure:
+                    ls = None
+                    if norm_u > 0.0:
+                        step = _zero_step(problem.n, problem.m)
+                        R_k = 0.0
+                        norm_u = 0.0
+                        try:
+                            ls = curvilinear_search(
+                                problem, it, merit_here, step, qp.dv, state_F, N_k, 0.0,
+                                config.j_max,
+                            )
+                        except LineSearchFailure as exc:
+                            message = str(exc)
+                    else:
+                        message = "no acceptable step along the QP direction"
+                if ls is None:
+                    status = SolveStatus.LINE_SEARCH_FAILURE
+                    close(
+                        meas, label, 0.0, norm_p, norm_u, ratio_now, merit_here,
+                        ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
+                    )
+                    break
+                alpha, accepted, ev_new, merit_new, backtracks = (
+                    ls.alpha, ls.accepted, ls.ev, ls.merit_new, ls.j
+                )
+
+            if trace is not None:
+                trace.append(
+                    {
+                        "k": k,
+                        "previous": it,
+                        "accepted": accepted,
+                        "state": state_F,
+                        "alpha": alpha,
+                        "N_k": N_k,
+                        "R_k": R_k,
+                        "null_step": norm_dv == 0.0 and norm_u == 0.0,
+                    }
+                )
+
+            close(
+                meas, label, alpha, norm_p, norm_u, ratio_now, merit_here,
+                ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
+                backtracks=backtracks,
+            )
+            prev = dict(merit_new=merit_new, merit_old=merit_here, state=state_F,
+                        alpha=alpha, N_k=N_k, R_k=R_k)
+            it, ev = accepted, ev_new
+            k += 1
+    except (EvaluationError, FactorizationBreakdown) as exc:
+        # the history keeps every record closed before the failure
+        status = (
+            SolveStatus.EVALUATION_ERROR
+            if isinstance(exc, EvaluationError)
+            else SolveStatus.FACTORIZATION_BREAKDOWN
         )
-        prev = dict(merit_new=merit_new, merit_old=merit_here, state=state_F,
-                    alpha=alpha, N_k=N_k, R_k=R_k)
-        it, ev = accepted, ev_new
-        k += 1
+        message = str(exc)
 
     return SolveResult(
         status=status,
         iterate=it,
         history=tuple(history),
-        f=ev.f,
+        f=ev.f if ev is not None else np.nan,
         eta=last_meas.eta,
         omega_first=last_meas.omega_first,
         omega=last_meas.omega,

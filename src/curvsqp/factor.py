@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import stage1_kernel
 from .errors import FactorizationBreakdown
 
 PIVOT_TAGS = ("H+", "D-", "HD")
@@ -118,6 +117,120 @@ class Stage1Factor:
         return float(np.max(np.abs(P @ self.kkt.K @ P.T - self.L @ D @ self.L.T), initial=0.0))
 
 
+def _swap(A, L, perm, sign, k, r):
+    """Exchange positions k < r: rows and columns of A, L[:, :k], perm, sign."""
+    row = A[k].copy()
+    A[k] = A[r]
+    A[r] = row
+    col = A[:, k].copy()
+    A[:, k] = A[:, r]
+    A[:, r] = col
+    if k:
+        lrow = L[k, :k].copy()
+        L[k, :k] = L[r, :k]
+        L[r, :k] = lrow
+    perm[k], perm[r] = perm[r], perm[k]
+    sign[k], sign[r] = sign[r], sign[k]
+
+
+def eliminate(A, L, perm, ptype, psize, nh, tiny):
+    """Restricted-pivot elimination of a symmetric saddle matrix, in place.
+
+    Rows whose original index (tracked in perm) is < nh belong to the
+    curvature block; the rest are dual rows whose diagonal starts negative.
+    Admissible pivots: a curvature diagonal > tiny (code 0), a dual
+    diagonal < -tiny (code 1), or a curvature-by-dual 2x2 cross block with
+    negative determinant (code 2). 1x1 pivots are chosen greedily by
+    magnitude, the first dual row winning exact ties, else the first row;
+    the 2x2 is tried only when no 1x1 is admissible, pairing the first
+    largest-magnitude cross coupling in row-major order.
+
+    A's leading k x k part retains the pivot blocks on its (block)
+    diagonal, the trailing part becomes the Schur complement, and L gets
+    unit-lower-triangular multipliers. Returns (k, npiv, status): k
+    eliminated positions, npiv pivot records, status 1 when dual rows
+    remain unpivoted (breakdown), else 0. Bit-identical to the scalar
+    loop oracle.stage1_reference: the Schur updates keep its operation
+    order, which is why they are outer products and not matmuls.
+    """
+    N = A.shape[0]
+    diag = A.diagonal()
+    dual = perm >= nh
+    duals_left = int(np.count_nonzero(dual))
+    # +1 on curvature rows, -1 on dual rows, permuted along with perm
+    sign = np.where(dual, -1.0, 1.0)
+    k = 0
+    npiv = 0
+    while k < N:
+        # |diagonal| on admissible rows; at most tiny, or NaN, elsewhere
+        s = sign[k:] * diag[k:]
+        top = np.fmax.reduce(s)
+        if top > tiny:
+            tied = s == top
+            if np.count_nonzero(tied) > 1:
+                tied_dual = tied & (sign[k:] < 0.0)
+                if tied_dual.any():
+                    tied = tied_dual
+            best = k + int(tied.argmax())
+            if best != k:
+                _swap(A, L, perm, sign, k, best)
+            if k + 1 < N:  # the last pivot leaves nothing to update
+                inva = 1.0 / A[k, k]
+                c = A[k + 1:, k]
+                L[k + 1:, k] = c * inva
+                S = A[k + 1:, k + 1:]
+                np.subtract(S, np.multiply.outer(c, c) * inva, out=S)
+            if sign[k] > 0.0:
+                ptype[npiv] = 0
+            else:
+                ptype[npiv] = 1
+                duals_left -= 1
+            psize[npiv] = 1
+            npiv += 1
+            k += 1
+            continue
+        if not duals_left:
+            break
+        h = sign[k:] > 0.0
+        # |A| on curvature rows by dual columns, zero elsewhere; fmax
+        # turns NaN into 0, which the strict search never picks either
+        cross = np.fmax(np.abs(A[k:, k:]) * np.multiply.outer(h, ~h), 0.0)
+        flat = int(cross.argmax())
+        if cross.flat[flat] == 0.0:
+            break
+        bi, bj = divmod(flat, N - k)
+        bi += k
+        bj += k
+        det = A[bi, bi] * A[bj, bj] - A[bi, bj] * A[bi, bj]
+        if det >= 0.0:
+            break
+        if bi != k:
+            _swap(A, L, perm, sign, k, bi)
+            if bj == k:
+                bj = bi
+        if bj != k + 1:
+            _swap(A, L, perm, sign, k + 1, bj)
+        if k + 2 < N:  # as for 1x1 pivots
+            e11 = A[k, k]
+            e22 = A[k + 1, k + 1]
+            e12 = A[k, k + 1]
+            idet = 1.0 / (e11 * e22 - e12 * e12)
+            w1 = A[k + 2:, k]
+            w2 = A[k + 2:, k + 1]
+            l1 = (w1 * e22 - w2 * e12) * idet
+            l2 = (w2 * e11 - w1 * e12) * idet
+            L[k + 2:, k] = l1
+            L[k + 2:, k + 1] = l2
+            S = A[k + 2:, k + 2:]
+            np.subtract(S, np.multiply.outer(l1, w1) + np.multiply.outer(l2, w2), out=S)
+        ptype[npiv] = 2
+        psize[npiv] = 2
+        duals_left -= 1
+        npiv += 1
+        k += 2
+    return k, npiv, int(duals_left > 0)
+
+
 def stage1_factorize(kkt):
     """Run the restricted elimination on a KKT system.
 
@@ -133,7 +246,7 @@ def stage1_factorize(kkt):
     ptype = np.zeros(N, dtype=np.int64)
     psize = np.zeros(N, dtype=np.int64)
     tiny = 1e-12 * (1.0 + kkt.norm_max)
-    n_piv, n_blocks, status = stage1_kernel(A, L, perm, ptype, psize, kkt.n_free, tiny)
+    n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
 
     blocks = []
     counts = {"H+": 0, "D-": 0, "HD": 0}

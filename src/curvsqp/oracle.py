@@ -4,7 +4,8 @@ The eigensolver here is deliberately independent of LAPACK: a cyclic
 Jacobi iteration that the test suite can trust as a second route when
 verifying inertia counts, eigenvalue bounds, and curvature certificates.
 The brute-force bound-pattern QP solve plays the same role for the
-active-set method.
+active-set method, and the scalar-loop stage-1 elimination for the
+vectorized one in factor: the two must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._kernels import jacobi_kernel
 from .errors import CurvSqpError
 
 
@@ -30,6 +30,56 @@ class EigenReport:
     inertia: tuple
     sweeps: int
     off_norm: float
+
+
+def _jacobi_sweep(A, V, tol, max_sweeps):
+    """Diagonalize symmetric A in place by cyclic Jacobi rotations.
+
+    V (same shape, preinitialized to the identity) accumulates the
+    rotations so that the original matrix equals V @ A_final @ V.T.
+    Returns (sweeps_used, final_off_diagonal_frobenius_norm); the sweep
+    count stops growing once the off-diagonal norm falls to tol.
+    """
+    n = A.shape[0]
+    for sweep in range(max_sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off += 2.0 * A[p, q] * A[p, q]
+        off = np.sqrt(off)
+        if off <= tol:
+            return sweep, off
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rp = A[p, :].copy()
+                rq = A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp = A[:, p].copy()
+                cq = A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    off = 0.0
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            off += 2.0 * A[p, q] * A[p, q]
+    return max_sweeps, np.sqrt(off)
 
 
 def eigen(A, tol_factor=1e-12, max_sweeps=100, zero_tol_factor=1e-10):
@@ -56,7 +106,7 @@ def eigen(A, tol_factor=1e-12, max_sweeps=100, zero_tol_factor=1e-10):
     norm = float(np.linalg.norm(work, "fro"))
     tol = tol_factor * norm
     V = np.eye(n)
-    sweeps, off = jacobi_kernel(work, V, tol, max_sweeps)
+    sweeps, off = _jacobi_sweep(work, V, tol, max_sweeps)
     if off > tol:
         raise CurvSqpError(
             f"jacobi iteration did not converge in {max_sweeps} sweeps "
@@ -78,6 +128,156 @@ def eigen(A, tol_factor=1e-12, max_sweeps=100, zero_tol_factor=1e-10):
         sweeps=int(sweeps),
         off_norm=float(off),
     )
+
+
+def stage1_reference(A, L, perm, ptype, psize, nh, tiny):
+    """Restricted-pivot elimination of a symmetric saddle matrix, in place.
+
+    The reference for factor.eliminate: one scalar at a time, in the
+    operation order the vectorized kernel reproduces. Rows whose original index (tracked in perm) is < nh belong to the
+    curvature block; the rest are dual rows whose diagonal starts negative.
+    Admissible pivots: a curvature diagonal > tiny (code 0), a dual
+    diagonal < -tiny (code 1), or a curvature-by-dual 2x2 cross block with
+    negative determinant (code 2). 1x1 pivots are chosen greedily by
+    magnitude, dual rows winning exact ties; the 2x2 is tried only when no
+    1x1 is admissible, pairing the largest-magnitude cross coupling.
+
+    A's leading k x k part retains the pivot blocks on its (block)
+    diagonal, the trailing part becomes the Schur complement, and L gets
+    unit-lower-triangular multipliers. Returns (k, npiv, status): k
+    eliminated positions, npiv pivot records, status 1 when dual rows
+    remain unpivoted (breakdown), else 0.
+    """
+    N = A.shape[0]
+    k = 0
+    npiv = 0
+    while k < N:
+        best = -1
+        best_mag = 0.0
+        best_dual = False
+        for i in range(k, N):
+            v = A[i, i]
+            if perm[i] < nh:
+                ok = v > tiny
+                dual = False
+            else:
+                ok = v < -tiny
+                dual = True
+            if not ok:
+                continue
+            mag = abs(v)
+            if mag > best_mag or (mag == best_mag and dual and not best_dual):
+                best = i
+                best_mag = mag
+                best_dual = dual
+        if best >= 0:
+            if best != k:
+                for t in range(N):
+                    tmp = A[k, t]
+                    A[k, t] = A[best, t]
+                    A[best, t] = tmp
+                for t in range(N):
+                    tmp = A[t, k]
+                    A[t, k] = A[t, best]
+                    A[t, best] = tmp
+                for t in range(k):
+                    tmp = L[k, t]
+                    L[k, t] = L[best, t]
+                    L[best, t] = tmp
+                p = perm[k]
+                perm[k] = perm[best]
+                perm[best] = p
+            a = A[k, k]
+            inva = 1.0 / a
+            for i in range(k + 1, N):
+                L[i, k] = A[i, k] * inva
+            for i in range(k + 1, N):
+                ci = A[i, k]
+                for j in range(k + 1, N):
+                    A[i, j] -= (ci * A[j, k]) * inva
+            ptype[npiv] = 0 if perm[k] < nh else 1
+            psize[npiv] = 1
+            npiv += 1
+            k += 1
+        else:
+            bi = -1
+            bj = -1
+            bmag = 0.0
+            for i in range(k, N):
+                if perm[i] >= nh:
+                    continue
+                for j in range(k, N):
+                    if perm[j] < nh:
+                        continue
+                    mag = abs(A[i, j])
+                    if mag > bmag:
+                        bmag = mag
+                        bi = i
+                        bj = j
+            if bi < 0:
+                break
+            det = A[bi, bi] * A[bj, bj] - A[bi, bj] * A[bi, bj]
+            if det >= 0.0:
+                break
+            if bi != k:
+                for t in range(N):
+                    tmp = A[k, t]
+                    A[k, t] = A[bi, t]
+                    A[bi, t] = tmp
+                for t in range(N):
+                    tmp = A[t, k]
+                    A[t, k] = A[t, bi]
+                    A[t, bi] = tmp
+                for t in range(k):
+                    tmp = L[k, t]
+                    L[k, t] = L[bi, t]
+                    L[bi, t] = tmp
+                p = perm[k]
+                perm[k] = perm[bi]
+                perm[bi] = p
+                if bj == k:
+                    bj = bi
+            if bj != k + 1:
+                for t in range(N):
+                    tmp = A[k + 1, t]
+                    A[k + 1, t] = A[bj, t]
+                    A[bj, t] = tmp
+                for t in range(N):
+                    tmp = A[t, k + 1]
+                    A[t, k + 1] = A[t, bj]
+                    A[t, bj] = tmp
+                for t in range(k):
+                    tmp = L[k + 1, t]
+                    L[k + 1, t] = L[bj, t]
+                    L[bj, t] = tmp
+                p = perm[k + 1]
+                perm[k + 1] = perm[bj]
+                perm[bj] = p
+            e11 = A[k, k]
+            e22 = A[k + 1, k + 1]
+            e12 = A[k, k + 1]
+            det = e11 * e22 - e12 * e12
+            idet = 1.0 / det
+            for i in range(k + 2, N):
+                w1 = A[i, k]
+                w2 = A[i, k + 1]
+                L[i, k] = (w1 * e22 - w2 * e12) * idet
+                L[i, k + 1] = (w2 * e11 - w1 * e12) * idet
+            for i in range(k + 2, N):
+                li1 = L[i, k]
+                li2 = L[i, k + 1]
+                for j in range(k + 2, N):
+                    A[i, j] -= li1 * A[j, k] + li2 * A[j, k + 1]
+            ptype[npiv] = 2
+            psize[npiv] = 2
+            npiv += 1
+            k += 2
+    status = 0
+    for i in range(k, N):
+        if perm[i] >= nh:
+            status = 1
+            break
+    return k, npiv, status
 
 
 def nullspace_basis(J, rank_tol_factor=1e-10):

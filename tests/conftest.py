@@ -32,6 +32,27 @@ def kkt_instances(seed, count):
         yield H, J, mu
 
 
+def scaled_kkt_instances(seed, count):
+    """Yield (H_F, J_F, mu) triples whose H is scaled by 1e13.
+
+    The pivot threshold 1e-12 * (1 + max|K|) then lies far above mu, so
+    no dual diagonal is admissible: the elimination must take 2x2 cross
+    pivots, which the instances with a zeroed H diagonal (every other
+    one) often allow, or break down. |F| <= 8, 1 <= m <= 4.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        nf = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 5))
+        mu = float(10.0 ** rng.uniform(-3.0, 0.0))
+        A = rng.normal(size=(nf, nf))
+        H = 1e13 * 0.5 * (A + A.T)
+        if i % 2:
+            H[np.diag_indices(nf)] = 0.0
+        J = rng.normal(size=(m, nf))
+        yield H, J, mu
+
+
 def qp_instances(seed, count):
     """Yield (G, grad, x, seed_active) strictly convex bound QPs.
 

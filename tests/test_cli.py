@@ -92,6 +92,56 @@ def test_evaluation_blowup_maps_to_exit_four(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_breakdown_writes_its_log_and_report(tmp_path, capsys):
+    # -1e9 x^3 on x = 3 grows the Hessian past the pivot threshold until
+    # no dual pivot is admissible, three iterations in
+    doc = {
+        "format_version": 1,
+        "name": "steep-cubic",
+        "n": 1,
+        "objective": [[-1e9, [3]]],
+        "constraints": [[[1.0, [1]], [-3.0, [0]]]],
+        "start": {"x": [1.0], "y": [0.0]},
+    }
+    log, report = tmp_path / "log.csv", tmp_path / "report.json"
+    argv = ["solve", _write(tmp_path, doc), "--log", str(log), "--report", str(report)]
+    assert main(argv) == 4
+    message = "dual rows left unpivoted at the stage-1 stopping point"
+    assert message in capsys.readouterr().err
+    rows = log.read_text().splitlines()[2:]
+    assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2]
+    doc = json.loads(report.read_text())
+    assert doc["status"] == "factorization-breakdown"
+    assert doc["exit_code"] == 4
+    assert doc["iterations"] == 3
+    assert doc["message"] == message
+    assert doc["eta"] is None
+
+
+def test_failing_start_point_still_writes_a_strict_json_report(tmp_path, capsys):
+    # the objective overflows at the start point, so nothing is measured
+    doc = {
+        "format_version": 1,
+        "name": "overflow",
+        "n": 1,
+        "objective": [[1e308, [2]]],
+        "start": {"x": [10.0]},
+    }
+    report = tmp_path / "report.json"
+    with np.errstate(over="ignore"):
+        assert main(["solve", _write(tmp_path, doc), "--report", str(report)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    assert doc["status"] == "evaluation-error"
+    assert doc["iterations"] == 0
+    for key in ("f", "eta", "omega", "omega_first", "curv_ratio"):
+        assert doc[key] is None
+
+
 def test_log_is_deterministic_and_well_formed(tmp_path):
     log1, log2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["solve", "convex-qp", "--log", log1]) == 0

@@ -9,7 +9,7 @@ from curvsqp.driver import (
     second_order_certificate,
     solve,
 )
-from curvsqp.errors import EvaluationError
+from curvsqp.errors import FactorizationBreakdown
 from curvsqp.merit import merit_value
 from curvsqp.model import NlpProblem, evaluate, make_iterate
 from curvsqp.problems import get_problem
@@ -153,8 +153,78 @@ def _raise():
 def test_bad_merit_multiplier_hessian_is_an_evaluation_error(failure):
     # the solve evaluates only y >= 0 here; the merit multiplier of the
     # curvature step is negative, and its Hessian must be checked too
-    with pytest.raises(EvaluationError):
-        solve(_hessian_failing_below_zero(failure))
+    result = solve(_hessian_failing_below_zero(failure))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert result.message.startswith("saddle-line: ")
+    # the first curvature step fails, before any record is closed
+    assert result.history == ()
+    assert result.f == get_problem("saddle-line").objective(result.iterate.x)
+
+
+def _steep_cubic():
+    # f = -1e9 x^3 on x = 3: the Hessian outgrows the pivot threshold
+    # until no dual pivot is admissible, three iterations in
+    return NlpProblem(
+        name="steep-cubic",
+        n=1,
+        m=1,
+        objective=lambda x: float(-1e9 * x[0] ** 3),
+        gradient=lambda x: np.array([-3e9 * x[0] ** 2]),
+        constraints=lambda x: np.array([x[0] - 3.0]),
+        jacobian=lambda x: np.array([[1.0]]),
+        hessian=lambda x, y: np.array([[-6e9 * x[0]]]),
+        x0=np.array([1.0]),
+        y0=np.zeros(1),
+    )
+
+
+def test_breakdown_is_a_status_that_keeps_the_history():
+    result = solve(_steep_cubic())
+    assert result.status is SolveStatus.FACTORIZATION_BREAKDOWN
+    assert result.message == "dual rows left unpivoted at the stage-1 stopping point"
+    assert [rec.k for rec in result.history] == [0, 1, 2]
+    assert np.isfinite(result.f)
+    # the breakdown comes before the final iterate is measured
+    assert np.isnan(result.eta) and np.isnan(result.curv_ratio)
+
+
+def test_certificate_still_raises_on_breakdown():
+    # at x = 3 the threshold is 1.8e-2, above the dual diagonal -1e-3
+    with pytest.raises(FactorizationBreakdown):
+        second_order_certificate(_steep_cubic(), make_iterate([3.0], [0.0]), 1e-3)
+
+
+def test_evaluation_error_keeps_the_history():
+    # unbounded quartic: the iterates grow until the objective overflows
+    problem = _unconstrained(
+        "runaway",
+        lambda x: float(-x[0] ** 4),
+        lambda x: np.array([-4.0 * x[0] ** 3]),
+        lambda x, y: np.array([[-12.0 * x[0] ** 2]]),
+        [2.0],
+    )
+    with np.errstate(over="ignore"):
+        result = solve(problem, config=SolverConfig(max_iterations=400))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert "non-finite" in result.message
+    assert result.history
+    assert [rec.k for rec in result.history] == list(range(result.iterations))
+    assert np.isfinite(result.f)
+
+
+def test_failing_start_point_leaves_an_empty_history():
+    base = get_problem("cosine-saddle")
+
+    def objective(x):
+        raise RuntimeError("no objective here")
+
+    result = solve(dataclasses.replace(base, objective=objective))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert "no objective here" in result.message
+    assert result.history == ()
+    np.testing.assert_array_equal(result.iterate.x, base.x0)
+    for value in (result.f, result.eta, result.omega, result.omega_first, result.curv_ratio):
+        assert np.isnan(value)
 
 
 def _square_jacobian_problem():
@@ -284,3 +354,5 @@ def test_exit_code_table():
     assert SolveStatus.ITERATION_LIMIT.exit_code == 3
     assert SolveStatus.LINE_SEARCH_FAILURE.exit_code == 4
     assert SolveStatus.QP_FAILURE.exit_code == 4
+    assert SolveStatus.EVALUATION_ERROR.exit_code == 4
+    assert SolveStatus.FACTORIZATION_BREAKDOWN.exit_code == 4

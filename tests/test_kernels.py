@@ -1,19 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 
-from conftest import kkt_instances
-from curvsqp import _kernels
-from curvsqp.factor import build_kkt
-
-
-def _jacobi_inputs(A):
-    work = 0.5 * (A + A.T)
-    n = work.shape[0]
-    tol = 1e-12 * float(np.linalg.norm(work, "fro"))
-    return work.copy(), np.eye(n), tol
+from conftest import kkt_instances, scaled_kkt_instances
+from curvsqp.factor import build_kkt, eliminate
+from curvsqp.oracle import stage1_reference
 
 
 def _stage1_inputs(H, J, mu):
@@ -21,73 +10,41 @@ def _stage1_inputs(H, J, mu):
     N = kkt.K.shape[0]
     A = kkt.K.copy()
     L = np.eye(N)
-    perm = np.arange(N)
+    perm = np.arange(N, dtype=np.int64)
     ptype = np.zeros(N, dtype=np.int64)
     psize = np.zeros(N, dtype=np.int64)
-    tiny = 1e-12 * (1.0 + float(np.max(np.abs(kkt.K), initial=0.0)))
-    return A, L, perm, ptype, psize, H.shape[0], tiny
+    tiny = 1e-12 * (1.0 + kkt.norm_max)
+    return A, L, perm, ptype, psize, kkt.n_free, tiny
 
 
-def test_jacobi_paths_agree():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = int(rng.integers(1, 14))
-        A = rng.normal(size=(n, n))
-        a1, v1, tol = _jacobi_inputs(A)
-        a2, v2, _ = _jacobi_inputs(A)
-        s1 = _kernels.jacobi_kernel(a1, v1, tol, 100)
-        s2 = _kernels.jacobi_plain(a2, v2, tol, 100)
-        np.testing.assert_allclose(np.sort(np.diag(a1)), np.sort(np.diag(a2)), atol=1e-12)
-        assert s1 == s2
-        np.testing.assert_array_equal(a1, a2)
-        np.testing.assert_array_equal(v1, v2)
+def _assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
-def test_stage1_paths_agree():
-    for H, J, mu in kkt_instances(32, 60):
-        ins1 = _stage1_inputs(H, J, mu)
-        ins2 = _stage1_inputs(H, J, mu)
-        out1 = _kernels.stage1_kernel(*ins1)
-        out2 = _kernels.stage1_plain(*ins2)
-        assert out1 == out2
-        for a, b in zip(ins1, ins2):
-            np.testing.assert_array_equal(a, b)
+def _compare(instances):
+    """Run both eliminations on every instance; count 2x2 pivots and breakdowns."""
+    two_by_two = breakdowns = 0
+    for H, J, mu in instances:
+        ins_ref = _stage1_inputs(H, J, mu)
+        ins = _stage1_inputs(H, J, mu)
+        out_ref = stage1_reference(*ins_ref)
+        out = eliminate(*ins)
+        assert out == out_ref
+        for a, b in zip(ins[:5], ins_ref[:5]):
+            _assert_bitwise_equal(a, b)
+        _, npiv, status = out_ref
+        two_by_two += int(np.any(ins_ref[4][:npiv] == 2))
+        breakdowns += status
+    return two_by_two, breakdowns
 
 
-def test_env_flag_forces_the_plain_path():
-    # subprocess so the import-time switch is actually exercised
-    code = (
-        "from curvsqp._kernels import USING_NUMBA\n"
-        "from curvsqp.driver import solve\n"
-        "from curvsqp.problems import get_problem\n"
-        "result = solve(get_problem('saddle-line'))\n"
-        "assert not USING_NUMBA\n"
-        "assert result.status.value == 'second-order-optimal'\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, CURVSQP_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+def test_elimination_matches_the_reference():
+    _compare(kkt_instances(32, 600))
 
 
-def test_solver_results_identical_across_paths():
-    # full solve must not depend on which kernel implementation ran
-    code = (
-        "import json\n"
-        "from curvsqp.driver import solve\n"
-        "from curvsqp.problems import get_problem\n"
-        "r = solve(get_problem('cosine-saddle'))\n"
-        "print(json.dumps([list(map(float, r.iterate.x)), r.f, r.iterations]))\n"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, CURVSQP_PURE_NUMPY=flag)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        outs.append(out.stdout)
-    assert outs[0] == outs[1]
+def test_elimination_matches_the_reference_on_scaled_systems():
+    two_by_two, breakdowns = _compare(scaled_kkt_instances(33, 400))
+    # the family must keep covering both branches the random one misses
+    assert two_by_two > 0
+    assert breakdowns > 0
