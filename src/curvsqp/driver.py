@@ -221,28 +221,49 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
 
     The stage-1 shift certifies the free block only; entries of the
     working set can still make the full matrix indefinite, so their
-    diagonals are grown geometrically until the test factorization
-    succeeds. Unbounded growth means the free block itself is bad,
-    which the convexification is supposed to rule out.
+    diagonals get the least bump theta on the grid 0, s, 2s, 4s, ...
+    (s = 1e-8 * (1 + h_scale), up to 1e18 * (1 + h_scale)) at which the
+    test factorization succeeds. theta = 0 is tried first and the rest
+    of the grid is bisected: at most 8 Cholesky attempts on the usual
+    88-point grid, where stepping through it takes one per point up to
+    the answer. Both find the same theta whenever success is monotone in
+    theta. Failure at the top of the grid means the free block itself is
+    bad, which the convexification is supposed to rule out.
     """
     n = H_tilde.shape[0]
     if bump_rows.size == 0:
         bump_rows = np.arange(n)
     base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
     base = 0.5 * (base + base.T)
-    theta = 0.0
-    step = 1e-8 * (1.0 + h_scale)
-    while True:
+
+    def factors(theta):
         try:
             np.linalg.cholesky(apply_shift(base, bump_rows, theta))
-            break
         except np.linalg.LinAlgError:
-            theta = step if theta == 0.0 else 2.0 * theta
-            if theta > 1e18 * (1.0 + h_scale):
-                raise QpInternalError(
-                    "convexified Hessian cannot be made positive definite"
-                )
-    return apply_shift(H_tilde, bump_rows, theta), theta
+            return False
+        return True
+
+    # doubling is exact, so grid[i] = s * 2**(i - 1); a limit that
+    # overflows to inf still ends the grid at the largest finite point
+    grid = [0.0]
+    theta, limit = 1e-8 * (1.0 + h_scale), 1e18 * (1.0 + h_scale)
+    while theta <= limit and theta < np.inf:
+        grid.append(theta)
+        theta *= 2.0
+    # grid[lo] fails; grid[hi] is the least point known to factor, or
+    # one past the end
+    lo, hi = 0, len(grid)
+    if factors(0.0):
+        hi = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if factors(grid[mid]):
+            hi = mid
+        else:
+            lo = mid
+    if hi == len(grid):
+        raise QpInternalError("convexified Hessian cannot be made positive definite")
+    return apply_shift(H_tilde, bump_rows, grid[hi]), grid[hi]
 
 
 def _free_factor(ev, ws, mu):

@@ -1,11 +1,14 @@
 """Reference computations used to cross-check the solver's fast paths.
 
-The eigensolver here is deliberately independent of LAPACK: a cyclic
-Jacobi iteration that the test suite can trust as a second route when
-verifying inertia counts, eigenvalue bounds, and curvature certificates.
+The eigensolver here is deliberately independent of LAPACK: a
+round-robin Jacobi iteration that the test suite can trust as a second
+route when verifying inertia counts, eigenvalue bounds, and curvature
+certificates.
 The brute-force bound-pattern QP solve plays the same role for the
-active-set method, and the scalar-loop stage-1 elimination for the
-vectorized one in factor: the two must agree bit for bit.
+active-set method. The scalar-loop stage-1 elimination and the
+one-step-at-a-time certification search are the references for the
+vectorized elimination in factor and the driver's bisection; each pair
+must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CurvSqpError
+from .errors import CurvSqpError, QpInternalError
+from .factor import apply_shift
 
 
 @dataclass(frozen=True)
@@ -32,58 +36,75 @@ class EigenReport:
     off_norm: float
 
 
-def _jacobi_sweep(A, V, tol, max_sweeps):
-    """Diagonalize symmetric A in place by cyclic Jacobi rotations.
+def _round_robin(n):
+    """Rounds of disjoint (p, q) pairs that together cover every p < q once.
 
-    V (same shape, preinitialized to the identity) accumulates the
-    rotations so that the original matrix equals V @ A_final @ V.T.
-    Returns (sweeps_used, final_off_diagonal_frobenius_norm); the sweep
-    count stops growing once the off-diagonal norm falls to tol.
+    A round-robin (tournament) ordering, as in the parallel Jacobi
+    method of Brent & Luk (1985): index 0 stays put while the others
+    rotate one place per round, so each of the n - 1 rounds (n rounded
+    up to even; pairs with the padding index dropped) holds up to n/2
+    pairs that touch disjoint rows.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        order = [0] + ring
+        pairs = [sorted((order[i], order[m - 1 - i])) for i in range(m // 2)]
+        pairs = [pq for pq in pairs if pq[1] < n]
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        rounds.append((pairs[:, 0], pairs[:, 1]))
+        ring = ring[-1:] + ring[:-1]
+    return rounds
+
+
+def _jacobi_sweep(A, V, tol, max_sweeps):
+    """Diagonalize symmetric A in place by round-robin Jacobi rotations.
+
+    Each round of _round_robin's ordering is one numpy step: its
+    rotations touch disjoint row and column pairs, so together they form
+    one orthogonal G, and A becomes G @ A @ G.T with each rotated (p, q)
+    entry set to zero. V (same shape, preinitialized to the identity)
+    accumulates the rotations so that the original matrix equals
+    V @ A_final @ V.T. Returns (sweeps_used,
+    final_off_diagonal_frobenius_norm); the sweep count stops growing
+    once the off-diagonal norm falls to tol.
     """
     n = A.shape[0]
+    upper = np.triu_indices(n, 1)
+    rounds = _round_robin(n)
+
+    def off_norm():
+        return np.sqrt(2.0 * np.sum(A[upper] ** 2))
+
     for sweep in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * A[p, q] * A[p, q]
-        off = np.sqrt(off)
+        off = off_norm()
         if off <= tol:
             return sweep, off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    off = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            off += 2.0 * A[p, q] * A[p, q]
-    return max_sweeps, np.sqrt(off)
+        for P, Q in rounds:
+            # t = tan of the smaller angle that zeros A[p, q]; a pair with
+            # A[p, q] = 0 gets t = 0, and where= keeps 0/0 out of it
+            two = 2.0 * A[P, Q]
+            delta = A[Q, Q] - A[P, P]
+            num = np.where(delta >= 0.0, two, -two)
+            den = np.abs(delta) + np.hypot(delta, two)
+            t = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            G = np.eye(n)
+            G[P, P] = c
+            G[Q, Q] = c
+            G[P, Q] = -s
+            G[Q, P] = s
+            A[...] = G @ A @ G.T
+            A[P, Q] = 0.0
+            A[Q, P] = 0.0
+            V[...] = V @ G.T
+    return max_sweeps, off_norm()
 
 
 def eigen(A, tol_factor=1e-12, max_sweeps=100, zero_tol_factor=1e-10):
-    """Diagonalize symmetric A by cyclic Jacobi rotations.
+    """Diagonalize symmetric A by round-robin Jacobi rotations.
 
     Sweeps run until the off-diagonal Frobenius norm falls below
     tol_factor times the Frobenius norm of A. Raises if max_sweeps is
@@ -278,6 +299,35 @@ def stage1_reference(A, L, perm, ptype, psize, nh, tiny):
             status = 1
             break
     return k, npiv, status
+
+
+def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
+    """Diagonal-bump H_tilde until H + (1/mu) J.T J admits Cholesky.
+
+    The reference for driver._certified_hessian: theta steps through
+    the grid 0, s, 2s, 4s, ... (s = 1e-8 * (1 + h_scale)) one Cholesky
+    attempt at a time until the test factorization succeeds, and raises
+    QpInternalError once it passes 1e18 * (1 + h_scale). Returns
+    (H_used, theta); the two must agree bit for bit.
+    """
+    n = H_tilde.shape[0]
+    if bump_rows.size == 0:
+        bump_rows = np.arange(n)
+    base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
+    base = 0.5 * (base + base.T)
+    theta = 0.0
+    step = 1e-8 * (1.0 + h_scale)
+    while True:
+        try:
+            np.linalg.cholesky(apply_shift(base, bump_rows, theta))
+            break
+        except np.linalg.LinAlgError:
+            theta = step if theta == 0.0 else 2.0 * theta
+            if theta > 1e18 * (1.0 + h_scale):
+                raise QpInternalError(
+                    "convexified Hessian cannot be made positive definite"
+                )
+    return apply_shift(H_tilde, bump_rows, theta), theta
 
 
 def nullspace_basis(J, rank_tol_factor=1e-10):

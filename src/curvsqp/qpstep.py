@@ -96,15 +96,18 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
             active[drop] = False
             free[drop] = True
             continue
-        # ratio test against inactive lower bounds
+        # ratio test against inactive lower bounds: the first of the
+        # smallest ratios below 1 blocks
         alpha = 1.0
         blocker = -1
-        for pos, i in enumerate(f_idx):
-            if i < n and d_f[pos] < 0.0:
-                ratio = (-x[i] - dv[i]) / d_f[pos]
-                if ratio < alpha:
-                    alpha = ratio
-                    blocker = i
+        pos = np.flatnonzero((f_idx < n) & (d_f < 0.0))
+        b_idx = f_idx[pos]
+        ratios = (-x[b_idx] - dv[b_idx]) / d_f[pos]
+        hits = np.flatnonzero(ratios < alpha)
+        if hits.size:
+            first = hits[np.argmin(ratios[hits])]
+            alpha = ratios[first]
+            blocker = int(b_idx[first])
         dv[f_idx] += alpha * d_f
         if blocker >= 0:
             dv[blocker] = -x[blocker]

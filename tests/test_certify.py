@@ -1,0 +1,106 @@
+import numpy as np
+import pytest
+
+from curvsqp.driver import _certified_hessian
+from curvsqp.errors import QpInternalError
+from curvsqp.oracle import certify_reference
+
+
+def certify_instances(seed, count):
+    """Yield (H_tilde, J, mu, bump_rows, h_scale) certification inputs.
+
+    Kinds rotate through a positive definite H (theta = 0), a positive
+    definite free block whose bumped rows are indefinite and strongly
+    coupled to it (theta mid-grid), and an indefinite H with no bump
+    rows given (every row is bumped). n <= 12, m <= 4, mu in [1e-3, 1].
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 13))
+        m = int(rng.integers(0, 5))
+        mu = float(10.0 ** rng.uniform(-3.0, 0.0))
+        A = rng.normal(size=(n, n))
+        kind = i % 3
+        if kind == 0:
+            H = A @ A.T + 0.1 * np.eye(n)
+            bump = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        elif kind == 1:
+            bump = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            free = np.setdiff1d(np.arange(n), bump)
+            H = 0.5 * (A + A.T) * 10.0 ** rng.uniform(0.0, 3.0)
+            H[np.ix_(free, free)] = A[free] @ A[free].T + 0.01 * np.eye(free.size)
+        else:
+            H = 0.5 * (A + A.T)
+            bump = np.zeros(0, dtype=int)
+        J = rng.normal(size=(m, n))
+        yield H, J, mu, bump, float(np.max(np.abs(H)))
+
+
+def _grid_index(theta, h_scale):
+    """Position of theta on the grid 0, s, 2s, 4s, ..."""
+    if theta == 0.0:
+        return 0
+    s = 1e-8 * (1.0 + h_scale)
+    i = 1 + int(round(np.log2(theta / s)))
+    assert s * 2.0 ** (i - 1) == theta
+    return i
+
+
+def _grid_length(h_scale):
+    theta, limit, length = 1e-8 * (1.0 + h_scale), 1e18 * (1.0 + h_scale), 1
+    while theta <= limit:
+        theta, length = 2.0 * theta, length + 1
+    return length
+
+
+def test_certification_matches_the_reference():
+    indices = []
+    empty_bumps = 0
+    for H, J, mu, bump, h_scale in certify_instances(41, 300):
+        H_used, theta = _certified_hessian(H, J, mu, bump, h_scale)
+        H_ref, theta_ref = certify_reference(H, J, mu, bump, h_scale)
+        assert theta == theta_ref
+        assert H_used.dtype == H_ref.dtype and H_used.shape == H_ref.shape
+        assert H_used.tobytes() == H_ref.tobytes()
+        indices.append(_grid_index(theta, h_scale))
+        empty_bumps += bump.size == 0
+    # the family must keep covering theta = 0, the middle of the grid
+    # where the n = 128 simplex QPs land, and the all-rows bump
+    assert indices.count(0) > 0
+    assert sum(25 <= i <= 40 for i in indices) > 0
+    assert empty_bumps > 0
+
+
+def test_unfixable_free_block_raises_on_both_routes():
+    # the non-bumped row is negative definite, so no bump on row 1 helps
+    H = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    J = np.zeros((0, 2))
+    bump = np.array([1])
+    with pytest.raises(QpInternalError):
+        _certified_hessian(H, J, 1.0, bump, 1.0)
+    with pytest.raises(QpInternalError):
+        certify_reference(H, J, 1.0, bump, 1.0)
+
+
+def test_certification_bisects_the_grid(monkeypatch):
+    # bumping row 1 must beat the Schur complement 0 - 1/a = -40, which
+    # first happens near grid index 32 with h_scale = 1
+    H = np.array([[1.0 / 40.0, 1.0], [1.0, 0.0]])
+    J = np.zeros((0, 2))
+    bump = np.array([1])
+    cholesky = np.linalg.cholesky
+    attempts = []
+
+    def counted(a):
+        attempts.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    _, theta_ref = certify_reference(H, J, 1.0, bump, 1.0)
+    linear = len(attempts)
+    attempts.clear()
+    _, theta = _certified_hessian(H, J, 1.0, bump, 1.0)
+    assert theta == theta_ref
+    assert 30 <= _grid_index(theta, 1.0) <= 34
+    assert linear == _grid_index(theta, 1.0) + 1
+    assert len(attempts) <= int(np.ceil(np.log2(_grid_length(1.0)))) + 1

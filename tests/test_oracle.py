@@ -4,7 +4,7 @@ import pytest
 from conftest import kkt_instances
 from curvsqp.errors import CurvSqpError
 from curvsqp.factor import inertia
-from curvsqp.oracle import eigen, nullspace_basis, qp_brute_force
+from curvsqp.oracle import _round_robin, eigen, nullspace_basis, qp_brute_force
 
 
 def test_eigen_hand_values_indefinite():
@@ -46,6 +46,17 @@ def test_eigen_reconstruction_and_orthonormality():
         R = rep.vectors @ np.diag(rep.values) @ rep.vectors.T
         assert np.max(np.abs(R - A)) <= 1e-10 * (1.0 + np.max(np.abs(A)))
         assert np.max(np.abs(rep.vectors.T @ rep.vectors - np.eye(n))) <= 1e-12
+
+
+def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once():
+    for n in range(1, 12):
+        seen = []
+        for P, Q in _round_robin(n):
+            rows = np.concatenate([P, Q])
+            assert np.unique(rows).size == rows.size
+            assert np.all(P < Q) and np.all(Q < n)
+            seen += list(zip(P.tolist(), Q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 def test_inertia_routes_agree():
