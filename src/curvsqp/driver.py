@@ -7,8 +7,9 @@ penalties, check termination, convexify, solve the bound-constrained QP,
 scale the curvature step against the QP step, and backtrack along the
 curvilinear path x + alpha*u + alpha^2*p.
 
-Each point is evaluated once, the start here and the rest as search
-trials; the accepted trial's evaluation is carried into the next step.
+Each point is evaluated once. The start gets the full evaluation here;
+search trials get only f and c, and the accepted trial's full
+evaluation, made by the search, is carried into the next step.
 
 Parameter staging per iteration k: the working set uses the flexible
 penalty carried over from the previous line search, classification runs
@@ -283,6 +284,11 @@ def solve(problem, v0=None, config=None, trace=None):
     step (previous and accepted iterates, the merit state the search
     ran under, alpha, and the model quantities) so tests can re-verify
     the acceptance inequality independently.
+
+    Trial points of the search call only the objective and constraints
+    callbacks; gradient, Jacobian and Hessian run at the start point,
+    at each accepted trial, and (Hessian only, when m > 0) at the merit
+    multiplier of each curvature step.
 
     A callback failure (EvaluationError) or a stage-1 breakdown
     (FactorizationBreakdown) ends the solve with the matching status,

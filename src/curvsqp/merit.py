@@ -15,14 +15,18 @@ model with a frozen curvature matrix H_used is
 For any u with w = -(1/mu) J u the model's quadratic form collapses to
 u.T (H_used + (1/mu) J.T J) u exactly, which is what lets a single
 factorization certify directions of negative curvature for the merit.
+
+The merit value needs only f and c, so the curvilinear search measures
+its trials with model.merit_terms and makes the full evaluation (g, J,
+H) at the trial it accepts, once.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LineSearchFailure
-from .model import Evaluation, Iterate, evaluate
+from .model import Evaluation, Iterate, evaluate, merit_terms
 
 SNAP_FACTOR = 1e-13
 
@@ -42,12 +46,9 @@ class MeritState:
     eta_S: float = 0.25
     alpha_min: float = 1e-2
 
-    def regularized(self):
-        """Same state with the flexible penalty replaced by mu_R."""
-        return replace(self, mu=self.mu_R)
-
 
 def merit_value(ev, iterate, state):
+    """Merit at the iterate from ev.f and ev.c (an Evaluation or MeritTerms)."""
     val = ev.f
     if ev.c.shape[0]:
         c = ev.c
@@ -103,12 +104,16 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
         M(trial) <= merit_old + alpha^2 eta_S N_k + alpha eta_S R_k
 
     with both model quantities nonpositive and merit_old = M(iterate) from
-    the caller; only trials are evaluated. Trial points that dip below the
-    bounds beyond roundoff are rejected without evaluation and count as
-    failed trials; components within the roundoff band are snapped to
-    exactly zero before the merit is measured, so the accepted point is
-    the one the inequality was verified at. Raises LineSearchFailure when
-    j_max is exhausted.
+    the caller. Each trial calls only the objective and constraints
+    (merit_terms); the accepted trial alone gets the full evaluation,
+    which reuses its f and c and is returned as ev. A derivative
+    callback is therefore never called at a rejected trial, while a bad
+    f or c at any trial raises EvaluationError. Trial points that dip
+    below the bounds beyond roundoff are rejected without evaluation and
+    count as failed trials; components within the roundoff band are
+    snapped to exactly zero before the merit is measured, so the
+    accepted point is the one the inequality was verified at. Raises
+    LineSearchFailure when j_max is exhausted.
     """
     if N_k > 0.0 or R_k > 0.0:
         raise ValueError("model decrease quantities must be nonpositive")
@@ -130,14 +135,14 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
             x_t = np.where(x_t < 0.0, 0.0, x_t)
         y_t = iterate.y + alpha * w + alpha * alpha * q
         cand = Iterate(x=x_t, y=y_t)
-        ev_t = evaluate(problem, cand)
-        m_t = merit_value(ev_t, cand, state)
+        terms = merit_terms(problem, cand)
+        m_t = merit_value(terms, cand, state)
         if m_t <= merit_old + alpha * alpha * state.eta_S * N_k + alpha * state.eta_S * R_k:
             return LineSearchResult(
                 alpha=alpha,
                 j=j,
                 accepted=cand,
-                ev=ev_t,
+                ev=evaluate(problem, cand, terms),
                 merit_new=m_t,
                 n_trials=trials,
                 bound_rejections=rejected,

@@ -4,10 +4,15 @@ A problem is the data of min f(x) subject to c(x) = 0 and x >= 0, with
 callbacks for f, its gradient, the constraint vector, its Jacobian, and
 the combined second-derivative matrix H(x, y) = hess f(x) + sum_i y_i *
 hess c_i(x).
+
+Evaluation comes in two checked parts: merit_terms calls the objective
+and constraints only, which is all a merit value needs, and evaluate
+adds the gradient, Jacobian and Hessian, reusing terms the caller
+already has.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,11 +64,18 @@ class Evaluation:
     H: np.ndarray
 
 
-def evaluate(problem, iterate):
-    """Evaluate every callback at the iterate and validate the results.
+class MeritTerms(NamedTuple):
+    """The callback values the merit function needs: f and c."""
 
-    Wrong shapes, non-finite entries, or a visibly asymmetric H raise
-    EvaluationError; callback exceptions are chained into the same type.
+    f: float
+    c: np.ndarray
+
+
+def merit_terms(problem, iterate):
+    """Evaluate f and c at the iterate and validate the results.
+
+    Wrong shapes or non-finite entries raise EvaluationError; callback
+    exceptions are chained into the same type.
     """
     x, y = iterate.x, iterate.y
     n, m = problem.n, problem.m
@@ -73,22 +85,40 @@ def evaluate(problem, iterate):
         raise EvaluationError(f"y has shape {y.shape}, expected ({m},)")
     try:
         f = float(problem.objective(x))
-        g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
         c = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
+    except EvaluationError:
+        raise
+    except Exception as exc:
+        raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
+    if c.shape != (m,):
+        raise EvaluationError(f"constraints have shape {c.shape}, expected ({m},)")
+    if not (np.isfinite(f) and np.all(np.isfinite(c))):
+        raise EvaluationError(f"{problem.name}: non-finite evaluator output")
+    return MeritTerms(f=f, c=c)
+
+
+def evaluate(problem, iterate, terms=None):
+    """Evaluate every callback at the iterate and validate the results.
+
+    terms, when given, is merit_terms(problem, iterate) already computed
+    by the caller; f and c are taken from it instead of called again.
+    Wrong shapes, non-finite entries, or a visibly asymmetric H raise
+    EvaluationError; callback exceptions are chained into the same type.
+    """
+    f, c = terms if terms is not None else merit_terms(problem, iterate)
+    x, n, m = iterate.x, problem.n, problem.m
+    try:
+        g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
         J = np.asarray(problem.jacobian(x), dtype=float).reshape(m, n)
     except EvaluationError:
         raise
     except Exception as exc:
         raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
-    H = checked_hessian(problem, x, y)
+    H = checked_hessian(problem, x, iterate.y)
     if g.shape != (n,):
         raise EvaluationError(f"gradient has shape {g.shape}, expected ({n},)")
-    if c.shape != (m,):
-        raise EvaluationError(f"constraints have shape {c.shape}, expected ({m},)")
-    pieces = [np.array([f]), c, g, J.ravel()]
-    for p in pieces:
-        if not np.all(np.isfinite(p)):
-            raise EvaluationError(f"{problem.name}: non-finite evaluator output")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(J))):
+        raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     return Evaluation(f=f, c=c, g=g, J=J, H=H)
 
 

@@ -22,7 +22,6 @@ class QpStep:
     q: np.ndarray
     z: np.ndarray
     model_decrease: float
-    kkt_residual: float
     active: np.ndarray
     iterations: int
 
@@ -117,8 +116,6 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
     z = np.zeros(n)
     a_idx = np.flatnonzero(active)
     z[a_idx] = r[a_idx]
-    f_idx = np.flatnonzero(free)
-    kkt = float(np.max(np.abs(r[f_idx]), initial=0.0))
     obj = float(grad @ dv + 0.5 * dv @ (G @ dv))
     return QpStep(
         dv=dv,
@@ -126,7 +123,6 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         q=dv[n:].copy(),
         z=z,
         model_decrease=obj,
-        kkt_residual=kkt,
         active=a_idx,
         iterations=iterations,
     )

@@ -101,13 +101,43 @@ def test_every_evaluation_respects_the_bounds():
     assert min(float(np.min(x)) for x in seen) >= 0.0
 
 
+def _simplex_indefinite():
+    # indefinite QP on {x0 + x1 + x2 = 3, x >= 0} from x = 1: one
+    # curvature step, then two searches that backtrack 3 and 2 times
+    Q = np.array([[6.0, 12.0, 3.0], [12.0, 12.0, -9.0], [3.0, -9.0, 6.0]])
+    b = np.array([-1.0, 2.0, 3.0])
+    return NlpProblem(
+        name="simplex-indefinite",
+        n=3,
+        m=1,
+        objective=lambda x: 0.5 * float(x @ (Q @ x)) + float(b @ x),
+        gradient=lambda x: Q @ x + b,
+        constraints=lambda x: np.array([x.sum() - 3.0]),
+        jacobian=lambda x: np.ones((1, 3)),
+        hessian=lambda x, y: Q,
+        x0=np.ones(3),
+        y0=np.zeros(1),
+    )
+
+
+def _problem(name):
+    return _simplex_indefinite() if name == "simplex-indefinite" else get_problem(name)
+
+
 @pytest.mark.parametrize(
     "name, points, hessians",
-    [("convex-qp", 8, 8), ("cosine-saddle", 7, 7), ("saddle-line", 5, 6)],
+    [
+        ("convex-qp", 8, 8),
+        ("cosine-saddle", 7, 6),
+        ("saddle-line", 5, 6),
+        ("simplex-indefinite", 15, 11),
+    ],
 )
 def test_each_point_is_evaluated_once(name, points, hessians):
-    base = get_problem(name)
-    calls = {"objective": 0, "hessian": 0}
+    base = _problem(name)
+    calls = dict.fromkeys(
+        ("objective", "constraints", "gradient", "jacobian", "hessian"), 0
+    )
 
     def counted(key):
         def callback(*args):
@@ -116,22 +146,64 @@ def test_each_point_is_evaluated_once(name, points, hessians):
 
         return callback
 
-    problem = dataclasses.replace(
-        base, objective=counted("objective"), hessian=counted("hessian")
-    )
+    problem = dataclasses.replace(base, **{key: counted(key) for key in calls})
     result = solve(problem)
-    # the start point, then every trial of every search (the built-ins
-    # never reject a trial at the bounds)
+    # f and c at the start point, then at every trial of every search
+    # (these problems never reject a trial at the bounds)
     stepped = [
         rec for rec in result.history
         if rec.alpha > 0.0 and (rec.norm_dv > 0.0 or rec.norm_u > 0.0)
     ]
+    assert calls["objective"] == calls["constraints"]
     assert calls["objective"] == 1 + sum(rec.backtracks + 1 for rec in stepped)
+    # g, J and H at the start point and at each accepted trial only
+    assert calls["gradient"] == calls["jacobian"] == 1 + len(stepped)
     # plus one Hessian at the merit's multiplier per curvature step when
     # there are constraints
     curvature_steps = sum(1 for rec in result.history if rec.norm_u > 0.0)
-    assert calls["hessian"] == calls["objective"] + (curvature_steps if base.m else 0)
-    assert calls == {"objective": points, "hessian": hessians}
+    assert calls["hessian"] == 1 + len(stepped) + (curvature_steps if base.m else 0)
+    assert (calls["objective"], calls["hessian"]) == (points, hessians)
+
+
+def test_gradient_failing_at_rejected_trials_does_not_end_the_solve():
+    base = _simplex_indefinite()
+    trace = []
+    reference = solve(base, trace=trace)
+    assert sum(rec.backtracks for rec in reference.history) > 0
+    kept = [base.x0] + [entry["accepted"].x for entry in trace]
+
+    def gradient(x):
+        if not any(np.array_equal(x, point) for point in kept):
+            raise RuntimeError("no gradient away from the accepted points")
+        return base.gradient(x)
+
+    result = solve(dataclasses.replace(base, gradient=gradient))
+    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
+    assert result.history == reference.history
+    np.testing.assert_array_equal(result.iterate.x, reference.iterate.x)
+
+
+@pytest.mark.parametrize(
+    "bad, text",
+    [
+        (lambda x: np.array([np.nan]), "non-finite"),
+        (lambda x: np.zeros(2), "constraints have shape"),
+    ],
+)
+def test_bad_constraints_at_a_trial_is_an_evaluation_error(bad, text):
+    base = _simplex_indefinite()
+    calls = []
+
+    def constraints(x):
+        # the start point is evaluated once, so the second call is the
+        # first trial of the first search
+        calls.append(1)
+        return base.constraints(x) if len(calls) == 1 else bad(x)
+
+    result = solve(dataclasses.replace(base, constraints=constraints))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert text in result.message
+    assert result.history == ()
 
 
 def _hessian_failing_below_zero(failure):

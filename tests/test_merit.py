@@ -257,10 +257,3 @@ def test_penalty_update_damps_step_size():
     m_acc, m_prev = _merit(prob, accepted, state), _merit(prob, previous, state)
     kept = penalty_update(m_acc, m_prev, state, 1.0, -8.0, 0.0, 0.4)
     assert kept == 1.0
-
-
-def test_regularized_view():
-    state = MeritState(y_E=np.zeros(1), mu=0.8, mu_R=0.2)
-    reg = state.regularized()
-    assert reg.mu == 0.2 and reg.mu_R == 0.2
-    assert state.mu == 0.8

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from curvsqp.errors import EvaluationError
-from curvsqp.model import NlpProblem, check_derivatives, evaluate, make_iterate
+from curvsqp.model import (
+    NlpProblem,
+    check_derivatives,
+    evaluate,
+    make_iterate,
+    merit_terms,
+)
 from curvsqp.problems import get_problem, list_problems
 
 
@@ -46,6 +52,21 @@ def test_zero_multiplier_gives_objective_hessian():
     np.testing.assert_array_equal(ev0.H, 2.0 * np.eye(2))
     ev1 = evaluate(prob, make_iterate(x, [3.0]))
     np.testing.assert_array_equal(ev1.H, np.array([[8.0, 0.0], [0.0, 2.0]]))
+
+
+def test_evaluate_with_merit_terms_matches_a_fresh_evaluation():
+    rng = np.random.default_rng(5)
+    problems = [get_problem(name) for name in list_problems()]
+    for prob in problems + [_curved_constraint_problem()]:
+        for _ in range(5):
+            it = make_iterate(rng.uniform(0.1, 3.0, size=prob.n), rng.normal(size=prob.m))
+            terms = merit_terms(prob, it)
+            full = evaluate(prob, it, terms)
+            fresh = evaluate(prob, it)
+            assert (terms.f, full.f) == (fresh.f, fresh.f)
+            for name in ("c", "g", "J", "H"):
+                np.testing.assert_array_equal(getattr(full, name), getattr(fresh, name))
+            np.testing.assert_array_equal(terms.c, fresh.c)
 
 
 def test_evaluate_rejects_dimension_mismatch():
