@@ -95,7 +95,7 @@ def _resolve_config(file_config, args):
         values["enable_curvature"] = False
     try:
         return SolverConfig(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"bad config value: {exc}") from exc
 
 

@@ -100,7 +100,7 @@ def extract_direction(factor, ws, H=None, J=None):
     z = np.zeros(N)
     z[factor.perm] = d
     u_free = z[:kkt.n_free]
-    u_hat = embed(u_free, ws, part="free")
+    u_hat = embed(u_free, ws)
 
     if H is None or J is None:
         H_full = np.zeros((n, n))

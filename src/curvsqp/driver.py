@@ -3,9 +3,10 @@
 Per iteration: estimate the working set, factorize the free KKT system
 at the regularization penalty, pull out a negative-curvature direction,
 score and classify the iterate, update the reference multipliers and
-penalties, check termination, convexify, solve the bound-constrained QP,
-scale the curvature step against the QP step, and backtrack along the
-curvilinear path x + alpha*u + alpha^2*p.
+penalties, check termination, convexify, solve the bound-constrained QP
+in x on the certified H_used + J.T J / mu_R (the dual step follows in
+closed form), scale the curvature step against the QP step, and
+backtrack along the curvilinear path x + alpha*u + alpha^2*p.
 
 Each point is evaluated once. The start gets the full evaluation here;
 search trials get only f and c, and the accepted trial's full
@@ -20,8 +21,10 @@ parameters it was searched with, with the new regularization penalty as
 its floor, comparing the two merits that search produced.
 """
 
+import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -36,6 +39,7 @@ from .classify import (
 )
 from .curvature import (
     ScaledStep,
+    curvature_form,
     extract_direction,
     no_direction,
     orient,
@@ -52,9 +56,10 @@ from .errors import (
 from .factor import apply_shift, build_kkt, convexify, stage1_factorize
 from .merit import (
     MeritState,
+    condense,
     curvilinear_search,
+    dual_step,
     merit_gradient,
-    merit_hessian,
     merit_value,
     penalty_update,
 )
@@ -88,6 +93,14 @@ _EXIT_CODES = {
 }
 
 
+# ranges of the float settings; every other one must be >= 0
+_FLOAT_RANGES = {
+    **{name: ("> 0", lambda v: v > 0.0) for name in ("mu0", "nu", "tau0", "u_max", "qp_tol")},
+    "eta_S": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "alpha_min": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol_first: float = 1e-8
@@ -105,6 +118,21 @@ class SolverConfig:
     enable_curvature: bool = True
     j_max: int = 50
     qp_tol: float = 1e-10
+
+    def __post_init__(self):
+        """Raise ValueError on a setting outside its range."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is int:
+                need = "an integer >= 0"
+                ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+            elif f.type is float:
+                need, test = _FLOAT_RANGES.get(f.name, (">= 0", lambda v: v >= 0.0))
+                need, ok = f"finite and {need}", math.isfinite(v) and test(v)
+            else:
+                continue
+            if not ok:
+                raise ValueError(f"{f.name} must be {need}, got {v!r}")
 
 
 # pinned log column order; "class" maps to the cls attribute
@@ -218,11 +246,12 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
 
 
 def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
-    """Diagonal-bump H_tilde until H + (1/mu) J.T J admits Cholesky.
+    """Diagonal-bump G = H_tilde + (1/mu) J.T J until it admits Cholesky.
 
-    The stage-1 shift certifies the free block only; entries of the
-    working set can still make the full matrix indefinite, so their
-    diagonals get the least bump theta on the grid 0, s, 2s, 4s, ...
+    Returns the G factored and theta. The stage-1 shift certifies the
+    free block only; entries of the working set can still make the full
+    matrix indefinite, so their diagonals get the least bump theta on
+    the grid 0, s, 2s, 4s, ...
     (s = 1e-8 * (1 + h_scale), up to 1e18 * (1 + h_scale)) at which the
     test factorization succeeds. theta = 0 is tried first and the rest
     of the grid is bisected: at most 8 Cholesky attempts on the usual
@@ -264,7 +293,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
             lo = mid
     if hi == len(grid):
         raise QpInternalError("convexified Hessian cannot be made positive definite")
-    return apply_shift(H_tilde, bump_rows, grid[hi]), grid[hi]
+    return apply_shift(base, bump_rows, grid[hi]), grid[hi]
 
 
 def _free_factor(ev, ws, mu):
@@ -406,42 +435,38 @@ def solve(problem, v0=None, config=None, trace=None):
                 close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
                 break
 
-            # convexified Hessian for the QP, certified positive definite
-            # together with the penalty term at the regularization penalty
+            # the QP in x on the convexified Hessian plus the penalty term,
+            # certified positive definite; the dual step is closed-form
             state_R = _merit_state(fstate, fstate.mu_R, config)
             H_tilde = ev.H
             if conv is not None:
                 H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
             h_scale = float(np.max(np.abs(ev.H), initial=0.0))
+            grad_p, constant = condense(ev, it, state_R)
             try:
-                H_used, _ = _certified_hessian(
-                    H_tilde, ev.J, fstate.mu_R, ws.active, h_scale
-                )
-                H_M = merit_hessian(ev, state_R, H_used)
-                grad_M = merit_gradient(ev, it, state_R)
-                qp = solve_qp(
-                    H_M, grad_M, it.x, seed_active=ws.active, tol=config.qp_tol
-                )
+                G, _ = _certified_hessian(H_tilde, ev.J, fstate.mu_R, ws.active, h_scale)
+                qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
             except (QpFailure, QpInternalError) as exc:
                 status = SolveStatus.QP_FAILURE
                 message = str(exc)
                 close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
                 break
-            N_k = min(qp.model_decrease, 0.0)
+            dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
+            N_k = min(qp.model_decrease + constant, 0.0)
 
-            direction = orient(direction, grad_M)
+            direction = orient(direction, merit_gradient(ev, it, state_R))
             step = scale(direction, it.x, qp.p, config.u_max)
             if direction.exists and step.beta > 0.0:
+                # the stacked merit form at (u, w = -(1/mu_R) J u)
                 H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
-                sv = np.concatenate([step.u, step.w])
-                R_k = min(float(sv @ (merit_hessian(ev, state_R, H_exact) @ sv)), 0.0)
+                R_k = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
             else:
                 step = _zero_step(problem.n, problem.m)
                 R_k = 0.0
 
             norm_p = float(np.linalg.norm(qp.p))
             norm_u = float(np.linalg.norm(step.u))
-            norm_dv = float(np.linalg.norm(qp.dv))
+            norm_dv = float(np.linalg.norm(dv))
 
             if norm_dv == 0.0 and norm_u == 0.0:
                 # stationary for the current subproblem; only the parameter
@@ -450,7 +475,7 @@ def solve(problem, v0=None, config=None, trace=None):
             else:
                 try:
                     ls = curvilinear_search(
-                        problem, it, merit_here, step, qp.dv, state_F, N_k, R_k,
+                        problem, it, merit_here, step, dv, state_F, N_k, R_k,
                         config.j_max,
                     )
                 except LineSearchFailure:
@@ -461,7 +486,7 @@ def solve(problem, v0=None, config=None, trace=None):
                         norm_u = 0.0
                         try:
                             ls = curvilinear_search(
-                                problem, it, merit_here, step, qp.dv, state_F, N_k, 0.0,
+                                problem, it, merit_here, step, dv, state_F, N_k, 0.0,
                                 config.j_max,
                             )
                         except LineSearchFailure as exc:

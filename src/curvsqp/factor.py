@@ -12,7 +12,7 @@ KKT matrix second-order-correct: exactly |F| positive and m negative
 eigenvalues.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class Stage1Factor:
     n_piv: int
     counts: dict
     tiny: float
-    unpivoted_h: np.ndarray = field(default=None)
+    unpivoted_h: np.ndarray
 
     @property
     def inertia_so_far(self):
@@ -293,7 +293,6 @@ class Convexification:
 
     delta: float
     shifted_rows: np.ndarray
-    margin: float
 
 
 def convexify(factor, margin=0.5):
@@ -307,11 +306,11 @@ def convexify(factor, margin=0.5):
     S = factor.S
     rows = np.sort(factor.unpivoted_h)
     if S.shape[0] == 0:
-        return Convexification(delta=0.0, shifted_rows=rows, margin=float(margin))
+        return Convexification(delta=0.0, shifted_rows=rows)
     norm_inf = float(np.max(np.sum(np.abs(S), axis=1)))
     h_scale = float(np.max(np.abs(factor.kkt.H_F), initial=0.0))
     delta = max((1.0 + float(margin)) * norm_inf, 1e-8 * (1.0 + h_scale))
-    return Convexification(delta=delta, shifted_rows=rows, margin=float(margin))
+    return Convexification(delta=delta, shifted_rows=rows)
 
 
 def apply_shift(H, rows, delta):

@@ -7,7 +7,7 @@ is
 
 Writing pi = y_E - c/mu, its gradient stacks
 g - J.T (pi + nu (pi - y)) over nu mu (y - pi), and the second-derivative
-model with a frozen curvature matrix H_used is
+model with a frozen curvature matrix H_used is (oracle.merit_hessian)
 
     [[H_used + (1+nu)/mu J.T J,  nu J.T],
      [nu J,                      nu mu I]].
@@ -15,6 +15,13 @@ model with a frozen curvature matrix H_used is
 For any u with w = -(1/mu) J u the model's quadratic form collapses to
 u.T (H_used + (1/mu) J.T J) u exactly, which is what lets a single
 factorization certify directions of negative curvature for the merit.
+The dual block is nu mu I and the duals are unbounded, so for a primal
+step p the model is least at q = pi - y - J p / mu (dual_step), where
+it equals the model in p alone (condense)
+
+    (g - J.T pi) @ p + p @ (H_used + J.T J / mu) @ p / 2 - nu mu |y - pi|^2 / 2,
+
+a bound QP in x on the very matrix the certification factors.
 
 The merit value needs only f and c, so the curvilinear search measures
 its trials with model.merit_terms and makes the full evaluation (g, J,
@@ -60,29 +67,25 @@ def merit_value(ev, iterate, state):
 
 def merit_gradient(ev, iterate, state):
     """Stacked (x, y) gradient of the merit at the iterate."""
-    m = ev.c.shape[0]
-    if m == 0:
-        return ev.g.copy()
     pi = state.y_E - ev.c / state.mu
     gx = ev.g - ev.J.T @ (pi + state.nu * (pi - iterate.y))
     gy = state.nu * state.mu * (iterate.y - pi)
     return np.concatenate([gx, gy])
 
 
-def merit_hessian(ev, state, H_used):
-    """Second-derivative model with the supplied curvature matrix."""
-    H_used = np.asarray(H_used, dtype=float)
-    n = H_used.shape[0]
-    m = ev.c.shape[0]
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = H_used
-    if m:
-        J = ev.J
-        out[:n, :n] += ((1.0 + state.nu) / state.mu) * (J.T @ J)
-        out[:n, n:] = state.nu * J.T
-        out[n:, :n] = state.nu * J
-        out[n:, n:] = state.nu * state.mu * np.eye(m)
-    return out
+def condense(ev, iterate, state):
+    """(grad, constant) of the step model in p alone, at penalty state.mu.
+
+    grad = g - J.T pi and constant = -nu mu |y - pi|^2 / 2.
+    """
+    pi = state.y_E - ev.c / state.mu
+    r = pi - iterate.y
+    return ev.g - ev.J.T @ pi, -0.5 * state.nu * state.mu * float(r @ r)
+
+
+def dual_step(ev, iterate, state, p):
+    """q = pi - y - J p / mu, where the stacked model is least given p."""
+    return state.y_E - ev.c / state.mu - iterate.y - (ev.J @ p) / state.mu
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ adds the gradient, Jacobian and Hessian, reusing terms the caller
 already has.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -133,10 +134,13 @@ def checked_hessian(problem, x, y):
         raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
     if H.shape != (n, n):
         raise EvaluationError(f"H has shape {H.shape}, expected ({n}, {n})")
-    if not np.all(np.isfinite(H)):
-        raise EvaluationError(f"{problem.name}: non-finite evaluator output")
+    # the max propagates NaN and inf, so it is also the finiteness test
     hnorm = float(np.max(np.abs(H), initial=0.0))
-    if float(np.max(np.abs(H - H.T), initial=0.0)) > 1e-12 * (1.0 + hnorm):
+    if not math.isfinite(hnorm):
+        raise EvaluationError(f"{problem.name}: non-finite evaluator output")
+    asym = H - H.T
+    np.abs(asym, out=asym)
+    if float(np.max(asym, initial=0.0)) > 1e-12 * (1.0 + hnorm):
         raise EvaluationError(f"{problem.name}: H is not symmetric")
     return H
 

@@ -5,10 +5,11 @@ round-robin Jacobi iteration that the test suite can trust as a second
 route when verifying inertia counts, eigenvalue bounds, and curvature
 certificates.
 The brute-force bound-pattern QP solve plays the same role for the
-active-set method. The scalar-loop stage-1 elimination and the
-one-step-at-a-time certification search are the references for the
-vectorized elimination in factor and the driver's bisection; each pair
-must agree bit for bit.
+active-set method, and on the stacked merit model (merit_hessian, with
+its unbounded dual entries) for the condensed step the driver takes.
+The scalar-loop stage-1 elimination and the one-step-at-a-time
+certification search are the references for the vectorized elimination
+in factor and the driver's bisection; each pair must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -155,8 +156,9 @@ def stage1_reference(A, L, perm, ptype, psize, nh, tiny):
     """Restricted-pivot elimination of a symmetric saddle matrix, in place.
 
     The reference for factor.eliminate: one scalar at a time, in the
-    operation order the vectorized kernel reproduces. Rows whose original index (tracked in perm) is < nh belong to the
-    curvature block; the rest are dual rows whose diagonal starts negative.
+    operation order the vectorized kernel reproduces. Rows whose
+    original index (tracked in perm) is < nh belong to the curvature
+    block; the rest are dual rows whose diagonal starts negative.
     Admissible pivots: a curvature diagonal > tiny (code 0), a dual
     diagonal < -tiny (code 1), or a curvature-by-dual 2x2 cross block with
     negative determinant (code 2). 1x1 pivots are chosen greedily by
@@ -307,8 +309,8 @@ def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
     The reference for driver._certified_hessian: theta steps through
     the grid 0, s, 2s, 4s, ... (s = 1e-8 * (1 + h_scale)) one Cholesky
     attempt at a time until the test factorization succeeds, and raises
-    QpInternalError once it passes 1e18 * (1 + h_scale). Returns
-    (H_used, theta); the two must agree bit for bit.
+    QpInternalError once it passes 1e18 * (1 + h_scale). Returns the
+    factored matrix and theta; the two routes must agree bit for bit.
     """
     n = H_tilde.shape[0]
     if bump_rows.size == 0:
@@ -327,7 +329,28 @@ def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
                 raise QpInternalError(
                     "convexified Hessian cannot be made positive definite"
                 )
-    return apply_shift(H_tilde, bump_rows, theta), theta
+    return apply_shift(base, bump_rows, theta), theta
+
+
+def merit_hessian(ev, state, H_used):
+    """Stacked (x, y) second-derivative model of the merit.
+
+    [[H_used + (1+nu)/mu J.T J, nu J.T], [nu J, nu mu I]] at state.mu,
+    the model whose dual block merit.condense eliminates; kept as the
+    reference the condensed step is checked against.
+    """
+    H_used = np.asarray(H_used, dtype=float)
+    n = H_used.shape[0]
+    m = ev.c.shape[0]
+    out = np.zeros((n + m, n + m))
+    out[:n, :n] = H_used
+    if m:
+        J = ev.J
+        out[:n, :n] += ((1.0 + state.nu) / state.mu) * (J.T @ J)
+        out[:n, n:] = state.nu * J.T
+        out[n:, :n] = state.nu * J
+        out[n:, n:] = state.nu * state.mu * np.eye(m)
+    return out
 
 
 def nullspace_basis(J, rank_tol_factor=1e-10):

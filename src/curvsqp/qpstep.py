@@ -1,9 +1,9 @@
 """Primal active-set solver for the bound-constrained step subproblem.
 
-Minimizes grad @ dv + dv @ G @ dv / 2 over dv subject to elementwise
-bounds dv[:n] >= -x on the leading n entries; trailing entries are free.
-G must be symmetric positive definite, which the driver guarantees by
-convexifying before calling in here. Starting from a feasible seed with
+Minimizes grad @ p + p @ G @ p / 2 over p subject to p >= -x. The
+driver passes the condensed step model (merit.condense): G is the
+certified H_used + J.T J / mu, symmetric positive definite, and the dual
+step follows from p in closed form. Starting from a feasible seed with
 pinned entries sitting exactly on their bounds, every working-set
 subproblem has a unique minimizer, so the iteration terminates.
 """
@@ -17,9 +17,7 @@ from .errors import QpFailure, QpInternalError
 
 @dataclass(frozen=True)
 class QpStep:
-    dv: np.ndarray
     p: np.ndarray
-    q: np.ndarray
     z: np.ndarray
     model_decrease: float
     active: np.ndarray
@@ -27,47 +25,40 @@ class QpStep:
 
 
 def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
-    """Solve the bound-constrained QP; returns a QpStep.
+    """Solve the bound-constrained QP for symmetric positive definite G.
 
-    seed_active lists indices pinned at -x[i] in the starting point.
-    Iteration count is capped at 100 * dim by default; hitting the cap
-    raises QpFailure, a singular reduced system raises QpInternalError.
+    Returns a QpStep. seed_active lists indices pinned at -x[i] in the
+    starting point. Iteration count is capped at 100 * n by default;
+    hitting the cap raises QpFailure, a singular reduced system raises
+    QpInternalError.
     """
     G = np.asarray(G, dtype=float)
     grad = np.asarray(grad, dtype=float)
     x = np.asarray(x, dtype=float)
-    dim = grad.shape[0]
     n = x.shape[0]
-    if G.shape != (dim, dim):
-        raise ValueError("G and grad dimensions disagree")
-    if n > dim:
-        raise ValueError("more bounds than variables")
-    G = 0.5 * (G + G.T)
+    if G.shape != (n, n) or grad.shape != (n,):
+        raise ValueError("G, grad and x dimensions disagree")
     if max_iterations is None:
-        max_iterations = 100 * max(dim, 1)
+        max_iterations = 100 * max(n, 1)
     scale = tol * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
 
     active = np.zeros(n, dtype=bool)
-    dv = np.zeros(dim)
+    p = np.zeros(n)
     if seed_active is not None:
         idx = np.asarray(seed_active, dtype=int)
         active[idx] = True
-        dv[idx] = -x[idx]
-
-    free = np.ones(dim, dtype=bool)
-    free[:n] = ~active
+        p[idx] = -x[idx]
 
     iterations = 0
     while True:
         if iterations >= max_iterations:
             raise QpFailure(
                 f"active-set iteration cap {max_iterations} reached",
-                partial=dv,
+                partial=p,
             )
         iterations += 1
-        r = grad + G @ dv
-        f_idx = np.flatnonzero(free)
-        d_f = np.zeros(0)
+        r = grad + G @ p
+        f_idx = np.flatnonzero(~active)
         # stationarity is judged on the reduced residual, never on the step
         # length: a huge gradient must not swallow a genuine Newton step
         at_minimizer = float(np.max(np.abs(r[f_idx]), initial=0.0)) <= scale
@@ -80,7 +71,7 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
                 ) from exc
             # a step at roundoff level cannot improve the subspace further
             at_minimizer = float(np.max(np.abs(d_f))) <= 4e-16 * (
-                1.0 + float(np.max(np.abs(dv[f_idx])))
+                1.0 + float(np.max(np.abs(p[f_idx])))
             )
         if at_minimizer:
             # subspace minimizer; check bound multipliers
@@ -91,38 +82,27 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
             worst = int(np.argmin(z_a))
             if z_a[worst] >= -scale:
                 break
-            drop = a_idx[worst]
-            active[drop] = False
-            free[drop] = True
+            active[a_idx[worst]] = False
             continue
         # ratio test against inactive lower bounds: the first of the
         # smallest ratios below 1 blocks
         alpha = 1.0
         blocker = -1
-        pos = np.flatnonzero((f_idx < n) & (d_f < 0.0))
+        pos = np.flatnonzero(d_f < 0.0)
         b_idx = f_idx[pos]
-        ratios = (-x[b_idx] - dv[b_idx]) / d_f[pos]
+        ratios = (-x[b_idx] - p[b_idx]) / d_f[pos]
         hits = np.flatnonzero(ratios < alpha)
         if hits.size:
             first = hits[np.argmin(ratios[hits])]
             alpha = ratios[first]
             blocker = int(b_idx[first])
-        dv[f_idx] += alpha * d_f
+        p[f_idx] += alpha * d_f
         if blocker >= 0:
-            dv[blocker] = -x[blocker]
+            p[blocker] = -x[blocker]
             active[blocker] = True
-            free[blocker] = False
 
     z = np.zeros(n)
     a_idx = np.flatnonzero(active)
     z[a_idx] = r[a_idx]
-    obj = float(grad @ dv + 0.5 * dv @ (G @ dv))
-    return QpStep(
-        dv=dv,
-        p=dv[:n].copy(),
-        q=dv[n:].copy(),
-        z=z,
-        model_decrease=obj,
-        active=a_idx,
-        iterations=iterations,
-    )
+    obj = float(grad @ p + 0.5 * p @ (G @ p))
+    return QpStep(p=p, z=z, model_decrease=obj, active=a_idx, iterations=iterations)

@@ -12,7 +12,6 @@ class WorkingSet:
     active: np.ndarray
     free: np.ndarray
     n: int
-    epsilon_a: float
     threshold: float
 
 
@@ -29,17 +28,8 @@ def estimate(x, mu, epsilon_a=1e-2):
         active=idx[mask],
         free=idx[~mask],
         n=x.shape[0],
-        epsilon_a=float(epsilon_a),
         threshold=threshold,
     )
-
-
-def restrict(v, ws, part="free"):
-    """Entries of the vector v on one part of the working set."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError("restrict takes a vector; see restrict_principal/_columns")
-    return v[ws.free if part == "free" else ws.active]
 
 
 def restrict_principal(A, ws):
@@ -52,13 +42,8 @@ def restrict_columns(A, ws):
     return np.asarray(A)[:, ws.free]
 
 
-def embed(values, ws, part="free"):
-    """Scatter values for one part back to a full-length vector of zeros.
-
-    Inverse of restrict on vectors: restrict(embed(v)) == v.
-    """
-    values = np.asarray(values, dtype=float)
-    idx = ws.free if part == "free" else ws.active
+def embed(values, ws):
+    """Scatter free-variable values into a full-length vector of zeros."""
     out = np.zeros(ws.n)
-    out[idx] = values
+    out[ws.free] = values
     return out

@@ -7,6 +7,11 @@ definite, and rank-deficient to keep the factorization paths honest.
 
 import numpy as np
 
+from curvsqp.merit import MeritState, condense, dual_step, merit_gradient
+from curvsqp.model import Evaluation, make_iterate
+from curvsqp.oracle import merit_hessian, qp_brute_force
+from curvsqp.qpstep import solve_qp
+
 
 def kkt_instances(seed, count):
     """Yield (H_F, J_F, mu) triples; |F| <= 12, m <= 6, mu in [1e-3, 1]."""
@@ -54,26 +59,55 @@ def scaled_kkt_instances(seed, count):
 
 
 def qp_instances(seed, count):
-    """Yield (G, grad, x, seed_active) strictly convex bound QPs.
+    """Yield (ev, iterate, state, seed_active) step models.
 
-    n <= 6 bounded entries plus up to 3 unconstrained trailing ones;
-    some x components sit exactly on their bound.
+    n <= 6 bounded primal entries and m <= 3 unbounded dual entries. H
+    is indefinite on some instances, but H + J.T J / mu is positive
+    definite, so the condensed QP and the stacked merit model are both
+    strictly convex; some x components sit exactly on their bound.
     """
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, 4))
-        dim = n + m
-        A = rng.normal(size=(dim, dim))
-        G = A @ A.T + (0.1 + rng.uniform()) * np.eye(dim)
-        grad = rng.normal(size=dim) * 3.0
+        mu = float(rng.uniform(0.1, 1.0))
+        nu = float(rng.uniform(0.5, 2.0))
+        A = rng.normal(size=(n, n))
+        J = rng.normal(size=(m, n))
+        H = A @ A.T + (0.1 + rng.uniform()) * np.eye(n) - (J.T @ J) / (2.0 * mu)
+        H = 0.5 * (H + H.T)
+        ev = Evaluation(
+            f=0.0, c=rng.normal(size=m), g=rng.normal(size=n) * 3.0, J=J, H=H
+        )
         x = rng.uniform(0.0, 2.0, size=n)
         x[rng.uniform(size=n) < 0.2] = 0.0
+        iterate = make_iterate(x, rng.normal(size=m))
+        state = MeritState(y_E=rng.normal(size=m), mu=mu, mu_R=mu, nu=nu)
         if rng.uniform() < 0.5:
             seed_active = np.flatnonzero(rng.uniform(size=n) < 0.3)
         else:
             seed_active = None
-        yield G, grad, x, seed_active
+        yield ev, iterate, state, seed_active
+
+
+def condensed_step(ev, iterate, state, seed_active=None):
+    """The driver's step on a step model: solve_qp on the condensed model.
+
+    Returns (qp, grad, G, dv, value): G = H + J.T J / mu, dv stacks p and
+    the closed-form dual step, value is the stacked model's value at dv
+    (the QP objective plus the condensed model's constant).
+    """
+    grad, constant = condense(ev, iterate, state)
+    G = ev.H + (ev.J.T @ ev.J) / state.mu
+    qp = solve_qp(G, grad, iterate.x, seed_active=seed_active)
+    dv = np.concatenate([qp.p, dual_step(ev, iterate, state, qp.p)])
+    return qp, grad, G, dv, qp.model_decrease + constant
+
+
+def stacked_reference(ev, iterate, state):
+    """oracle.qp_brute_force on the stacked merit model: (dv, z, value)."""
+    H_M = merit_hessian(ev, state, ev.H)
+    return qp_brute_force(H_M, merit_gradient(ev, iterate, state), iterate.x)
 
 
 def merit_form_instances(seed, count):

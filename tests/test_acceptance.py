@@ -9,15 +9,21 @@ contracts, QP correctness, and the three built-in convergence stories.
 import numpy as np
 import pytest
 
-from conftest import central_diff, kkt_instances, merit_form_instances, qp_instances
+from conftest import (
+    central_diff,
+    condensed_step,
+    kkt_instances,
+    merit_form_instances,
+    qp_instances,
+    stacked_reference,
+)
 from curvsqp.curvature import extract_direction
 from curvsqp.driver import SolveStatus, SolverConfig, second_order_certificate, solve
 from curvsqp.factor import apply_shift, build_kkt, convexify, stage1_factorize
-from curvsqp.merit import MeritState, merit_hessian, merit_value
+from curvsqp.merit import MeritState, merit_value
 from curvsqp.model import Evaluation, evaluate, make_iterate
-from curvsqp.oracle import eigen, nullspace_basis, qp_brute_force
+from curvsqp.oracle import eigen, merit_hessian, nullspace_basis
 from curvsqp.problems import get_problem, list_problems
-from curvsqp.qpstep import solve_qp
 from curvsqp.workset import estimate
 
 
@@ -177,13 +183,13 @@ def test_c08_penalties_stay_ordered_and_halve_only_on_merit_iterates(solver_runs
 
 
 def test_c09_qp_solutions_match_brute_force_enumeration():
-    """200 instances: step agrees to 1e-8; complementarity within 1e-8."""
-    for G, grad, x, seed in qp_instances(109, 200):
-        step = solve_qp(G, grad, x, seed_active=seed)
-        ref_dv, _ref_z, ref_obj = qp_brute_force(G, grad, x)
-        assert np.max(np.abs(step.dv - ref_dv)) <= 1e-8
-        assert np.linalg.norm(np.minimum(x + step.p, step.z)) <= 1e-8
-        assert step.model_decrease <= ref_obj + 1e-8 * (1.0 + abs(ref_obj))
+    """200 instances: condensed step = stacked brute force to 1e-8; complementarity 1e-8."""
+    for ev, it, state, seed in qp_instances(109, 200):
+        step, _, _, dv, value = condensed_step(ev, it, state, seed)
+        ref_dv, _ref_z, ref_obj = stacked_reference(ev, it, state)
+        assert np.max(np.abs(dv - ref_dv)) <= 1e-8
+        assert np.linalg.norm(np.minimum(it.x + step.p, step.z)) <= 1e-8
+        assert value <= ref_obj + 1e-8 * (1.0 + abs(ref_obj))
 
 
 def test_c10_curvature_steps_escape_the_cosine_saddle():

@@ -146,8 +146,8 @@ def test_log_is_deterministic_and_well_formed(tmp_path):
     log1, log2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["solve", "convex-qp", "--log", log1]) == 0
     assert main(["solve", "convex-qp", "--log", log2]) == 0
-    text1 = open(log1).read()
-    assert text1 == open(log2).read()
+    text1 = Path(log1).read_text()
+    assert text1 == Path(log2).read_text()
     lines = text1.splitlines()
     assert lines[0] == LOG_HEADER_COMMENT
     assert lines[1] == ",".join(CSV_FIELDS)
@@ -181,7 +181,7 @@ def test_report_document(tmp_path):
     assert len(doc["x"]) == 2
     np.testing.assert_allclose(doc["x"], [7.0 / 6.0, 5.0 / 6.0], atol=1e-6)
     assert set(doc["class_counts"]) == {"S", "L", "M", "F"}
-    rows = open(log).read().splitlines()[2:]
+    rows = log.read_text().splitlines()[2:]
     assert doc["iterations"] == len(rows)
     assert doc["wall_time_s"] >= 0.0
 
@@ -269,6 +269,26 @@ def test_file_config_is_used_and_flags_win(tmp_path):
     path = _write(tmp_path, doc)
     assert main(["solve", path]) == 3
     assert main(["solve", path, "--max-iter", "200"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--mu0", "0"], ["--mu0", "nan"], ["--nu", "-1"], ["--tol1", "inf"], ["--max-iter", "-1"]],
+)
+def test_out_of_range_flag_is_a_format_error(flags, capsys):
+    assert main(["solve", "saddle-line", *flags]) == 1
+    assert "bad config value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"mu0": 0}, {"eta_S": 1.0}, {"alpha_min": 1.5}, {"j_max": -1}, {"margin": -0.5}],
+)
+def test_out_of_range_file_config_is_a_format_error(tmp_path, capsys, config):
+    doc = json.loads(json.dumps(BILINEAR))
+    doc["config"] = config
+    assert main(["solve", _write(tmp_path, doc)]) == 1
+    assert "bad config value" in capsys.readouterr().err
 
 
 def test_check_derivatives_command(capsys):

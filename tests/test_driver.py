@@ -386,6 +386,40 @@ def test_certificate_clean_at_a_minimizer():
     assert ratio == 0.0
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"mu0": 0.0},
+        {"mu0": float("nan")},
+        {"nu": -1.0},
+        {"tau0": 0.0},
+        {"u_max": float("inf")},
+        {"qp_tol": 0.0},
+        {"eta_S": 0.0},
+        {"eta_S": 1.0},
+        {"alpha_min": 0.0},
+        {"alpha_min": 1.5},
+        {"tol_first": -1e-8},
+        {"epsilon_a": -1.0},
+        {"margin": float("-inf")},
+        {"max_iterations": -1},
+        {"max_iterations": 2.5},
+        {"j_max": True},
+    ],
+)
+def test_out_of_range_settings_raise_value_error(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        solve(get_problem("convex-qp"), config=SolverConfig(**setting))
+
+
+def test_settings_at_the_ends_of_their_ranges_are_accepted():
+    SolverConfig(
+        tol_first=0.0, tol_second=0.0, tol_constraint=0.0, max_iterations=0,
+        epsilon_a=0.0, alpha_min=1.0, margin=0.0, j_max=0,
+    )
+
+
 def test_solve_rejects_bad_start_points():
     problem = get_problem("convex-qp")
     with pytest.raises(ValueError):

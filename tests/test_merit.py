@@ -6,13 +6,15 @@ from curvsqp.curvature import ScaledStep
 from curvsqp.errors import LineSearchFailure
 from curvsqp.merit import (
     MeritState,
+    condense,
     curvilinear_search,
+    dual_step,
     merit_gradient,
-    merit_hessian,
     merit_value,
     penalty_update,
 )
 from curvsqp.model import Evaluation, NlpProblem, evaluate, make_iterate
+from curvsqp.oracle import merit_hessian
 from curvsqp.problems import get_problem
 
 
@@ -124,6 +126,38 @@ def test_stacked_form_collapses_to_primal_form():
         v = np.concatenate([u, w])
         target = u @ H @ u + (J @ u) @ (J @ u) / mu
         assert abs(v @ (H_M @ v) - target) <= 1e-12 * (1.0 + abs(target))
+
+
+def test_condensed_model_is_the_stacked_model_least_over_q():
+    """At (p, dual_step(p)) the stacked model's q-gradient vanishes and its
+    value is the condensed model's."""
+    rng = np.random.default_rng(78)
+    for H, J, mu, nu, p in merit_form_instances(78, 200):
+        m, n = J.shape
+        ev = Evaluation(f=0.0, c=rng.normal(size=m), g=rng.normal(size=n), J=J, H=H)
+        it = make_iterate(np.ones(n), rng.normal(size=m))
+        state = MeritState(y_E=rng.normal(size=m), mu=mu, mu_R=mu, nu=nu)
+        grad, constant = condense(ev, it, state)
+        dv = np.concatenate([p, dual_step(ev, it, state, p)])
+        H_M = merit_hessian(ev, state, H)
+        grad_M = merit_gradient(ev, it, state)
+        size = 1.0 + np.max(np.abs(grad_M)) + np.max(np.abs(H_M)) * np.max(np.abs(dv))
+        assert np.max(np.abs((grad_M + H_M @ dv)[n:])) <= 1e-12 * size
+        stacked = grad_M @ dv + 0.5 * dv @ H_M @ dv
+        G = H + (J.T @ J) / mu
+        condensed = grad @ p + 0.5 * p @ G @ p + constant
+        assert abs(stacked - condensed) <= 1e-12 * size * (1.0 + np.max(np.abs(dv)))
+
+
+def test_condensed_model_without_constraints_is_the_plain_model():
+    prob = get_problem("cosine-saddle")
+    it = make_iterate([1.0, 3.0], [])
+    ev = evaluate(prob, it)
+    state = MeritState(y_E=np.zeros(0), mu=0.4, mu_R=0.4)
+    grad, constant = condense(ev, it, state)
+    np.testing.assert_array_equal(grad, ev.g)
+    assert constant == 0.0
+    assert dual_step(ev, it, state, np.ones(2)).shape == (0,)
 
 
 def _scalar_problem(fun, dfun):

@@ -107,6 +107,23 @@ def test_evaluate_rejects_asymmetric_hessian():
         evaluate(prob, make_iterate([1.0, 1.0], []))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_hessian_is_reported_as_nonfinite(bad):
+    # off the diagonal, so H - H.T is not finite either
+    prob = NlpProblem(
+        name="bad-h",
+        n=2,
+        m=0,
+        objective=lambda x: 0.0,
+        gradient=lambda x: np.zeros(2),
+        constraints=lambda x: np.zeros(0),
+        jacobian=lambda x: np.zeros((0, 2)),
+        hessian=lambda x, y: np.array([[1.0, bad], [0.0, 1.0]]),
+    )
+    with pytest.raises(EvaluationError, match="non-finite"):
+        evaluate(prob, make_iterate([1.0, 1.0], []))
+
+
 def test_hessian_symmetry_of_builtins():
     rng = np.random.default_rng(3)
     for name in list_problems():

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from curvsqp.workset import embed, estimate, restrict, restrict_columns, restrict_principal
+from curvsqp.workset import embed, estimate, restrict_columns, restrict_principal
 
 
 def test_estimate_near_bound():
@@ -52,36 +51,20 @@ def test_restrict_jacobian_columns():
     np.testing.assert_array_equal(restrict_columns(J, ws), [[1.0, 1.0]])
 
 
-def test_restrict_vector_active_part():
-    ws = estimate(np.array([4.0, 0.0, 6.0]), mu=0.1, epsilon_a=0.01)
-    np.testing.assert_array_equal(restrict(np.array([4.0, 5.0, 6.0]), ws, part="active"), [5.0])
-
-
 def test_restrict_square_jacobian_keeps_every_row():
     # the cut is named by the caller, never guessed from a square shape
     ws = estimate(np.array([0.0, 1.0]), mu=0.1, epsilon_a=0.01)
     J = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(restrict_columns(J, ws), [[2.0], [4.0]])
     np.testing.assert_array_equal(restrict_principal(J, ws), [[4.0]])
-    with pytest.raises(ValueError):
-        restrict(J, ws)
 
 
-def test_restrict_rejects_3d():
-    ws = estimate(np.ones(2), 0.1, 0.01)
-    with pytest.raises(ValueError):
-        restrict(np.zeros((2, 2, 2)), ws)
-
-
-def test_embed_is_right_inverse_of_restrict():
+def test_embed_scatters_onto_the_free_set():
     rng = np.random.default_rng(9)
     for _ in range(50):
         x = rng.uniform(0.0, 0.1, size=8)
         ws = estimate(x, rng.uniform(1e-3, 1.0), 1e-2)
         v = rng.normal(size=8)
-        for part in ("free", "active"):
-            back = embed(restrict(v, ws, part=part), ws, part=part)
-            idx = ws.free if part == "free" else ws.active
-            np.testing.assert_array_equal(back[idx], v[idx])
-            other = np.setdiff1d(np.arange(8), idx)
-            assert np.all(back[other] == 0.0)
+        back = embed(v[ws.free], ws)
+        np.testing.assert_array_equal(back[ws.free], v[ws.free])
+        assert np.all(back[ws.active] == 0.0)
