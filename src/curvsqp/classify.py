@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curvature import curvature_form
-
 MIX = 1e-5
 Y_CAP = 1e6
 
@@ -47,25 +45,21 @@ class FilterState:
     y_E: np.ndarray
 
 
-def measures(ev, iterate, direction, mu):
+def measures(ev, iterate, direction):
     """Score an iterate.
 
     eta is the constraint violation, omega_first the bound-aware
     stationarity of the Lagrangian at the iterate's own multipliers,
-    and curv_ratio the Rayleigh quotient of the candidate curvature
-    direction recomputed at the penalty handed in (zero when no
-    direction exists). omega combines stationarity with curvature so
-    a saddle with a tiny gradient still scores as non-optimal.
+    and curv_ratio the Rayleigh quotient the candidate curvature
+    direction carries (zero for a non-direction). omega combines
+    stationarity with curvature so a saddle with a tiny gradient still
+    scores as non-optimal.
     """
     m = ev.c.shape[0]
     eta = float(np.linalg.norm(ev.c)) if m else 0.0
     resid = ev.g - ev.J.T @ iterate.y if m else ev.g
     omega_first = float(np.linalg.norm(np.minimum(iterate.x, resid)))
-    if direction is not None and direction.exists:
-        u = direction.u_hat
-        curv_ratio = curvature_form(u, ev.H, ev.J, mu) / float(u @ u)
-    else:
-        curv_ratio = 0.0
+    curv_ratio = direction.rayleigh
     omega = max(omega_first, -curv_ratio)
     return Measures(
         eta=eta,

@@ -56,13 +56,13 @@ def curvature_form(u, H, J, mu):
     return val
 
 
-def extract_direction(factor, ws, H=None, J=None):
+def extract_direction(factor, ws, H, J):
     """Pull a negative-curvature direction out of a stage-1 factor.
 
     H and J are the full-space matrices used to report curvature_B; they
-    default to zero-padded versions of the factor's free blocks and must
-    agree with them on the free set. Returns a non-direction when S is
-    empty or its largest entry is below the noise floor.
+    must agree with the factor's free blocks on the free set. Returns a
+    non-direction when S is empty or its largest entry is below the
+    noise floor.
     """
     kkt = factor.kkt
     n, m = ws.n, kkt.m
@@ -102,15 +102,8 @@ def extract_direction(factor, ws, H=None, J=None):
     u_free = z[:kkt.n_free]
     u_hat = embed(u_free, ws)
 
-    if H is None or J is None:
-        H_full = np.zeros((n, n))
-        H_full[np.ix_(ws.free, ws.free)] = kkt.H_F
-        J_full = np.zeros((m, n))
-        J_full[:, ws.free] = kkt.J_F
-    else:
-        H_full, J_full = H, J
-    curv = curvature_form(u_hat, H_full, J_full, kkt.mu)
-    w_hat = -(J_full @ u_hat) / kkt.mu if m else np.zeros(0)
+    curv = curvature_form(u_hat, H, J, kkt.mu)
+    w_hat = -(J @ u_hat) / kkt.mu if m else np.zeros(0)
     nrm2 = float(u_hat @ u_hat)
     return CurvatureDirection(
         exists=True,
@@ -123,7 +116,7 @@ def extract_direction(factor, ws, H=None, J=None):
     )
 
 
-def refresh_direction(direction, H, J, mu, floor=0.0):
+def refresh_direction(direction, H, J, mu):
     """Re-evaluate a direction's certificates for a new penalty value.
 
     Shrinking mu strengthens the (1/mu) J.T J term, so a direction that
@@ -133,7 +126,7 @@ def refresh_direction(direction, H, J, mu, floor=0.0):
         return direction
     u = direction.u_hat
     curv = curvature_form(u, H, J, mu)
-    if curv >= -floor:
+    if curv >= 0.0:
         return no_direction(u.shape[0], J.shape[0])
     w = -(J @ u) / mu if J.shape[0] else np.zeros(0)
     return replace(

@@ -1,12 +1,17 @@
 """Outer solver loop combining the QP step with curvature escapes.
 
-Per iteration: estimate the working set, factorize the free KKT system
-at the regularization penalty, pull out a negative-curvature direction,
-score and classify the iterate, update the reference multipliers and
-penalties, check termination, convexify, solve the bound-constrained QP
-in x on the certified H_used + J.T J / mu_R (the dual step follows in
-closed form), scale the curvature step against the QP step, and
-backtrack along the curvilinear path x + alpha*u + alpha^2*p.
+An iteration is an analysis, a classification and a step. The analysis
+(_analyze, shared with second_order_certificate) estimates the working
+set, factorizes the free KKT system at the regularization penalty,
+chooses the convexifying shift and pulls out a negative-curvature
+direction. The iterate is then scored and classified, the reference
+multipliers and penalties are updated, and termination is checked. The
+step (_step) certifies H_used + J.T J / mu_R, solves the
+bound-constrained QP in x on it (the dual step follows in closed form),
+scales the curvature step against the QP step, and backtracks along the
+curvilinear path x + alpha*u + alpha^2*p, or along the QP step alone
+when that path fails. Each iteration ends in exactly one
+IterationRecord, which is also what the next penalty update reads.
 
 Each point is evaluated once. The start gets the full evaluation here;
 search trials get only f and c, and the accepted trial's full
@@ -157,6 +162,17 @@ CSV_FIELDS = (
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration: the 15 pinned log columns, then diagnostics.
+
+    x and y are the iterate the record measured, y_E the reference
+    multipliers its merit ran under, and merit_new the merit of the
+    point it accepted (merit itself when it did not move). They are
+    tuples of floats, so records compare exactly. With mu, mu_R, alpha,
+    N_k and R_k they rebuild the merit state of the search and let its
+    acceptance inequality be checked again; the accepted point is the
+    next record's (x, y), or the result's iterate after the last record.
+    """
+
     k: int
     cls: str
     eta: float
@@ -173,10 +189,14 @@ class IterationRecord:
     merit: float
     ws_size: int
     # diagnostics, not part of the pinned log columns
-    norm_dv: float = 0.0
-    N_k: float = 0.0
-    R_k: float = 0.0
-    backtracks: int = 0
+    norm_dv: float
+    N_k: float
+    R_k: float
+    backtracks: int
+    x: tuple
+    y: tuple
+    y_E: tuple
+    merit_new: float
 
     def csv_values(self):
         return (
@@ -224,11 +244,12 @@ _UNMEASURED = Measures(
 )
 
 
-def _merit_state(fstate, mu, config):
+def _merit_state(source, mu, config):
+    """Merit state at penalty mu; y_E and mu_R from a FilterState or record."""
     return MeritState(
-        y_E=fstate.y_E,
+        y_E=np.asarray(source.y_E, dtype=float),
         mu=mu,
-        mu_R=fstate.mu_R,
+        mu_R=source.mu_R,
         nu=config.nu,
         eta_S=config.eta_S,
         alpha_min=config.alpha_min,
@@ -296,23 +317,116 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
     return apply_shift(base, bump_rows, grid[hi]), grid[hi]
 
 
-def _free_factor(ev, ws, mu):
-    """Stage-1 factor of the free-variable KKT matrix at penalty mu."""
-    kkt = build_kkt(restrict_principal(ev.H, ws), restrict_columns(ev.J, ws), mu)
-    return stage1_factorize(kkt)
+def _analyze(ev, x, mu, mu_R, config):
+    """Working set at penalty mu, then the free KKT factor at mu_R.
+
+    Returns (ws, conv, direction): the working set, the convexifying
+    shift of the factor (None when every variable is active) and the
+    negative-curvature direction it yields (a non-direction when there
+    is none or curvature is disabled).
+    """
+    m, n = ev.J.shape
+    ws = estimate(x, mu, config.epsilon_a)
+    conv, direction = None, no_direction(n, m)
+    if ws.free.size:
+        kkt = build_kkt(restrict_principal(ev.H, ws), restrict_columns(ev.J, ws), mu_R)
+        factor = stage1_factorize(kkt)
+        conv = convexify(factor, config.margin)
+        if config.enable_curvature:
+            direction = extract_direction(factor, ws, ev.H, ev.J)
+    return ws, conv, direction
+
+
+@dataclass(frozen=True)
+class _Step:
+    """The outcome of one iteration's step.
+
+    iterate, ev and merit_new describe the accepted point; a step that
+    did not move keeps the measured point and its merit. status is set
+    when the iteration ends the solve.
+    """
+
+    iterate: object
+    ev: object
+    merit_new: float
+    alpha: float = 0.0
+    norm_p: float = 0.0
+    norm_u: float = 0.0
+    norm_dv: float = 0.0
+    N_k: float = 0.0
+    R_k: float = 0.0
+    backtracks: int = 0
+    status: SolveStatus = None
+    message: str = ""
 
 
 def _zero_step(n, m):
     return ScaledStep(u=np.zeros(n), w=np.zeros(m), beta=0.0)
 
 
-def solve(problem, v0=None, config=None, trace=None):
-    """Run the solver from v0 (problem start point when omitted).
+def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, config):
+    """Certify, solve the QP, scale the curvature step and search.
 
-    trace, when given, is a list that receives one dict per accepted
-    step (previous and accepted iterates, the merit state the search
-    ran under, alpha, and the model quantities) so tests can re-verify
-    the acceptance inequality independently.
+    The QP in x runs on the convexified Hessian plus the penalty term,
+    certified positive definite; the dual step is closed-form. The
+    search tries the curvilinear path along (u, p) and, when that fails,
+    the QP step (0, p) alone. A QP or search failure returns a step
+    that stays at it with the matching status.
+    """
+    n, m = problem.n, problem.m
+    state_R = _merit_state(fstate, fstate.mu_R, config)
+    H_tilde = ev.H
+    if conv is not None:
+        H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
+    h_scale = float(np.max(np.abs(ev.H), initial=0.0))
+    grad_p, constant = condense(ev, it, state_R)
+    try:
+        G, _ = _certified_hessian(H_tilde, ev.J, fstate.mu_R, ws.active, h_scale)
+        qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
+    except (QpFailure, QpInternalError) as exc:
+        return _Step(it, ev, merit_here, status=SolveStatus.QP_FAILURE, message=str(exc))
+    dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
+    N_k = min(qp.model_decrease + constant, 0.0)
+    norm_p = float(np.linalg.norm(qp.p))
+    norm_dv = float(np.linalg.norm(dv))
+
+    direction = orient(direction, merit_gradient(ev, it, state_R))
+    step = scale(direction, it.x, qp.p, config.u_max)
+    if direction.exists and step.beta > 0.0:
+        # the stacked merit form at (u, w = -(1/mu_R) J u)
+        H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
+        R_k = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
+    else:
+        step, R_k = _zero_step(n, m), 0.0
+    norm_u = float(np.linalg.norm(step.u))
+
+    if norm_dv == 0.0 and norm_u == 0.0:
+        # stationary for the current subproblem; only the parameter
+        # updates can make progress, so take the null step
+        return _Step(it, ev, merit_here, alpha=1.0, norm_p=norm_p, norm_dv=norm_dv,
+                     N_k=N_k, R_k=R_k)
+    # the path along (u, p) first; when it fails, the QP step (0, p) alone
+    tries = [(step, R_k)]
+    if norm_u > 0.0:
+        tries.append((_zero_step(n, m), 0.0))
+    for step, R_k in tries:
+        norm_u = float(np.linalg.norm(step.u))
+        try:
+            ls = curvilinear_search(
+                problem, it, merit_here, step, dv, state_F, N_k, R_k, config.j_max
+            )
+        except LineSearchFailure as exc:
+            failure = exc
+            continue
+        return _Step(ls.accepted, ls.ev, ls.merit_new, alpha=ls.alpha, norm_p=norm_p,
+                     norm_u=norm_u, norm_dv=norm_dv, N_k=N_k, R_k=R_k, backtracks=ls.j)
+    message = str(failure) if len(tries) > 1 else "no acceptable step along the QP direction"
+    return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
+                 N_k=N_k, R_k=R_k, status=SolveStatus.LINE_SEARCH_FAILURE, message=message)
+
+
+def solve(problem, v0=None, config=None):
+    """Run the solver from v0 (problem start point when omitted).
 
     Trial points of the search call only the objective and constraints
     callbacks; gradient, Jacobian and Hessian run at the start point,
@@ -338,39 +452,12 @@ def solve(problem, v0=None, config=None, trace=None):
         raise ValueError("start point violates the nonnegativity bounds")
 
     t0 = time.perf_counter()
-    it = v0
+    it, ev = v0, None
     mu = config.mu0
     fstate = None
-    prev = None
     history = []
     counts = {"S": 0, "L": 0, "M": 0, "F": 0}
-    status = SolveStatus.ITERATION_LIMIT
-    message = ""
     last_meas, last_ratio = _UNMEASURED, np.nan
-    ev = None
-    k = 0
-
-    def close(meas, label, alpha, norm_p, norm_u, ratio, merit, ws_size, **extra):
-        history.append(
-            IterationRecord(
-                k=k,
-                cls=label,
-                eta=meas.eta,
-                omega=meas.omega,
-                phi_S=meas.phi_S,
-                phi_L=meas.phi_L,
-                mu=mu,
-                mu_R=fstate.mu_R,
-                tau=fstate.tau,
-                alpha=alpha,
-                norm_p=norm_p,
-                norm_u=norm_u,
-                curv_ratio=ratio,
-                merit=merit,
-                ws_size=ws_size,
-                **extra,
-            )
-        )
 
     try:
         ev = evaluate(problem, it)
@@ -378,20 +465,9 @@ def solve(problem, v0=None, config=None, trace=None):
             # a failure before the measures below reports NaN measures
             last_meas, last_ratio = _UNMEASURED, np.nan
             # working set at the carried-over flexible penalty
-            ws = estimate(it.x, mu, config.epsilon_a)
             mu_R_pre = fstate.mu_R if fstate is not None else config.mu0
-
-            factor = None
-            conv = None
-            direction = no_direction(problem.n, problem.m)
-            if ws.free.size:
-                factor = _free_factor(ev, ws, mu_R_pre)
-                conv = convexify(factor, config.margin)
-                if config.enable_curvature:
-                    direction = extract_direction(factor, ws, H=ev.H, J=ev.J)
-
-            meas = measures(ev, it, direction, mu_R_pre)
-            last_meas = meas
+            ws, conv, direction = _analyze(ev, it.x, mu, mu_R_pre, config)
+            meas = last_meas = measures(ev, it, direction)
 
             if fstate is None:
                 fstate = initial_state(meas, it.y, config.mu0, tau=config.tau0)
@@ -406,12 +482,15 @@ def solve(problem, v0=None, config=None, trace=None):
                 if fstate.mu_R != mu_R_old and direction.exists:
                     # the stronger penalty term can erase the negative curvature
                     direction = refresh_direction(direction, ev.H, ev.J, fstate.mu_R)
-                if prev is not None:
-                    mu = penalty_update(**prev, mu_R_next=fstate.mu_R)
+                # re-test the previous step under the state it was searched with
+                last = history[-1]
+                mu = penalty_update(
+                    last.merit_new, last.merit, _merit_state(last, last.mu, config),
+                    last.alpha, last.N_k, last.R_k, mu_R_next=fstate.mu_R,
+                )
                 mu = max(mu, fstate.mu_R)
 
-            ratio_now = direction.rayleigh if direction.exists else 0.0
-            last_ratio = ratio_now
+            last_ratio = direction.rayleigh
             state_F = _merit_state(fstate, mu, config)
             merit_here = merit_value(ev, it, state_F)
 
@@ -420,113 +499,55 @@ def solve(problem, v0=None, config=None, trace=None):
                 and meas.omega_first <= config.tol_first
             )
             if first_order_ok and (
-                not config.enable_curvature or ratio_now >= -config.tol_second
+                not config.enable_curvature or last_ratio >= -config.tol_second
             ):
-                status = (
-                    SolveStatus.SECOND_ORDER_OPTIMAL
+                step = _Step(
+                    it, ev, merit_here,
+                    status=SolveStatus.SECOND_ORDER_OPTIMAL
                     if config.enable_curvature
-                    else SolveStatus.FIRST_ORDER_ONLY
+                    else SolveStatus.FIRST_ORDER_ONLY,
                 )
-                close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
-                break
-            if k >= config.max_iterations:
-                status = SolveStatus.ITERATION_LIMIT
-                message = "iteration limit reached before the optimality tests passed"
-                close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
-                break
-
-            # the QP in x on the convexified Hessian plus the penalty term,
-            # certified positive definite; the dual step is closed-form
-            state_R = _merit_state(fstate, fstate.mu_R, config)
-            H_tilde = ev.H
-            if conv is not None:
-                H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
-            h_scale = float(np.max(np.abs(ev.H), initial=0.0))
-            grad_p, constant = condense(ev, it, state_R)
-            try:
-                G, _ = _certified_hessian(H_tilde, ev.J, fstate.mu_R, ws.active, h_scale)
-                qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
-            except (QpFailure, QpInternalError) as exc:
-                status = SolveStatus.QP_FAILURE
-                message = str(exc)
-                close(meas, label, 0.0, 0.0, 0.0, ratio_now, merit_here, ws.active.size)
-                break
-            dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
-            N_k = min(qp.model_decrease + constant, 0.0)
-
-            direction = orient(direction, merit_gradient(ev, it, state_R))
-            step = scale(direction, it.x, qp.p, config.u_max)
-            if direction.exists and step.beta > 0.0:
-                # the stacked merit form at (u, w = -(1/mu_R) J u)
-                H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
-                R_k = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
+            elif len(history) >= config.max_iterations:
+                step = _Step(
+                    it, ev, merit_here, status=SolveStatus.ITERATION_LIMIT,
+                    message="iteration limit reached before the optimality tests passed",
+                )
             else:
-                step = _zero_step(problem.n, problem.m)
-                R_k = 0.0
-
-            norm_p = float(np.linalg.norm(qp.p))
-            norm_u = float(np.linalg.norm(step.u))
-            norm_dv = float(np.linalg.norm(dv))
-
-            if norm_dv == 0.0 and norm_u == 0.0:
-                # stationary for the current subproblem; only the parameter
-                # updates can make progress, so take the null step
-                alpha, accepted, ev_new, merit_new, backtracks = 1.0, it, ev, merit_here, 0
-            else:
-                try:
-                    ls = curvilinear_search(
-                        problem, it, merit_here, step, dv, state_F, N_k, R_k,
-                        config.j_max,
-                    )
-                except LineSearchFailure:
-                    ls = None
-                    if norm_u > 0.0:
-                        step = _zero_step(problem.n, problem.m)
-                        R_k = 0.0
-                        norm_u = 0.0
-                        try:
-                            ls = curvilinear_search(
-                                problem, it, merit_here, step, dv, state_F, N_k, 0.0,
-                                config.j_max,
-                            )
-                        except LineSearchFailure as exc:
-                            message = str(exc)
-                    else:
-                        message = "no acceptable step along the QP direction"
-                if ls is None:
-                    status = SolveStatus.LINE_SEARCH_FAILURE
-                    close(
-                        meas, label, 0.0, norm_p, norm_u, ratio_now, merit_here,
-                        ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
-                    )
-                    break
-                alpha, accepted, ev_new, merit_new, backtracks = (
-                    ls.alpha, ls.accepted, ls.ev, ls.merit_new, ls.j
+                step = _step(
+                    problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, config
                 )
 
-            if trace is not None:
-                trace.append(
-                    {
-                        "k": k,
-                        "previous": it,
-                        "accepted": accepted,
-                        "state": state_F,
-                        "alpha": alpha,
-                        "N_k": N_k,
-                        "R_k": R_k,
-                        "null_step": norm_dv == 0.0 and norm_u == 0.0,
-                    }
+            history.append(
+                IterationRecord(
+                    k=len(history),
+                    cls=label,
+                    eta=meas.eta,
+                    omega=meas.omega,
+                    phi_S=meas.phi_S,
+                    phi_L=meas.phi_L,
+                    mu=mu,
+                    mu_R=fstate.mu_R,
+                    tau=fstate.tau,
+                    alpha=step.alpha,
+                    norm_p=step.norm_p,
+                    norm_u=step.norm_u,
+                    curv_ratio=last_ratio,
+                    merit=merit_here,
+                    ws_size=ws.active.size,
+                    norm_dv=step.norm_dv,
+                    N_k=step.N_k,
+                    R_k=step.R_k,
+                    backtracks=step.backtracks,
+                    x=tuple(it.x.tolist()),
+                    y=tuple(it.y.tolist()),
+                    y_E=tuple(fstate.y_E.tolist()),
+                    merit_new=step.merit_new,
                 )
-
-            close(
-                meas, label, alpha, norm_p, norm_u, ratio_now, merit_here,
-                ws.active.size, norm_dv=norm_dv, N_k=N_k, R_k=R_k,
-                backtracks=backtracks,
             )
-            prev = dict(merit_new=merit_new, merit_old=merit_here, state=state_F,
-                        alpha=alpha, N_k=N_k, R_k=R_k)
-            it, ev = accepted, ev_new
-            k += 1
+            if step.status is not None:
+                status, message = step.status, step.message
+                break
+            it, ev = step.iterate, step.ev
     except (EvaluationError, FactorizationBreakdown) as exc:
         # the history keeps every record closed before the failure
         status = (
@@ -554,15 +575,10 @@ def solve(problem, v0=None, config=None, trace=None):
 def second_order_certificate(problem, iterate, mu, epsilon_a=1e-2):
     """Recompute the curvature test at a point, as used for termination.
 
-    Returns (ratio, working set, exists). An empty free set makes the
-    condition vacuous and reports ratio 0.
+    Runs the solver's own analysis with mu as both penalties. Returns
+    (ratio, working set, exists). An empty free set makes the condition
+    vacuous and reports ratio 0.
     """
     ev = evaluate(problem, iterate)
-    ws = estimate(iterate.x, mu, epsilon_a)
-    if ws.free.size == 0:
-        return 0.0, ws, False
-    factor = _free_factor(ev, ws, mu)
-    direction = extract_direction(factor, ws, H=ev.H, J=ev.J)
-    if not direction.exists:
-        return 0.0, ws, False
-    return direction.rayleigh, ws, True
+    ws, _, direction = _analyze(ev, iterate.x, mu, mu, SolverConfig(epsilon_a=epsilon_a))
+    return direction.rayleigh, ws, direction.exists

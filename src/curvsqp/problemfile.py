@@ -20,10 +20,11 @@ Hessians.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .driver import SolverConfig
 from .errors import ProblemFormatError
 from .model import NlpProblem
 
@@ -31,23 +32,8 @@ FORMAT_VERSION = 1
 
 _TOP_KEYS = {"format_version", "name", "n", "objective", "constraints", "start", "config"}
 _START_KEYS = {"x", "y"}
-# overridable solver settings; mirrors SolverConfig field names
-_CONFIG_KEYS = {
-    "tol_first": float,
-    "tol_second": float,
-    "tol_constraint": float,
-    "max_iterations": int,
-    "u_max": float,
-    "epsilon_a": float,
-    "nu": float,
-    "eta_S": float,
-    "alpha_min": float,
-    "margin": float,
-    "mu0": float,
-    "tau0": float,
-    "enable_curvature": bool,
-    "j_max": int,
-}
+# overridable solver settings: every SolverConfig field, with its type
+_CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)}
 
 
 @dataclass(frozen=True)
@@ -234,9 +220,9 @@ def parse_problem_file(text):
     if not isinstance(raw_cfg, dict):
         _fail("'config' must be an object")
     for key, value in raw_cfg.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             _fail(f"unknown config field '{key}'")
-        want = _CONFIG_KEYS[key]
+        want = _CONFIG_TYPES[key]
         if want is bool:
             if not isinstance(value, bool):
                 _fail(f"config.{key} must be a boolean")

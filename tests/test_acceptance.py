@@ -45,9 +45,8 @@ def solver_runs():
     runs = []
     for name, config, v0 in batches:
         problem = get_problem(name)
-        trace = []
-        result = solve(problem, v0=v0, config=config, trace=trace)
-        runs.append((problem, result, trace))
+        result = solve(problem, v0=v0, config=config)
+        runs.append((problem, config, result))
     return runs
 
 
@@ -82,7 +81,7 @@ def test_c03_extracted_direction_respects_the_eigenvalue_chain():
     seen = 0
     for H, J, mu in kkt_instances(103, 1000):
         factor = stage1_factorize(build_kkt(H, J, mu))
-        d = extract_direction(factor, _all_free(H.shape[0]))
+        d = extract_direction(factor, _all_free(H.shape[0]), H, J)
         if not (d.exists and d.rho > 1e-8):
             continue
         seen += 1
@@ -104,7 +103,7 @@ def test_c04_no_negative_curvature_goes_undetected():
         if eigen(B).lambda_min >= -1e-6:
             continue
         factor = stage1_factorize(build_kkt(H, J, mu))
-        d = extract_direction(factor, _all_free(H.shape[0]))
+        d = extract_direction(factor, _all_free(H.shape[0]), H, J)
         assert d.exists
         assert d.curvature_B < 0.0
         hits += 1
@@ -155,14 +154,24 @@ def test_c06_derivatives_match_finite_differences():
 def test_c07_every_accepted_step_satisfies_the_search_inequality(solver_runs):
     """Independent merit re-evaluation confirms each acceptance; zero violations."""
     checked = 0
-    for problem, _result, trace in solver_runs:
-        for entry in trace:
-            state = entry["state"]
-            prev, acc = entry["previous"], entry["accepted"]
+    for problem, config, result in solver_runs:
+        history = result.history
+        # a record's step lands on the next record's iterate, the last one
+        # on the result's
+        landed = [make_iterate(rec.x, rec.y) for rec in history[1:]] + [result.iterate]
+        for rec, acc in zip(history, landed):
+            if rec.alpha == 0.0:
+                continue  # the solve stopped at this record without a step
+            state = MeritState(
+                y_E=np.array(rec.y_E), mu=rec.mu, mu_R=rec.mu_R,
+                nu=config.nu, eta_S=config.eta_S, alpha_min=config.alpha_min,
+            )
+            prev = make_iterate(rec.x, rec.y)
             m_prev = merit_value(evaluate(problem, prev), prev, state)
             m_acc = merit_value(evaluate(problem, acc), acc, state)
-            a = entry["alpha"]
-            rhs = m_prev + a * a * state.eta_S * entry["N_k"] + a * state.eta_S * entry["R_k"]
+            assert m_acc == pytest.approx(rec.merit_new, rel=1e-12, abs=1e-12)
+            a = rec.alpha
+            rhs = m_prev + a * a * state.eta_S * rec.N_k + a * state.eta_S * rec.R_k
             assert m_acc <= rhs + 1e-12 * (1.0 + abs(m_prev))
             checked += 1
     assert checked > 10
@@ -170,7 +179,7 @@ def test_c07_every_accepted_step_satisfies_the_search_inequality(solver_runs):
 
 def test_c08_penalties_stay_ordered_and_halve_only_on_merit_iterates(solver_runs):
     """mu >= mu_R throughout; mu_R halves exactly on M-records, else unchanged."""
-    for _problem, result, _trace in solver_runs:
+    for _problem, _config, result in solver_runs:
         history = result.history
         for rec in history:
             assert rec.mu >= rec.mu_R

@@ -58,7 +58,7 @@ def test_measure_formulas_weigh_eta_and_omega():
         rayleigh=-2.0,
         rho=2.0,
     )
-    m = measures(ev, it, d, 1.0)
+    m = measures(ev, it, d)
     assert m.eta == pytest.approx(1.0)
     assert m.omega_first == 0.0
     assert m.curv_ratio == pytest.approx(-2.0)
@@ -76,7 +76,7 @@ def test_first_order_point_without_curvature_scores_zero_omega():
         H=np.eye(1),
     )
     it = make_iterate([1.0], [1.0])
-    m = measures(ev, it, None, 1.0)
+    m = measures(ev, it, no_direction(1, 1))
     assert m.omega_first == 0.0
     assert m.curv_ratio == 0.0
     assert m.omega == 0.0
@@ -91,9 +91,9 @@ def test_saddle_point_scores_nonoptimal_through_curvature():
     ev = evaluate(problem, it)
     ws = estimate(it.x, 1.0, 1e-2)
     factor = stage1_factorize(build_kkt(ev.H, ev.J, 1.0))
-    d = extract_direction(factor, ws)
+    d = extract_direction(factor, ws, ev.H, ev.J)
     assert d.exists
-    m = measures(ev, it, d, 1.0)
+    m = measures(ev, it, d)
     assert m.omega_first <= 1e-12
     assert -1.0 - 1e-12 <= m.curv_ratio < 0.0
     assert m.omega == pytest.approx(-m.curv_ratio)

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvsqp.driver as driver
 from curvsqp.cli import CSV_FIELDS, LOG_HEADER_COMMENT, main
-from curvsqp.errors import ProblemFormatError
+from curvsqp.driver import SolverConfig
+from curvsqp.errors import ProblemFormatError, QpFailure
 from curvsqp.model import check_derivatives, evaluate, make_iterate
 from curvsqp.problemfile import parse_problem_file
 from curvsqp.problems import get_problem
@@ -116,6 +119,28 @@ def test_breakdown_writes_its_log_and_report(tmp_path, capsys):
     assert doc["iterations"] == 3
     assert doc["message"] == message
     assert doc["eta"] is None
+
+
+def test_qp_failure_writes_its_log_and_report(tmp_path, monkeypatch, capsys):
+    real, calls = driver.solve_qp, []
+
+    def solve_qp(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise QpFailure("active set cycled")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_qp", solve_qp)
+    log, report = tmp_path / "log.csv", tmp_path / "report.json"
+    argv = ["solve", "saddle-line", "--log", str(log), "--report", str(report)]
+    assert main(argv) == 4
+    assert "active set cycled" in capsys.readouterr().err
+    rows = log.read_text().splitlines()[2:]
+    assert [int(row.split(",")[0]) for row in rows] == [0, 1]
+    doc = json.loads(report.read_text())
+    assert doc["status"] == "qp-failure"
+    assert doc["exit_code"] == 4
+    assert doc["message"] == "active set cycled"
 
 
 def test_failing_start_point_still_writes_a_strict_json_report(tmp_path, capsys):
@@ -271,6 +296,15 @@ def test_file_config_is_used_and_flags_win(tmp_path):
     assert main(["solve", path, "--max-iter", "200"]) == 0
 
 
+def test_file_config_takes_every_solver_setting(tmp_path):
+    doc = json.loads(json.dumps(BILINEAR))
+    doc["config"] = {"qp_tol": 1e-9}
+    assert main(["solve", _write(tmp_path, doc)]) == 0
+    doc["config"] = dataclasses.asdict(SolverConfig())
+    parsed = parse_problem_file(json.dumps(doc))
+    assert SolverConfig(**parsed.config) == SolverConfig()
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--mu0", "0"], ["--mu0", "nan"], ["--nu", "-1"], ["--tol1", "inf"], ["--max-iter", "-1"]],
@@ -282,7 +316,14 @@ def test_out_of_range_flag_is_a_format_error(flags, capsys):
 
 @pytest.mark.parametrize(
     "config",
-    [{"mu0": 0}, {"eta_S": 1.0}, {"alpha_min": 1.5}, {"j_max": -1}, {"margin": -0.5}],
+    [
+        {"mu0": 0},
+        {"eta_S": 1.0},
+        {"alpha_min": 1.5},
+        {"j_max": -1},
+        {"margin": -0.5},
+        {"qp_tol": 0},
+    ],
 )
 def test_out_of_range_file_config_is_a_format_error(tmp_path, capsys, config):
     doc = json.loads(json.dumps(BILINEAR))

@@ -29,7 +29,7 @@ def test_extract_hand_case_with_dual_rows():
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     J = np.array([[1.0, 1.0]])
     factor = _factor(H, J, 1.0)
-    d = extract_direction(factor, _all_free(2))
+    d = extract_direction(factor, _all_free(2), H, J)
     assert d.exists
     assert d.rho == pytest.approx(3.0)
     assert d.curvature_B == pytest.approx(-9.0, rel=1e-12)
@@ -44,8 +44,9 @@ def test_extract_hand_case_with_dual_rows():
 
 def test_extract_off_diagonal_pivot():
     H = np.array([[-1.0, 2.0], [2.0, -1.0]])
-    factor = _factor(H, np.zeros((0, 2)), 1.0)
-    d = extract_direction(factor, _all_free(2))
+    J = np.zeros((0, 2))
+    factor = _factor(H, J, 1.0)
+    d = extract_direction(factor, _all_free(2), H, J)
     assert d.exists
     assert d.rho == pytest.approx(2.0)
     assert d.pivot_indices == (0, 1)
@@ -57,8 +58,8 @@ def test_extract_off_diagonal_pivot():
 
 
 def test_extract_empty_schur_returns_nothing():
-    factor = _factor(np.diag([2.0, 3.0]), np.array([[1.0, 0.0]]), 0.5)
-    d = extract_direction(factor, _all_free(2))
+    H, J = np.diag([2.0, 3.0]), np.array([[1.0, 0.0]])
+    d = extract_direction(_factor(H, J, 0.5), _all_free(2), H, J)
     assert not d.exists
     np.testing.assert_array_equal(d.u_hat, np.zeros(2))
     np.testing.assert_array_equal(d.w_hat, np.zeros(1))
@@ -66,8 +67,8 @@ def test_extract_empty_schur_returns_nothing():
 
 
 def test_extract_ignores_roundoff_schur():
-    H = np.array([[-1e-15]])
-    d = extract_direction(_factor(H, np.zeros((0, 1)), 1.0), _all_free(1))
+    H, J = np.array([[-1e-15]]), np.zeros((0, 1))
+    d = extract_direction(_factor(H, J, 1.0), _all_free(1), H, J)
     assert not d.exists
 
 
@@ -98,7 +99,7 @@ def test_eigenvalue_chain_random_family():
     for H, J, mu in kkt_instances(42, 300):
         nf = H.shape[0]
         factor = _factor(H, J, mu)
-        d = extract_direction(factor, _all_free(nf))
+        d = extract_direction(factor, _all_free(nf), H, J)
         if not d.exists or d.rho <= 1e-8:
             continue
         seen += 1
@@ -121,7 +122,7 @@ def test_detection_power_random_family():
         nf = H.shape[0]
         B = H + (J.T @ J) / mu if J.shape[0] else H
         if eigen(B).lambda_min < -1e-6:
-            d = extract_direction(_factor(H, J, mu), _all_free(nf))
+            d = extract_direction(_factor(H, J, mu), _all_free(nf), H, J)
             assert d.exists and d.curvature_B < 0.0
 
 
@@ -216,7 +217,7 @@ def test_refresh_drops_direction_when_penalty_shrinks():
     H = np.array([[-1.0]])
     J = np.array([[1.0]])
     factor = _factor(H, J, 10.0)
-    d = extract_direction(factor, _all_free(1))
+    d = extract_direction(factor, _all_free(1), H, J)
     # u = sqrt(0.9) e1, so the form is 0.9 * (-1 + 1/mu)
     assert d.exists and d.curvature_B == pytest.approx(-0.81, rel=1e-12)
     assert d.rayleigh == pytest.approx(-0.9, rel=1e-12)

@@ -3,15 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import curvsqp.driver as driver
 from curvsqp.driver import (
     SolveStatus,
     SolverConfig,
     second_order_certificate,
     solve,
 )
-from curvsqp.errors import FactorizationBreakdown
-from curvsqp.merit import merit_value
-from curvsqp.model import NlpProblem, evaluate, make_iterate
+from curvsqp.errors import FactorizationBreakdown, QpFailure, QpInternalError
+from curvsqp.model import NlpProblem, make_iterate
 from curvsqp.problems import get_problem
 
 
@@ -167,10 +167,10 @@ def test_each_point_is_evaluated_once(name, points, hessians):
 
 def test_gradient_failing_at_rejected_trials_does_not_end_the_solve():
     base = _simplex_indefinite()
-    trace = []
-    reference = solve(base, trace=trace)
+    reference = solve(base)
     assert sum(rec.backtracks for rec in reference.history) > 0
-    kept = [base.x0] + [entry["accepted"].x for entry in trace]
+    # the start point and every accepted point, the last one included
+    kept = [rec.x for rec in reference.history]
 
     def gradient(x):
         if not any(np.array_equal(x, point) for point in kept):
@@ -334,21 +334,6 @@ def test_certificate_with_a_square_jacobian():
     assert ratio == 0.0
 
 
-def test_trace_lets_the_acceptance_inequality_be_rechecked():
-    for name in ("saddle-line", "cosine-saddle", "convex-qp"):
-        problem = get_problem(name)
-        trace = []
-        solve(problem, trace=trace)
-        assert trace
-        for entry in trace:
-            state = entry["state"]
-            m_prev = merit_value(evaluate(problem, entry["previous"]), entry["previous"], state)
-            m_acc = merit_value(evaluate(problem, entry["accepted"]), entry["accepted"], state)
-            a = entry["alpha"]
-            rhs = m_prev + a * a * state.eta_S * entry["N_k"] + a * state.eta_S * entry["R_k"]
-            assert m_acc <= rhs + 1e-10 * (1.0 + abs(m_prev))
-
-
 def test_history_bookkeeping():
     result = solve(get_problem("convex-qp"))
     for i, rec in enumerate(result.history):
@@ -462,3 +447,61 @@ def test_exit_code_table():
     assert SolveStatus.QP_FAILURE.exit_code == 4
     assert SolveStatus.EVALUATION_ERROR.exit_code == 4
     assert SolveStatus.FACTORIZATION_BREAKDOWN.exit_code == 4
+
+
+def test_search_falls_back_to_the_qp_step_when_the_arc_fails(monkeypatch):
+    # from near the maximum of cos x1 + 1.7 cos x2 the second iteration's
+    # search along the curvature arc fails; the retry along p alone is
+    # accepted
+    w = np.array([1.0, 1.7])
+    problem = _unconstrained(
+        "two-cosines",
+        lambda x: float(w @ np.cos(x)),
+        lambda x: -w * np.sin(x),
+        lambda x, y: np.diag(-w * np.cos(x)),
+        [6.26, 6.28],
+    )
+    searches = []  # [searched-from x, |u|, accepted] per call
+    real = driver.curvilinear_search
+
+    def curvilinear_search(problem, iterate, merit_old, step, *rest):
+        entry = [tuple(iterate.x.tolist()), float(np.linalg.norm(step.u)), False]
+        searches.append(entry)
+        out = real(problem, iterate, merit_old, step, *rest)
+        entry[2] = True
+        return out
+
+    monkeypatch.setattr(driver, "curvilinear_search", curvilinear_search)
+    result = solve(problem)
+    failed = [i for i, (_x, _u, accepted) in enumerate(searches) if not accepted]
+    assert len(failed) == 1
+    x, norm_u, _ = searches[failed[0]]
+    assert norm_u > 0.0
+    assert searches[failed[0] + 1] == [x, 0.0, True]
+    (record,) = [rec for rec in result.history if rec.x == x]
+    assert record.alpha > 0.0
+    assert record.norm_u == 0.0 and record.R_k == 0.0
+    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
+    assert result.iterations == 8
+    assert result.f == pytest.approx(-2.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("error", [QpFailure, QpInternalError])
+def test_qp_failure_keeps_the_history(monkeypatch, error):
+    reference = solve(get_problem("saddle-line"))
+    real, calls = driver.solve_qp, []
+
+    def solve_qp(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error("active set cycled")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_qp", solve_qp)
+    result = solve(get_problem("saddle-line"))
+    assert result.status is SolveStatus.QP_FAILURE
+    assert result.status.exit_code == 4
+    assert result.message == "active set cycled"
+    assert len(result.history) == 2
+    assert result.history[0] == reference.history[0]
+    assert result.history[1].alpha == 0.0

@@ -1,0 +1,73 @@
+"""The benchmark's span tracer still sees every solver call it patches.
+
+perfbench/spans.py swaps names in curvsqp.driver for wrappers. A name
+the driver bound before the swap would keep its original and report no
+calls, so each span's call count is pinned for the three built-ins.
+"""
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import curvsqp.driver as driver
+import curvsqp.merit as merit
+from curvsqp.problems import get_problem
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# span -> calls in one default solve; the solver loop's names first
+_LOOP = (
+    "workset.estimate", "factor.build_kkt", "factor.stage1", "factor.convexify",
+    "curvature.extract", "classify.measures", "model.evaluate",
+)
+_STEP = (
+    "classify.classify", "classify.update_state", "merit.penalty_update",
+    "curvature.orient", "curvature.scale", "qpstep.solve_qp", "merit.search",
+)
+
+
+def _counts(iterations, cholesky, callbacks):
+    counts = {name: iterations for name in _LOOP}
+    counts.update({name: iterations - 1 for name in _STEP})
+    counts.update({
+        "driver.solve": 1,
+        "driver.certify.cholesky": cholesky,
+        "callbacks": callbacks,
+    })
+    return counts
+
+
+EXPECTED = {
+    "saddle-line": _counts(5, 16, 26),
+    "cosine-saddle": _counts(6, 5, 32),
+    "convex-qp": _counts(8, 7, 40),
+}
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_tracer_counts_every_patched_call(name):
+    spans = _load_spans()
+    originals = {attr: getattr(driver, attr) for attr in spans._DRIVER_NAMES}
+    evaluate, cholesky = merit.evaluate, np.linalg.cholesky
+    tracer = spans.Tracer()
+    problem = tracer.traced_problem(get_problem(name))
+    restore = tracer.install()
+    try:
+        tracer.solve(driver.solve, problem)
+    finally:
+        restore()
+    assert Counter(span[0] for span in tracer.spans) == EXPECTED[name]
+    for attr, original in originals.items():
+        assert getattr(driver, attr) is original
+    assert merit.evaluate is evaluate
+    assert np.linalg.cholesky is cholesky
