@@ -171,6 +171,9 @@ class IterationRecord:
     N_k and R_k they rebuild the merit state of the search and let its
     acceptance inequality be checked again; the accepted point is the
     next record's (x, y), or the result's iterate after the last record.
+    theta is the certification shift of the step and cholesky_attempts
+    the factorizations its search made; both are 0 on a record that
+    made no step, and the next step's search starts at theta.
     """
 
     k: int
@@ -197,6 +200,8 @@ class IterationRecord:
     y: tuple
     y_E: tuple
     merit_new: float
+    theta: float
+    cholesky_attempts: int
 
     def csv_values(self):
         return (
@@ -266,33 +271,34 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
     return 0.5 * (H + H.T)
 
 
-def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
+def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     """Diagonal-bump G = H_tilde + (1/mu) J.T J until it admits Cholesky.
 
-    Returns the G factored and theta. The stage-1 shift certifies the
-    free block only; entries of the working set can still make the full
-    matrix indefinite, so their diagonals get the least bump theta on
-    the grid 0, s, 2s, 4s, ...
+    Returns the G factored, theta and the number of Cholesky attempts.
+    The stage-1 shift certifies the free block only; entries of the
+    working set can still make the full matrix indefinite, so their
+    diagonals get the least bump theta on the grid 0, s, 2s, 4s, ...
     (s = 1e-8 * (1 + h_scale), up to 1e18 * (1 + h_scale)) at which the
-    test factorization succeeds. theta = 0 is tried first and the rest
-    of the grid is bisected: at most 8 Cholesky attempts on the usual
-    88-point grid, where stepping through it takes one per point up to
-    the answer. Both find the same theta whenever success is monotone in
-    theta. Failure at the top of the grid means the free block itself is
-    bad, which the convexification is supposed to rule out.
+    test factorization succeeds.
+
+    The search starts at k0, the least grid point >= theta_prev (the
+    previous step's answer, clamped to the top of the grid). If grid[k0]
+    factors it gallops down to k0 - 1, k0 - 2, k0 - 4, ... (and 0) until
+    an attempt fails, otherwise up to k0 + 1, k0 + 2, k0 + 4, ... (and
+    the top) until one succeeds, then bisects the bracket: 2 attempts
+    when the answer has not moved, O(log |moved|) when it has. With
+    theta_prev = 0, theta = 0 is tried first and the rest of the grid is
+    bisected: at most 8 attempts on the usual 88-point grid. Every route
+    finds the theta of stepping through the grid one point at a time
+    whenever success is monotone in theta. Failure at the top of the
+    grid means the free block itself is bad, which the convexification
+    is supposed to rule out.
     """
     n = H_tilde.shape[0]
     if bump_rows.size == 0:
         bump_rows = np.arange(n)
     base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
     base = 0.5 * (base + base.T)
-
-    def factors(theta):
-        try:
-            np.linalg.cholesky(apply_shift(base, bump_rows, theta))
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
     # doubling is exact, so grid[i] = s * 2**(i - 1); a limit that
     # overflows to inf still ends the grid at the largest finite point
@@ -301,20 +307,52 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale):
     while theta <= limit and theta < np.inf:
         grid.append(theta)
         theta *= 2.0
-    # grid[lo] fails; grid[hi] is the least point known to factor, or
-    # one past the end
-    lo, hi = 0, len(grid)
-    if factors(0.0):
-        hi = 0
+    top = len(grid) - 1
+    attempts = 0
+    G = None
+
+    def factors(k):
+        # keeps the matrix of the least point found to factor in G
+        nonlocal attempts, G
+        attempts += 1
+        shifted = apply_shift(base, bump_rows, grid[k])
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+        G = shifted
+        return True
+
+    # grid[lo] fails (lo = -1 until a point is seen to); grid[hi] is the
+    # least point known to factor, or one past the end
+    k0 = min(int(np.searchsorted(grid, theta_prev)), top)
+    lo, hi = -1, len(grid)
+    if factors(k0):
+        hi, step = k0, 1
+        while hi > 0:
+            k = max(k0 - step, 0)
+            if not factors(k):
+                lo = k
+                break
+            hi, step = k, 2 * step
+    else:
+        lo, step = k0, 1
+        # from k0 = 0 the rest of the grid is bisected without galloping
+        while k0 > 0 and lo < top:
+            k = min(k0 + step, top)
+            if factors(k):
+                hi = k
+                break
+            lo, step = k, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if factors(grid[mid]):
+        if factors(mid):
             hi = mid
         else:
             lo = mid
     if hi == len(grid):
         raise QpInternalError("convexified Hessian cannot be made positive definite")
-    return apply_shift(base, bump_rows, grid[hi]), grid[hi]
+    return G, grid[hi], attempts
 
 
 def _analyze(ev, x, mu, mu_R, config):
@@ -356,6 +394,8 @@ class _Step:
     N_k: float = 0.0
     R_k: float = 0.0
     backtracks: int = 0
+    theta: float = 0.0
+    cholesky_attempts: int = 0
     status: SolveStatus = None
     message: str = ""
 
@@ -364,11 +404,13 @@ def _zero_step(n, m):
     return ScaledStep(u=np.zeros(n), w=np.zeros(m), beta=0.0)
 
 
-def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, config):
+def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, theta_prev,
+          config):
     """Certify, solve the QP, scale the curvature step and search.
 
     The QP in x runs on the convexified Hessian plus the penalty term,
-    certified positive definite; the dual step is closed-form. The
+    certified positive definite by a shift search that starts at the
+    previous step's shift theta_prev; the dual step is closed-form. The
     search tries the curvilinear path along (u, p) and, when that fails,
     the QP step (0, p) alone. A QP or search failure returns a step
     that stays at it with the matching status.
@@ -380,11 +422,15 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, con
         H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
     h_scale = float(np.max(np.abs(ev.H), initial=0.0))
     grad_p, constant = condense(ev, it, state_R)
+    theta, attempts = 0.0, 0
     try:
-        G, _ = _certified_hessian(H_tilde, ev.J, fstate.mu_R, ws.active, h_scale)
+        G, theta, attempts = _certified_hessian(
+            H_tilde, ev.J, fstate.mu_R, ws.active, h_scale, theta_prev
+        )
         qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
     except (QpFailure, QpInternalError) as exc:
-        return _Step(it, ev, merit_here, status=SolveStatus.QP_FAILURE, message=str(exc))
+        return _Step(it, ev, merit_here, theta=theta, cholesky_attempts=attempts,
+                     status=SolveStatus.QP_FAILURE, message=str(exc))
     dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
     N_k = min(qp.model_decrease + constant, 0.0)
     norm_p = float(np.linalg.norm(qp.p))
@@ -404,7 +450,7 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, con
         # stationary for the current subproblem; only the parameter
         # updates can make progress, so take the null step
         return _Step(it, ev, merit_here, alpha=1.0, norm_p=norm_p, norm_dv=norm_dv,
-                     N_k=N_k, R_k=R_k)
+                     N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts)
     # the path along (u, p) first; when it fails, the QP step (0, p) alone
     tries = [(step, R_k)]
     if norm_u > 0.0:
@@ -419,10 +465,12 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, con
             failure = exc
             continue
         return _Step(ls.accepted, ls.ev, ls.merit_new, alpha=ls.alpha, norm_p=norm_p,
-                     norm_u=norm_u, norm_dv=norm_dv, N_k=N_k, R_k=R_k, backtracks=ls.j)
+                     norm_u=norm_u, norm_dv=norm_dv, N_k=N_k, R_k=R_k, backtracks=ls.j,
+                     theta=theta, cholesky_attempts=attempts)
     message = str(failure) if len(tries) > 1 else "no acceptable step along the QP direction"
     return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
-                 N_k=N_k, R_k=R_k, status=SolveStatus.LINE_SEARCH_FAILURE, message=message)
+                 N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts,
+                 status=SolveStatus.LINE_SEARCH_FAILURE, message=message)
 
 
 def solve(problem, v0=None, config=None):
@@ -513,8 +561,11 @@ def solve(problem, v0=None, config=None):
                     message="iteration limit reached before the optimality tests passed",
                 )
             else:
+                # the certification search starts at the previous step's shift
+                theta_prev = history[-1].theta if history else 0.0
                 step = _step(
-                    problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, config
+                    problem, ev, it, ws, conv, direction, fstate, state_F, merit_here,
+                    theta_prev, config,
                 )
 
             history.append(
@@ -542,6 +593,8 @@ def solve(problem, v0=None, config=None):
                     y=tuple(it.y.tolist()),
                     y_E=tuple(fstate.y_E.tolist()),
                     merit_new=step.merit_new,
+                    theta=step.theta,
+                    cholesky_attempts=step.cholesky_attempts,
                 )
             )
             if step.status is not None:

@@ -53,11 +53,25 @@ def _grid_length(h_scale):
     return length
 
 
+def _grid_point(i, h_scale):
+    return 0.0 if i == 0 else 1e-8 * (1.0 + h_scale) * 2.0 ** (i - 1)
+
+
+def _starts(answer, h_scale):
+    """Starting shifts around the answer's grid index, and the extremes."""
+    top = _grid_length(h_scale) - 1
+    starts = [_grid_point(answer + d, h_scale) for d in range(-3, 4) if 0 <= answer + d <= top]
+    # between two grid points, as when the previous step's grid differed
+    if answer >= 2:
+        starts.append(0.75 * _grid_point(answer, h_scale))
+    return starts + [0.0, _grid_point(top, h_scale), 4.0 * _grid_point(top, h_scale)]
+
+
 def test_certification_matches_the_reference():
     indices = []
     empty_bumps = 0
     for H, J, mu, bump, h_scale in certify_instances(41, 300):
-        H_used, theta = _certified_hessian(H, J, mu, bump, h_scale)
+        H_used, theta, _ = _certified_hessian(H, J, mu, bump, h_scale)
         H_ref, theta_ref = certify_reference(H, J, mu, bump, h_scale)
         assert theta == theta_ref
         assert H_used.dtype == H_ref.dtype and H_used.shape == H_ref.shape
@@ -71,13 +85,25 @@ def test_certification_matches_the_reference():
     assert empty_bumps > 0
 
 
+def test_seeded_certification_matches_the_reference_from_every_start():
+    for H, J, mu, bump, h_scale in certify_instances(41, 300):
+        H_ref, theta_ref = certify_reference(H, J, mu, bump, h_scale)
+        for start in _starts(_grid_index(theta_ref, h_scale), h_scale):
+            H_used, theta, _ = _certified_hessian(H, J, mu, bump, h_scale, start)
+            assert theta == theta_ref, start
+            assert H_used.dtype == H_ref.dtype and H_used.shape == H_ref.shape
+            assert H_used.tobytes() == H_ref.tobytes(), start
+
+
 def test_unfixable_free_block_raises_on_both_routes():
     # the non-bumped row is negative definite, so no bump on row 1 helps
     H = np.array([[-1.0, 0.0], [0.0, 1.0]])
     J = np.zeros((0, 2))
     bump = np.array([1])
-    with pytest.raises(QpInternalError):
-        _certified_hessian(H, J, 1.0, bump, 1.0)
+    top = _grid_length(1.0) - 1
+    for start in (0.0, 1.0, _grid_point(top, 1.0), 4.0 * _grid_point(top, 1.0)):
+        with pytest.raises(QpInternalError):
+            _certified_hessian(H, J, 1.0, bump, 1.0, start)
     with pytest.raises(QpInternalError):
         certify_reference(H, J, 1.0, bump, 1.0)
 
@@ -98,9 +124,18 @@ def test_certification_bisects_the_grid(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     _, theta_ref = certify_reference(H, J, 1.0, bump, 1.0)
     linear = len(attempts)
-    attempts.clear()
-    _, theta = _certified_hessian(H, J, 1.0, bump, 1.0)
-    assert theta == theta_ref
-    assert 30 <= _grid_index(theta, 1.0) <= 34
-    assert linear == _grid_index(theta, 1.0) + 1
-    assert len(attempts) <= int(np.ceil(np.log2(_grid_length(1.0)))) + 1
+    answer = _grid_index(theta_ref, 1.0)
+    assert 30 <= answer <= 34
+    assert linear == answer + 1
+
+    def count(start=0.0):
+        attempts.clear()
+        _, theta, reported = _certified_hessian(H, J, 1.0, bump, 1.0, start)
+        assert theta == theta_ref
+        assert reported == len(attempts)
+        return len(attempts)
+
+    assert count() <= int(np.ceil(np.log2(_grid_length(1.0)))) + 1
+    assert count(_grid_point(answer, 1.0)) == 2
+    assert count(_grid_point(answer - 1, 1.0)) <= 3
+    assert count(_grid_point(answer + 1, 1.0)) <= 3

@@ -12,6 +12,7 @@ from curvsqp.driver import (
 )
 from curvsqp.errors import FactorizationBreakdown, QpFailure, QpInternalError
 from curvsqp.model import NlpProblem, make_iterate
+from curvsqp.oracle import certify_reference
 from curvsqp.problems import get_problem
 
 
@@ -163,6 +164,40 @@ def test_each_point_is_evaluated_once(name, points, hessians):
     curvature_steps = sum(1 for rec in result.history if rec.norm_u > 0.0)
     assert calls["hessian"] == 1 + len(stepped) + (curvature_steps if base.m else 0)
     assert (calls["objective"], calls["hessian"]) == (points, hessians)
+
+
+@pytest.mark.parametrize(
+    "name", ["convex-qp", "cosine-saddle", "saddle-line", "simplex-indefinite"]
+)
+def test_seeded_certification_changes_no_record(name, monkeypatch):
+    problem = _problem(name)
+    certify = driver._certified_hessian
+    references = []
+
+    def recorded(H_tilde, J, mu, bump_rows, h_scale, theta_prev):
+        references.append(certify_reference(H_tilde, J, mu, bump_rows, h_scale)[1])
+        return certify(H_tilde, J, mu, bump_rows, h_scale, theta_prev)
+
+    monkeypatch.setattr(driver, "_certified_hessian", recorded)
+    seeded = solve(problem)
+    # the same solve with every search started from theta = 0
+    monkeypatch.setattr(driver, "_certified_hessian", lambda *args: certify(*args[:5]))
+    unseeded = solve(problem)
+
+    def uncounted(history):
+        return [dataclasses.replace(rec, cholesky_attempts=0) for rec in history]
+
+    assert seeded.status is unseeded.status is SolveStatus.SECOND_ORDER_OPTIMAL
+    assert uncounted(seeded.history) == uncounted(unseeded.history)
+    np.testing.assert_array_equal(seeded.iterate.x, unseeded.iterate.x)
+    # one certification per step, in record order; the last record made none
+    made = len(seeded.history) - 1
+    assert len(references) == made
+    assert [rec.theta for rec in seeded.history[:made]] == references
+    assert all(rec.cholesky_attempts > 0 for rec in seeded.history[:made])
+    assert (seeded.history[-1].theta, seeded.history[-1].cholesky_attempts) == (0.0, 0)
+    attempts = [sum(rec.cholesky_attempts for rec in r.history) for r in (seeded, unseeded)]
+    assert attempts[0] <= attempts[1]
 
 
 def test_gradient_failing_at_rejected_trials_does_not_end_the_solve():

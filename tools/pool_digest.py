@@ -1,0 +1,125 @@
+"""Bit-identity digest of the benchmark pools.
+
+    python3 tools/pool_digest.py --out digest.json
+    python3 tools/pool_digest.py --src ../other/src --out other.json
+    python3 tools/pool_digest.py --compare digest.json other.json
+
+Solves every instance of the three benchmark pools (perfbench/families.py,
+drawn from perfbench/run.py's POOL_SEED, in generation order) and writes
+one SHA-256 per instance over the status, message, iteration count,
+final x, y and f, and every field of every IterationRecord. Floats are
+hashed through repr, which round-trips exactly, so two digests agree
+only when the solves agree bit for bit. --omit leaves named record
+fields out, for comparing against a version that lacks them or whose
+work counters are meant to change. curvsqp is imported from --src
+(default: this checkout's src); perfbench is only imported, never
+changed. --compare lists the instances whose digests differ and exits
+with status 1 when there are any.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _canonical(value):
+    """Text that determines value bit for bit (floats through repr)."""
+    if hasattr(value, "tolist"):
+        return repr((str(value.dtype), value.shape, value.tolist()))
+    if hasattr(value, "value"):  # an Enum
+        return repr(value.value)
+    return repr(value)
+
+
+def digest(result, omit=()):
+    """SHA-256 of one SolveResult, leaving the record fields in omit out."""
+    h = hashlib.sha256()
+    for part in (result.status, result.message, result.iterations,
+                 result.iterate.x, result.iterate.y, result.f):
+        h.update(_canonical(part).encode())
+        h.update(b"\0")
+    for rec in result.history:
+        for f in dataclasses.fields(rec):
+            if f.name not in omit:
+                h.update(f"{f.name}={_canonical(getattr(rec, f.name))}\0".encode())
+    return h.hexdigest()
+
+
+def pool_digests(src, omit=()):
+    """{"workload/index": sha256} over the three pools."""
+    # the benchmark's settings: one BLAS thread, set before numpy loads
+    import run
+
+    sys.path.insert(0, src)
+    import curvsqp
+    import families
+    import numpy as np
+
+    out = {}
+    for workload, (gen_name, count) in run.WORKLOADS.items():
+        rng = np.random.default_rng(run.POOL_SEED)
+        gen = getattr(families, gen_name)
+        for i in range(count):
+            inst = gen(rng)
+            if workload == "poly-file":
+                inst = families.parse_instance(inst)
+            result = curvsqp.solve(inst.problem, inst.v0, inst.config)
+            out[f"{workload}/{i:02d}"] = digest(result, omit)
+    return out
+
+
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def compare(a, b):
+    """Keys whose digests differ or that only one side has."""
+    return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--out", help="write the digests here (default: stdout)")
+    parser.add_argument("--omit", action="append", default=[], metavar="FIELD",
+                        help="leave this IterationRecord field out (repeatable)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+
+    if args.compare:
+        a, b = (_load(path) for path in args.compare)
+        if a["omit"] != b["omit"]:
+            parser.error(f"the digests omit different fields: {a['omit']} and {b['omit']}")
+        a, b = a["instances"], b["instances"]
+        differ = compare(a, b)
+        for key in differ:
+            print(key)
+        print(f"{len(differ)} of {len(set(a) | set(b))} instances differ")
+        return 1 if differ else 0
+
+    sys.path.insert(0, PERFBENCH)
+    # the diverging poly-file solves overflow on their way to a status
+    warnings.simplefilter("ignore", RuntimeWarning)
+    doc = {
+        "omit": sorted(args.omit),
+        "instances": pool_digests(os.path.abspath(args.src), set(args.omit)),
+    }
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
