@@ -9,7 +9,9 @@ active-set method, and on the stacked merit model (merit_hessian, with
 its unbounded dual entries) for the condensed step the driver takes.
 The scalar-loop stage-1 elimination and the one-step-at-a-time
 certification search are the references for the vectorized elimination
-in factor and the driver's bisection; each pair must agree bit for bit.
+in factor and the driver's bisection, and the per-monomial polynomial
+loop is the reference for problemfile's monomial tables; each pair must
+agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -301,6 +303,43 @@ def stage1_reference(A, L, perm, ptype, psize, nh, tiny):
             status = 1
             break
     return k, npiv, status
+
+
+def polynomial_reference(coeffs, expos, x):
+    """Value, gradient and Hessian of sum_t coeffs[t] * prod(x ** expos[t]).
+
+    The reference for problemfile's monomial tables: one np.prod per
+    monomial and per derivative entry, accumulated term by term into
+    each entry in the order the tables' scatter reproduces.
+    """
+    n = expos.shape[1]
+    total = 0.0
+    for c, e in zip(coeffs, expos):
+        total += c * float(np.prod(x**e))
+    g = np.zeros(n)
+    for c, e in zip(coeffs, expos):
+        for j in np.flatnonzero(e):
+            ej = e.copy()
+            ej[j] -= 1
+            g[j] += c * e[j] * float(np.prod(x**ej))
+    H = np.zeros((n, n))
+    for c, e in zip(coeffs, expos):
+        nz = np.flatnonzero(e)
+        for j in nz:
+            if e[j] >= 2:
+                ejj = e.copy()
+                ejj[j] -= 2
+                H[j, j] += c * e[j] * (e[j] - 1) * float(np.prod(x**ejj))
+            for l in nz:
+                if l <= j:
+                    continue
+                ejl = e.copy()
+                ejl[j] -= 1
+                ejl[l] -= 1
+                val = c * e[j] * e[l] * float(np.prod(x**ejl))
+                H[j, l] += val
+                H[l, j] += val
+    return float(total), g, H
 
 
 def certify_reference(H_tilde, J, mu, bump_rows, h_scale):

@@ -16,11 +16,14 @@ rejected so typos fail loudly instead of silently running defaults.
 objective and each constraint are monomial term lists [coefficient,
 exponent-vector]; derivatives are generated analytically from the
 exponents, so parsed problems have exact gradients, Jacobians, and
-Hessians.
+Hessians. Each callback evaluates a precompiled monomial table in one
+numpy pass.
 """
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +37,64 @@ _TOP_KEYS = {"format_version", "name", "n", "objective", "constraints", "start",
 _START_KEYS = {"x", "y"}
 # overridable solver settings: every SolverConfig field, with its type
 _CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)}
+# the monomial tables hold exponents as int64
+_MAX_EXPONENT = np.iinfo(np.int64).max
+_NO_ENTRIES = np.zeros(0, dtype=np.intp)
+
+
+class MonomialTable(NamedTuple):
+    """Sum of coef[k] * prod(x ** expos[k]) scattered into out[index[k]].
+
+    One row per monomial of a value or of a derivative entry; calling
+    the table evaluates every row in one numpy pass and adds the rows
+    into a flat output of length size in row order, so each entry
+    accumulates its terms in the order the rows were listed. A Hessian
+    table fills its upper triangle and then copies out[mirror_from]
+    into out[mirror_to], the transposed positions.
+    """
+
+    coef: np.ndarray
+    expos: np.ndarray
+    index: np.ndarray
+    size: int
+    mirror_from: np.ndarray = _NO_ENTRIES
+    mirror_to: np.ndarray = _NO_ENTRIES
+
+    def __call__(self, x):
+        terms = self.coef * np.multiply.reduce(x**self.expos, axis=1)
+        # bincount adds its weights one at a time in index order
+        out = np.bincount(self.index, weights=terms, minlength=self.size)
+        out[self.mirror_to] = out[self.mirror_from]
+        return out
+
+
+def _stack(tables):
+    """One table whose output is the outputs of tables end to end."""
+    offsets = np.cumsum([0] + [t.size for t in tables])
+
+    def joined(field):
+        return np.concatenate([getattr(t, field) + o for t, o in zip(tables, offsets)])
+
+    return MonomialTable(
+        coef=np.concatenate([t.coef for t in tables]),
+        expos=np.concatenate([t.expos for t in tables]),
+        index=joined("index"),
+        size=int(offsets[-1]),
+        mirror_from=joined("mirror_from"),
+        mirror_to=joined("mirror_to"),
+    )
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sum of monomials c * prod(x_i ** e_i) with exact derivatives."""
+    """Sum of monomials c * prod(x_i ** e_i) with exact derivatives.
+
+    The value, gradient and Hessian are monomial tables. Their rows
+    come from np.nonzero over the exponents, which lists (term, j) and
+    (term, j, l) in term-major order, so every entry sums its terms in
+    the order of oracle.polynomial_reference and matches it bit for
+    bit. The derivative tables are built on first use.
+    """
 
     coeffs: np.ndarray
     expos: np.ndarray
@@ -47,40 +103,49 @@ class Polynomial:
     def n(self):
         return self.expos.shape[1]
 
+    @cached_property
+    def value_table(self):
+        index = np.zeros(len(self.coeffs), dtype=np.intp)
+        return MonomialTable(self.coeffs, self.expos, index, 1)
+
+    @cached_property
+    def gradient_table(self):
+        t, j = np.nonzero(self.expos)
+        expos = self.expos[t]
+        expos[np.arange(t.size), j] -= 1
+        return MonomialTable(self.coeffs[t] * self.expos[t, j], expos, j, self.n)
+
+    @cached_property
+    def hessian_table(self):
+        """Rows for the diagonal (e_j >= 2) and the upper triangle (j < l)."""
+        E = self.expos
+        j_idx, l_idx = np.arange(self.n)[:, None], np.arange(self.n)
+        pair = np.where(j_idx == l_idx, E[:, :, None] >= 2, j_idx < l_idx)
+        t, j, l = np.nonzero(pair & (E[:, :, None] > 0) & (E[:, None, :] > 0))
+        rows = np.arange(t.size)
+        expos = E[t]
+        expos[rows, j] -= 1
+        expos[rows, l] -= 1
+        # (c * e_j) * (e_j - 1) on the diagonal, (c * e_j) * e_l above it
+        coef = (self.coeffs[t] * E[t, j]) * (E[t, l] - (j == l))
+        index, upper = j * self.n + l, j < l
+        return MonomialTable(
+            coef,
+            expos,
+            index,
+            self.n * self.n,
+            mirror_from=index[upper],
+            mirror_to=(l * self.n + j)[upper],
+        )
+
     def value(self, x):
-        total = 0.0
-        for c, e in zip(self.coeffs, self.expos):
-            total += c * float(np.prod(x**e))
-        return float(total)
+        return float(self.value_table(x)[0])
 
     def gradient(self, x):
-        g = np.zeros(self.n)
-        for c, e in zip(self.coeffs, self.expos):
-            for j in np.flatnonzero(e):
-                ej = e.copy()
-                ej[j] -= 1
-                g[j] += c * e[j] * float(np.prod(x**ej))
-        return g
+        return self.gradient_table(x)
 
     def hessian(self, x):
-        H = np.zeros((self.n, self.n))
-        for c, e in zip(self.coeffs, self.expos):
-            nz = np.flatnonzero(e)
-            for j in nz:
-                if e[j] >= 2:
-                    ejj = e.copy()
-                    ejj[j] -= 2
-                    H[j, j] += c * e[j] * (e[j] - 1) * float(np.prod(x**ejj))
-                for l in nz:
-                    if l <= j:
-                        continue
-                    ejl = e.copy()
-                    ejl[j] -= 1
-                    ejl[l] -= 1
-                    val = c * e[j] * e[l] * float(np.prod(x**ejl))
-                    H[j, l] += val
-                    H[l, j] += val
-        return H
+        return self.hessian_table(x).reshape(self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -119,8 +184,8 @@ def _parse_terms(raw, n, where):
             _fail(f"{label}: exponent vector must have length n={n}")
         row = []
         for i, e in enumerate(evec):
-            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                _fail(f"{label}: exponent {i} must be a nonnegative integer")
+            if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e <= _MAX_EXPONENT:
+                _fail(f"{label}: exponent {i} must be a nonnegative integer below 2**63")
             row.append(e)
         expos.append(row)
     return Polynomial(
@@ -129,35 +194,58 @@ def _parse_terms(raw, n, where):
     )
 
 
-def build_polynomial_problem(name, objective, constraint_polys, n):
-    """Assemble an NlpProblem from parsed polynomials."""
-    m = len(constraint_polys)
+class _PolynomialCallbacks:
+    """NlpProblem callbacks over stacked tables: one numpy pass each."""
 
-    def c_fun(x):
-        if m == 0:
+    def __init__(self, objective, constraint_polys, n):
+        self.objective = objective
+        self.constraint_polys = constraint_polys
+        self.n = n
+        self.m = len(constraint_polys)
+
+    @cached_property
+    def _constraint_table(self):
+        return _stack([p.value_table for p in self.constraint_polys])
+
+    @cached_property
+    def _jacobian_table(self):
+        return _stack([p.gradient_table for p in self.constraint_polys])
+
+    @cached_property
+    def _hessian_table(self):
+        polys = [self.objective, *self.constraint_polys]
+        return _stack([p.hessian_table for p in polys])
+
+    def constraints(self, x):
+        if self.m == 0:
             return np.zeros(0)
-        return np.array([p.value(x) for p in constraint_polys])
+        return self._constraint_table(x)
 
-    def jac(x):
-        if m == 0:
-            return np.zeros((0, n))
-        return np.vstack([p.gradient(x) for p in constraint_polys])
+    def jacobian(self, x):
+        if self.m == 0:
+            return np.zeros((0, self.n))
+        return self._jacobian_table(x).reshape(self.m, self.n)
 
-    def hess(x, y):
-        H = objective.hessian(x)
-        for yi, p in zip(y, constraint_polys):
-            H = H + yi * p.hessian(x)
+    def hessian(self, x, y):
+        stack = self._hessian_table(x).reshape(-1, self.n, self.n)
+        H = stack[0]
+        for yi, Hi in zip(y, stack[1:]):
+            H = H + yi * Hi
         return H
 
+
+def build_polynomial_problem(name, objective, constraint_polys, n):
+    """Assemble an NlpProblem from parsed polynomials."""
+    calls = _PolynomialCallbacks(objective, constraint_polys, n)
     return NlpProblem(
         name=name,
         n=n,
-        m=m,
+        m=calls.m,
         objective=objective.value,
         gradient=objective.gradient,
-        constraints=c_fun,
-        jacobian=jac,
-        hessian=hess,
+        constraints=calls.constraints,
+        jacobian=calls.jacobian,
+        hessian=calls.hessian,
     )
 
 

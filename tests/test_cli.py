@@ -254,6 +254,33 @@ def test_parsed_derivatives_are_exact():
     assert report.max_error <= 1e-6
 
 
+def test_parsed_constraint_hessians_are_exact():
+    # at y = 0 the constraint Hessians drop out of the Lagrangian; here
+    # three constraints with squares, cubes and mixed terms carry weight
+    rng = np.random.default_rng(5)
+    n, m = 4, 3
+
+    def terms(count):
+        return [
+            [float(rng.standard_normal()), [int(e) for e in rng.integers(0, 4, n)]]
+            for _ in range(count)
+        ]
+
+    for _ in range(5):
+        doc = {
+            "format_version": 1,
+            "name": "random-constraints",
+            "n": n,
+            "objective": terms(4),
+            "constraints": [terms(5) for _ in range(m)],
+            "start": {"x": rng.uniform(0.5, 1.5, n).tolist(), "y": [0.0] * m},
+        }
+        parsed = parse_problem_file(json.dumps(doc))
+        y = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
+        report = check_derivatives(parsed.problem, parsed.x0, y)
+        assert report.max_error <= 1e-6
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -262,6 +289,8 @@ def test_parsed_derivatives_are_exact():
         (lambda d: d.pop("objective"), "missing required"),
         (lambda d: d.update(objective=[[1.0, [1, 1, 1]]]), "length n=2"),
         (lambda d: d.update(objective=[[1.0, [1, -1]]]), "nonnegative integer"),
+        (lambda d: d.update(objective=[[1.0, [2**70, 1]]]), "below 2\\*\\*63"),
+        (lambda d: d.update(objective=[[1.0, [2**63, 1]]]), "below 2\\*\\*63"),
         (lambda d: d.update(objective=[[True, [1, 1]]]), "expected a number"),
         (lambda d: d.update(objective=[[1e999, [1, 1]]]), "finite"),
         (lambda d: d["start"].update(x=[1.0]), "length n=2"),
@@ -286,6 +315,13 @@ def test_schema_violation_through_the_cli(tmp_path, capsys):
     doc["config"] = {"mystery": 1.0}
     assert main(["solve", _write(tmp_path, doc)]) == 1
     assert "unknown config" in capsys.readouterr().err
+
+
+def test_huge_exponent_is_a_format_error_through_the_cli(tmp_path, capsys):
+    doc = json.loads(json.dumps(BILINEAR))
+    doc["objective"] = [[1.0, [2**70, 1]]]
+    assert main(["solve", _write(tmp_path, doc)]) == 1
+    assert "exponent 0 must be a nonnegative integer below 2**63" in capsys.readouterr().err
 
 
 def test_file_config_is_used_and_flags_win(tmp_path):
