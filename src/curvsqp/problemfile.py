@@ -68,23 +68,6 @@ class MonomialTable(NamedTuple):
         return out
 
 
-def _stack(tables):
-    """One table whose output is the outputs of tables end to end."""
-    offsets = np.cumsum([0] + [t.size for t in tables])
-
-    def joined(field):
-        return np.concatenate([getattr(t, field) + o for t, o in zip(tables, offsets)])
-
-    return MonomialTable(
-        coef=np.concatenate([t.coef for t in tables]),
-        expos=np.concatenate([t.expos for t in tables]),
-        index=joined("index"),
-        size=int(offsets[-1]),
-        mirror_from=joined("mirror_from"),
-        mirror_to=joined("mirror_to"),
-    )
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Sum of monomials c * prod(x_i ** e_i) with exact derivatives.
@@ -117,11 +100,17 @@ class Polynomial:
 
     @cached_property
     def hessian_table(self):
-        """Rows for the diagonal (e_j >= 2) and the upper triangle (j < l)."""
+        """Rows for the diagonal (e_j >= 2) and the upper triangle (j < l).
+
+        Each gradient row (t, j) is paired with the l >= j it reaches, so
+        the masks take one entry per gradient row and variable.
+        """
         E = self.expos
-        j_idx, l_idx = np.arange(self.n)[:, None], np.arange(self.n)
-        pair = np.where(j_idx == l_idx, E[:, :, None] >= 2, j_idx < l_idx)
-        t, j, l = np.nonzero(pair & (E[:, :, None] > 0) & (E[:, None, :] > 0))
+        t, j = np.nonzero(E)
+        cols = np.arange(self.n)
+        reach = (cols > j[:, None]) | ((cols == j[:, None]) & (E[t, j] >= 2)[:, None])
+        r, l = np.nonzero(reach & (E[t] > 0))
+        t, j = t[r], j[r]
         rows = np.arange(t.size)
         expos = E[t]
         expos[rows, j] -= 1
@@ -194,58 +183,35 @@ def _parse_terms(raw, n, where):
     )
 
 
-class _PolynomialCallbacks:
-    """NlpProblem callbacks over stacked tables: one numpy pass each."""
-
-    def __init__(self, objective, constraint_polys, n):
-        self.objective = objective
-        self.constraint_polys = constraint_polys
-        self.n = n
-        self.m = len(constraint_polys)
-
-    @cached_property
-    def _constraint_table(self):
-        return _stack([p.value_table for p in self.constraint_polys])
-
-    @cached_property
-    def _jacobian_table(self):
-        return _stack([p.gradient_table for p in self.constraint_polys])
-
-    @cached_property
-    def _hessian_table(self):
-        polys = [self.objective, *self.constraint_polys]
-        return _stack([p.hessian_table for p in polys])
-
-    def constraints(self, x):
-        if self.m == 0:
-            return np.zeros(0)
-        return self._constraint_table(x)
-
-    def jacobian(self, x):
-        if self.m == 0:
-            return np.zeros((0, self.n))
-        return self._jacobian_table(x).reshape(self.m, self.n)
-
-    def hessian(self, x, y):
-        stack = self._hessian_table(x).reshape(-1, self.n, self.n)
-        H = stack[0]
-        for yi, Hi in zip(y, stack[1:]):
-            H = H + yi * Hi
-        return H
-
-
 def build_polynomial_problem(name, objective, constraint_polys, n):
     """Assemble an NlpProblem from parsed polynomials."""
-    calls = _PolynomialCallbacks(objective, constraint_polys, n)
+    m = len(constraint_polys)
+
+    def c_fun(x):
+        if m == 0:
+            return np.zeros(0)
+        return np.array([p.value(x) for p in constraint_polys])
+
+    def jac(x):
+        if m == 0:
+            return np.zeros((0, n))
+        return np.vstack([p.gradient(x) for p in constraint_polys])
+
+    def hess(x, y):
+        H = objective.hessian(x)
+        for yi, p in zip(y, constraint_polys):
+            H = H + yi * p.hessian(x)
+        return H
+
     return NlpProblem(
         name=name,
         n=n,
-        m=calls.m,
+        m=m,
         objective=objective.value,
         gradient=objective.gradient,
-        constraints=calls.constraints,
-        jacobian=calls.jacobian,
-        hessian=calls.hessian,
+        constraints=c_fun,
+        jacobian=jac,
+        hessian=hess,
     )
 
 

@@ -64,7 +64,7 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         at_minimizer = float(np.max(np.abs(r[f_idx]), initial=0.0)) <= scale
         if not at_minimizer:
             try:
-                d_f = np.linalg.solve(G.take(f_idx, 0).take(f_idx, 1), -r[f_idx])
+                d_f = np.linalg.solve(G[np.ix_(f_idx, f_idx)], -r[f_idx])
             except np.linalg.LinAlgError as exc:
                 raise QpInternalError(
                     "singular reduced Hessian in a working-set subproblem"

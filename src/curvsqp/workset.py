@@ -34,7 +34,7 @@ def estimate(x, mu, epsilon_a=1e-2):
 
 def restrict_principal(A, ws):
     """Principal submatrix of A on the free variables (a Hessian block)."""
-    return np.asarray(A).take(ws.free, 0).take(ws.free, 1)
+    return np.asarray(A)[np.ix_(ws.free, ws.free)]
 
 
 def restrict_columns(A, ws):

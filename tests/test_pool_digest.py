@@ -2,11 +2,9 @@
 
 import dataclasses
 import importlib.util
-import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from curvsqp.driver import solve
 from curvsqp.problems import get_problem
@@ -45,26 +43,3 @@ def test_digest_sees_every_record_field_it_does_not_omit():
     b = {"saddle-line/00": tool.digest(moved), "cosine-saddle/00": "y"}
     assert tool.compare(a, b) == ["convex-qp/00", "cosine-saddle/00", "saddle-line/00"]
     assert tool.compare(a, dict(a)) == []
-
-
-def test_one_pool_is_digested_and_compared_only_with_the_same_pools(tmp_path, capsys):
-    tool = _load_tool()
-    poly = tmp_path / "poly.json"
-    assert tool.main(["--workload", "poly-file", "--out", str(poly)]) == 0
-    doc = json.loads(poly.read_text())
-    assert doc["workloads"] == ["poly-file"]
-    assert sorted(doc["instances"]) == [f"poly-file/{i:02d}" for i in range(50)]
-
-    assert tool.main(["--compare", str(poly), str(poly)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "0 of 50 instances differ"
-
-    both = tmp_path / "both.json"
-    both.write_text(json.dumps(dict(doc, workloads=["cosine-lift", "poly-file"])))
-    with pytest.raises(SystemExit) as exc:
-        tool.main(["--compare", str(poly), str(both)])
-    assert exc.value.code == 2
-    assert "different pools" in capsys.readouterr().err
-
-    with pytest.raises(SystemExit) as exc:
-        tool.main(["--workload", "no-such-pool"])
-    assert "unknown workload" in capsys.readouterr().err

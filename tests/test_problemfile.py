@@ -1,5 +1,6 @@
 """Problem-file monomial tables against the per-monomial reference loop."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,9 +23,9 @@ def _random_point(rng, n, scale=2.0):
     return x
 
 
-def _assert_within_ulps(a, b, ulps):
+def _assert_within_ulps(a, b, ulps, scale):
     a, b = np.asarray(a), np.asarray(b)
-    assert np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    assert np.all(np.abs(a - b) <= ulps * np.spacing(scale))
 
 
 def test_tables_match_the_per_monomial_loop():
@@ -42,14 +43,19 @@ def test_tables_match_the_per_monomial_loop():
         else:
             # at n = 1 the loop raises length-1 arrays to a power, which
             # numpy sends down its scalar pow path, while the table's
-            # (terms, 1) array takes the SIMD path: the two may differ in
-            # the last bit of a power, so the sums may differ by an ulp
-            for ours, ref in zip(got, (f, g, H)):
-                _assert_within_ulps(ours, ref, 1)
+            # (terms, 1) array takes the SIMD path: each power may differ
+            # in its last bit. With k terms summed, the two sums then
+            # differ by at most 2k + 1 ulps of the sum of |terms| (x >= 0,
+            # so that sum is the loop run on |coefficients|), however
+            # much the terms cancel.
+            k = len(poly.coeffs)
+            sums = polynomial_reference(np.abs(poly.coeffs), poly.expos, x)
+            for ours, ref, scale in zip(got, (f, g, H), sums):
+                _assert_within_ulps(ours, ref, 2 * k + 1, scale)
 
 
 def test_problem_callbacks_match_the_loop_per_polynomial():
-    # the stacked constraint, Jacobian and Lagrangian Hessian tables
+    # the constraint, Jacobian and Lagrangian Hessian callbacks
     # reproduce the loop polynomial by polynomial, then H + y_i * H_i
     rng = np.random.default_rng(21)
     for case in range(100):
@@ -99,3 +105,34 @@ def test_derivative_tables_are_built_on_first_use():
     assert "gradient_table" not in vars(poly) and "hessian_table" not in vars(poly)
     np.testing.assert_array_equal(poly.hessian(np.ones(2)), [[4.0, 4.0], [4.0, -6.0]])
     assert "hessian_table" in vars(poly)
+
+
+def test_sparse_hessian_table_at_moderate_n():
+    # 300 terms of at most three variables each out of n = 400: the
+    # table has one row per term and Hessian entry it reaches, and is
+    # built in memory proportional to those rows, not terms * n * n
+    rng = np.random.default_rng(23)
+    n, terms = 400, 300
+    expos = np.zeros((terms, n), dtype=np.int64)
+    for row in expos:
+        k = int(rng.integers(1, 4))
+        row[rng.choice(n, size=k, replace=False)] = rng.integers(1, 5, k)
+    poly = Polynomial(coeffs=rng.standard_normal(terms), expos=expos)
+    x = _random_point(rng, n)
+
+    tracemalloc.start()
+    try:
+        table = poly.hessian_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nz = [np.flatnonzero(e) for e in expos]
+    assert len(table.coef) == sum(
+        len(z) * (len(z) - 1) // 2 + int(np.sum(e[z] >= 2)) for e, z in zip(expos, nz)
+    )
+    assert peak <= 4 * table.expos.nbytes
+
+    f, g, H = polynomial_reference(poly.coeffs, poly.expos, x)
+    assert poly.value(x) == f
+    assert np.array_equal(poly.gradient(x), g)
+    assert np.array_equal(poly.hessian(x), H)

@@ -2,12 +2,10 @@
 
     python3 tools/pool_digest.py --out digest.json
     python3 tools/pool_digest.py --src ../other/src --out other.json
-    python3 tools/pool_digest.py --workload poly-file --out poly.json
     python3 tools/pool_digest.py --compare digest.json other.json
 
 Solves every instance of the three benchmark pools (perfbench/families.py,
-drawn from perfbench/run.py's POOL_SEED, in generation order), or of the
-pools named by --workload (repeatable), and writes
+drawn from perfbench/run.py's POOL_SEED, in generation order) and writes
 one SHA-256 per instance over the status, message, iteration count,
 final x, y and f, and every field of every IterationRecord. Floats are
 hashed through repr, which round-trips exactly, so two digests agree
@@ -16,8 +14,7 @@ fields out, for comparing against a version that lacks them or whose
 work counters are meant to change. curvsqp is imported from --src
 (default: this checkout's src); perfbench is only imported, never
 changed. --compare lists the instances whose digests differ and exits
-with status 1 when there are any; it refuses digests that cover different
-pools or omit different fields.
+with status 1 when there are any.
 """
 
 import argparse
@@ -55,8 +52,8 @@ def digest(result, omit=()):
     return h.hexdigest()
 
 
-def pool_digests(src, omit=(), workloads=None):
-    """{"workload/index": sha256} over the named pools (default: all three)."""
+def pool_digests(src, omit=()):
+    """{"workload/index": sha256} over the three pools."""
     # the benchmark's settings: one BLAS thread, set before numpy loads
     import run
 
@@ -67,8 +64,6 @@ def pool_digests(src, omit=(), workloads=None):
 
     out = {}
     for workload, (gen_name, count) in run.WORKLOADS.items():
-        if workloads is not None and workload not in workloads:
-            continue
         rng = np.random.default_rng(run.POOL_SEED)
         gen = getattr(families, gen_name)
         for i in range(count):
@@ -96,17 +91,11 @@ def main(argv=None):
     parser.add_argument("--out", help="write the digests here (default: stdout)")
     parser.add_argument("--omit", action="append", default=[], metavar="FIELD",
                         help="leave this IterationRecord field out (repeatable)")
-    parser.add_argument("--workload", action="append", metavar="NAME",
-                        help="digest only this pool (repeatable; default: all)")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
 
     if args.compare:
         a, b = (_load(path) for path in args.compare)
-        if a["workloads"] != b["workloads"]:
-            parser.error(
-                f"the digests cover different pools: {a['workloads']} and {b['workloads']}"
-            )
         if a["omit"] != b["omit"]:
             parser.error(f"the digests omit different fields: {a['omit']} and {b['omit']}")
         a, b = a["instances"], b["instances"]
@@ -117,18 +106,11 @@ def main(argv=None):
         return 1 if differ else 0
 
     sys.path.insert(0, PERFBENCH)
-    import run
-
-    workloads = sorted(set(args.workload or run.WORKLOADS))
-    unknown = set(workloads) - set(run.WORKLOADS)
-    if unknown:
-        parser.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
     # the diverging poly-file solves overflow on their way to a status
     warnings.simplefilter("ignore", RuntimeWarning)
     doc = {
-        "workloads": workloads,
         "omit": sorted(args.omit),
-        "instances": pool_digests(os.path.abspath(args.src), set(args.omit), workloads),
+        "instances": pool_digests(os.path.abspath(args.src), set(args.omit)),
     }
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
