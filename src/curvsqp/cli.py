@@ -134,6 +134,8 @@ def _write_report(path, problem, result):
         "curv_ratio": _json_number(result.curv_ratio),
         "iterations": result.iterations,
         "class_counts": result.class_counts,
+        "trials": sum(rec.trials for rec in result.history),
+        "bound_rejections": sum(rec.bound_rejections for rec in result.history),
         "wall_time_s": result.wall_time_s,
         "message": result.message,
     }

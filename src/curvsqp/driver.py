@@ -173,7 +173,10 @@ class IterationRecord:
     next record's (x, y), or the result's iterate after the last record.
     theta is the certification shift of the step and cholesky_attempts
     the factorizations its search made; both are 0 on a record that
-    made no step, and the next step's search starts at theta.
+    made no step, and the next step's search starts at theta. trials
+    and bound_rejections count the line-search trials of the step and
+    those rejected at the bounds without a callback, summed over both
+    searches when the curvilinear one fails.
     """
 
     k: int
@@ -202,6 +205,8 @@ class IterationRecord:
     merit_new: float
     theta: float
     cholesky_attempts: int
+    trials: int
+    bound_rejections: int
 
     def csv_values(self):
         return (
@@ -396,6 +401,8 @@ class _Step:
     backtracks: int = 0
     theta: float = 0.0
     cholesky_attempts: int = 0
+    trials: int = 0
+    bound_rejections: int = 0
     status: SolveStatus = None
     message: str = ""
 
@@ -455,6 +462,7 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     tries = [(step, R_k)]
     if norm_u > 0.0:
         tries.append((_zero_step(n, m), 0.0))
+    trials = rejected = 0
     for step, R_k in tries:
         norm_u = float(np.linalg.norm(step.u))
         try:
@@ -463,13 +471,18 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
             )
         except LineSearchFailure as exc:
             failure = exc
+            trials += exc.diagnostics["n_trials"]
+            rejected += exc.diagnostics["bound_rejections"]
             continue
         return _Step(ls.accepted, ls.ev, ls.merit_new, alpha=ls.alpha, norm_p=norm_p,
                      norm_u=norm_u, norm_dv=norm_dv, N_k=N_k, R_k=R_k, backtracks=ls.j,
-                     theta=theta, cholesky_attempts=attempts)
+                     theta=theta, cholesky_attempts=attempts,
+                     trials=trials + ls.n_trials,
+                     bound_rejections=rejected + ls.bound_rejections)
     message = str(failure) if len(tries) > 1 else "no acceptable step along the QP direction"
     return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
                  N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts,
+                 trials=trials, bound_rejections=rejected,
                  status=SolveStatus.LINE_SEARCH_FAILURE, message=message)
 
 
@@ -595,6 +608,8 @@ def solve(problem, v0=None, config=None):
                     merit_new=step.merit_new,
                     theta=step.theta,
                     cholesky_attempts=step.cholesky_attempts,
+                    trials=step.trials,
+                    bound_rejections=step.bound_rejections,
                 )
             )
             if step.status is not None:

@@ -36,6 +36,10 @@ from .errors import LineSearchFailure
 from .model import Evaluation, Iterate, evaluate, merit_terms
 
 SNAP_FACTOR = 1e-13
+# the curvilinear search builds its trial points 1, 2, 4, ... at a time,
+# so a search accepted at j = 0 builds one; the cap bounds a block's
+# memory at BLOCK_ROWS * (n + m) floats whatever j_max is
+BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -116,40 +120,56 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
     count as failed trials; components within the roundoff band are
     snapped to exactly zero before the merit is measured, so the
     accepted point is the one the inequality was verified at. Raises
-    LineSearchFailure when j_max is exhausted.
+    LineSearchFailure when j_max is exhausted; its diagnostics carry
+    n_trials and bound_rejections.
+
+    The trial sequence is fixed in advance, so the trial points, their
+    least entries and the right-hand sides are built as arrays, a block
+    of 1, 2, 4, ... (at most BLOCK_ROWS) consecutive j at a time, with
+    the float operations of one trial at a time, so they agree with
+    oracle.search_reference bit for bit. The callbacks still run one
+    trial at a time, in j order, and never past the accepted trial.
     """
     if N_k > 0.0 or R_k > 0.0:
         raise ValueError("model decrease quantities must be nonpositive")
-    n = iterate.x.shape[0]
+    x, y = iterate.x, iterate.y
+    n = x.shape[0]
     u, w = step.u, step.w
     p, q = dv[:n], dv[n:]
-    snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(iterate.x), initial=0.0)))
-    trials = 0
+    snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(x), initial=0.0)))
     rejected = 0
-    for j in range(j_max + 1):
-        alpha = 2.0 ** (-j)
-        x_t = iterate.x + alpha * u + alpha * alpha * p
-        trials += 1
-        lowest = float(np.min(x_t, initial=0.0))
-        if lowest < -snap:
-            rejected += 1
-            continue
-        if lowest < 0.0:
-            x_t = np.where(x_t < 0.0, 0.0, x_t)
-        y_t = iterate.y + alpha * w + alpha * alpha * q
-        cand = Iterate(x=x_t, y=y_t)
-        terms = merit_terms(problem, cand)
-        m_t = merit_value(terms, cand, state)
-        if m_t <= merit_old + alpha * alpha * state.eta_S * N_k + alpha * state.eta_S * R_k:
-            return LineSearchResult(
-                alpha=alpha,
-                j=j,
-                accepted=cand,
-                ev=evaluate(problem, cand, terms),
-                merit_new=m_t,
-                n_trials=trials,
-                bound_rejections=rejected,
-            )
+    first, size = 0, 1
+    while first <= j_max:
+        js = range(first, min(first + size, j_max + 1))
+        a = np.ldexp(1.0, -np.arange(js.start, js.stop))  # alpha = 2**-j, exactly
+        a2 = a * a
+        X = x + a[:, None] * u + a2[:, None] * p
+        Y = y + a[:, None] * w + a2[:, None] * q
+        lowest = np.min(X, axis=1, initial=0.0).tolist()
+        rhs = (merit_old + a2 * state.eta_S * N_k + a * state.eta_S * R_k).tolist()
+        for i, j in enumerate(js):
+            if lowest[i] < -snap:
+                rejected += 1
+                continue
+            x_t = X[i]
+            if lowest[i] < 0.0:
+                x_t = np.where(x_t < 0.0, 0.0, x_t)
+            cand = Iterate(x=x_t, y=Y[i])
+            terms = merit_terms(problem, cand)
+            m_t = merit_value(terms, cand, state)
+            if m_t <= rhs[i]:
+                # rows of X and Y are views; the kept point owns its arrays
+                cand = Iterate(x=x_t.copy(), y=Y[i].copy())
+                return LineSearchResult(
+                    alpha=float(a[i]),
+                    j=j,
+                    accepted=cand,
+                    ev=evaluate(problem, cand, terms),
+                    merit_new=m_t,
+                    n_trials=j + 1,
+                    bound_rejections=rejected,
+                )
+        first, size = js.stop, min(2 * size, BLOCK_ROWS)
     raise LineSearchFailure(
         f"no step accepted in {j_max + 1} trials",
         diagnostics={
@@ -158,6 +178,7 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
             "R_k": R_k,
             "norm_u": float(np.linalg.norm(u)),
             "norm_p": float(np.linalg.norm(p)),
+            "n_trials": j_max + 1,
             "bound_rejections": rejected,
         },
     )

@@ -93,7 +93,7 @@ def merit_terms(problem, iterate):
         raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
     if c.shape != (m,):
         raise EvaluationError(f"constraints have shape {c.shape}, expected ({m},)")
-    if not (np.isfinite(f) and np.all(np.isfinite(c))):
+    if not math.isfinite(f) or (m and not np.isfinite(c).all()):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     return MeritTerms(f=f, c=c)
 

@@ -209,6 +209,10 @@ def test_report_document(tmp_path):
     rows = log.read_text().splitlines()[2:]
     assert doc["iterations"] == len(rows)
     assert doc["wall_time_s"] >= 0.0
+    # the run's line-search totals, summed over the records
+    history = driver.solve(get_problem("convex-qp")).history
+    assert doc["trials"] == sum(rec.trials for rec in history) > 0
+    assert doc["bound_rejections"] == sum(rec.bound_rejections for rec in history)
 
 
 def test_reports_agree_across_runs_except_wall_time(tmp_path):

@@ -121,8 +121,25 @@ def _simplex_indefinite():
     )
 
 
+def _two_cosines():
+    # from near the maximum of cos x1 + 1.7 cos x2 the second iteration's
+    # search along the curvature arc fails all its trials; the retry
+    # along p alone is accepted
+    w = np.array([1.0, 1.7])
+    return _unconstrained(
+        "two-cosines",
+        lambda x: float(w @ np.cos(x)),
+        lambda x: -w * np.sin(x),
+        lambda x, y: np.diag(-w * np.cos(x)),
+        [6.26, 6.28],
+    )
+
+
+_CASES = {"simplex-indefinite": _simplex_indefinite, "two-cosines": _two_cosines}
+
+
 def _problem(name):
-    return _simplex_indefinite() if name == "simplex-indefinite" else get_problem(name)
+    return _CASES[name]() if name in _CASES else get_problem(name)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +149,7 @@ def _problem(name):
         ("cosine-saddle", 7, 6),
         ("saddle-line", 5, 6),
         ("simplex-indefinite", 15, 11),
+        ("two-cosines", 60, 8),
     ],
 )
 def test_each_point_is_evaluated_once(name, points, hessians):
@@ -149,15 +167,17 @@ def test_each_point_is_evaluated_once(name, points, hessians):
 
     problem = dataclasses.replace(base, **{key: counted(key) for key in calls})
     result = solve(problem)
-    # f and c at the start point, then at every trial of every search
-    # (these problems never reject a trial at the bounds)
+    # f and c at the start point, then at every trial of every search,
+    # failed ones included, that the bounds did not reject
+    assert calls["objective"] == calls["constraints"]
+    assert calls["objective"] == 1 + sum(
+        rec.trials - rec.bound_rejections for rec in result.history
+    )
+    # g, J and H at the start point and at each accepted trial only
     stepped = [
         rec for rec in result.history
         if rec.alpha > 0.0 and (rec.norm_dv > 0.0 or rec.norm_u > 0.0)
     ]
-    assert calls["objective"] == calls["constraints"]
-    assert calls["objective"] == 1 + sum(rec.backtracks + 1 for rec in stepped)
-    # g, J and H at the start point and at each accepted trial only
     assert calls["gradient"] == calls["jacobian"] == 1 + len(stepped)
     # plus one Hessian at the merit's multiplier per curvature step when
     # there are constraints
@@ -485,17 +505,7 @@ def test_exit_code_table():
 
 
 def test_search_falls_back_to_the_qp_step_when_the_arc_fails(monkeypatch):
-    # from near the maximum of cos x1 + 1.7 cos x2 the second iteration's
-    # search along the curvature arc fails; the retry along p alone is
-    # accepted
-    w = np.array([1.0, 1.7])
-    problem = _unconstrained(
-        "two-cosines",
-        lambda x: float(w @ np.cos(x)),
-        lambda x: -w * np.sin(x),
-        lambda x, y: np.diag(-w * np.cos(x)),
-        [6.26, 6.28],
-    )
+    problem = _two_cosines()
     searches = []  # [searched-from x, |u|, accepted] per call
     real = driver.curvilinear_search
 
@@ -516,6 +526,9 @@ def test_search_falls_back_to_the_qp_step_when_the_arc_fails(monkeypatch):
     (record,) = [rec for rec in result.history if rec.x == x]
     assert record.alpha > 0.0
     assert record.norm_u == 0.0 and record.R_k == 0.0
+    # the record counts every trial of the failed arc and of the retry
+    assert record.trials == SolverConfig().j_max + 1 + record.backtracks + 1
+    assert record.bound_rejections == 0
     assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
     assert result.iterations == 8
     assert result.f == pytest.approx(-2.7, abs=1e-12)

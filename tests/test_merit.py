@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import central_diff, merit_form_instances
 from curvsqp.curvature import ScaledStep
-from curvsqp.errors import LineSearchFailure
+from curvsqp.errors import EvaluationError, LineSearchFailure
 from curvsqp.merit import (
     MeritState,
     condense,
@@ -14,7 +16,7 @@ from curvsqp.merit import (
     penalty_update,
 )
 from curvsqp.model import Evaluation, NlpProblem, evaluate, make_iterate
-from curvsqp.oracle import merit_hessian
+from curvsqp.oracle import merit_hessian, search_reference
 from curvsqp.problems import get_problem
 
 
@@ -291,3 +293,170 @@ def test_penalty_update_damps_step_size():
     m_acc, m_prev = _merit(prob, accepted, state), _merit(prob, previous, state)
     kept = penalty_update(m_acc, m_prev, state, 1.0, -8.0, 0.0, 0.4)
     assert kept == 1.0
+
+
+def _arc_problem(n, m, seed):
+    """w @ cos(x) subject to B x + 0.1 |x|^2 = d; the callbacks are exact."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, n)
+    B = rng.normal(size=(m, n))
+    d = rng.normal(size=m)
+    return NlpProblem(
+        name="arc",
+        n=n,
+        m=m,
+        objective=lambda x: float(w @ np.cos(x)),
+        gradient=lambda x: -w * np.sin(x),
+        constraints=lambda x: B @ x + 0.1 * float(x @ x) - d,
+        jacobian=lambda x: B + 0.2 * x,
+        hessian=lambda x, y: np.diag(-w * np.cos(x)) + 0.2 * float(np.sum(y)) * np.eye(n),
+    )
+
+
+def _scripted(prob, script):
+    """prob with an objective that counts its calls; script(k, f) gives the
+    value of call k (0-based) from the true value f, or raises."""
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        return script(len(calls) - 1, prob.objective(x))
+
+    return dataclasses.replace(prob, objective=objective), calls
+
+
+def _arc(n, m, seed, x_low=0.5):
+    """A start, an arc and a merit state, with N_k, R_k <= 0."""
+    rng = np.random.default_rng(seed)
+    it = make_iterate(rng.uniform(x_low, x_low + 1.5, n), rng.normal(size=m))
+    step = ScaledStep(u=rng.normal(size=n), w=rng.normal(size=m), beta=1.0)
+    dv = rng.normal(size=n + m) * rng.uniform(0.1, 1.0)
+    state = MeritState(
+        y_E=rng.normal(size=m), mu=float(rng.uniform(0.05, 1.0)),
+        mu_R=0.05, nu=float(rng.uniform(0.5, 2.0)), eta_S=float(rng.uniform(0.1, 0.5)),
+    )
+    N_k, R_k = -float(rng.uniform(0.0, 2.0)), -float(rng.uniform(0.0, 2.0))
+    return it, step, dv, state, N_k, R_k
+
+
+def _outcome(search, prob, script, it, step, dv, state, N_k, R_k, j_max):
+    """Everything the search returns or raises, bytes for arrays, with the
+    objective calls it made."""
+    counted, calls = _scripted(prob, script)
+    merit_old = _merit(prob, it, state)
+    try:
+        res = search(counted, it, merit_old, step, dv, state, N_k, R_k, j_max=j_max)
+    except (LineSearchFailure, EvaluationError) as exc:
+        return (type(exc), str(exc), getattr(exc, "diagnostics", None), len(calls))
+    ev = res.ev
+    return (
+        type(res.alpha), res.alpha, res.j, res.n_trials, res.bound_rejections,
+        type(res.merit_new), res.merit_new, res.accepted.x.tobytes(),
+        res.accepted.y.tobytes(), ev.f, ev.c.tobytes(), ev.g.tobytes(),
+        ev.J.tobytes(), ev.H.tobytes(), len(calls),
+    )
+
+
+def _same_as_reference(prob, arc, script=lambda k, f: f, j_max=50):
+    block = _outcome(curvilinear_search, prob, script, *arc, j_max)
+    reference = _outcome(search_reference, prob, script, *arc, j_max)
+    assert block == reference
+    return block
+
+
+def _accept_at(k):
+    """Reject every trial before objective call k, accept from call k on."""
+    return lambda call, f: -1e6 if call >= k else 1e6
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_block_search_matches_the_reference_on_random_arcs(m):
+    # natural outcomes: accepted at various j, some after bound rejections
+    js, rejections = set(), 0
+    for seed in range(60):
+        n = 1 + seed % 6
+        arc = _arc(n, m, seed, x_low=0.05 if seed % 2 else 0.5)
+        out = _same_as_reference(_arc_problem(n, m, seed), arc)
+        if out[0] is float:
+            js.add(out[2])
+            rejections += out[4]
+    assert len(js) >= 3 and rejections > 0
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize(
+    "j_max, accept",
+    [
+        (50, 0),  # the first block, of one row
+        (50, 4),  # inside the block of j = 3..6
+        (50, 20),  # inside the block of j = 15..30
+        (50, 50),  # the last trial, in a partial block
+        (0, 0),  # one block of one row
+        (5, 5),  # the last trial, in a partial block of j = 3..5
+        (100, 100),  # blocks capped at merit.BLOCK_ROWS rows
+    ],
+)
+def test_block_search_accepts_where_the_reference_does(m, j_max, accept):
+    arc = _arc(4, m, 7)
+    out = _same_as_reference(_arc_problem(4, m, 7), arc, _accept_at(accept), j_max)
+    assert out[2] == accept and out[3] == accept + 1 and out[-1] == accept + 1
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("j_max", [0, 5, 6, 50])
+def test_block_search_fails_as_the_reference_does(m, j_max):
+    arc = _arc(4, m, 8)
+    out = _same_as_reference(_arc_problem(4, m, 8), arc, _accept_at(j_max + 1), j_max)
+    assert out[0] is LineSearchFailure
+    diagnostics, calls = out[2], out[-1]
+    assert diagnostics["n_trials"] == j_max + 1 == calls + diagnostics["bound_rejections"]
+
+
+@pytest.mark.parametrize("accept", [3, 12, 40])
+def test_block_search_tests_the_reference_bound_to_the_last_bit(accept):
+    # with m = 0 the merit is f: each trial's f is set to the reference's
+    # right-hand side for its alpha, one ulp above it before the accepted
+    # trial and exactly on it there
+    for seed in range(100, 120):
+        prob, arc = _arc_problem(4, 0, seed), _arc(4, 0, seed, x_low=10.0)
+        merit_old = _merit(prob, arc[0], arc[3])
+        eta_S, N_k, R_k = arc[3].eta_S, arc[4], arc[5]
+
+        def script(call, f, merit_old=merit_old, eta_S=eta_S, N_k=N_k, R_k=R_k):
+            alpha = 2.0 ** (-call)
+            rhs = merit_old + alpha * alpha * eta_S * N_k + alpha * eta_S * R_k
+            return rhs if call == accept else float(np.nextafter(rhs, np.inf))
+
+        out = _same_as_reference(prob, arc, script)
+        assert out[2] == accept and out[4] == 0
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_block_search_rejects_and_snaps_as_the_reference_does(m):
+    prob = _arc_problem(3, m, 9)
+    it, step, dv, state, N_k, R_k = _arc(3, m, 9)
+    x = np.array([1.0, 0.5, 2.0])
+    it = make_iterate(x, it.y)
+    # x_0 + alpha u_0 < 0 for alpha > 1/4: j = 0, 1 lie below the bound
+    u = np.array([-4.0 * (1.0 + 1e-14), 0.3, -0.2])
+    arc = (it, ScaledStep(u=u, w=step.w, beta=1.0), np.zeros(3 + m), state, N_k, R_k)
+    out = _same_as_reference(prob, arc, _accept_at(0))
+    assert (out[2], out[4], out[-1]) == (2, 2, 1)
+    # j = 2 lands about 1e-14 below zero, within the roundoff band: snapped
+    assert np.frombuffer(out[7])[0] == 0.0
+    out = _same_as_reference(prob, arc, _accept_at(2))
+    assert (out[2], out[4], out[-1]) == (4, 2, 3)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("k", [0, 1, 4, 30])
+def test_block_search_raises_where_the_reference_does(m, k):
+    def script(call, f):
+        if call == k:
+            raise RuntimeError(f"no objective at call {call}")
+        return 1e6
+
+    arc = _arc(4, m, 10)
+    out = _same_as_reference(_arc_problem(4, m, 10), arc, script)
+    assert out[0] is EvaluationError and f"call {k}" in out[1]
+    assert out[-1] == k + 1
