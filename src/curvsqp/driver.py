@@ -419,8 +419,9 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     certified positive definite by a shift search that starts at the
     previous step's shift theta_prev; the dual step is closed-form. The
     search tries the curvilinear path along (u, p) and, when that fails,
-    the QP step (0, p) alone. A QP or search failure returns a step
-    that stays at it with the matching status.
+    the QP step (0, p) alone. A QP or search failure, or a non-finite
+    model quantity N_k or R_k, returns a step that stays at it with the
+    matching status.
     """
     n, m = problem.n, problem.m
     state_R = _merit_state(fstate, fstate.mu_R, config)
@@ -452,6 +453,14 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     else:
         step, R_k = _zero_step(n, m), 0.0
     norm_u = float(np.linalg.norm(step.u))
+
+    for name, value in (("N_k", N_k), ("R_k", R_k)):
+        if not math.isfinite(value):
+            # no right-hand side can be formed, so no trial is evaluated
+            return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
+                         N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts,
+                         status=SolveStatus.LINE_SEARCH_FAILURE,
+                         message=f"non-finite model quantity {name} = {value}")
 
     if norm_dv == 0.0 and norm_u == 0.0:
         # stationary for the current subproblem; only the parameter

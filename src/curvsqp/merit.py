@@ -36,6 +36,9 @@ from .errors import LineSearchFailure
 from .model import Evaluation, Iterate, evaluate, merit_terms
 
 SNAP_FACTOR = 1e-13
+# the search's right-hand side is relaxed by 10 EPS |merit_old|, so it
+# never asks for a decrease below the merit's rounding error
+EPS = float(np.finfo(float).eps)
 # the curvilinear search builds its trial points 1, 2, 4, ... at a time,
 # so a search accepted at j = 0 builds one; the cap bounds a block's
 # memory at BLOCK_ROWS * (n + m) floats whatever j_max is
@@ -108,10 +111,17 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
 
     Accepts the first alpha = 2**-j whose trial point satisfies
 
-        M(trial) <= merit_old + alpha^2 eta_S N_k + alpha eta_S R_k
+        M(trial) <= merit_old + 10 EPS |merit_old| + alpha^2 eta_S (N_k + R_k / 2)
 
-    with both model quantities nonpositive and merit_old = M(iterate) from
-    the caller. Each trial calls only the objective and constraints
+    with both model quantities nonpositive (NaN raises ValueError too)
+    and merit_old = M(iterate) from the caller. Along the arc the merit
+    is merit_old + alpha s + alpha^2 (grad M . dv + R_k / 2) + O(alpha^3)
+    with slope s <= 0, so the curvature gain is paired with alpha^2, like
+    the model decrease (More and Sorensen's curvilinear rule); with
+    eta_S < 1 every small enough alpha passes on a smooth merit, even
+    where s = 0. The 10 EPS |merit_old| term keeps the test from asking
+    for a decrease below the merit's rounding error (as in Waechter and
+    Biegler). Each trial calls only the objective and constraints
     (merit_terms); the accepted trial alone gets the full evaluation,
     which reuses its f and c and is returned as ev. A derivative
     callback is therefore never called at a rejected trial, while a bad
@@ -130,13 +140,14 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
     oracle.search_reference bit for bit. The callbacks still run one
     trial at a time, in j order, and never past the accepted trial.
     """
-    if N_k > 0.0 or R_k > 0.0:
-        raise ValueError("model decrease quantities must be nonpositive")
+    if not (N_k <= 0.0 and R_k <= 0.0):
+        raise ValueError(f"model decrease quantities must be nonpositive, not {N_k}, {R_k}")
     x, y = iterate.x, iterate.y
     n = x.shape[0]
     u, w = step.u, step.w
     p, q = dv[:n], dv[n:]
     snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    relaxed = merit_old + 10.0 * EPS * abs(merit_old)
     rejected = 0
     first, size = 0, 1
     while first <= j_max:
@@ -146,7 +157,7 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
         X = x + a[:, None] * u + a2[:, None] * p
         Y = y + a[:, None] * w + a2[:, None] * q
         lowest = np.min(X, axis=1, initial=0.0).tolist()
-        rhs = (merit_old + a2 * state.eta_S * N_k + a * state.eta_S * R_k).tolist()
+        rhs = (relaxed + a2 * state.eta_S * (N_k + 0.5 * R_k)).tolist()
         for i, j in enumerate(js):
             if lowest[i] < -snap:
                 rejected += 1
@@ -188,12 +199,13 @@ def penalty_update(merit_new, merit_old, state, alpha, N_k, R_k, mu_R_next):
     """Flexible penalty after a step: keep mu, or drop toward mu_R.
 
     merit_new (accepted point) must beat merit_old (previous point) by at
-    least the model amounts at the damped step size alpha_bar =
-    min(alpha_min, alpha); otherwise mu falls to max(mu/2, mu_R_next).
-    Both merits are those the search measured, under state.
+    least alpha_bar^2 eta_S (N_k + R_k / 2), the search's pairing at the
+    damped step size alpha_bar = min(alpha_min, alpha) and without its
+    rounding term; otherwise mu falls to max(mu/2, mu_R_next). Both
+    merits are those the search measured, under state.
     """
     a = min(state.alpha_min, alpha)
-    rhs = merit_old + (a * state.eta_S * R_k + a * a * state.eta_S * N_k)
+    rhs = merit_old + a * a * state.eta_S * (N_k + 0.5 * R_k)
     if merit_new <= rhs:
         return state.mu
     return max(0.5 * state.mu, mu_R_next)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CurvSqpError, LineSearchFailure, QpInternalError
 from .factor import apply_shift
-from .merit import SNAP_FACTOR, LineSearchResult, merit_value
+from .merit import EPS, SNAP_FACTOR, LineSearchResult, merit_value
 from .model import Iterate, evaluate, merit_terms
 
 
@@ -382,12 +382,13 @@ def search_reference(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_m
     the callback calls and the failures of the two routes must agree bit
     for bit.
     """
-    if N_k > 0.0 or R_k > 0.0:
-        raise ValueError("model decrease quantities must be nonpositive")
+    if not (N_k <= 0.0 and R_k <= 0.0):
+        raise ValueError(f"model decrease quantities must be nonpositive, not {N_k}, {R_k}")
     n = iterate.x.shape[0]
     u, w = step.u, step.w
     p, q = dv[:n], dv[n:]
     snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(iterate.x), initial=0.0)))
+    relaxed = merit_old + 10.0 * EPS * abs(merit_old)
     trials = 0
     rejected = 0
     for j in range(j_max + 1):
@@ -404,7 +405,7 @@ def search_reference(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_m
         cand = Iterate(x=x_t, y=y_t)
         terms = merit_terms(problem, cand)
         m_t = merit_value(terms, cand, state)
-        if m_t <= merit_old + alpha * alpha * state.eta_S * N_k + alpha * state.eta_S * R_k:
+        if m_t <= relaxed + alpha * alpha * state.eta_S * (N_k + 0.5 * R_k):
             return LineSearchResult(
                 alpha=alpha,
                 j=j,

@@ -104,7 +104,7 @@ def test_every_evaluation_respects_the_bounds():
 
 def _simplex_indefinite():
     # indefinite QP on {x0 + x1 + x2 = 3, x >= 0} from x = 1: one
-    # curvature step, then two searches that backtrack 3 and 2 times
+    # curvature step, then QP steps, each accepted at its first trial
     Q = np.array([[6.0, 12.0, 3.0], [12.0, 12.0, -9.0], [3.0, -9.0, 6.0]])
     b = np.array([-1.0, 2.0, 3.0])
     return NlpProblem(
@@ -121,21 +121,27 @@ def _simplex_indefinite():
     )
 
 
-def _two_cosines():
-    # from near the maximum of cos x1 + 1.7 cos x2 the second iteration's
-    # search along the curvature arc fails all its trials; the retry
-    # along p alone is accepted
+def _two_cosines(x0=(6.26, 6.28)):
+    # from near the maximum of cos x1 + 1.7 cos x2 the second and third
+    # searches reject their first trial and accept the second
     w = np.array([1.0, 1.7])
     return _unconstrained(
         "two-cosines",
         lambda x: float(w @ np.cos(x)),
         lambda x: -w * np.sin(x),
         lambda x, y: np.diag(-w * np.cos(x)),
-        [6.26, 6.28],
+        list(x0),
     )
 
 
-_CASES = {"simplex-indefinite": _simplex_indefinite, "two-cosines": _two_cosines}
+_CASES = {
+    "simplex-indefinite": _simplex_indefinite,
+    "two-cosines": _two_cosines,
+    "two-cosines-fallback": lambda: _two_cosines((6.2, 6.28)),
+}
+# with one trial per search, the second iteration's search along the
+# curvature arc fails; the retry along p alone is accepted
+_CONFIGS = {"two-cosines-fallback": SolverConfig(j_max=0)}
 
 
 def _problem(name):
@@ -148,8 +154,9 @@ def _problem(name):
         ("convex-qp", 8, 8),
         ("cosine-saddle", 7, 6),
         ("saddle-line", 5, 6),
-        ("simplex-indefinite", 15, 11),
-        ("two-cosines", 60, 8),
+        ("simplex-indefinite", 8, 9),
+        ("two-cosines", 9, 7),
+        ("two-cosines-fallback", 7, 6),
     ],
 )
 def test_each_point_is_evaluated_once(name, points, hessians):
@@ -166,7 +173,7 @@ def test_each_point_is_evaluated_once(name, points, hessians):
         return callback
 
     problem = dataclasses.replace(base, **{key: counted(key) for key in calls})
-    result = solve(problem)
+    result = solve(problem, config=_CONFIGS.get(name))
     # f and c at the start point, then at every trial of every search,
     # failed ones included, that the bounds did not reject
     assert calls["objective"] == calls["constraints"]
@@ -221,7 +228,7 @@ def test_seeded_certification_changes_no_record(name, monkeypatch):
 
 
 def test_gradient_failing_at_rejected_trials_does_not_end_the_solve():
-    base = _simplex_indefinite()
+    base = _two_cosines()
     reference = solve(base)
     assert sum(rec.backtracks for rec in reference.history) > 0
     # the start point and every accepted point, the last one included
@@ -505,7 +512,8 @@ def test_exit_code_table():
 
 
 def test_search_falls_back_to_the_qp_step_when_the_arc_fails(monkeypatch):
-    problem = _two_cosines()
+    problem = _problem("two-cosines-fallback")
+    config = _CONFIGS["two-cosines-fallback"]
     searches = []  # [searched-from x, |u|, accepted] per call
     real = driver.curvilinear_search
 
@@ -517,7 +525,7 @@ def test_search_falls_back_to_the_qp_step_when_the_arc_fails(monkeypatch):
         return out
 
     monkeypatch.setattr(driver, "curvilinear_search", curvilinear_search)
-    result = solve(problem)
+    result = solve(problem, config=config)
     failed = [i for i, (_x, _u, accepted) in enumerate(searches) if not accepted]
     assert len(failed) == 1
     x, norm_u, _ = searches[failed[0]]
@@ -527,11 +535,41 @@ def test_search_falls_back_to_the_qp_step_when_the_arc_fails(monkeypatch):
     assert record.alpha > 0.0
     assert record.norm_u == 0.0 and record.R_k == 0.0
     # the record counts every trial of the failed arc and of the retry
-    assert record.trials == SolverConfig().j_max + 1 + record.backtracks + 1
+    assert record.trials == config.j_max + 1 + record.backtracks + 1
     assert record.bound_rejections == 0
     assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
-    assert result.iterations == 8
+    assert result.iterations == 6
     assert result.f == pytest.approx(-2.7, abs=1e-12)
+
+
+def test_nan_curvature_form_ends_the_step_before_any_trial(monkeypatch):
+    reference = solve(_two_cosines())
+    real, calls = driver.curvature_form, []
+
+    def curvature_form(*args):
+        calls.append(1)
+        return np.nan if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(driver, "curvature_form", curvature_form)
+    base = _two_cosines()
+    objective_calls = []
+
+    def objective(x):
+        objective_calls.append(1)
+        return base.objective(x)
+
+    result = solve(dataclasses.replace(base, objective=objective))
+    assert result.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert result.message == "non-finite model quantity R_k = nan"
+    assert len(result.history) == 2
+    assert result.history[0] == reference.history[0]
+    last = result.history[1]
+    assert np.isnan(last.R_k) and last.norm_u > 0.0
+    assert (last.alpha, last.trials, last.backtracks) == (0.0, 0, 0)
+    # the start point and the first search's trials; none for the second
+    first = result.history[0]
+    assert len(objective_calls) == 1 + first.trials - first.bound_rejections
+    np.testing.assert_array_equal(result.iterate.x, last.x)
 
 
 @pytest.mark.parametrize("error", [QpFailure, QpInternalError])

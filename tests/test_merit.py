@@ -7,6 +7,7 @@ from conftest import central_diff, merit_form_instances
 from curvsqp.curvature import ScaledStep
 from curvsqp.errors import EvaluationError, LineSearchFailure
 from curvsqp.merit import (
+    EPS,
     MeritState,
     condense,
     curvilinear_search,
@@ -247,13 +248,58 @@ def test_search_exhausts_and_raises():
 
 
 def test_search_rejects_positive_model_quantities():
-    prob = _scalar_problem(lambda t: t, lambda t: 1.0)
+    # NaN too, before any trial is evaluated
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t
+
+    prob = _scalar_problem(f, lambda t: 1.0)
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
-    with pytest.raises(ValueError):
-        _search(prob, it, step, np.ones(1), _mstate(), 1e-9, 0.0)
-    with pytest.raises(ValueError):
-        _search(prob, it, step, np.ones(1), _mstate(), 0.0, 1e-9)
+    for search in (curvilinear_search, search_reference):
+        for N_k, R_k in [(1e-9, 0.0), (0.0, 1e-9), (np.nan, 0.0), (0.0, np.nan)]:
+            with pytest.raises(ValueError, match="nonpositive"):
+                search(prob, it, 1.0, step, np.ones(1), _mstate(), N_k, R_k)
+    assert calls == []
+
+
+@pytest.mark.parametrize("search", [curvilinear_search, search_reference])
+@pytest.mark.parametrize("eta_S, j", [(0.25, 2), (0.9, 5)])
+def test_search_accepts_a_curvature_step_with_zero_slope(search, eta_S, j):
+    # f(t) = -(t - 1)^2 / 2 + (t - 1)^3 from t = 1 along u = 1: the slope
+    # is zero and the curvature gain -alpha^2 / 2 is blocked by the cubic
+    # for alpha > 1/2. A bound of alpha eta_S R_k is missed by every
+    # alpha; alpha^2 eta_S R_k / 2 is met once alpha <= (1 - eta_S) / 2
+    prob = _scalar_problem(
+        lambda t: -0.5 * (t - 1.0) ** 2 + (t - 1.0) ** 3,
+        lambda t: -(t - 1.0) + 3.0 * (t - 1.0) ** 2,
+    )
+    it = make_iterate([1.0], [])
+    step = ScaledStep(u=np.ones(1), w=np.zeros(0), beta=1.0)
+    state = _mstate(eta_S=eta_S)
+    res = search(prob, it, _merit(prob, it, state), step, np.zeros(1), state, 0.0, -1.0)
+    assert res.j == j and res.alpha == 2.0 ** -j
+    assert res.merit_new < 0.0
+
+
+@pytest.mark.parametrize("search", [curvilinear_search, search_reference])
+def test_search_does_not_ask_for_a_decrease_below_rounding(search):
+    # every point but x = 85 measures one ulp above f(85), so no trial can
+    # show the model decrease -1e-12 alpha^2 eta_S; without the relaxation
+    # the first trial accepted is the one that rounds back onto x = 85
+    f85 = 85.0
+
+    def f(t):
+        return f85 if t == 85.0 else float(np.nextafter(f85, np.inf))
+
+    prob = _scalar_problem(f, lambda t: 1.0)
+    it = make_iterate([85.0], [])
+    step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
+    res = search(prob, it, f85, step, np.array([1e-3]), _mstate(), -1e-12, 0.0)
+    assert res.j == 1
+    assert res.accepted.x[0] == 85.0 + 0.25e-3 != 85.0
 
 
 def test_penalty_update_keeps_mu_on_decrease():
@@ -293,6 +339,16 @@ def test_penalty_update_damps_step_size():
     m_acc, m_prev = _merit(prob, accepted, state), _merit(prob, previous, state)
     kept = penalty_update(m_acc, m_prev, state, 1.0, -8.0, 0.0, 0.4)
     assert kept == 1.0
+
+
+@pytest.mark.parametrize("merit_new, kept", [(-6e-5, True), (-4e-5, False)])
+def test_penalty_update_pairs_the_curvature_gain_with_alpha_squared(merit_new, kept):
+    # alpha_bar = 1e-2: the bound is alpha_bar^2 eta_S (N_k + R_k / 2) =
+    # -5e-5. Without the half it would be -7.5e-5, with R_k paired with
+    # alpha_bar -5.025e-3, and with N_k alone -2.5e-5
+    state = _mstate(alpha_min=1e-2, eta_S=0.25)
+    mu = penalty_update(merit_new, 0.0, state, 1.0, -1.0, -2.0, 0.25)
+    assert mu == (1.0 if kept else 0.5)
 
 
 def _arc_problem(n, m, seed):
@@ -414,9 +470,10 @@ def test_block_search_fails_as_the_reference_does(m, j_max):
 
 @pytest.mark.parametrize("accept", [3, 12, 40])
 def test_block_search_tests_the_reference_bound_to_the_last_bit(accept):
-    # with m = 0 the merit is f: each trial's f is set to the reference's
-    # right-hand side for its alpha, one ulp above it before the accepted
-    # trial and exactly on it there
+    # with m = 0 the merit is f: each trial's f is set to the right-hand
+    # side for its alpha, merit_old + 10 eps |merit_old| + alpha^2 eta_S
+    # (N_k + R_k / 2), one ulp above it before the accepted trial and
+    # exactly on it there
     for seed in range(100, 120):
         prob, arc = _arc_problem(4, 0, seed), _arc(4, 0, seed, x_low=10.0)
         merit_old = _merit(prob, arc[0], arc[3])
@@ -424,7 +481,8 @@ def test_block_search_tests_the_reference_bound_to_the_last_bit(accept):
 
         def script(call, f, merit_old=merit_old, eta_S=eta_S, N_k=N_k, R_k=R_k):
             alpha = 2.0 ** (-call)
-            rhs = merit_old + alpha * alpha * eta_S * N_k + alpha * eta_S * R_k
+            relaxed = merit_old + 10.0 * EPS * abs(merit_old)
+            rhs = relaxed + alpha * alpha * eta_S * (N_k + 0.5 * R_k)
             return rhs if call == accept else float(np.nextafter(rhs, np.inf))
 
         out = _same_as_reference(prob, arc, script)

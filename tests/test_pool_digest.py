@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -43,3 +44,40 @@ def test_digest_sees_every_record_field_it_does_not_omit():
     b = {"saddle-line/00": tool.digest(moved), "cosine-saddle/00": "y"}
     assert tool.compare(a, b) == ["convex-qp/00", "cosine-saddle/00", "saddle-line/00"]
     assert tool.compare(a, dict(a)) == []
+
+
+def test_compare_prints_both_outcomes_and_counts_lost_optima(tmp_path, capsys):
+    tool = _load_tool()
+    result = solve(get_problem("saddle-line"))
+    entry = tool.outcome(result)
+    assert entry == {
+        "digest": tool.digest(result),
+        "status": "second-order-optimal",
+        "iterations": result.iterations,
+    }
+    stalled = {"digest": "0" * 64, "status": "iteration-limit", "iterations": 201}
+    a = {"p/00": entry, "p/01": stalled, "p/02": entry, "p/03": entry}
+    b = {"p/00": entry, "p/01": entry, "p/02": stalled}
+    assert tool.compare(a, b) == ["p/01", "p/02", "p/03"]
+    # p/02 ends otherwise in b, and p/03 is missing from it
+    assert tool.left_optimal(a, b) == ["p/02", "p/03"]
+    assert tool.left_optimal(b, a) == ["p/01"]
+
+    paths = []
+    for name, instances in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"omit": [], "instances": instances}))
+    assert tool.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+    iters = result.iterations
+    assert capsys.readouterr().out.splitlines() == [
+        f"p/01: iteration-limit in 201 iterations -> second-order-optimal in {iters} iterations",
+        f"p/02: second-order-optimal in {iters} iterations -> iteration-limit in 201 iterations",
+        f"p/03: second-order-optimal in {iters} iterations -> absent",
+        "3 of 4 instances differ",
+        "2 instances leave second-order-optimal",
+    ]
+    assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 4 instances differ",
+        "0 instances leave second-order-optimal",
+    ]

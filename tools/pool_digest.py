@@ -7,14 +7,19 @@
 Solves every instance of the three benchmark pools (perfbench/families.py,
 drawn from perfbench/run.py's POOL_SEED, in generation order) and writes
 one SHA-256 per instance over the status, message, iteration count,
-final x, y and f, and every field of every IterationRecord. Floats are
-hashed through repr, which round-trips exactly, so two digests agree
-only when the solves agree bit for bit. --omit leaves named record
-fields out, for comparing against a version that lacks them or whose
-work counters are meant to change. curvsqp is imported from --src
-(default: this checkout's src); perfbench is only imported, never
-changed. --compare lists the instances whose digests differ and exits
-with status 1 when there are any.
+final x, y and f, and every field of every IterationRecord, with the
+status and iteration count beside it in plain text. Floats are hashed
+through repr, which round-trips exactly, so two digests agree only when
+the solves agree bit for bit. --omit leaves named record fields out, for
+comparing against a version that lacks them or whose work counters are
+meant to change. curvsqp is imported from --src (default: this
+checkout's src); perfbench is only imported, never changed.
+
+--compare prints every instance whose digest differs, with its status
+and iteration count on both sides, then the number of instances that
+end second-order-optimal in A and not in B: a change of behaviour
+should keep that number at 0. It exits with status 1 when any digest
+differs.
 """
 
 import argparse
@@ -27,6 +32,7 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+OPTIMAL = "second-order-optimal"
 
 
 def _canonical(value):
@@ -52,8 +58,17 @@ def digest(result, omit=()):
     return h.hexdigest()
 
 
+def outcome(result, omit=()):
+    """The digest of one SolveResult, with its status and iteration count."""
+    return {
+        "digest": digest(result, omit),
+        "status": result.status.value,
+        "iterations": result.iterations,
+    }
+
+
 def pool_digests(src, omit=()):
-    """{"workload/index": sha256} over the three pools."""
+    """{"workload/index": outcome} over the three pools."""
     # the benchmark's settings: one BLAS thread, set before numpy loads
     import run
 
@@ -71,7 +86,7 @@ def pool_digests(src, omit=()):
             if workload == "poly-file":
                 inst = families.parse_instance(inst)
             result = curvsqp.solve(inst.problem, inst.v0, inst.config)
-            out[f"{workload}/{i:02d}"] = digest(result, omit)
+            out[f"{workload}/{i:02d}"] = outcome(result, omit)
     return out
 
 
@@ -81,8 +96,22 @@ def _load(path):
 
 
 def compare(a, b):
-    """Keys whose digests differ or that only one side has."""
+    """Keys whose outcomes differ or that only one side has."""
     return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+
+
+def left_optimal(a, b):
+    """Keys that end second-order-optimal in a and not in b."""
+    return sorted(
+        k for k, entry in a.items()
+        if entry["status"] == OPTIMAL and b.get(k, {}).get("status") != OPTIMAL
+    )
+
+
+def _side(entry):
+    if entry is None:
+        return "absent"
+    return f"{entry['status']} in {entry['iterations']} iterations"
 
 
 def main(argv=None):
@@ -101,8 +130,9 @@ def main(argv=None):
         a, b = a["instances"], b["instances"]
         differ = compare(a, b)
         for key in differ:
-            print(key)
+            print(f"{key}: {_side(a.get(key))} -> {_side(b.get(key))}")
         print(f"{len(differ)} of {len(set(a) | set(b))} instances differ")
+        print(f"{len(left_optimal(a, b))} instances leave {OPTIMAL}")
         return 1 if differ else 0
 
     sys.path.insert(0, PERFBENCH)
