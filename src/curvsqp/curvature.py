@@ -167,16 +167,17 @@ def scale(direction, x, p, u_max=1.0):
 
     beta is capped so that x + p + beta*u_hat >= 0 and
     |beta*u_hat| <= max(u_max, 2|p|). A component already at its bound
-    with u_hat pointing outward forces beta = 0.
+    with u_hat pointing outward forces beta = 0. Without a direction, or
+    when the caps leave no positive beta, the step is exactly zero.
     """
-    m = direction.w_hat.shape[0]
-    if not direction.exists:
-        return ScaledStep(u=np.zeros(x.shape[0]), w=np.zeros(m), beta=0.0)
-    u_hat = direction.u_hat
-    slack = x + p
-    beta = max(float(u_max), 2.0 * float(np.linalg.norm(p))) / float(np.linalg.norm(u_hat))
-    neg = u_hat < 0.0
-    if np.any(neg):
-        beta = min(beta, float(np.min(slack[neg] / (-u_hat[neg]))))
-    beta = max(beta, 0.0)
+    n, m = x.shape[0], direction.w_hat.shape[0]
+    beta = 0.0
+    if direction.exists:
+        u_hat = direction.u_hat
+        beta = max(float(u_max), 2.0 * float(np.linalg.norm(p))) / float(np.linalg.norm(u_hat))
+        neg = u_hat < 0.0
+        if np.any(neg):
+            beta = min(beta, float(np.min((x + p)[neg] / (-u_hat[neg]))))
+    if not beta > 0.0:
+        return ScaledStep(u=np.zeros(n), w=np.zeros(m), beta=0.0)
     return ScaledStep(u=beta * u_hat, w=beta * direction.w_hat, beta=beta)

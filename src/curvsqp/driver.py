@@ -9,9 +9,11 @@ multipliers and penalties are updated, and termination is checked. The
 step (_step) certifies H_used + J.T J / mu_R, solves the
 bound-constrained QP in x on it (the dual step follows in closed form),
 scales the curvature step against the QP step, and backtracks along the
-curvilinear path x + alpha*u + alpha^2*p, or along the QP step alone
-when that path fails. Each iteration ends in exactly one
-IterationRecord, which is also what the next penalty update reads.
+curvilinear path x + alpha*u + alpha^2*p (u = 0 when there is no usable
+curvature direction). One search is made per step; when it finds no
+point the solve ends as line-search-failure. Each iteration ends in
+exactly one IterationRecord, which is also what the next penalty update
+reads.
 
 Each point is evaluated once. The start gets the full evaluation here;
 search trials get only f and c, and the accepted trial's full
@@ -43,7 +45,6 @@ from .classify import (
     update_state,
 )
 from .curvature import (
-    ScaledStep,
     curvature_form,
     extract_direction,
     no_direction,
@@ -133,7 +134,11 @@ class SolverConfig:
                 ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
             elif f.type is float:
                 need, test = _FLOAT_RANGES.get(f.name, (">= 0", lambda v: v >= 0.0))
-                need, ok = f"finite and {need}", math.isfinite(v) and test(v)
+                need = f"finite and {need}"
+                try:
+                    ok = math.isfinite(v) and test(v)
+                except OverflowError:  # an integer too large for a float
+                    ok = False
             else:
                 continue
             if not ok:
@@ -175,8 +180,8 @@ class IterationRecord:
     the factorizations its search made; both are 0 on a record that
     made no step, and the next step's search starts at theta. trials
     and bound_rejections count the line-search trials of the step and
-    those rejected at the bounds without a callback, summed over both
-    searches when the curvilinear one fails.
+    those rejected at the bounds without a callback. A step whose search
+    fails keeps the path's norm_u and R_k and the failed search's counts.
     """
 
     k: int
@@ -407,23 +412,19 @@ class _Step:
     message: str = ""
 
 
-def _zero_step(n, m):
-    return ScaledStep(u=np.zeros(n), w=np.zeros(m), beta=0.0)
-
-
 def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, theta_prev,
           config):
     """Certify, solve the QP, scale the curvature step and search.
 
     The QP in x runs on the convexified Hessian plus the penalty term,
     certified positive definite by a shift search that starts at the
-    previous step's shift theta_prev; the dual step is closed-form. The
-    search tries the curvilinear path along (u, p) and, when that fails,
-    the QP step (0, p) alone. A QP or search failure, or a non-finite
-    model quantity N_k or R_k, returns a step that stays at it with the
-    matching status.
+    previous step's shift theta_prev; the dual step is closed-form. One
+    search runs along the curvilinear path (u, p), with u = 0 when the
+    scaled curvature step is empty. A QP or search failure, or a
+    non-finite model quantity N_k or R_k, returns a step that stays at
+    it with the matching status; a failed search's step keeps its
+    norm_u, R_k and trial counts.
     """
-    n, m = problem.n, problem.m
     state_R = _merit_state(fstate, fstate.mu_R, config)
     H_tilde = ev.H
     if conv is not None:
@@ -446,12 +447,11 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
 
     direction = orient(direction, merit_gradient(ev, it, state_R))
     step = scale(direction, it.x, qp.p, config.u_max)
-    if direction.exists and step.beta > 0.0:
+    R_k = 0.0
+    if step.beta > 0.0:
         # the stacked merit form at (u, w = -(1/mu_R) J u)
         H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
         R_k = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
-    else:
-        step, R_k = _zero_step(n, m), 0.0
     norm_u = float(np.linalg.norm(step.u))
 
     for name, value in (("N_k", N_k), ("R_k", R_k)):
@@ -467,32 +467,20 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
         # updates can make progress, so take the null step
         return _Step(it, ev, merit_here, alpha=1.0, norm_p=norm_p, norm_dv=norm_dv,
                      N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts)
-    # the path along (u, p) first; when it fails, the QP step (0, p) alone
-    tries = [(step, R_k)]
-    if norm_u > 0.0:
-        tries.append((_zero_step(n, m), 0.0))
-    trials = rejected = 0
-    for step, R_k in tries:
-        norm_u = float(np.linalg.norm(step.u))
-        try:
-            ls = curvilinear_search(
-                problem, it, merit_here, step, dv, state_F, N_k, R_k, config.j_max
-            )
-        except LineSearchFailure as exc:
-            failure = exc
-            trials += exc.diagnostics["n_trials"]
-            rejected += exc.diagnostics["bound_rejections"]
-            continue
-        return _Step(ls.accepted, ls.ev, ls.merit_new, alpha=ls.alpha, norm_p=norm_p,
-                     norm_u=norm_u, norm_dv=norm_dv, N_k=N_k, R_k=R_k, backtracks=ls.j,
-                     theta=theta, cholesky_attempts=attempts,
-                     trials=trials + ls.n_trials,
-                     bound_rejections=rejected + ls.bound_rejections)
-    message = str(failure) if len(tries) > 1 else "no acceptable step along the QP direction"
-    return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
-                 N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts,
-                 trials=trials, bound_rejections=rejected,
-                 status=SolveStatus.LINE_SEARCH_FAILURE, message=message)
+    try:
+        ls = curvilinear_search(
+            problem, it, merit_here, step, dv, state_F, N_k, R_k, config.j_max
+        )
+    except LineSearchFailure as exc:
+        return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
+                     N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts,
+                     trials=exc.diagnostics["n_trials"],
+                     bound_rejections=exc.diagnostics["bound_rejections"],
+                     status=SolveStatus.LINE_SEARCH_FAILURE, message=str(exc))
+    return _Step(ls.accepted, ls.ev, ls.merit_new, alpha=ls.alpha, norm_p=norm_p,
+                 norm_u=norm_u, norm_dv=norm_dv, N_k=N_k, R_k=R_k, backtracks=ls.j,
+                 theta=theta, cholesky_attempts=attempts, trials=ls.n_trials,
+                 bound_rejections=ls.bound_rejections)
 
 
 def solve(problem, v0=None, config=None):

@@ -152,7 +152,10 @@ def _fail(msg):
 def _check_number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{where}: expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal too large for a float
+        v = np.inf
     if not np.isfinite(v):
         _fail(f"{where}: value must be finite")
     return v

@@ -297,6 +297,9 @@ def test_parsed_constraint_hessians_are_exact():
         (lambda d: d.update(objective=[[1.0, [2**63, 1]]]), "below 2\\*\\*63"),
         (lambda d: d.update(objective=[[True, [1, 1]]]), "expected a number"),
         (lambda d: d.update(objective=[[1e999, [1, 1]]]), "finite"),
+        (lambda d: d.update(objective=[[10**400, [1, 1]]]), "coefficient: value must be finite"),
+        (lambda d: d["start"].update(x=[10**400, 1.0]), "x\\[0\\]: value must be finite"),
+        (lambda d: d.update(config={"mu0": 10**400}), "mu0: value must be finite"),
         (lambda d: d["start"].update(x=[1.0]), "length n=2"),
         (lambda d: d["start"].update(x=[-1.0, 1.0]), "nonnegative"),
         (lambda d: d["start"].update(z=[0.0]), "unknown start"),

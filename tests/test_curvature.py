@@ -188,7 +188,8 @@ def test_scale_blocked_at_bound():
     d = _direction([-1.0, 0.0])
     s = scale(d, np.array([0.3, 1.0]), np.array([-0.3, 0.0]), u_max=10.0)
     assert s.beta == 0.0
-    np.testing.assert_array_equal(s.u, [0.0, 0.0])
+    # exact zeros, as without a direction (0 * u_hat would hold -0.0)
+    assert s.u.tolist() == [0.0, 0.0] and not np.signbit(s.u).any()
 
 
 def test_scale_norm_cap():

@@ -137,11 +137,9 @@ def _two_cosines(x0=(6.26, 6.28)):
 _CASES = {
     "simplex-indefinite": _simplex_indefinite,
     "two-cosines": _two_cosines,
-    "two-cosines-fallback": lambda: _two_cosines((6.2, 6.28)),
+    "two-cosines-arc-failure": lambda: _two_cosines((6.2, 6.28)),
 }
-# with one trial per search, the second iteration's search along the
-# curvature arc fails; the retry along p alone is accepted
-_CONFIGS = {"two-cosines-fallback": SolverConfig(j_max=0)}
+_CONFIGS = {"two-cosines-arc-failure": SolverConfig(j_max=0)}
 
 
 def _problem(name):
@@ -156,7 +154,7 @@ def _problem(name):
         ("saddle-line", 5, 6),
         ("simplex-indefinite", 8, 9),
         ("two-cosines", 9, 7),
-        ("two-cosines-fallback", 7, 6),
+        ("two-cosines-arc-failure", 3, 2),
     ],
 )
 def test_each_point_is_evaluated_once(name, points, hessians):
@@ -452,6 +450,7 @@ def test_certificate_clean_at_a_minimizer():
         {"max_iterations": -1},
         {"max_iterations": 2.5},
         {"j_max": True},
+        {"mu0": 10**400},
     ],
 )
 def test_out_of_range_settings_raise_value_error(setting):
@@ -511,35 +510,22 @@ def test_exit_code_table():
     assert SolveStatus.FACTORIZATION_BREAKDOWN.exit_code == 4
 
 
-def test_search_falls_back_to_the_qp_step_when_the_arc_fails(monkeypatch):
-    problem = _problem("two-cosines-fallback")
-    config = _CONFIGS["two-cosines-fallback"]
-    searches = []  # [searched-from x, |u|, accepted] per call
-    real = driver.curvilinear_search
-
-    def curvilinear_search(problem, iterate, merit_old, step, *rest):
-        entry = [tuple(iterate.x.tolist()), float(np.linalg.norm(step.u)), False]
-        searches.append(entry)
-        out = real(problem, iterate, merit_old, step, *rest)
-        entry[2] = True
-        return out
-
-    monkeypatch.setattr(driver, "curvilinear_search", curvilinear_search)
-    result = solve(problem, config=config)
-    failed = [i for i, (_x, _u, accepted) in enumerate(searches) if not accepted]
-    assert len(failed) == 1
-    x, norm_u, _ = searches[failed[0]]
-    assert norm_u > 0.0
-    assert searches[failed[0] + 1] == [x, 0.0, True]
-    (record,) = [rec for rec in result.history if rec.x == x]
-    assert record.alpha > 0.0
-    assert record.norm_u == 0.0 and record.R_k == 0.0
-    # the record counts every trial of the failed arc and of the retry
-    assert record.trials == config.j_max + 1 + record.backtracks + 1
-    assert record.bound_rejections == 0
-    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
-    assert result.iterations == 6
-    assert result.f == pytest.approx(-2.7, abs=1e-12)
+def test_exhausted_arc_search_ends_the_solve_with_the_arc_record():
+    # with one trial per search, the second iteration's single arc trial
+    # is rejected; no second search is made along the QP step alone
+    result = solve(_problem("two-cosines-arc-failure"),
+                   config=_CONFIGS["two-cosines-arc-failure"])
+    assert result.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert result.status.exit_code == 4
+    assert result.message == "no step accepted in 1 trials"
+    assert result.iterations == 2
+    record = result.history[-1]
+    assert result.iterate.x.tolist() == list(record.x)
+    assert record.alpha == 0.0
+    # the record keeps the failed arc's curvature step and its one trial
+    assert record.norm_u > 0.0 and record.R_k < 0.0
+    assert record.trials == 1 and record.bound_rejections == 0
+    assert record.merit_new == record.merit
 
 
 def test_nan_curvature_form_ends_the_step_before_any_trial(monkeypatch):
