@@ -281,6 +281,11 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
     return 0.5 * (H + H.T)
 
 
+# 2**j for every positive point of the certification grid: the grid
+# spans 1e-8 to 1e18 times its scale, so 87 doublings cover it
+_DOUBLINGS = 2.0 ** np.arange(87)
+
+
 def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     """Diagonal-bump G = H_tilde + (1/mu) J.T J until it admits Cholesky.
 
@@ -312,31 +317,33 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
 
     # doubling is exact, so grid[i] = s * 2**(i - 1); a limit that
     # overflows to inf still ends the grid at the largest finite point
-    grid = [0.0]
-    theta, limit = 1e-8 * (1.0 + h_scale), 1e18 * (1.0 + h_scale)
-    while theta <= limit and theta < np.inf:
-        grid.append(theta)
-        theta *= 2.0
-    top = len(grid) - 1
+    with np.errstate(over="ignore"):
+        steps = (1e-8 * (1.0 + h_scale)) * _DOUBLINGS
+    limit = 1e18 * (1.0 + h_scale)
+    grid = np.concatenate(([0.0], steps[(steps <= limit) & (steps < np.inf)]))
+    top = grid.size - 1
     attempts = 0
-    G = None
+    # attempts shift their copy of base into work; a success swaps work
+    # with G, which keeps the matrix of the least point found to factor
+    work, G = np.empty_like(base), None
 
     def factors(k):
-        # keeps the matrix of the least point found to factor in G
-        nonlocal attempts, G
+        nonlocal attempts, work, G
         attempts += 1
-        shifted = apply_shift(base, bump_rows, grid[k])
+        np.copyto(work, base)
+        if grid[k]:
+            work[bump_rows, bump_rows] += grid[k]
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(work)
         except np.linalg.LinAlgError:
             return False
-        G = shifted
+        G, work = work, (np.empty_like(base) if G is None else G)
         return True
 
     # grid[lo] fails (lo = -1 until a point is seen to); grid[hi] is the
     # least point known to factor, or one past the end
     k0 = min(int(np.searchsorted(grid, theta_prev)), top)
-    lo, hi = -1, len(grid)
+    lo, hi = -1, grid.size
     if factors(k0):
         hi, step = k0, 1
         while hi > 0:
@@ -360,9 +367,9 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
             hi = mid
         else:
             lo = mid
-    if hi == len(grid):
+    if hi == grid.size:
         raise QpInternalError("convexified Hessian cannot be made positive definite")
-    return G, grid[hi], attempts
+    return G, float(grid[hi]), attempts
 
 
 def _analyze(ev, x, mu, mu_R, config):
@@ -496,7 +503,8 @@ def solve(problem, v0=None, config=None):
     the exception's text as message and the records closed before it.
     The result's measures are NaN when the failure came before the
     final iterate was measured, and f too when the start point fails.
-    A bad start point still raises ValueError.
+    A bad start point (wrong dimensions, a non-finite entry, a violated
+    bound) still raises ValueError.
     """
     config = config if config is not None else SolverConfig()
     if v0 is None:
@@ -506,6 +514,8 @@ def solve(problem, v0=None, config=None):
         v0 = make_iterate(problem.x0, y0)
     if v0.x.shape[0] != problem.n or v0.y.shape[0] != problem.m:
         raise ValueError("start point dimensions do not match the problem")
+    if not (np.isfinite(v0.x).all() and np.isfinite(v0.y).all()):
+        raise ValueError("start point is not finite")
     if float(np.min(v0.x, initial=0.0)) < 0.0:
         raise ValueError("start point violates the nonnegativity bounds")
 

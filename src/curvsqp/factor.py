@@ -13,6 +13,7 @@ eigenvalues.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,13 +86,31 @@ class Stage1Factor:
     kkt: KktSystem
     perm: np.ndarray
     L: np.ndarray
-    blocks: tuple
     B: np.ndarray
     S: np.ndarray
     n_piv: int
     counts: dict
     tiny: float
     unpivoted_h: np.ndarray
+
+    @cached_property
+    def blocks(self):
+        """The PivotBlocks of B in elimination order, built on first access.
+
+        A block is 2x2 exactly when its upper coupling is nonzero: the HD
+        pivot is chosen on a nonzero one, and B is zero off its blocks.
+        """
+        blocks = []
+        off = 0
+        while off < self.n_piv:
+            if off + 1 < self.n_piv and self.B[off, off + 1] != 0.0:
+                size, tag = 2, "HD"
+            else:
+                size, tag = 1, "H+" if self.perm[off] < self.kkt.n_free else "D-"
+            blocks.append(PivotBlock(values=self.B[off:off + size, off:off + size].copy(),
+                                     tag=tag, offset=off))
+            off += size
+        return tuple(blocks)
 
     @property
     def inertia_so_far(self):
@@ -159,27 +178,45 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
     duals_left = int(np.count_nonzero(dual))
     # +1 on curvature rows, -1 on dual rows, permuted along with perm
     sign = np.where(dual, -1.0, 1.0)
+    # the 1x1 Schur update's outer product, reshaped to the rows left
+    work = np.empty(max(N - 1, 0) ** 2)
     k = 0
     npiv = 0
     while k < N:
-        # |diagonal| on admissible rows; at most tiny, or NaN, elsewhere
-        s = sign[k:] * diag[k:]
-        top = np.fmax.reduce(s)
+        if duals_left:
+            # |diagonal| on admissible rows; at most tiny, or NaN, elsewhere
+            s = sign[k:] * diag[k:]
+            top = np.fmax.reduce(s)
+            best = -1
+        else:
+            # only curvature rows are left, so the first largest diagonal
+            # wins, unless argmax stopped at a NaN, which fmax skips
+            s = diag[k:]
+            best = int(s.argmax())
+            top = s[best]
+            if top != top:
+                top = np.fmax.reduce(s)
+                best = -1
         if top > tiny:
-            tied = s == top
-            if np.count_nonzero(tied) > 1:
-                tied_dual = tied & (sign[k:] < 0.0)
-                if tied_dual.any():
-                    tied = tied_dual
-            best = k + int(tied.argmax())
+            if best < 0:
+                tied = s == top
+                if np.count_nonzero(tied) > 1:
+                    tied_dual = tied & (sign[k:] < 0.0)
+                    if tied_dual.any():
+                        tied = tied_dual
+                best = int(tied.argmax())
+            best += k
             if best != k:
                 _swap(A, L, perm, sign, k, best)
             if k + 1 < N:  # the last pivot leaves nothing to update
                 inva = 1.0 / A[k, k]
                 c = A[k + 1:, k]
-                L[k + 1:, k] = c * inva
-                S = A[k + 1:, k + 1:]
-                np.subtract(S, np.multiply.outer(c, c) * inva, out=S)
+                np.multiply(c, inva, out=L[k + 1:, k])
+                r = N - k - 1
+                T = work[:r * r].reshape(r, r)
+                np.multiply.outer(c, c, out=T)
+                T *= inva
+                A[k + 1:, k + 1:] -= T
             if sign[k] > 0.0:
                 ptype[npiv] = 0
             else:
@@ -248,26 +285,20 @@ def stage1_factorize(kkt):
     tiny = 1e-12 * (1.0 + kkt.norm_max)
     n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
 
-    blocks = []
-    counts = {"H+": 0, "D-": 0, "HD": 0}
-    off = 0
-    for b in range(n_blocks):
-        size = int(psize[b])
-        tag = PIVOT_TAGS[int(ptype[b])]
-        counts[tag] += 1
-        blocks.append(PivotBlock(values=A[off:off + size, off:off + size].copy(), tag=tag, offset=off))
-        off += size
+    counts = dict(zip(PIVOT_TAGS, np.bincount(ptype[:n_blocks], minlength=3).tolist()))
     B = np.zeros((n_piv, n_piv))
-    for blk in blocks:
-        s = blk.values.shape[0]
-        B[blk.offset:blk.offset + s, blk.offset:blk.offset + s] = blk.values
+    np.fill_diagonal(B, A.diagonal()[:n_piv])
+    if counts["HD"]:
+        ends = np.cumsum(psize[:n_blocks])[ptype[:n_blocks] == 2]
+        for e in ends.tolist():
+            B[e - 2, e - 1] = A[e - 2, e - 1]
+            B[e - 1, e - 2] = A[e - 1, e - 2]
     S = A[n_piv:, n_piv:]
     S = 0.5 * (S + S.T)
     factor = Stage1Factor(
         kkt=kkt,
         perm=perm,
         L=L,
-        blocks=tuple(blocks),
         B=B,
         S=S,
         n_piv=n_piv,

@@ -8,11 +8,12 @@ The brute-force bound-pattern QP solve plays the same role for the
 active-set method, and on the stacked merit model (merit_hessian, with
 its unbounded dual entries) for the condensed step the driver takes.
 The scalar-loop stage-1 elimination, the one-step-at-a-time
-certification search and the one-trial-at-a-time curvilinear search are
-the references for the vectorized elimination in factor, the driver's
-bisection and merit's block search, and the per-monomial polynomial
-loop is the reference for problemfile's monomial tables; each pair must
-agree bit for bit.
+certification search, the active-set loop that regathers its index sets
+every iteration and the one-trial-at-a-time curvilinear search are the
+references for the vectorized elimination in factor, the driver's
+bisection, qpstep's loop and merit's block search, and the per-monomial
+polynomial loop is the reference for problemfile's monomial tables;
+each pair must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -20,10 +21,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CurvSqpError, LineSearchFailure, QpInternalError
+from .errors import CurvSqpError, LineSearchFailure, QpFailure, QpInternalError
 from .factor import apply_shift
 from .merit import EPS, SNAP_FACTOR, LineSearchResult, merit_value
 from .model import Iterate, evaluate, merit_terms
+from .qpstep import QpStep
 
 
 @dataclass(frozen=True)
@@ -427,6 +429,95 @@ def search_reference(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_m
             "bound_rejections": rejected,
         },
     )
+
+
+def qp_reference(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
+    """qpstep.solve_qp with every index set rebuilt on every iteration.
+
+    The reference for the active-set loop: free and active indices, the
+    reduced matrix and the ratio test are gathered afresh from the full
+    arrays each time. The QpStep, the QpFailure and the QpInternalError
+    of the two routes must agree bit for bit.
+
+    Returns a QpStep. seed_active lists indices pinned at -x[i] in the
+    starting point. Iteration count is capped at 100 * n by default;
+    hitting the cap raises QpFailure, a singular reduced system raises
+    QpInternalError.
+    """
+    G = np.asarray(G, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if G.shape != (n, n) or grad.shape != (n,):
+        raise ValueError("G, grad and x dimensions disagree")
+    if max_iterations is None:
+        max_iterations = 100 * max(n, 1)
+    scale = tol * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
+
+    active = np.zeros(n, dtype=bool)
+    p = np.zeros(n)
+    if seed_active is not None:
+        idx = np.asarray(seed_active, dtype=int)
+        active[idx] = True
+        p[idx] = -x[idx]
+
+    iterations = 0
+    while True:
+        if iterations >= max_iterations:
+            raise QpFailure(
+                f"active-set iteration cap {max_iterations} reached",
+                partial=p,
+            )
+        iterations += 1
+        r = grad + G @ p
+        f_idx = np.flatnonzero(~active)
+        # stationarity is judged on the reduced residual, never on the step
+        # length: a huge gradient must not swallow a genuine Newton step
+        at_minimizer = float(np.max(np.abs(r[f_idx]), initial=0.0)) <= scale
+        if not at_minimizer:
+            try:
+                d_f = np.linalg.solve(G[np.ix_(f_idx, f_idx)], -r[f_idx])
+            except np.linalg.LinAlgError as exc:
+                raise QpInternalError(
+                    "singular reduced Hessian in a working-set subproblem"
+                ) from exc
+            # a step at roundoff level cannot improve the subspace further
+            at_minimizer = float(np.max(np.abs(d_f))) <= 4e-16 * (
+                1.0 + float(np.max(np.abs(p[f_idx])))
+            )
+        if at_minimizer:
+            # subspace minimizer; check bound multipliers
+            a_idx = np.flatnonzero(active)
+            if a_idx.size == 0:
+                break
+            z_a = r[a_idx]
+            worst = int(np.argmin(z_a))
+            if z_a[worst] >= -scale:
+                break
+            active[a_idx[worst]] = False
+            continue
+        # ratio test against inactive lower bounds: the first of the
+        # smallest ratios below 1 blocks
+        alpha = 1.0
+        blocker = -1
+        pos = np.flatnonzero(d_f < 0.0)
+        b_idx = f_idx[pos]
+        ratios = (-x[b_idx] - p[b_idx]) / d_f[pos]
+        hits = np.flatnonzero(ratios < alpha)
+        if hits.size:
+            first = hits[np.argmin(ratios[hits])]
+            alpha = ratios[first]
+            blocker = int(b_idx[first])
+        p[f_idx] += alpha * d_f
+        if blocker >= 0:
+            p[blocker] = -x[blocker]
+            active[blocker] = True
+
+    z = np.zeros(n)
+    a_idx = np.flatnonzero(active)
+    z[a_idx] = r[a_idx]
+    obj = float(grad @ p + 0.5 * p @ (G @ p))
+    return QpStep(p=p, z=z, model_decrease=obj, active=a_idx, iterations=iterations)
 
 
 def merit_hessian(ev, state, H_used):

@@ -50,6 +50,9 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         p[idx] = -x[idx]
 
     iterations = 0
+    # the free indices, with their reduced matrix and bounds, are
+    # gathered again only after the working set changes
+    f_idx = None
     while True:
         if iterations >= max_iterations:
             raise QpFailure(
@@ -58,20 +61,27 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
             )
         iterations += 1
         r = grad + G @ p
-        f_idx = np.flatnonzero(~active)
+        if f_idx is None:
+            f_idx = np.flatnonzero(~active)
+            G_f = lo_f = None
+        r_f = r[f_idx]
         # stationarity is judged on the reduced residual, never on the step
         # length: a huge gradient must not swallow a genuine Newton step
-        at_minimizer = float(np.max(np.abs(r[f_idx]), initial=0.0)) <= scale
+        at_minimizer = float(np.max(np.abs(r_f), initial=0.0)) <= scale
         if not at_minimizer:
+            if G_f is None:
+                G_f = G.take(f_idx, 0).take(f_idx, 1)
+                lo_f = -x[f_idx]
             try:
-                d_f = np.linalg.solve(G[np.ix_(f_idx, f_idx)], -r[f_idx])
+                d_f = np.linalg.solve(G_f, -r_f)
             except np.linalg.LinAlgError as exc:
                 raise QpInternalError(
                     "singular reduced Hessian in a working-set subproblem"
                 ) from exc
+            p_f = p[f_idx]
             # a step at roundoff level cannot improve the subspace further
             at_minimizer = float(np.max(np.abs(d_f))) <= 4e-16 * (
-                1.0 + float(np.max(np.abs(p[f_idx])))
+                1.0 + float(np.max(np.abs(p_f)))
             )
         if at_minimizer:
             # subspace minimizer; check bound multipliers
@@ -83,23 +93,29 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
             if z_a[worst] >= -scale:
                 break
             active[a_idx[worst]] = False
+            f_idx = None
             continue
         # ratio test against inactive lower bounds: the first of the
         # smallest ratios below 1 blocks
         alpha = 1.0
         blocker = -1
         pos = np.flatnonzero(d_f < 0.0)
-        b_idx = f_idx[pos]
-        ratios = (-x[b_idx] - p[b_idx]) / d_f[pos]
-        hits = np.flatnonzero(ratios < alpha)
-        if hits.size:
-            first = hits[np.argmin(ratios[hits])]
-            alpha = ratios[first]
-            blocker = int(b_idx[first])
-        p[f_idx] += alpha * d_f
+        if pos.size:
+            ratios = (lo_f[pos] - p_f[pos]) / d_f[pos]
+            first = int(ratios.argmin())
+            if ratios[first] != ratios[first]:
+                # argmin stops at a NaN, which the test below never passes
+                hits = np.flatnonzero(ratios < alpha)
+                if hits.size:
+                    first = int(hits[np.argmin(ratios[hits])])
+            if ratios[first] < alpha:
+                alpha = ratios[first]
+                blocker = int(f_idx[pos[first]])
+        p[f_idx] = p_f + alpha * d_f
         if blocker >= 0:
             p[blocker] = -x[blocker]
             active[blocker] = True
+            f_idx = None
 
     z = np.zeros(n)
     a_idx = np.flatnonzero(active)

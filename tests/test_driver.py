@@ -484,6 +484,19 @@ def test_solve_rejects_bad_start_points():
         solve(anon)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [([np.nan, 1.0], [0.0]), ([np.inf, 1.0], [0.0]), ([-np.inf, 1.0], [0.0]),
+     ([1.0, 1.0], [np.nan]), ([1.0, 1.0], [-np.inf])],
+    ids=["nan-x", "inf-x", "minus-inf-x", "nan-y", "minus-inf-y"],
+)
+def test_solve_rejects_a_non_finite_start_point(x, y):
+    # raised before any callback runs, instead of an evaluation-error
+    # that would blame the callbacks
+    with pytest.raises(ValueError, match="start point is not finite"):
+        solve(get_problem("convex-qp"), v0=make_iterate(x, y))
+
+
 def test_kink_defeats_the_search_when_no_backtracking_is_allowed():
     # |x - 1| from the wrong side: the unit step jumps across the kink,
     # and j_max=0 forbids trying anything shorter

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import kkt_instances
-from curvsqp.factor import apply_shift, build_kkt, convexify, inertia, stage1_factorize
+from conftest import kkt_instances, scaled_kkt_instances
+from curvsqp.errors import FactorizationBreakdown
+from curvsqp.factor import (
+    PIVOT_TAGS,
+    apply_shift,
+    build_kkt,
+    convexify,
+    eliminate,
+    inertia,
+    stage1_factorize,
+)
 from curvsqp.oracle import eigen
 
 HAND_H = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -73,6 +82,45 @@ def test_stage1_pivot_tags_match_values():
                 assert blk.values.shape == (2, 2)
                 vals = np.linalg.eigvalsh(blk.values)
                 assert vals[0] < 0.0 < vals[1]
+
+
+def _eager_blocks(kkt):
+    """(values bytes, tag, offset) of each pivot, read off a direct elimination."""
+    N = kkt.K.shape[0]
+    A = kkt.K.copy()
+    perm = np.arange(N, dtype=np.int64)
+    ptype = np.zeros(N, dtype=np.int64)
+    psize = np.zeros(N, dtype=np.int64)
+    tiny = 1e-12 * (1.0 + kkt.norm_max)
+    _, n_blocks, _ = eliminate(A, np.eye(N), perm, ptype, psize, kkt.n_free, tiny)
+    blocks, off = [], 0
+    for size, code in zip(psize[:n_blocks].tolist(), ptype[:n_blocks].tolist()):
+        blocks.append((A[off:off + size, off:off + size].tobytes(), PIVOT_TAGS[code], off))
+        off += size
+    return blocks
+
+
+def test_stage1_blocks_are_built_on_first_access():
+    hd = 0
+    for H, J, mu in [*kkt_instances(35, 200), *scaled_kkt_instances(36, 200)]:
+        kkt = build_kkt(H, J, mu)
+        try:
+            factor = stage1_factorize(kkt)
+        except FactorizationBreakdown as exc:
+            factor = exc.partial
+        assert "blocks" not in vars(factor)
+        blocks = factor.blocks
+        assert factor.blocks is blocks
+        assert [(b.values.tobytes(), b.tag, b.offset) for b in blocks] == _eager_blocks(kkt)
+        # B is the block diagonal of the blocks, zero elsewhere
+        B = np.zeros_like(factor.B)
+        for b in blocks:
+            size = b.values.shape[0]
+            B[b.offset:b.offset + size, b.offset:b.offset + size] = b.values
+        assert B.tobytes() == factor.B.tobytes()
+        assert factor.counts == {tag: sum(b.tag == tag for b in blocks) for tag in PIVOT_TAGS}
+        hd += factor.counts["HD"] > 0
+    assert hd > 0
 
 
 def test_stage1_reconstruction_random():

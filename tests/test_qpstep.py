@@ -3,7 +3,9 @@ import pytest
 
 from conftest import condensed_step, qp_instances, stacked_reference
 from curvsqp.merit import MeritState
+from curvsqp.errors import QpFailure, QpInternalError
 from curvsqp.model import Evaluation, make_iterate
+from curvsqp.oracle import qp_reference
 from curvsqp.qpstep import solve_qp
 
 
@@ -104,3 +106,73 @@ def test_dimension_validation():
         solve_qp(np.eye(2), np.zeros(3), np.ones(1))
     with pytest.raises(ValueError):
         solve_qp(np.eye(2), np.zeros(2), np.ones(3))
+
+
+def _qp_outcome(fn, G, grad, x, **kwargs):
+    """The QpStep's bytes, or the error's type, text and partial step."""
+    try:
+        step = fn(G, grad, x, **kwargs)
+    except (QpFailure, QpInternalError) as exc:
+        partial = getattr(exc, "partial", None)
+        return type(exc).__name__, str(exc), None if partial is None else partial.tobytes()
+    return (step.p.tobytes(), step.z.tobytes(), repr(step.model_decrease),
+            step.active.dtype.str, step.active.tobytes(), step.iterations)
+
+
+def _spd_instances(seed, count):
+    """Yield (G, grad, x, seed_active) bound QPs with G positive definite.
+
+    n <= 12. About a third of x sits on its bound, a random subset of
+    indices is seeded, and the gradient is large enough that unit steps
+    often hit a bound and seeded entries often get released.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        A = rng.normal(size=(n, n))
+        G = A @ A.T + 0.1 * np.eye(n)
+        grad = rng.normal(size=n) * 10.0 ** rng.uniform(0.0, 2.0)
+        x = rng.uniform(0.0, 2.0, size=n)
+        x[rng.uniform(size=n) < 0.3] = 0.0
+        yield G, grad, x, np.flatnonzero(rng.uniform(size=n) < 0.4)
+
+
+def test_active_set_loop_matches_the_reference():
+    blocked = released = 0
+    for G, grad, x, seed in _spd_instances(61, 400):
+        out = _qp_outcome(solve_qp, G, grad, x, seed_active=seed)
+        assert out == _qp_outcome(qp_reference, G, grad, x, seed_active=seed)
+        active = np.frombuffer(out[4], dtype=out[3])
+        blocked += np.setdiff1d(active, seed).size > 0
+        released += np.setdiff1d(seed, active).size > 0
+    # the family must keep covering both kinds of working-set change
+    assert blocked > 200 and released > 200
+
+
+def test_active_set_loop_matches_the_reference_at_the_edges():
+    rng = np.random.default_rng(62)
+    G = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    grad = np.array([3.0, -2.0, 1.0])
+    x = np.array([0.5, 0.0, 1.0])
+    cases = [
+        dict(seed_active=[]),
+        dict(seed_active=np.arange(3)),
+        dict(seed_active=None),
+        dict(seed_active=[1], max_iterations=1),  # the cap: QpFailure
+        dict(seed_active=None, max_iterations=0),
+    ]
+    for kwargs in cases:
+        for g in (grad, np.zeros(3), rng.normal(size=3) * 1e3):
+            out = _qp_outcome(solve_qp, G, g, x, **kwargs)
+            assert out == _qp_outcome(qp_reference, G, g, x, **kwargs)
+    assert _qp_outcome(solve_qp, G, grad, x, seed_active=[1], max_iterations=1)[0] == "QpFailure"
+    # a NaN bound makes a NaN ratio, at which argmin would stop, ahead
+    # of the ratio 0.5 that blocks
+    x_nan = np.array([np.nan, 0.5, 2.0])
+    out = _qp_outcome(solve_qp, np.eye(3), np.ones(3), x_nan)
+    assert out == _qp_outcome(qp_reference, np.eye(3), np.ones(3), x_nan)
+    # a singular reduced block: QpInternalError on both routes
+    singular = np.zeros((3, 3))
+    out = _qp_outcome(solve_qp, singular, grad, x, seed_active=[2])
+    assert out == _qp_outcome(qp_reference, singular, grad, x, seed_active=[2])
+    assert out[0] == "QpInternalError"
