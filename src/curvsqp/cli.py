@@ -77,8 +77,12 @@ def _load_problem(selector):
         problem = get_problem(selector)
         return problem, problem.x0, problem.y0, {}
     if os.path.exists(selector):
-        with open(selector, "r", encoding="utf-8") as fh:
-            parsed = parse_problem_file(fh.read())
+        try:
+            with open(selector, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProblemFormatError(f"cannot read '{selector}': {exc}") from exc
+        parsed = parse_problem_file(text)
         return parsed.problem, parsed.x0, parsed.y0, parsed.config
     raise ProblemFormatError(
         f"'{selector}' is neither a built-in problem nor an existing file"

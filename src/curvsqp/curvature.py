@@ -67,8 +67,7 @@ def extract_direction(factor, ws, H, J):
     kkt = factor.kkt
     n, m = ws.n, kkt.m
     S = factor.S
-    h_scale = float(np.max(np.abs(kkt.H_F), initial=0.0))
-    floor = 1e-10 * (1.0 + h_scale)
+    floor = 1e-10 * (1.0 + kkt.h_scale)
     if S.shape[0] == 0:
         return no_direction(n, m)
     q, r = np.unravel_index(np.argmax(np.abs(S)), S.shape)

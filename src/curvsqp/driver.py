@@ -13,7 +13,9 @@ curvilinear path x + alpha*u + alpha^2*p (u = 0 when there is no usable
 curvature direction). One search is made per step; when it finds no
 point the solve ends as line-search-failure. Each iteration ends in
 exactly one IterationRecord, which is also what the next penalty update
-reads.
+reads. solve builds it in one place from the measures and the step
+fields that _step returns; _NO_STEP holds the values of a record that
+made no step.
 
 Each point is evaluated once. The start gets the full evaluation here;
 search trials get only f and c, and the accepted trial's full
@@ -136,11 +138,11 @@ class SolverConfig:
                 need, test = _FLOAT_RANGES.get(f.name, (">= 0", lambda v: v >= 0.0))
                 need = f"finite and {need}"
                 try:
-                    ok = math.isfinite(v) and test(v)
+                    ok = not isinstance(v, bool) and math.isfinite(v) and test(v)
                 except OverflowError:  # an integer too large for a float
                     ok = False
             else:
-                continue
+                need, ok = "a boolean", isinstance(v, bool)
             if not ok:
                 raise ValueError(f"{f.name} must be {need}, got {v!r}")
 
@@ -214,23 +216,7 @@ class IterationRecord:
     bound_rejections: int
 
     def csv_values(self):
-        return (
-            self.k,
-            self.cls,
-            self.eta,
-            self.omega,
-            self.phi_S,
-            self.phi_L,
-            self.mu,
-            self.mu_R,
-            self.tau,
-            self.alpha,
-            self.norm_p,
-            self.norm_u,
-            self.curv_ratio,
-            self.merit,
-            self.ws_size,
-        )
+        return tuple(getattr(self, "cls" if name == "class" else name) for name in CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -392,31 +378,12 @@ def _analyze(ev, x, mu, mu_R, config):
     return ws, conv, direction
 
 
-@dataclass(frozen=True)
-class _Step:
-    """The outcome of one iteration's step.
-
-    iterate, ev and merit_new describe the accepted point; a step that
-    did not move keeps the measured point and its merit. status is set
-    when the iteration ends the solve.
-    """
-
-    iterate: object
-    ev: object
-    merit_new: float
-    alpha: float = 0.0
-    norm_p: float = 0.0
-    norm_u: float = 0.0
-    norm_dv: float = 0.0
-    N_k: float = 0.0
-    R_k: float = 0.0
-    backtracks: int = 0
-    theta: float = 0.0
-    cholesky_attempts: int = 0
-    trials: int = 0
-    bound_rejections: int = 0
-    status: SolveStatus = None
-    message: str = ""
+# the step fields of a record that made no step; _step starts from a
+# copy and fills in each value as the step learns it
+_NO_STEP = dict(
+    alpha=0.0, norm_p=0.0, norm_u=0.0, norm_dv=0.0, N_k=0.0, R_k=0.0, backtracks=0,
+    theta=0.0, cholesky_attempts=0, trials=0, bound_rejections=0,
+)
 
 
 def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, theta_prev,
@@ -427,30 +394,32 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     certified positive definite by a shift search that starts at the
     previous step's shift theta_prev; the dual step is closed-form. One
     search runs along the curvilinear path (u, p), with u = 0 when the
-    scaled curvature step is empty. A QP or search failure, or a
-    non-finite model quantity N_k or R_k, returns a step that stays at
-    it with the matching status; a failed search's step keeps its
-    norm_u, R_k and trial counts.
+    scaled curvature step is empty.
+
+    Returns (step_fields, ls, status, message). step_fields holds the
+    record's step fields: a copy of _NO_STEP with every value the step
+    reached filled in, so a QP failure keeps theta and the Cholesky
+    attempts, and a failed search, or a non-finite model quantity N_k or
+    R_k, keeps norm_u, R_k and the trial counts. ls is the accepted
+    LineSearchResult, None when the point did not move; status is the
+    SolveStatus that ends the solve, None when it goes on.
     """
+    step_fields = dict(_NO_STEP)
     state_R = _merit_state(fstate, fstate.mu_R, config)
     H_tilde = ev.H
     if conv is not None:
         H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
     h_scale = float(np.max(np.abs(ev.H), initial=0.0))
     grad_p, constant = condense(ev, it, state_R)
-    theta, attempts = 0.0, 0
     try:
-        G, theta, attempts = _certified_hessian(
+        G, step_fields["theta"], step_fields["cholesky_attempts"] = _certified_hessian(
             H_tilde, ev.J, fstate.mu_R, ws.active, h_scale, theta_prev
         )
         qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
     except (QpFailure, QpInternalError) as exc:
-        return _Step(it, ev, merit_here, theta=theta, cholesky_attempts=attempts,
-                     status=SolveStatus.QP_FAILURE, message=str(exc))
+        return step_fields, None, SolveStatus.QP_FAILURE, str(exc)
     dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
     N_k = min(qp.model_decrease + constant, 0.0)
-    norm_p = float(np.linalg.norm(qp.p))
-    norm_dv = float(np.linalg.norm(dv))
 
     direction = orient(direction, merit_gradient(ev, it, state_R))
     step = scale(direction, it.x, qp.p, config.u_max)
@@ -459,35 +428,31 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
         # the stacked merit form at (u, w = -(1/mu_R) J u)
         H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
         R_k = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
-    norm_u = float(np.linalg.norm(step.u))
+    step_fields.update(norm_p=float(np.linalg.norm(qp.p)), norm_u=float(np.linalg.norm(step.u)),
+                       norm_dv=float(np.linalg.norm(dv)), N_k=N_k, R_k=R_k)
 
     for name, value in (("N_k", N_k), ("R_k", R_k)):
         if not math.isfinite(value):
             # no right-hand side can be formed, so no trial is evaluated
-            return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
-                         N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts,
-                         status=SolveStatus.LINE_SEARCH_FAILURE,
-                         message=f"non-finite model quantity {name} = {value}")
+            return (step_fields, None, SolveStatus.LINE_SEARCH_FAILURE,
+                    f"non-finite model quantity {name} = {value}")
 
-    if norm_dv == 0.0 and norm_u == 0.0:
+    if step_fields["norm_dv"] == 0.0 and step_fields["norm_u"] == 0.0:
         # stationary for the current subproblem; only the parameter
         # updates can make progress, so take the null step
-        return _Step(it, ev, merit_here, alpha=1.0, norm_p=norm_p, norm_dv=norm_dv,
-                     N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts)
+        step_fields["alpha"] = 1.0
+        return step_fields, None, None, ""
     try:
         ls = curvilinear_search(
             problem, it, merit_here, step, dv, state_F, N_k, R_k, config.j_max
         )
     except LineSearchFailure as exc:
-        return _Step(it, ev, merit_here, norm_p=norm_p, norm_u=norm_u, norm_dv=norm_dv,
-                     N_k=N_k, R_k=R_k, theta=theta, cholesky_attempts=attempts,
-                     trials=exc.diagnostics["n_trials"],
-                     bound_rejections=exc.diagnostics["bound_rejections"],
-                     status=SolveStatus.LINE_SEARCH_FAILURE, message=str(exc))
-    return _Step(ls.accepted, ls.ev, ls.merit_new, alpha=ls.alpha, norm_p=norm_p,
-                 norm_u=norm_u, norm_dv=norm_dv, N_k=N_k, R_k=R_k, backtracks=ls.j,
-                 theta=theta, cholesky_attempts=attempts, trials=ls.n_trials,
-                 bound_rejections=ls.bound_rejections)
+        step_fields.update(trials=exc.diagnostics["n_trials"],
+                           bound_rejections=exc.diagnostics["bound_rejections"])
+        return step_fields, None, SolveStatus.LINE_SEARCH_FAILURE, str(exc)
+    step_fields.update(alpha=ls.alpha, backtracks=ls.j, trials=ls.n_trials,
+                       bound_rejections=ls.bound_rejections)
+    return step_fields, ls, None, ""
 
 
 def solve(problem, v0=None, config=None):
@@ -566,24 +531,22 @@ def solve(problem, v0=None, config=None):
                 meas.eta <= config.tol_constraint
                 and meas.omega_first <= config.tol_first
             )
+            step_fields, ls, status, message = _NO_STEP, None, None, ""
             if first_order_ok and (
                 not config.enable_curvature or last_ratio >= -config.tol_second
             ):
-                step = _Step(
-                    it, ev, merit_here,
-                    status=SolveStatus.SECOND_ORDER_OPTIMAL
+                status = (
+                    SolveStatus.SECOND_ORDER_OPTIMAL
                     if config.enable_curvature
-                    else SolveStatus.FIRST_ORDER_ONLY,
+                    else SolveStatus.FIRST_ORDER_ONLY
                 )
             elif len(history) >= config.max_iterations:
-                step = _Step(
-                    it, ev, merit_here, status=SolveStatus.ITERATION_LIMIT,
-                    message="iteration limit reached before the optimality tests passed",
-                )
+                status = SolveStatus.ITERATION_LIMIT
+                message = "iteration limit reached before the optimality tests passed"
             else:
                 # the certification search starts at the previous step's shift
                 theta_prev = history[-1].theta if history else 0.0
-                step = _step(
+                step_fields, ls, status, message = _step(
                     problem, ev, it, ws, conv, direction, fstate, state_F, merit_here,
                     theta_prev, config,
                 )
@@ -599,30 +562,20 @@ def solve(problem, v0=None, config=None):
                     mu=mu,
                     mu_R=fstate.mu_R,
                     tau=fstate.tau,
-                    alpha=step.alpha,
-                    norm_p=step.norm_p,
-                    norm_u=step.norm_u,
                     curv_ratio=last_ratio,
                     merit=merit_here,
                     ws_size=ws.active.size,
-                    norm_dv=step.norm_dv,
-                    N_k=step.N_k,
-                    R_k=step.R_k,
-                    backtracks=step.backtracks,
                     x=tuple(it.x.tolist()),
                     y=tuple(it.y.tolist()),
                     y_E=tuple(fstate.y_E.tolist()),
-                    merit_new=step.merit_new,
-                    theta=step.theta,
-                    cholesky_attempts=step.cholesky_attempts,
-                    trials=step.trials,
-                    bound_rejections=step.bound_rejections,
+                    merit_new=merit_here if ls is None else ls.merit_new,
+                    **step_fields,
                 )
             )
-            if step.status is not None:
-                status, message = step.status, step.message
+            if status is not None:
                 break
-            it, ev = step.iterate, step.ev
+            if ls is not None:
+                it, ev = ls.accepted, ls.ev
     except (EvaluationError, FactorizationBreakdown) as exc:
         # the history keeps every record closed before the failure
         status = (

@@ -24,15 +24,14 @@ PIVOT_TAGS = ("H+", "D-", "HD")
 
 @dataclass(frozen=True)
 class KktSystem:
-    """Free-variable KKT matrix and the pieces it was assembled from."""
+    """Free-variable KKT matrix, its sizes and scales; h_scale is max |H_F|."""
 
-    H_F: np.ndarray
-    J_F: np.ndarray
     mu: float
     K: np.ndarray
     n_free: int
     m: int
     norm_max: float
+    h_scale: float
 
 
 def build_kkt(H_F, J_F, mu):
@@ -55,13 +54,12 @@ def build_kkt(H_F, J_F, mu):
     K[nf:, :nf] = J_F
     K[nf:, nf:] = -mu * np.eye(m)
     return KktSystem(
-        H_F=H_F,
-        J_F=J_F,
         mu=mu,
         K=K,
         n_free=nf,
         m=m,
         norm_max=float(np.max(np.abs(K), initial=0.0)),
+        h_scale=float(np.max(np.abs(H_F), initial=0.0)),
     )
 
 
@@ -339,8 +337,7 @@ def convexify(factor, margin=0.5):
     if S.shape[0] == 0:
         return Convexification(delta=0.0, shifted_rows=rows)
     norm_inf = float(np.max(np.sum(np.abs(S), axis=1)))
-    h_scale = float(np.max(np.abs(factor.kkt.H_F), initial=0.0))
-    delta = max((1.0 + float(margin)) * norm_inf, 1e-8 * (1.0 + h_scale))
+    delta = max((1.0 + float(margin)) * norm_inf, 1e-8 * (1.0 + factor.kkt.h_scale))
     return Convexification(delta=delta, shifted_rows=rows)
 
 

@@ -183,15 +183,7 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
         first, size = js.stop, min(2 * size, BLOCK_ROWS)
     raise LineSearchFailure(
         f"no step accepted in {j_max + 1} trials",
-        diagnostics={
-            "merit": merit_old,
-            "N_k": N_k,
-            "R_k": R_k,
-            "norm_u": float(np.linalg.norm(u)),
-            "norm_p": float(np.linalg.norm(p)),
-            "n_trials": j_max + 1,
-            "bound_rejections": rejected,
-        },
+        diagnostics={"n_trials": j_max + 1, "bound_rejections": rejected},
     )
 
 

@@ -419,15 +419,7 @@ def search_reference(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_m
             )
     raise LineSearchFailure(
         f"no step accepted in {j_max + 1} trials",
-        diagnostics={
-            "merit": merit_old,
-            "N_k": N_k,
-            "R_k": R_k,
-            "norm_u": float(np.linalg.norm(u)),
-            "norm_p": float(np.linalg.norm(p)),
-            "n_trials": trials,
-            "bound_rejections": rejected,
-        },
+        diagnostics={"n_trials": trials, "bound_rejections": rejected},
     )
 
 

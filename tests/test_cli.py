@@ -74,6 +74,22 @@ def test_malformed_json_file(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_directory_as_problem_path(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvsqp: cannot read '{tmp_path}'")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_problem_file(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvsqp: cannot read '{path}'")
+    assert err.count("\n") == 1
+
+
 def test_problem_file_solves_to_a_vertex(tmp_path):
     path = _write(tmp_path, BILINEAR)
     assert main(["solve", path]) == 0

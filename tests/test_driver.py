@@ -16,6 +16,13 @@ from curvsqp.oracle import certify_reference
 from curvsqp.problems import get_problem
 
 
+# the IterationRecord fields that only a step fills in
+STEP_FIELDS = (
+    "alpha", "norm_p", "norm_u", "norm_dv", "N_k", "R_k", "backtracks",
+    "theta", "cholesky_attempts", "trials", "bound_rejections",
+)
+
+
 def _unconstrained(name, f, g, H, x0):
     return NlpProblem(
         name=name,
@@ -451,6 +458,10 @@ def test_certificate_clean_at_a_minimizer():
         {"max_iterations": 2.5},
         {"j_max": True},
         {"mu0": 10**400},
+        {"enable_curvature": "no"},
+        {"enable_curvature": None},
+        {"mu0": True},
+        {"margin": True},
     ],
 )
 def test_out_of_range_settings_raise_value_error(setting):
@@ -590,3 +601,46 @@ def test_qp_failure_keeps_the_history(monkeypatch, error):
     assert len(result.history) == 2
     assert result.history[0] == reference.history[0]
     assert result.history[1].alpha == 0.0
+    # the certification succeeded, so the closing record keeps its shift
+    # and attempts; every later step field stays at its no-step value
+    last, ref = result.history[1], reference.history[1]
+    assert (last.theta, last.cholesky_attempts) == (ref.theta, ref.cholesky_attempts)
+    assert last.cholesky_attempts > 0
+    for name in STEP_FIELDS:
+        if name not in ("theta", "cholesky_attempts"):
+            assert getattr(last, name) == 0, name
+    assert last.merit_new == last.merit
+
+
+def test_certification_failure_keeps_the_history(monkeypatch):
+    reference = solve(get_problem("saddle-line"))
+    real, calls = driver._certified_hessian, []
+
+    def certify(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise QpInternalError("convexified Hessian cannot be made positive definite")
+        return real(*args)
+
+    monkeypatch.setattr(driver, "_certified_hessian", certify)
+    result = solve(get_problem("saddle-line"))
+    assert result.status is SolveStatus.QP_FAILURE
+    assert result.message == "convexified Hessian cannot be made positive definite"
+    assert len(result.history) == 2
+    assert result.history[0] == reference.history[0]
+    last = result.history[1]
+    for name in STEP_FIELDS:
+        assert getattr(last, name) == 0, name
+    assert last.merit_new == last.merit
+
+
+def test_iteration_limit_record_made_no_step():
+    result = solve(get_problem("saddle-line"), config=SolverConfig(max_iterations=1))
+    assert result.status is SolveStatus.ITERATION_LIMIT
+    assert len(result.history) == 2
+    assert result.history[0].alpha > 0.0
+    last = result.history[1]
+    for name in STEP_FIELDS:
+        assert getattr(last, name) == 0, name
+    assert last.merit_new == last.merit
+    np.testing.assert_array_equal(result.iterate.x, last.x)
