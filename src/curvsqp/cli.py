@@ -187,10 +187,17 @@ def main(argv=None):
         print(f"curvsqp: {exc}", file=sys.stderr)
         return 4
 
-    if args.log:
-        write_log(args.log, result.history)
-    if args.report:
-        _write_report(args.report, problem, result)
+    path = None
+    try:
+        if args.log:
+            path = args.log
+            write_log(path, result.history)
+        if args.report:
+            path = args.report
+            _write_report(path, problem, result)
+    except OSError as exc:
+        print(f"curvsqp: cannot write '{path}': {exc}", file=sys.stderr)
+        return 1
     if result.status.exit_code == 4:
         print(f"curvsqp: {result.message}", file=sys.stderr)
 

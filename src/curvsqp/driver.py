@@ -138,7 +138,10 @@ class SolverConfig:
                 need, test = _FLOAT_RANGES.get(f.name, (">= 0", lambda v: v >= 0.0))
                 need = f"finite and {need}"
                 try:
-                    ok = not isinstance(v, bool) and math.isfinite(v) and test(v)
+                    ok = (
+                        isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        and math.isfinite(v) and test(v)
+                    )
                 except OverflowError:  # an integer too large for a float
                     ok = False
             else:
@@ -174,8 +177,8 @@ class IterationRecord:
     x and y are the iterate the record measured, y_E the reference
     multipliers its merit ran under, and merit_new the merit of the
     point it accepted (merit itself when it did not move). They are
-    tuples of floats, so records compare exactly. With mu, mu_R, alpha,
-    N_k and R_k they rebuild the merit state of the search and let its
+    tuples of floats, so records compare exactly. With mu, alpha, N_k
+    and R_k they rebuild the merit state of the search and let its
     acceptance inequality be checked again; the accepted point is the
     next record's (x, y), or the result's iterate after the last record.
     theta is the certification shift of the step and cholesky_attempts
@@ -246,11 +249,10 @@ _UNMEASURED = Measures(
 
 
 def _merit_state(source, mu, config):
-    """Merit state at penalty mu; y_E and mu_R from a FilterState or record."""
+    """Merit state at penalty mu; y_E from a FilterState or record."""
     return MeritState(
         y_E=np.asarray(source.y_E, dtype=float),
         mu=mu,
-        mu_R=source.mu_R,
         nu=config.nu,
         eta_S=config.eta_S,
         alpha_min=config.alpha_min,

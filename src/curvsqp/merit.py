@@ -24,7 +24,8 @@ it equals the model in p alone (condense)
 a bound QP in x on the very matrix the certification factors.
 
 The merit value needs only f and c, so the curvilinear search measures
-its trials with model.merit_terms and makes the full evaluation (g, J,
+its trials with model.merit_terms, one trial at a time in j order and
+never past the first that passes, and makes the full evaluation (g, J,
 H) at the trial it accepts, once.
 """
 
@@ -39,23 +40,19 @@ SNAP_FACTOR = 1e-13
 # the search's right-hand side is relaxed by 10 EPS |merit_old|, so it
 # never asks for a decrease below the merit's rounding error
 EPS = float(np.finfo(float).eps)
-# the curvilinear search builds its trial points 1, 2, 4, ... at a time,
-# so a search accepted at j = 0 builds one; the cap bounds a block's
-# memory at BLOCK_ROWS * (n + m) floats whatever j_max is
-BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
 class MeritState:
     """Parameters the merit function is conditioned on.
 
-    mu is the flexible line-search penalty, mu_R the regularization
-    penalty used for factorization and classification; 0 < mu_R <= mu.
+    y_E is the multiplier estimate and mu the flexible line-search
+    penalty; nu weighs the dual term, and eta_S and alpha_min scale the
+    decrease the search and the penalty update require.
     """
 
     y_E: np.ndarray
     mu: float
-    mu_R: float
     nu: float = 1.0
     eta_S: float = 0.25
     alpha_min: float = 1e-2
@@ -132,13 +129,6 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
     accepted point is the one the inequality was verified at. Raises
     LineSearchFailure when j_max is exhausted; its diagnostics carry
     n_trials and bound_rejections.
-
-    The trial sequence is fixed in advance, so the trial points, their
-    least entries and the right-hand sides are built as arrays, a block
-    of 1, 2, 4, ... (at most BLOCK_ROWS) consecutive j at a time, with
-    the float operations of one trial at a time, so they agree with
-    oracle.search_reference bit for bit. The callbacks still run one
-    trial at a time, in j order, and never past the accepted trial.
     """
     if not (N_k <= 0.0 and R_k <= 0.0):
         raise ValueError(f"model decrease quantities must be nonpositive, not {N_k}, {R_k}")
@@ -149,38 +139,28 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
     snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(x), initial=0.0)))
     relaxed = merit_old + 10.0 * EPS * abs(merit_old)
     rejected = 0
-    first, size = 0, 1
-    while first <= j_max:
-        js = range(first, min(first + size, j_max + 1))
-        a = np.ldexp(1.0, -np.arange(js.start, js.stop))  # alpha = 2**-j, exactly
-        a2 = a * a
-        X = x + a[:, None] * u + a2[:, None] * p
-        Y = y + a[:, None] * w + a2[:, None] * q
-        lowest = np.min(X, axis=1, initial=0.0).tolist()
-        rhs = (relaxed + a2 * state.eta_S * (N_k + 0.5 * R_k)).tolist()
-        for i, j in enumerate(js):
-            if lowest[i] < -snap:
-                rejected += 1
-                continue
-            x_t = X[i]
-            if lowest[i] < 0.0:
-                x_t = np.where(x_t < 0.0, 0.0, x_t)
-            cand = Iterate(x=x_t, y=Y[i])
-            terms = merit_terms(problem, cand)
-            m_t = merit_value(terms, cand, state)
-            if m_t <= rhs[i]:
-                # rows of X and Y are views; the kept point owns its arrays
-                cand = Iterate(x=x_t.copy(), y=Y[i].copy())
-                return LineSearchResult(
-                    alpha=float(a[i]),
-                    j=j,
-                    accepted=cand,
-                    ev=evaluate(problem, cand, terms),
-                    merit_new=m_t,
-                    n_trials=j + 1,
-                    bound_rejections=rejected,
-                )
-        first, size = js.stop, min(2 * size, BLOCK_ROWS)
+    for j in range(j_max + 1):
+        alpha = 2.0 ** (-j)
+        x_t = x + alpha * u + alpha * alpha * p
+        lowest = float(np.min(x_t, initial=0.0))
+        if lowest < -snap:
+            rejected += 1
+            continue
+        if lowest < 0.0:
+            x_t = np.where(x_t < 0.0, 0.0, x_t)
+        cand = Iterate(x=x_t, y=y + alpha * w + alpha * alpha * q)
+        terms = merit_terms(problem, cand)
+        m_t = merit_value(terms, cand, state)
+        if m_t <= relaxed + alpha * alpha * state.eta_S * (N_k + 0.5 * R_k):
+            return LineSearchResult(
+                alpha=alpha,
+                j=j,
+                accepted=cand,
+                ev=evaluate(problem, cand, terms),
+                merit_new=m_t,
+                n_trials=j + 1,
+                bound_rejections=rejected,
+            )
     raise LineSearchFailure(
         f"no step accepted in {j_max + 1} trials",
         diagnostics={"n_trials": j_max + 1, "bound_rejections": rejected},

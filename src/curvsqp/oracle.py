@@ -8,12 +8,13 @@ The brute-force bound-pattern QP solve plays the same role for the
 active-set method, and on the stacked merit model (merit_hessian, with
 its unbounded dual entries) for the condensed step the driver takes.
 The scalar-loop stage-1 elimination, the one-step-at-a-time
-certification search, the active-set loop that regathers its index sets
-every iteration and the one-trial-at-a-time curvilinear search are the
-references for the vectorized elimination in factor, the driver's
-bisection, qpstep's loop and merit's block search, and the per-monomial
-polynomial loop is the reference for problemfile's monomial tables;
-each pair must agree bit for bit.
+certification search and the active-set loop that regathers its index
+sets every iteration are the references for the vectorized elimination
+in factor, the driver's bisection and qpstep's loop, and the
+per-monomial polynomial loop is the reference for problemfile's
+monomial tables; each pair must agree bit for bit. The curvilinear
+search has no second route: merit's search is the one-trial-at-a-time
+loop, and its tests check the acceptance rule directly.
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CurvSqpError, LineSearchFailure, QpFailure, QpInternalError
+from .errors import CurvSqpError, QpFailure, QpInternalError
 from .factor import apply_shift
-from .merit import EPS, SNAP_FACTOR, LineSearchResult, merit_value
-from .model import Iterate, evaluate, merit_terms
 from .qpstep import QpStep
 
 
@@ -374,53 +373,6 @@ def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
                     "convexified Hessian cannot be made positive definite"
                 )
     return apply_shift(base, bump_rows, theta), theta
-
-
-def search_reference(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_max=50):
-    """merit.curvilinear_search, one trial point at a time.
-
-    The reference for the block search: each trial builds its point,
-    least entry, dual point and right-hand side on its own. The results,
-    the callback calls and the failures of the two routes must agree bit
-    for bit.
-    """
-    if not (N_k <= 0.0 and R_k <= 0.0):
-        raise ValueError(f"model decrease quantities must be nonpositive, not {N_k}, {R_k}")
-    n = iterate.x.shape[0]
-    u, w = step.u, step.w
-    p, q = dv[:n], dv[n:]
-    snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(iterate.x), initial=0.0)))
-    relaxed = merit_old + 10.0 * EPS * abs(merit_old)
-    trials = 0
-    rejected = 0
-    for j in range(j_max + 1):
-        alpha = 2.0 ** (-j)
-        x_t = iterate.x + alpha * u + alpha * alpha * p
-        trials += 1
-        lowest = float(np.min(x_t, initial=0.0))
-        if lowest < -snap:
-            rejected += 1
-            continue
-        if lowest < 0.0:
-            x_t = np.where(x_t < 0.0, 0.0, x_t)
-        y_t = iterate.y + alpha * w + alpha * alpha * q
-        cand = Iterate(x=x_t, y=y_t)
-        terms = merit_terms(problem, cand)
-        m_t = merit_value(terms, cand, state)
-        if m_t <= relaxed + alpha * alpha * state.eta_S * (N_k + 0.5 * R_k):
-            return LineSearchResult(
-                alpha=alpha,
-                j=j,
-                accepted=cand,
-                ev=evaluate(problem, cand, terms),
-                merit_new=m_t,
-                n_trials=trials,
-                bound_rejections=rejected,
-            )
-    raise LineSearchFailure(
-        f"no step accepted in {j_max + 1} trials",
-        diagnostics={"n_trials": trials, "bound_rejections": rejected},
-    )
 
 
 def qp_reference(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):

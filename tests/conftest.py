@@ -82,7 +82,7 @@ def qp_instances(seed, count):
         x = rng.uniform(0.0, 2.0, size=n)
         x[rng.uniform(size=n) < 0.2] = 0.0
         iterate = make_iterate(x, rng.normal(size=m))
-        state = MeritState(y_E=rng.normal(size=m), mu=mu, mu_R=mu, nu=nu)
+        state = MeritState(y_E=rng.normal(size=m), mu=mu, nu=nu)
         if rng.uniform() < 0.5:
             seed_active = np.flatnonzero(rng.uniform(size=n) < 0.3)
         else:

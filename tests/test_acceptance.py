@@ -115,7 +115,7 @@ def test_c05_stacked_merit_form_collapses_to_penalized_form():
     for H, J, mu, nu, u in merit_form_instances(105, 500):
         m = J.shape[0]
         ev = Evaluation(f=0.0, c=np.zeros(m), g=np.zeros(H.shape[0]), J=J, H=H)
-        state = MeritState(y_E=np.zeros(m), mu=mu, mu_R=mu, nu=nu)
+        state = MeritState(y_E=np.zeros(m), mu=mu, nu=nu)
         H_M = merit_hessian(ev, state, H)
         w = -(J @ u) / mu
         v = np.concatenate([u, w])
@@ -163,7 +163,7 @@ def test_c07_every_accepted_step_satisfies_the_search_inequality(solver_runs):
             if rec.alpha == 0.0:
                 continue  # the solve stopped at this record without a step
             state = MeritState(
-                y_E=np.array(rec.y_E), mu=rec.mu, mu_R=rec.mu_R,
+                y_E=np.array(rec.y_E), mu=rec.mu,
                 nu=config.nu, eta_S=config.eta_S, alpha_min=config.alpha_min,
             )
             prev = make_iterate(rec.x, rec.y)

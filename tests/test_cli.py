@@ -90,6 +90,21 @@ def test_undecodable_problem_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_directory_as_log_path(tmp_path, capsys):
+    assert main(["solve", "convex-qp", "--log", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvsqp: cannot write '{tmp_path}'")
+    assert err.count("\n") == 1
+
+
+def test_report_path_under_a_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert main(["solve", "convex-qp", "--report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvsqp: cannot write '{path}'")
+    assert err.count("\n") == 1
+
+
 def test_problem_file_solves_to_a_vertex(tmp_path):
     path = _write(tmp_path, BILINEAR)
     assert main(["solve", path]) == 0

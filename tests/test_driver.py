@@ -462,6 +462,8 @@ def test_certificate_clean_at_a_minimizer():
         {"enable_curvature": None},
         {"mu0": True},
         {"margin": True},
+        {"mu0": "0.1"},
+        {"tol_first": None},
     ],
 )
 def test_out_of_range_settings_raise_value_error(setting):

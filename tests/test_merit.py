@@ -17,13 +17,13 @@ from curvsqp.merit import (
     penalty_update,
 )
 from curvsqp.model import Evaluation, NlpProblem, evaluate, make_iterate
-from curvsqp.oracle import merit_hessian, search_reference
+from curvsqp.oracle import merit_hessian
 from curvsqp.problems import get_problem
 
 
 def _state(y_E, mu, **kw):
     y_E = np.atleast_1d(np.asarray(y_E, dtype=float))
-    return MeritState(y_E=y_E, mu=mu, mu_R=mu, **kw)
+    return MeritState(y_E=y_E, mu=mu, **kw)
 
 
 def _synthetic_eval(H, J):
@@ -58,7 +58,7 @@ def test_gradient_unconstrained_is_objective_gradient():
     prob = get_problem("cosine-saddle")
     it = make_iterate([1.0, 3.0], [])
     ev = evaluate(prob, it)
-    state = MeritState(y_E=np.zeros(0), mu=0.4, mu_R=0.4)
+    state = MeritState(y_E=np.zeros(0), mu=0.4)
     np.testing.assert_array_equal(merit_gradient(ev, it, state), ev.g)
 
 
@@ -83,7 +83,7 @@ def test_gradient_matches_finite_differences():
 
 def test_hessian_unconstrained_is_curvature_block():
     ev = _synthetic_eval(np.array([[2.0]]), np.zeros((0, 1)))
-    state = MeritState(y_E=np.zeros(0), mu=1.0, mu_R=1.0)
+    state = MeritState(y_E=np.zeros(0), mu=1.0)
     np.testing.assert_array_equal(merit_hessian(ev, state, ev.H), [[2.0]])
 
 
@@ -123,7 +123,7 @@ def test_hessian_matches_gradient_differences():
 def test_stacked_form_collapses_to_primal_form():
     """(u, -(1/mu)Ju) against the merit Hessian equals the penalized form."""
     for H, J, mu, nu, u in merit_form_instances(77, 200):
-        state = MeritState(y_E=np.zeros(J.shape[0]), mu=mu, mu_R=mu, nu=nu)
+        state = MeritState(y_E=np.zeros(J.shape[0]), mu=mu, nu=nu)
         H_M = merit_hessian(_synthetic_eval(H, J), state, H)
         w = -(J @ u) / mu
         v = np.concatenate([u, w])
@@ -139,7 +139,7 @@ def test_condensed_model_is_the_stacked_model_least_over_q():
         m, n = J.shape
         ev = Evaluation(f=0.0, c=rng.normal(size=m), g=rng.normal(size=n), J=J, H=H)
         it = make_iterate(np.ones(n), rng.normal(size=m))
-        state = MeritState(y_E=rng.normal(size=m), mu=mu, mu_R=mu, nu=nu)
+        state = MeritState(y_E=rng.normal(size=m), mu=mu, nu=nu)
         grad, constant = condense(ev, it, state)
         dv = np.concatenate([p, dual_step(ev, it, state, p)])
         H_M = merit_hessian(ev, state, H)
@@ -156,7 +156,7 @@ def test_condensed_model_without_constraints_is_the_plain_model():
     prob = get_problem("cosine-saddle")
     it = make_iterate([1.0, 3.0], [])
     ev = evaluate(prob, it)
-    state = MeritState(y_E=np.zeros(0), mu=0.4, mu_R=0.4)
+    state = MeritState(y_E=np.zeros(0), mu=0.4)
     grad, constant = condense(ev, it, state)
     np.testing.assert_array_equal(grad, ev.g)
     assert constant == 0.0
@@ -177,7 +177,7 @@ def _scalar_problem(fun, dfun):
 
 
 def _mstate(mu=1.0, **kw):
-    return MeritState(y_E=np.zeros(0), mu=mu, mu_R=mu, **kw)
+    return MeritState(y_E=np.zeros(0), mu=mu, **kw)
 
 
 def _merit(prob, point, state):
@@ -258,16 +258,14 @@ def test_search_rejects_positive_model_quantities():
     prob = _scalar_problem(f, lambda t: 1.0)
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
-    for search in (curvilinear_search, search_reference):
-        for N_k, R_k in [(1e-9, 0.0), (0.0, 1e-9), (np.nan, 0.0), (0.0, np.nan)]:
-            with pytest.raises(ValueError, match="nonpositive"):
-                search(prob, it, 1.0, step, np.ones(1), _mstate(), N_k, R_k)
+    for N_k, R_k in [(1e-9, 0.0), (0.0, 1e-9), (np.nan, 0.0), (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="nonpositive"):
+            curvilinear_search(prob, it, 1.0, step, np.ones(1), _mstate(), N_k, R_k)
     assert calls == []
 
 
-@pytest.mark.parametrize("search", [curvilinear_search, search_reference])
 @pytest.mark.parametrize("eta_S, j", [(0.25, 2), (0.9, 5)])
-def test_search_accepts_a_curvature_step_with_zero_slope(search, eta_S, j):
+def test_search_accepts_a_curvature_step_with_zero_slope(eta_S, j):
     # f(t) = -(t - 1)^2 / 2 + (t - 1)^3 from t = 1 along u = 1: the slope
     # is zero and the curvature gain -alpha^2 / 2 is blocked by the cubic
     # for alpha > 1/2. A bound of alpha eta_S R_k is missed by every
@@ -279,13 +277,12 @@ def test_search_accepts_a_curvature_step_with_zero_slope(search, eta_S, j):
     it = make_iterate([1.0], [])
     step = ScaledStep(u=np.ones(1), w=np.zeros(0), beta=1.0)
     state = _mstate(eta_S=eta_S)
-    res = search(prob, it, _merit(prob, it, state), step, np.zeros(1), state, 0.0, -1.0)
+    res = _search(prob, it, step, np.zeros(1), state, 0.0, -1.0)
     assert res.j == j and res.alpha == 2.0 ** -j
     assert res.merit_new < 0.0
 
 
-@pytest.mark.parametrize("search", [curvilinear_search, search_reference])
-def test_search_does_not_ask_for_a_decrease_below_rounding(search):
+def test_search_does_not_ask_for_a_decrease_below_rounding():
     # every point but x = 85 measures one ulp above f(85), so no trial can
     # show the model decrease -1e-12 alpha^2 eta_S; without the relaxation
     # the first trial accepted is the one that rounds back onto x = 85
@@ -297,7 +294,7 @@ def test_search_does_not_ask_for_a_decrease_below_rounding(search):
     prob = _scalar_problem(f, lambda t: 1.0)
     it = make_iterate([85.0], [])
     step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
-    res = search(prob, it, f85, step, np.array([1e-3]), _mstate(), -1e-12, 0.0)
+    res = curvilinear_search(prob, it, f85, step, np.array([1e-3]), _mstate(), -1e-12, 0.0)
     assert res.j == 1
     assert res.accepted.x[0] == 85.0 + 0.25e-3 != 85.0
 
@@ -389,35 +386,22 @@ def _arc(n, m, seed, x_low=0.5):
     dv = rng.normal(size=n + m) * rng.uniform(0.1, 1.0)
     state = MeritState(
         y_E=rng.normal(size=m), mu=float(rng.uniform(0.05, 1.0)),
-        mu_R=0.05, nu=float(rng.uniform(0.5, 2.0)), eta_S=float(rng.uniform(0.1, 0.5)),
+        nu=float(rng.uniform(0.5, 2.0)), eta_S=float(rng.uniform(0.1, 0.5)),
     )
     N_k, R_k = -float(rng.uniform(0.0, 2.0)), -float(rng.uniform(0.0, 2.0))
     return it, step, dv, state, N_k, R_k
 
 
-def _outcome(search, prob, script, it, step, dv, state, N_k, R_k, j_max):
-    """Everything the search returns or raises, bytes for arrays, with the
-    objective calls it made."""
+def _outcome(prob, script, it, step, dv, state, N_k, R_k, j_max=50):
+    """The search's LineSearchResult, or the error it raised, with the
+    number of objective calls it made."""
     counted, calls = _scripted(prob, script)
     merit_old = _merit(prob, it, state)
     try:
-        res = search(counted, it, merit_old, step, dv, state, N_k, R_k, j_max=j_max)
+        res = curvilinear_search(counted, it, merit_old, step, dv, state, N_k, R_k, j_max=j_max)
     except (LineSearchFailure, EvaluationError) as exc:
-        return (type(exc), str(exc), getattr(exc, "diagnostics", None), len(calls))
-    ev = res.ev
-    return (
-        type(res.alpha), res.alpha, res.j, res.n_trials, res.bound_rejections,
-        type(res.merit_new), res.merit_new, res.accepted.x.tobytes(),
-        res.accepted.y.tobytes(), ev.f, ev.c.tobytes(), ev.g.tobytes(),
-        ev.J.tobytes(), ev.H.tobytes(), len(calls),
-    )
-
-
-def _same_as_reference(prob, arc, script=lambda k, f: f, j_max=50):
-    block = _outcome(curvilinear_search, prob, script, *arc, j_max)
-    reference = _outcome(search_reference, prob, script, *arc, j_max)
-    assert block == reference
-    return block
+        return exc, len(calls)
+    return res, len(calls)
 
 
 def _accept_at(k):
@@ -427,44 +411,51 @@ def _accept_at(k):
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_block_search_matches_the_reference_on_random_arcs(m):
-    # natural outcomes: accepted at various j, some after bound rejections
+    # natural outcomes, accepted at various j, some after bound rejections;
+    # each is checked against the acceptance inequality and a fresh
+    # evaluation of the point it returns
     js, rejections = set(), 0
     for seed in range(60):
         n = 1 + seed % 6
-        arc = _arc(n, m, seed, x_low=0.05 if seed % 2 else 0.5)
-        out = _same_as_reference(_arc_problem(n, m, seed), arc)
-        if out[0] is float:
-            js.add(out[2])
-            rejections += out[4]
+        prob = _arc_problem(n, m, seed)
+        it, step, dv, state, N_k, R_k = arc = _arc(n, m, seed, x_low=0.05 if seed % 2 else 0.5)
+        res, calls = _outcome(prob, lambda k, f: f, *arc)
+        if isinstance(res, LineSearchFailure):
+            diagnostics = res.diagnostics
+            assert diagnostics["n_trials"] == 51 == calls + diagnostics["bound_rejections"]
+            continue
+        assert res.alpha == 2.0 ** -res.j and res.n_trials == res.j + 1
+        assert calls == res.n_trials - res.bound_rejections
+        assert np.min(res.accepted.x) >= 0.0
+        ev = evaluate(prob, res.accepted)
+        for got, want in zip(dataclasses.astuple(res.ev), dataclasses.astuple(ev)):
+            np.testing.assert_array_equal(got, want)
+        merit_old = _merit(prob, it, state)
+        assert res.merit_new == merit_value(ev, res.accepted, state)
+        relaxed = merit_old + 10.0 * EPS * abs(merit_old)
+        assert res.merit_new <= relaxed + res.alpha**2 * state.eta_S * (N_k + 0.5 * R_k)
+        js.add(res.j)
+        rejections += res.bound_rejections
     assert len(js) >= 3 and rejections > 0
 
 
 @pytest.mark.parametrize("m", [0, 2])
 @pytest.mark.parametrize(
-    "j_max, accept",
-    [
-        (50, 0),  # the first block, of one row
-        (50, 4),  # inside the block of j = 3..6
-        (50, 20),  # inside the block of j = 15..30
-        (50, 50),  # the last trial, in a partial block
-        (0, 0),  # one block of one row
-        (5, 5),  # the last trial, in a partial block of j = 3..5
-        (100, 100),  # blocks capped at merit.BLOCK_ROWS rows
-    ],
+    "j_max, accept", [(50, 0), (50, 4), (50, 20), (50, 50), (0, 0), (5, 5), (100, 100)]
 )
 def test_block_search_accepts_where_the_reference_does(m, j_max, accept):
     arc = _arc(4, m, 7)
-    out = _same_as_reference(_arc_problem(4, m, 7), arc, _accept_at(accept), j_max)
-    assert out[2] == accept and out[3] == accept + 1 and out[-1] == accept + 1
+    res, calls = _outcome(_arc_problem(4, m, 7), _accept_at(accept), *arc, j_max)
+    assert res.j == accept and res.n_trials == accept + 1 and calls == accept + 1
 
 
 @pytest.mark.parametrize("m", [0, 2])
 @pytest.mark.parametrize("j_max", [0, 5, 6, 50])
 def test_block_search_fails_as_the_reference_does(m, j_max):
     arc = _arc(4, m, 8)
-    out = _same_as_reference(_arc_problem(4, m, 8), arc, _accept_at(j_max + 1), j_max)
-    assert out[0] is LineSearchFailure
-    diagnostics, calls = out[2], out[-1]
+    exc, calls = _outcome(_arc_problem(4, m, 8), _accept_at(j_max + 1), *arc, j_max)
+    assert isinstance(exc, LineSearchFailure)
+    diagnostics = exc.diagnostics
     assert diagnostics["n_trials"] == j_max + 1 == calls + diagnostics["bound_rejections"]
 
 
@@ -485,8 +476,8 @@ def test_block_search_tests_the_reference_bound_to_the_last_bit(accept):
             rhs = relaxed + alpha * alpha * eta_S * (N_k + 0.5 * R_k)
             return rhs if call == accept else float(np.nextafter(rhs, np.inf))
 
-        out = _same_as_reference(prob, arc, script)
-        assert out[2] == accept and out[4] == 0
+        res, _ = _outcome(prob, script, *arc)
+        assert res.j == accept and res.bound_rejections == 0
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -498,12 +489,12 @@ def test_block_search_rejects_and_snaps_as_the_reference_does(m):
     # x_0 + alpha u_0 < 0 for alpha > 1/4: j = 0, 1 lie below the bound
     u = np.array([-4.0 * (1.0 + 1e-14), 0.3, -0.2])
     arc = (it, ScaledStep(u=u, w=step.w, beta=1.0), np.zeros(3 + m), state, N_k, R_k)
-    out = _same_as_reference(prob, arc, _accept_at(0))
-    assert (out[2], out[4], out[-1]) == (2, 2, 1)
+    res, calls = _outcome(prob, _accept_at(0), *arc)
+    assert (res.j, res.bound_rejections, calls) == (2, 2, 1)
     # j = 2 lands about 1e-14 below zero, within the roundoff band: snapped
-    assert np.frombuffer(out[7])[0] == 0.0
-    out = _same_as_reference(prob, arc, _accept_at(2))
-    assert (out[2], out[4], out[-1]) == (4, 2, 3)
+    assert res.accepted.x[0] == 0.0
+    res, calls = _outcome(prob, _accept_at(2), *arc)
+    assert (res.j, res.bound_rejections, calls) == (4, 2, 3)
 
 
 @pytest.mark.parametrize("m", [0, 2])
@@ -514,7 +505,6 @@ def test_block_search_raises_where_the_reference_does(m, k):
             raise RuntimeError(f"no objective at call {call}")
         return 1e6
 
-    arc = _arc(4, m, 10)
-    out = _same_as_reference(_arc_problem(4, m, 10), arc, script)
-    assert out[0] is EvaluationError and f"call {k}" in out[1]
-    assert out[-1] == k + 1
+    exc, calls = _outcome(_arc_problem(4, m, 10), script, *_arc(4, m, 10))
+    assert isinstance(exc, EvaluationError) and f"call {k}" in str(exc)
+    assert calls == k + 1

@@ -42,7 +42,7 @@ def test_seeded_bound_is_released():
 def _model(H, J, g, c, y, mu, nu, x):
     ev = Evaluation(f=0.0, c=np.array(c, dtype=float), g=np.array(g, dtype=float),
                     J=np.array(J, dtype=float), H=np.array(H, dtype=float))
-    state = MeritState(y_E=np.zeros(len(c)), mu=mu, mu_R=mu, nu=nu)
+    state = MeritState(y_E=np.zeros(len(c)), mu=mu, nu=nu)
     return ev, make_iterate(x, y), state
 
 
