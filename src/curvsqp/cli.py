@@ -17,6 +17,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .driver import CSV_FIELDS, SolveStatus, SolverConfig, solve
 from .errors import CurvSqpError, ProblemFormatError
 from .model import check_derivatives, make_iterate
@@ -176,10 +178,13 @@ def main(argv=None):
     try:
         problem, x0, y0, file_config = _load_problem(args.problem)
         config = _resolve_config(file_config, args)
-        if args.check_derivatives:
-            return _run_derivative_check(problem, x0, y0)
-        v0 = make_iterate(x0, y0 if y0 is not None else [])
-        result = solve(problem, v0, config)
+        # an overflow ends in a defined status and message, so numpy's
+        # warning about it would only print ahead of them
+        with np.errstate(over="ignore"):
+            if args.check_derivatives:
+                return _run_derivative_check(problem, x0, y0)
+            v0 = make_iterate(x0, y0 if y0 is not None else [])
+            result = solve(problem, v0, config)
     except ProblemFormatError as exc:
         print(f"curvsqp: {exc}", file=sys.stderr)
         return 1

@@ -71,7 +71,7 @@ from .merit import (
     merit_value,
     penalty_update,
 )
-from .model import checked_hessian, evaluate, make_iterate
+from .model import evaluate, lagrangian_hessian, make_iterate
 from .qpstep import solve_qp
 from .workset import estimate, restrict_columns, restrict_principal
 
@@ -264,9 +264,7 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
     if ev.c.shape[0] == 0:
         return ev.H
     pi = state.y_E - ev.c / state.mu
-    w_mult = -(pi + state.nu * (pi - iterate.y))
-    H = checked_hessian(problem, iterate.x, w_mult)
-    return 0.5 * (H + H.T)
+    return lagrangian_hessian(problem, iterate.x, pi + state.nu * (pi - iterate.y))
 
 
 # 2**j for every positive point of the certification grid: the grid

@@ -2,13 +2,19 @@
 
 A problem is the data of min f(x) subject to c(x) = 0 and x >= 0, with
 callbacks for f, its gradient, the constraint vector, its Jacobian, and
-the combined second-derivative matrix H(x, y) = hess f(x) + sum_i y_i *
-hess c_i(x).
+the combined second-derivative matrix hessian(x, y) = hess f(x) +
+sum_i y_i * hess c_i(x).
+
+The solver's multipliers are those of the Lagrangian f - y'c, whose
+gradient is g - J'y. lagrangian_hessian is the one place that turns a
+multiplier of f - y'c into the callback's argument, by calling
+hessian(x, -y).
 
 Evaluation comes in two checked parts: merit_terms calls the objective
 and constraints only, which is all a merit value needs, and evaluate
-adds the gradient, Jacobian and Hessian, reusing terms the caller
-already has.
+adds the gradient, Jacobian and the Lagrangian Hessian, reusing terms
+the caller already has. check_derivatives differences evaluate's own
+values, so it checks exactly what the solver uses.
 """
 
 import math
@@ -22,7 +28,11 @@ from .errors import EvaluationError
 
 @dataclass(frozen=True)
 class NlpProblem:
-    """Callbacks and metadata for one instance of the problem class."""
+    """Callbacks and metadata for one instance of the problem class.
+
+    hessian(x, y) returns the Hessian of f + y'c. The solver calls it
+    at the negated multiplier, through lagrangian_hessian.
+    """
 
     name: str
     n: int
@@ -56,7 +66,10 @@ def make_iterate(x, y):
 
 @dataclass(frozen=True)
 class Evaluation:
-    """All problem quantities at one iterate: f, c, g, J, H."""
+    """All problem quantities at one iterate: f, c, g, J, H.
+
+    H is the Hessian of the Lagrangian f - y'c at the iterate's y.
+    """
 
     f: float
     c: np.ndarray
@@ -115,7 +128,7 @@ def evaluate(problem, iterate, terms=None):
         raise
     except Exception as exc:
         raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
-    H = checked_hessian(problem, x, iterate.y)
+    H = lagrangian_hessian(problem, x, iterate.y)
     if g.shape != (n,):
         raise EvaluationError(f"gradient has shape {g.shape}, expected ({n},)")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(J))):
@@ -123,11 +136,15 @@ def evaluate(problem, iterate, terms=None):
     return Evaluation(f=f, c=c, g=g, J=J, H=H)
 
 
-def checked_hessian(problem, x, y):
-    """H(x, y) from the callback, with evaluate's checks on it."""
+def lagrangian_hessian(problem, x, y):
+    """Hessian of f - y'c at x, checked for shape, finiteness, symmetry.
+
+    The only caller of problem.hessian: the callback's convention is
+    f + y'c, so it is called at -y.
+    """
     n = problem.n
     try:
-        H = np.asarray(problem.hessian(x, y), dtype=float)
+        H = np.asarray(problem.hessian(x, -y), dtype=float)
     except EvaluationError:
         raise
     except Exception as exc:
@@ -160,24 +177,18 @@ class DerivativeReport:
 
 
 def check_derivatives(problem, x, y=None, step=1e-5):
-    """Compare g, J, H against central finite differences of f, c, g.
+    """Compare g, J, H against central finite differences of f, c, g - J'y.
 
-    H is differenced through the combined gradient g(x) + J(x).T @ y so
-    the multiplier-weighted constraint curvature is covered too. Errors
-    are max-norm, relative to 1 + the exact quantity's max-norm.
+    Every value comes from evaluate, at x and at x +- step e_i, so H is
+    checked against the gradient of the same Lagrangian f - y'c it is
+    the Hessian of, and the multiplier-weighted constraint curvature is
+    covered too. Errors are max-norm, relative to 1 + the exact
+    quantity's max-norm.
     """
     x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
     y = np.zeros(m) if y is None else np.asarray(y, dtype=float)
-    it = make_iterate(x, y)
-    ev = evaluate(problem, it)
-
-    def lag_grad(z):
-        g = np.asarray(problem.gradient(z), dtype=float).reshape(-1)
-        if m:
-            J = np.asarray(problem.jacobian(z), dtype=float).reshape(m, n)
-            return g + J.T @ y
-        return g
+    ev = evaluate(problem, make_iterate(x, y))
 
     g_fd = np.zeros(n)
     J_fd = np.zeros((m, n))
@@ -185,12 +196,11 @@ def check_derivatives(problem, x, y=None, step=1e-5):
     for i in range(n):
         e = np.zeros(n)
         e[i] = step
-        g_fd[i] = (problem.objective(x + e) - problem.objective(x - e)) / (2 * step)
-        if m:
-            cp = np.asarray(problem.constraints(x + e), dtype=float).reshape(-1)
-            cm = np.asarray(problem.constraints(x - e), dtype=float).reshape(-1)
-            J_fd[:, i] = (cp - cm) / (2 * step)
-        H_fd[:, i] = (lag_grad(x + e) - lag_grad(x - e)) / (2 * step)
+        hi = evaluate(problem, make_iterate(x + e, y))
+        lo = evaluate(problem, make_iterate(x - e, y))
+        g_fd[i] = (hi.f - lo.f) / (2 * step)
+        J_fd[:, i] = (hi.c - lo.c) / (2 * step)
+        H_fd[:, i] = ((hi.g - hi.J.T @ y) - (lo.g - lo.J.T @ y)) / (2 * step)
     H_fd = 0.5 * (H_fd + H_fd.T)
 
     def rel(approx, exact):

@@ -8,7 +8,7 @@ definite, and rank-deficient to keep the factorization paths honest.
 import numpy as np
 
 from curvsqp.merit import MeritState, condense, dual_step, merit_gradient
-from curvsqp.model import Evaluation, make_iterate
+from curvsqp.model import Evaluation, NlpProblem, make_iterate
 from curvsqp.oracle import merit_hessian, qp_brute_force
 from curvsqp.qpstep import solve_qp
 
@@ -108,6 +108,43 @@ def stacked_reference(ev, iterate, state):
     """oracle.qp_brute_force on the stacked merit model: (dv, z, value)."""
     H_M = merit_hessian(ev, state, ev.H)
     return qp_brute_force(H_M, merit_gradient(ev, iterate, state), iterate.x)
+
+
+def quadric_sphere_instances(seed, count, n=8):
+    """Yield (problem, v0) pairs with a nonlinear constraint.
+
+    min 1/2 x'Qx + q'x subject to |x|^2 = n and b'x = b'1, x >= 0, with
+    Q, q drawn as the benchmark's simplex-qp draws them and b Gaussian.
+    The start x = 1, y = 0 is feasible and the constraint gradients are
+    independent there. The sphere's Hessian 2I enters the Lagrangian
+    Hessian with its multiplier, so a wrong multiplier sign shows.
+    """
+    rng = np.random.default_rng(seed)
+    ones = np.ones(n)
+    for _ in range(count):
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        Q = 0.5 * (A + A.T)
+        q = 0.1 * rng.standard_normal(n)
+        b = rng.standard_normal(n)
+        b1 = float(b @ ones)
+
+        def f(x, Q=Q, q=q):
+            return 0.5 * float(x @ (Q @ x)) + float(q @ x)
+
+        def g(x, Q=Q, q=q):
+            return Q @ x + q
+
+        def cons(x, b=b, b1=b1):
+            return np.array([float(x @ x) - n, float(b @ x) - b1])
+
+        def jac(x, b=b):
+            return np.vstack([2.0 * x, b])
+
+        def hess(x, y, Q=Q):
+            return Q + 2.0 * y[0] * np.eye(n)
+
+        problem = NlpProblem("quadric-sphere", n, 2, f, g, cons, jac, hess)
+        yield problem, make_iterate(ones, np.zeros(2))
 
 
 def merit_form_instances(seed, count):

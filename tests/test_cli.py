@@ -121,8 +121,7 @@ def test_evaluation_blowup_maps_to_exit_four(tmp_path, capsys):
         "start": {"x": [2.0]},
         "config": {"max_iterations": 400},
     }
-    with np.errstate(over="ignore"):
-        assert main(["solve", _write(tmp_path, doc)]) == 4
+    assert main(["solve", _write(tmp_path, doc)]) == 4
     assert "non-finite" in capsys.readouterr().err
 
 
@@ -184,8 +183,7 @@ def test_failing_start_point_still_writes_a_strict_json_report(tmp_path, capsys)
         "start": {"x": [10.0]},
     }
     report = tmp_path / "report.json"
-    with np.errstate(over="ignore"):
-        assert main(["solve", _write(tmp_path, doc), "--report", str(report)]) == 4
+    assert main(["solve", _write(tmp_path, doc), "--report", str(report)]) == 4
     assert "non-finite" in capsys.readouterr().err
 
     def reject(constant):
@@ -404,6 +402,23 @@ def test_out_of_range_file_config_is_a_format_error(tmp_path, capsys, config):
     doc["config"] = config
     assert main(["solve", _write(tmp_path, doc)]) == 1
     assert "bad config value" in capsys.readouterr().err
+
+
+def test_derivative_check_overflow_is_an_evaluation_error(tmp_path, capsys):
+    # f = 1.797693e308 x overflows one difference step from x = 1; the
+    # check reports the evaluation error instead of printing Infinity
+    doc = {
+        "format_version": 1,
+        "name": "huge-slope",
+        "n": 1,
+        "objective": [[1.797693e308, [1]]],
+        "start": {"x": [1.0]},
+    }
+    assert main(["solve", _write(tmp_path, doc), "--check-derivatives"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("curvsqp: ") and err.endswith("non-finite evaluator output\n")
+    assert err.count("\n") == 1
 
 
 def test_check_derivatives_command(capsys):

@@ -273,11 +273,11 @@ def test_bad_constraints_at_a_trial_is_an_evaluation_error(bad, text):
     assert result.history == ()
 
 
-def _hessian_failing_below_zero(failure):
+def _hessian_failing_above_zero(failure):
     base = get_problem("saddle-line")
 
     def hessian(x, y):
-        if y[0] < 0.0:
+        if y[0] > 0.0:
             return failure()
         return base.hessian(x, y)
 
@@ -285,18 +285,22 @@ def _hessian_failing_below_zero(failure):
 
 
 def _raise():
-    raise RuntimeError("no Hessian for negative multipliers")
+    raise RuntimeError("no Hessian for positive arguments")
 
 
 @pytest.mark.parametrize("failure", [lambda: np.full((2, 2), np.nan), _raise])
 def test_bad_merit_multiplier_hessian_is_an_evaluation_error(failure):
-    # the solve evaluates only y >= 0 here; the merit multiplier of the
-    # curvature step is negative, and its Hessian must be checked too
-    result = solve(_hessian_failing_below_zero(failure))
+    # from the infeasible start (1.2, 1.2) with y = 1 the callback sees
+    # -y = -1 at the start point, and -w = 7 at the merit multiplier
+    # w = pi + nu (pi - y) of the first curvature step, whose Hessian
+    # must be checked too
+    start = make_iterate([1.2, 1.2], [1.0])
+    result = solve(_hessian_failing_above_zero(failure), start)
     assert result.status is SolveStatus.EVALUATION_ERROR
     assert result.message.startswith("saddle-line: ")
     # the first curvature step fails, before any record is closed
     assert result.history == ()
+    np.testing.assert_array_equal(result.iterate.x, start.x)
     assert result.f == get_problem("saddle-line").objective(result.iterate.x)
 
 

@@ -46,12 +46,32 @@ def _curved_constraint_problem():
 
 
 def test_zero_multiplier_gives_objective_hessian():
+    # H is the Hessian of f - y'c: the callback, in its f + y'c
+    # convention, is called at -y
     prob = _curved_constraint_problem()
     x = np.array([1.3, 0.4])
     ev0 = evaluate(prob, make_iterate(x, [0.0]))
     np.testing.assert_array_equal(ev0.H, 2.0 * np.eye(2))
     ev1 = evaluate(prob, make_iterate(x, [3.0]))
-    np.testing.assert_array_equal(ev1.H, np.array([[8.0, 0.0], [0.0, 2.0]]))
+    np.testing.assert_array_equal(ev1.H, np.array([[-4.0, 0.0], [0.0, 2.0]]))
+
+
+def test_hessian_is_the_derivative_of_the_lagrangian_gradient():
+    # evaluate's H against central differences of g - J'y, the gradient
+    # the stationarity test measures, taken from the raw callbacks at
+    # multipliers of both signs
+    prob = _curved_constraint_problem()
+    x, step = np.array([1.3, 0.4]), 1e-5
+    for y in (np.array([3.0]), np.array([-1.7])):
+        H = evaluate(prob, make_iterate(x, y)).H
+        fd = np.zeros((2, 2))
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = step
+            hi = prob.gradient(x + e) - prob.jacobian(x + e).T @ y
+            lo = prob.gradient(x - e) - prob.jacobian(x - e).T @ y
+            fd[:, i] = (hi - lo) / (2.0 * step)
+        np.testing.assert_allclose(fd, H, rtol=0.0, atol=1e-8)
 
 
 def test_evaluate_with_merit_terms_matches_a_fresh_evaluation():
