@@ -18,7 +18,7 @@ multipliers, penalty, and thresholds, matching what produced the step
 that led here.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ MIX = 1e-5
 Y_CAP = 1e6
 
 
-@dataclass(frozen=True)
-class Measures:
+class Measures(NamedTuple):
     eta: float
     omega_first: float
     curv_ratio: float
@@ -36,8 +35,7 @@ class Measures:
     phi_L: float
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     tau: float
     phi_S_max: float
     phi_L_max: float
@@ -116,15 +114,13 @@ def merit_residuals(grad_merit, x):
 def update_state(cls, fstate, meas, iterate):
     """Apply the parameter updates a classification prescribes."""
     if cls in ("S", "L"):
-        return replace(
-            fstate,
+        return fstate._replace(
             phi_S_max=max(0.5 * fstate.phi_S_max, meas.phi_S),
             phi_L_max=max(0.5 * fstate.phi_L_max, meas.phi_L),
             y_E=np.clip(iterate.y, -Y_CAP, Y_CAP),
         )
     if cls == "M":
-        return replace(
-            fstate,
+        return fstate._replace(
             tau=0.5 * fstate.tau,
             mu_R=0.5 * fstate.mu_R,
             y_E=np.clip(iterate.y, -Y_CAP, Y_CAP),

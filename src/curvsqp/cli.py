@@ -11,7 +11,6 @@ errors.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -157,7 +156,7 @@ def _run_derivative_check(problem, x0, y0):
         "format_version": REPORT_FORMAT_VERSION,
         "problem": problem.name,
         "x": [float(v) for v in x0],
-        **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
+        **{name: _json_number(value) for name, value in report._asdict().items()},
         "pass": passed,
     }
     print(json.dumps(doc, indent=2))

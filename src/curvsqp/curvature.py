@@ -9,15 +9,14 @@ is what makes the full-space quadratic form collapse onto the free
 primal block.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .workset import embed
 
 
-@dataclass(frozen=True)
-class CurvatureDirection:
+class CurvatureDirection(NamedTuple):
     """Candidate direction (u_hat, w_hat) with its curvature certificates.
 
     u_hat is a full primal vector, zero on the active set; w_hat is the
@@ -128,8 +127,7 @@ def refresh_direction(direction, H, J, mu):
     if curv >= 0.0:
         return no_direction(u.shape[0], J.shape[0])
     w = -(J @ u) / mu if J.shape[0] else np.zeros(0)
-    return replace(
-        direction,
+    return direction._replace(
         w_hat=w,
         curvature_B=curv,
         rayleigh=curv / float(u @ u),
@@ -148,12 +146,11 @@ def orient(direction, grad_merit):
     if direction.w_hat.shape[0]:
         slope += float(grad_merit[direction.u_hat.shape[0]:] @ direction.w_hat)
     if slope > 0.0:
-        return replace(direction, u_hat=-direction.u_hat, w_hat=-direction.w_hat)
+        return direction._replace(u_hat=-direction.u_hat, w_hat=-direction.w_hat)
     return direction
 
 
-@dataclass(frozen=True)
-class ScaledStep:
+class ScaledStep(NamedTuple):
     """Curvature step after the feasibility and norm caps."""
 
     u: np.ndarray

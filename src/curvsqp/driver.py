@@ -111,6 +111,19 @@ _FLOAT_RANGES = {
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Tolerances, limits and parameters of one solve.
+
+    tol_first, tol_second and tol_constraint are the termination
+    tolerances on stationarity, curvature and feasibility, and
+    max_iterations caps the iterations; mu0 and tau0
+    start the penalties and the stationarity tolerance; nu, eta_S and
+    alpha_min condition the merit and its search (at most j_max + 1
+    trials); epsilon_a sets the working-set threshold, margin the
+    convexifying shift, u_max the curvature step cap and qp_tol the QP
+    tolerance. enable_curvature=False turns off curvature steps. Every
+    setting is checked on construction.
+    """
+
     tol_first: float = 1e-8
     tol_second: float = 1e-6
     tol_constraint: float = 1e-8
@@ -224,6 +237,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of a solve: its status, final iterate and history.
+
+    f and the measures (eta, omega_first, omega, curv_ratio) are those
+    of the final iterate, NaN where the solve failed before measuring
+    it; message holds the error text of a failed solve.
+    """
+
     status: SolveStatus
     iterate: object
     history: tuple

@@ -14,6 +14,7 @@ eigenvalues.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .errors import FactorizationBreakdown
 PIVOT_TAGS = ("H+", "D-", "HD")
 
 
-@dataclass(frozen=True)
-class KktSystem:
+class KktSystem(NamedTuple):
     """Free-variable KKT matrix, its sizes and scales; h_scale is max |H_F|."""
 
     mu: float
@@ -63,8 +63,7 @@ def build_kkt(H_F, J_F, mu):
     )
 
 
-@dataclass(frozen=True)
-class PivotBlock:
+class PivotBlock(NamedTuple):
     """One elimination pivot: its values, provenance tag, and position."""
 
     values: np.ndarray
@@ -312,8 +311,7 @@ def stage1_factorize(kkt):
     return factor
 
 
-@dataclass(frozen=True)
-class Convexification:
+class Convexification(NamedTuple):
     """Diagonal shift restoring second-order-correct inertia.
 
     delta is added to the H diagonal at shifted_rows (free-local indices,

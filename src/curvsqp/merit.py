@@ -29,7 +29,7 @@ never past the first that passes, and makes the full evaluation (g, J,
 H) at the trial it accepts, once.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ SNAP_FACTOR = 1e-13
 EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class MeritState:
+class MeritState(NamedTuple):
     """Parameters the merit function is conditioned on.
 
     y_E is the multiplier estimate and mu the flexible line-search
@@ -92,8 +91,7 @@ def dual_step(ev, iterate, state, p):
     return state.y_E - ev.c / state.mu - iterate.y - (ev.J @ p) / state.mu
 
 
-@dataclass(frozen=True)
-class LineSearchResult:
+class LineSearchResult(NamedTuple):
     alpha: float
     j: int
     accepted: Iterate

@@ -46,8 +46,7 @@ class NlpProblem:
     y0: np.ndarray = field(default=None)
 
 
-@dataclass(frozen=True)
-class Iterate:
+class Iterate(NamedTuple):
     """Primal-dual point. x must stay componentwise nonnegative."""
 
     x: np.ndarray
@@ -64,8 +63,7 @@ def make_iterate(x, y):
     return Iterate(x=x, y=y)
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """All problem quantities at one iterate: f, c, g, J, H.
 
     H is the Hessian of the Lagrangian f - y'c at the iterate's y.
@@ -162,8 +160,7 @@ def lagrangian_hessian(problem, x, y):
     return H
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     """Relative agreement between callbacks and central differences."""
 
     gradient_error: float
@@ -173,7 +170,8 @@ class DerivativeReport:
 
     @property
     def max_error(self):
-        return max(self.gradient_error, self.jacobian_error, self.hessian_error)
+        # np.max propagates NaN, where max() would keep an earlier value
+        return float(np.max((self.gradient_error, self.jacobian_error, self.hessian_error)))
 
 
 def check_derivatives(problem, x, y=None, step=1e-5):

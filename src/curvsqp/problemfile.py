@@ -137,8 +137,7 @@ class Polynomial:
         return self.hessian_table(x).reshape(self.n, self.n)
 
 
-@dataclass(frozen=True)
-class ParsedProblem:
+class ParsedProblem(NamedTuple):
     problem: NlpProblem
     x0: np.ndarray
     y0: np.ndarray

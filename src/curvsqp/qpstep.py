@@ -8,15 +8,14 @@ pinned entries sitting exactly on their bounds, every working-set
 subproblem has a unique minimizer, so the iteration terminates.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import QpFailure, QpInternalError
 
 
-@dataclass(frozen=True)
-class QpStep:
+class QpStep(NamedTuple):
     p: np.ndarray
     z: np.ndarray
     model_decrease: float

@@ -1,12 +1,11 @@
 """Working-set estimation from bound proximity."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class WorkingSet:
+class WorkingSet(NamedTuple):
     """Partition of the primal indices into active (near a bound) and free."""
 
     active: np.ndarray

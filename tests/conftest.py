@@ -171,3 +171,24 @@ def central_diff(fun, z, step):
         e[i] = step
         out[i] = (fun(z + e) - fun(z - e)) / (2.0 * step)
     return out
+
+
+def nan_difference_problem():
+    """n = 2, m = 0 problem whose Hessian check is NaN at x = (1, 1).
+
+    The gradient is +-1e308 one difference step away, so the central
+    differences of g overflow to +inf and -inf and their symmetrization
+    is inf + -inf = NaN; every other error is 0.
+    """
+    big = 1e308
+    return NlpProblem(
+        name="nan-differences",
+        n=2,
+        m=0,
+        objective=lambda x: 0.0,
+        gradient=lambda x: np.array([big * np.sign(x[1] - 1.0), -big * np.sign(x[0] - 1.0)]),
+        constraints=lambda x: np.zeros(0),
+        jacobian=lambda x: np.zeros((0, 2)),
+        hessian=lambda x, y: np.zeros((2, 2)),
+        x0=np.array([1.0, 1.0]),
+    )

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import curvsqp.driver as driver
-from curvsqp.cli import CSV_FIELDS, LOG_HEADER_COMMENT, main
+from conftest import nan_difference_problem
+from curvsqp.cli import CSV_FIELDS, LOG_HEADER_COMMENT, _run_derivative_check, main
 from curvsqp.driver import SolverConfig
 from curvsqp.errors import ProblemFormatError, QpFailure
 from curvsqp.model import check_derivatives, evaluate, make_iterate
@@ -419,6 +420,20 @@ def test_derivative_check_overflow_is_an_evaluation_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("curvsqp: ") and err.endswith("non-finite evaluator output\n")
     assert err.count("\n") == 1
+
+
+def test_nan_derivative_error_fails_the_check_as_strict_json(capsys):
+    problem = nan_difference_problem()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run_derivative_check(problem, problem.x0, None) == 4
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert doc["pass"] is False
+    assert doc["hessian_error"] is None
+    assert doc["gradient_error"] == 0.0 and doc["jacobian_error"] == 0.0
 
 
 def test_check_derivatives_command(capsys):

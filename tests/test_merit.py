@@ -428,8 +428,8 @@ def test_block_search_matches_the_reference_on_random_arcs(m):
         assert calls == res.n_trials - res.bound_rejections
         assert np.min(res.accepted.x) >= 0.0
         ev = evaluate(prob, res.accepted)
-        for got, want in zip(dataclasses.astuple(res.ev), dataclasses.astuple(ev)):
-            np.testing.assert_array_equal(got, want)
+        for name in Evaluation._fields:
+            np.testing.assert_array_equal(getattr(res.ev, name), getattr(ev, name))
         merit_old = _merit(prob, it, state)
         assert res.merit_new == merit_value(ev, res.accepted, state)
         relaxed = merit_old + 10.0 * EPS * abs(merit_old)

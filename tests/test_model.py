@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import nan_difference_problem
 from curvsqp.errors import EvaluationError
 from curvsqp.model import (
     NlpProblem,
@@ -199,6 +202,15 @@ def test_derivative_check_detects_corruption():
     )
     report = check_derivatives(broken, np.array([1.0, 1.0]), np.array([1.0]))
     assert report.gradient_error >= 1e-2
+
+
+def test_derivative_check_fails_on_a_nan_error():
+    problem = nan_difference_problem()
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_derivatives(problem, problem.x0)
+    assert report.gradient_error == 0.0 and report.jacobian_error == 0.0
+    assert math.isnan(report.hessian_error)
+    assert math.isnan(report.max_error)
 
 
 def test_make_iterate_copies_and_stacks():
