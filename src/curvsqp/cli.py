@@ -177,11 +177,14 @@ def main(argv=None):
     try:
         problem, x0, y0, file_config = _load_problem(args.problem)
         config = _resolve_config(file_config, args)
+        if args.check_derivatives:
+            # differences that meet inf - inf give a NaN error, which
+            # the report writes as null and fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _run_derivative_check(problem, x0, y0)
         # an overflow ends in a defined status and message, so numpy's
         # warning about it would only print ahead of them
         with np.errstate(over="ignore"):
-            if args.check_derivatives:
-                return _run_derivative_check(problem, x0, y0)
             v0 = make_iterate(x0, y0 if y0 is not None else [])
             result = solve(problem, v0, config)
     except ProblemFormatError as exc:

@@ -198,8 +198,9 @@ class IterationRecord:
     the factorizations its search made; both are 0 on a record that
     made no step, and the next step's search starts at theta. trials
     and bound_rejections count the line-search trials of the step and
-    those rejected at the bounds without a callback. A step whose search
-    fails keeps the path's norm_u and R_k and the failed search's counts.
+    those rejected at the bounds without a callback; a search that
+    accepts has backtracked trials - 1 times. A step whose search fails
+    keeps the path's norm_u and R_k and the failed search's counts.
     """
 
     k: int
@@ -221,7 +222,6 @@ class IterationRecord:
     norm_dv: float
     N_k: float
     R_k: float
-    backtracks: int
     x: tuple
     y: tuple
     y_E: tuple
@@ -329,21 +329,18 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     grid = np.concatenate(([0.0], steps[(steps <= limit) & (steps < np.inf)]))
     top = grid.size - 1
     attempts = 0
-    # attempts shift their copy of base into work; a success swaps work
-    # with G, which keeps the matrix of the least point found to factor
-    work, G = np.empty_like(base), None
+    # G keeps the matrix of the least point found to factor
+    G = None
 
     def factors(k):
-        nonlocal attempts, work, G
+        nonlocal attempts, G
         attempts += 1
-        np.copyto(work, base)
-        if grid[k]:
-            work[bump_rows, bump_rows] += grid[k]
+        trial = apply_shift(base, bump_rows, grid[k])
         try:
-            np.linalg.cholesky(work)
+            np.linalg.cholesky(trial)
         except np.linalg.LinAlgError:
             return False
-        G, work = work, (np.empty_like(base) if G is None else G)
+        G = trial
         return True
 
     # grid[lo] fails (lo = -1 until a point is seen to); grid[hi] is the
@@ -401,8 +398,8 @@ def _analyze(ev, x, mu, mu_R, config):
 # the step fields of a record that made no step; _step starts from a
 # copy and fills in each value as the step learns it
 _NO_STEP = dict(
-    alpha=0.0, norm_p=0.0, norm_u=0.0, norm_dv=0.0, N_k=0.0, R_k=0.0, backtracks=0,
-    theta=0.0, cholesky_attempts=0, trials=0, bound_rejections=0,
+    alpha=0.0, norm_p=0.0, norm_u=0.0, norm_dv=0.0, N_k=0.0, R_k=0.0, theta=0.0,
+    cholesky_attempts=0, trials=0, bound_rejections=0,
 )
 
 
@@ -470,8 +467,7 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
         step_fields.update(trials=exc.diagnostics["n_trials"],
                            bound_rejections=exc.diagnostics["bound_rejections"])
         return step_fields, None, SolveStatus.LINE_SEARCH_FAILURE, str(exc)
-    step_fields.update(alpha=ls.alpha, backtracks=ls.j, trials=ls.n_trials,
-                       bound_rejections=ls.bound_rejections)
+    step_fields.update(alpha=ls.alpha, trials=ls.n_trials, bound_rejections=ls.bound_rejections)
     return step_fields, ls, None, ""
 
 
@@ -497,7 +493,7 @@ def solve(problem, v0=None, config=None):
             raise ValueError("problem has no start point and none was given")
         y0 = problem.y0 if problem.y0 is not None else np.zeros(problem.m)
         v0 = make_iterate(problem.x0, y0)
-    if v0.x.shape[0] != problem.n or v0.y.shape[0] != problem.m:
+    if v0.x.shape != (problem.n,) or v0.y.shape != (problem.m,):
         raise ValueError("start point dimensions do not match the problem")
     if not (np.isfinite(v0.x).all() and np.isfinite(v0.y).all()):
         raise ValueError("start point is not finite")

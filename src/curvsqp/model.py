@@ -13,8 +13,10 @@ hessian(x, -y).
 Evaluation comes in two checked parts: merit_terms calls the objective
 and constraints only, which is all a merit value needs, and evaluate
 adds the gradient, Jacobian and the Lagrangian Hessian, reusing terms
-the caller already has. check_derivatives differences evaluate's own
-values, so it checks exactly what the solver uses.
+the caller already has. Both call the callbacks through _call, which
+takes each value at its declared shape or not at all.
+check_derivatives differences evaluate's own values, so it checks
+exactly what the solver uses.
 """
 
 import math
@@ -59,7 +61,7 @@ class Iterate(NamedTuple):
 
 def make_iterate(x, y):
     x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    y = np.atleast_1d(np.asarray(y, dtype=float)).copy() if np.size(y) else np.zeros(0)
+    y = np.atleast_1d(np.asarray(y, dtype=float)).copy()
     return Iterate(x=x, y=y)
 
 
@@ -83,6 +85,26 @@ class MeritTerms(NamedTuple):
     c: np.ndarray
 
 
+def _call(problem, callback, shape, *args):
+    """problem.<callback>(*args) as a float array of exactly this shape.
+
+    The one place a problem callback is called: its exception is chained
+    into EvaluationError, and so is a value of any other shape, which is
+    never reshaped.
+    """
+    try:
+        value = np.asarray(getattr(problem, callback)(*args), dtype=float)
+    except EvaluationError:
+        raise
+    except Exception as exc:
+        raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
+    if value.shape != shape:
+        raise EvaluationError(
+            f"{problem.name}: {callback} returned shape {value.shape}, expected {shape}"
+        )
+    return value
+
+
 def merit_terms(problem, iterate):
     """Evaluate f and c at the iterate and validate the results.
 
@@ -95,15 +117,8 @@ def merit_terms(problem, iterate):
         raise EvaluationError(f"x has shape {x.shape}, expected ({n},)")
     if y.shape != (m,):
         raise EvaluationError(f"y has shape {y.shape}, expected ({m},)")
-    try:
-        f = float(problem.objective(x))
-        c = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
-    except EvaluationError:
-        raise
-    except Exception as exc:
-        raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
-    if c.shape != (m,):
-        raise EvaluationError(f"constraints have shape {c.shape}, expected ({m},)")
+    f = float(_call(problem, "objective", (), x))
+    c = _call(problem, "constraints", (m,), x)
     if not math.isfinite(f) or (m and not np.isfinite(c).all()):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     return MeritTerms(f=f, c=c)
@@ -119,16 +134,9 @@ def evaluate(problem, iterate, terms=None):
     """
     f, c = terms if terms is not None else merit_terms(problem, iterate)
     x, n, m = iterate.x, problem.n, problem.m
-    try:
-        g = np.asarray(problem.gradient(x), dtype=float).reshape(-1)
-        J = np.asarray(problem.jacobian(x), dtype=float).reshape(m, n)
-    except EvaluationError:
-        raise
-    except Exception as exc:
-        raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
+    g = _call(problem, "gradient", (n,), x)
+    J = _call(problem, "jacobian", (m, n), x)
     H = lagrangian_hessian(problem, x, iterate.y)
-    if g.shape != (n,):
-        raise EvaluationError(f"gradient has shape {g.shape}, expected ({n},)")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(J))):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     return Evaluation(f=f, c=c, g=g, J=J, H=H)
@@ -137,18 +145,11 @@ def evaluate(problem, iterate, terms=None):
 def lagrangian_hessian(problem, x, y):
     """Hessian of f - y'c at x, checked for shape, finiteness, symmetry.
 
-    The only caller of problem.hessian: the callback's convention is
-    f + y'c, so it is called at -y.
+    The only place that asks for problem.hessian: the callback's
+    convention is f + y'c, so it is called at -y.
     """
     n = problem.n
-    try:
-        H = np.asarray(problem.hessian(x, -y), dtype=float)
-    except EvaluationError:
-        raise
-    except Exception as exc:
-        raise EvaluationError(f"{problem.name}: evaluator raised: {exc}") from exc
-    if H.shape != (n, n):
-        raise EvaluationError(f"H has shape {H.shape}, expected ({n}, {n})")
+    H = _call(problem, "hessian", (n, n), x, -y)
     # the max propagates NaN and inf, so it is also the finiteness test
     hnorm = float(np.max(np.abs(H), initial=0.0))
     if not math.isfinite(hnorm):

@@ -190,14 +190,11 @@ def build_polynomial_problem(name, objective, constraint_polys, n):
     m = len(constraint_polys)
 
     def c_fun(x):
-        if m == 0:
-            return np.zeros(0)
-        return np.array([p.value(x) for p in constraint_polys])
+        return np.array([p.value(x) for p in constraint_polys], dtype=float)
 
     def jac(x):
-        if m == 0:
-            return np.zeros((0, n))
-        return np.vstack([p.gradient(x) for p in constraint_polys])
+        # the shape is stated, not inferred, so no rows still gives (0, n)
+        return np.array([p.gradient(x) for p in constraint_polys], dtype=float).reshape(m, n)
 
     def hess(x, y):
         H = objective.hessian(x)

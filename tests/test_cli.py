@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import curvsqp.cli as cli
 import curvsqp.driver as driver
 from conftest import nan_difference_problem
 from curvsqp.cli import CSV_FIELDS, LOG_HEADER_COMMENT, _run_derivative_check, main
@@ -434,6 +435,17 @@ def test_nan_derivative_error_fails_the_check_as_strict_json(capsys):
     assert doc["pass"] is False
     assert doc["hessian_error"] is None
     assert doc["gradient_error"] == 0.0 and doc["jacobian_error"] == 0.0
+
+
+def test_nan_derivative_check_prints_no_numpy_warning(monkeypatch, capsys):
+    # inf - inf in the symmetrized differences is a NaN error, which
+    # the report fails; numpy must not warn about it on stderr as well
+    problem = nan_difference_problem()
+    monkeypatch.setattr(cli, "_load_problem", lambda selector: (problem, problem.x0, None, {}))
+    assert main(["solve", "nan-differences", "--check-derivatives"]) == 4
+    out, err = capsys.readouterr()
+    assert json.loads(out)["hessian_error"] is None
+    assert err == ""
 
 
 def test_check_derivatives_command(capsys):

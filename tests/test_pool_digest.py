@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from curvsqp.driver import solve
+from curvsqp.driver import IterationRecord, solve
 from curvsqp.problems import get_problem
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "pool_digest.py"
@@ -79,5 +79,36 @@ def test_compare_prints_both_outcomes_and_counts_lost_optima(tmp_path, capsys):
     assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "0 of 4 instances differ",
+        "0 instances leave second-order-optimal",
+    ]
+
+
+def test_compare_names_the_record_fields_only_one_side_digested(tmp_path, capsys):
+    tool = _load_tool()
+    fields = tool.record_fields(IterationRecord, omit={"merit_new"})
+    assert "merit_new" not in fields and "trials" in fields
+    assert fields == [f.name for f in dataclasses.fields(IterationRecord) if f.name != "merit_new"]
+
+    entry = {"digest": "0" * 64, "status": "second-order-optimal", "iterations": 3}
+    docs = {
+        "a": {"omit": [], "fields": ["k", "backtracks", "trials"], "instances": {"p/00": entry}},
+        "b": {"omit": [], "fields": ["k", "trials", "extra"], "instances": {"p/00": entry}},
+        # a file written before the fields were listed
+        "old": {"omit": [], "instances": {"p/00": entry}},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert tool.main(["--compare", str(paths["a"]), str(paths["b"])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "record fields only in A: backtracks",
+        "record fields only in B: extra",
+        "0 of 1 instances differ",
+        "0 instances leave second-order-optimal",
+    ]
+    assert tool.main(["--compare", str(paths["a"]), str(paths["old"])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 1 instances differ",
         "0 instances leave second-order-optimal",
     ]

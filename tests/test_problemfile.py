@@ -1,12 +1,13 @@
 """Problem-file monomial tables against the per-monomial reference loop."""
 
+import json
 import tracemalloc
 import warnings
 
 import numpy as np
 
 from curvsqp.oracle import polynomial_reference
-from curvsqp.problemfile import Polynomial, build_polynomial_problem
+from curvsqp.problemfile import Polynomial, build_polynomial_problem, parse_problem_file
 
 
 def _random_polynomial(rng, n):
@@ -74,6 +75,15 @@ def test_problem_callbacks_match_the_loop_per_polynomial():
         assert np.array_equal(problem.constraints(x), np.array([r[0] for r in refs]).reshape(m))
         assert np.array_equal(problem.jacobian(x), np.array([r[1] for r in refs]).reshape(m, n))
         assert np.array_equal(problem.hessian(x, y), H), case
+
+
+def test_a_file_without_constraints_gives_empty_values_of_the_declared_shape():
+    doc = {"format_version": 1, "name": "free", "n": 3,
+           "objective": [[1.0, [2, 0, 0]]], "start": {"x": [1.0, 1.0, 1.0]}}
+    parsed = parse_problem_file(json.dumps(doc))
+    assert parsed.problem.m == 0
+    assert parsed.problem.constraints(parsed.x0).shape == (0,)
+    assert parsed.problem.jacobian(parsed.x0).shape == (0, 3)
 
 
 def _categories(call):

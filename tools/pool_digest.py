@@ -12,14 +12,16 @@ status and iteration count beside it in plain text. Floats are hashed
 through repr, which round-trips exactly, so two digests agree only when
 the solves agree bit for bit. --omit leaves named record fields out, for
 comparing against a version that lacks them or whose work counters are
-meant to change. curvsqp is imported from --src (default: this
-checkout's src); perfbench is only imported, never changed.
+meant to change; the record fields digested are listed in the output.
+curvsqp is imported from --src (default: this checkout's src);
+perfbench is only imported, never changed.
 
---compare prints every instance whose digest differs, with its status
-and iteration count on both sides, then the number of instances that
-end second-order-optimal in A and not in B: a change of behaviour
-should keep that number at 0. It exits with status 1 when any digest
-differs.
+--compare first names the record fields only one side digested (when
+both list theirs), then prints every instance whose digest differs,
+with its status and iteration count on both sides, then the number of
+instances that end second-order-optimal in A and not in B: a change of
+behaviour should keep that number at 0. It exits with status 1 when any
+digest differs.
 """
 
 import argparse
@@ -44,6 +46,11 @@ def _canonical(value):
     return repr(value)
 
 
+def record_fields(record_type, omit=()):
+    """The names of the record fields a digest covers, in field order."""
+    return [f.name for f in dataclasses.fields(record_type) if f.name not in omit]
+
+
 def digest(result, omit=()):
     """SHA-256 of one SolveResult, leaving the record fields in omit out."""
     h = hashlib.sha256()
@@ -52,9 +59,8 @@ def digest(result, omit=()):
         h.update(_canonical(part).encode())
         h.update(b"\0")
     for rec in result.history:
-        for f in dataclasses.fields(rec):
-            if f.name not in omit:
-                h.update(f"{f.name}={_canonical(getattr(rec, f.name))}\0".encode())
+        for name in record_fields(rec, omit):
+            h.update(f"{name}={_canonical(getattr(rec, name))}\0".encode())
     return h.hexdigest()
 
 
@@ -68,7 +74,7 @@ def outcome(result, omit=()):
 
 
 def pool_digests(src, omit=()):
-    """{"workload/index": outcome} over the three pools."""
+    """The digested record fields, and {"workload/index": outcome} over the three pools."""
     # the benchmark's settings: one BLAS thread, set before numpy loads
     import run
 
@@ -87,12 +93,27 @@ def pool_digests(src, omit=()):
                 inst = families.parse_instance(inst)
             result = curvsqp.solve(inst.problem, inst.v0, inst.config)
             out[f"{workload}/{i:02d}"] = outcome(result, omit)
-    return out
+    return record_fields(curvsqp.IterationRecord, omit), out
 
 
 def _load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def field_changes(a, b):
+    """Lines naming the record fields only one digest file covers.
+
+    Empty when either file does not list its fields.
+    """
+    if "fields" not in a or "fields" not in b:
+        return []
+    lines = []
+    for side, mine, other in (("A", a, b), ("B", b, a)):
+        only = [name for name in mine["fields"] if name not in other["fields"]]
+        if only:
+            lines.append(f"record fields only in {side}: {', '.join(only)}")
+    return lines
 
 
 def compare(a, b):
@@ -127,6 +148,8 @@ def main(argv=None):
         a, b = (_load(path) for path in args.compare)
         if a["omit"] != b["omit"]:
             parser.error(f"the digests omit different fields: {a['omit']} and {b['omit']}")
+        for line in field_changes(a, b):
+            print(line)
         a, b = a["instances"], b["instances"]
         differ = compare(a, b)
         for key in differ:
@@ -138,10 +161,8 @@ def main(argv=None):
     sys.path.insert(0, PERFBENCH)
     # the diverging poly-file solves overflow on their way to a status
     warnings.simplefilter("ignore", RuntimeWarning)
-    doc = {
-        "omit": sorted(args.omit),
-        "instances": pool_digests(os.path.abspath(args.src), set(args.omit)),
-    }
+    fields, instances = pool_digests(os.path.abspath(args.src), set(args.omit))
+    doc = {"omit": sorted(args.omit), "fields": fields, "instances": instances}
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
