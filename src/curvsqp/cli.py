@@ -20,21 +20,12 @@ import numpy as np
 
 from .driver import CSV_FIELDS, SolveStatus, SolverConfig, solve
 from .errors import CurvSqpError, ProblemFormatError
-from .model import check_derivatives, make_iterate
-from .problemfile import parse_problem_file
+from .model import check_derivatives
+from .problemfile import _CONFIG_KEYS, parse_problem_file
 from .problems import get_problem, list_problems
 
 REPORT_FORMAT_VERSION = 1
 LOG_HEADER_COMMENT = "# curvsqp-iteration-log format_version=1"
-
-_FLAG_TO_CONFIG = {
-    "mu0": "mu0",
-    "nu": "nu",
-    "tol1": "tol_first",
-    "tol2": "tol_second",
-    "tolc": "tol_constraint",
-    "max_iter": "max_iterations",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,15 +43,20 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
     run = sub.add_parser("solve", help="solve a built-in or file problem")
     run.add_argument("problem", help="built-in name or problem-file path")
+    # each solver flag's dest is the SolverConfig field it sets
     run.add_argument("--mu0", type=float, help="initial penalty parameter")
     run.add_argument("--nu", type=float, help="dual weighting of the merit function")
-    run.add_argument("--tol1", type=float, help="first-order tolerance")
-    run.add_argument("--tol2", type=float, help="curvature tolerance")
-    run.add_argument("--tolc", type=float, help="constraint violation tolerance")
-    run.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap")
+    run.add_argument("--tol1", type=float, dest="tol_first", help="first-order tolerance")
+    run.add_argument("--tol2", type=float, dest="tol_second", help="curvature tolerance")
+    run.add_argument(
+        "--tolc", type=float, dest="tol_constraint", help="constraint violation tolerance"
+    )
+    run.add_argument("--max-iter", type=int, dest="max_iterations", help="iteration cap")
     run.add_argument(
         "--no-curvature",
-        action="store_true",
+        action="store_false",
+        dest="enable_curvature",
+        default=None,
         help="disable curvature steps (first-order method)",
     )
     run.add_argument("--log", metavar="PATH", help="write the iteration log CSV here")
@@ -74,9 +70,9 @@ def _build_parser():
 
 
 def _load_problem(selector):
+    """(problem, file config) for a built-in name or a problem-file path."""
     if selector in list_problems():
-        problem = get_problem(selector)
-        return problem, problem.x0, problem.y0, {}
+        return get_problem(selector), {}
     if os.path.exists(selector):
         try:
             with open(selector, "r", encoding="utf-8") as fh:
@@ -84,23 +80,18 @@ def _load_problem(selector):
         except (OSError, UnicodeDecodeError) as exc:
             raise ProblemFormatError(f"cannot read '{selector}': {exc}") from exc
         parsed = parse_problem_file(text)
-        return parsed.problem, parsed.x0, parsed.y0, parsed.config
+        return parsed.problem, parsed.config
     raise ProblemFormatError(
         f"'{selector}' is neither a built-in problem nor an existing file"
     )
 
 
 def _resolve_config(file_config, args):
-    values = dict(file_config)
-    for flag, key in _FLAG_TO_CONFIG.items():
-        flag_value = getattr(args, flag)
-        if flag_value is not None:
-            values[key] = flag_value
-    if args.no_curvature:
-        values["enable_curvature"] = False
+    """The file's settings, overridden by every flag that was given."""
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     try:
-        return SolverConfig(**values)
-    except (TypeError, ValueError) as exc:
+        return SolverConfig(**{**file_config, **flags})
+    except ValueError as exc:
         raise ProblemFormatError(f"bad config value: {exc}") from exc
 
 
@@ -149,13 +140,13 @@ def _write_report(path, problem, result):
         fh.write("\n")
 
 
-def _run_derivative_check(problem, x0, y0):
-    report = check_derivatives(problem, x0, y0)
+def _run_derivative_check(problem):
+    report = check_derivatives(problem, problem.x0, problem.y0)
     passed = report.max_error <= 1e-6
     doc = {
         "format_version": REPORT_FORMAT_VERSION,
         "problem": problem.name,
-        "x": [float(v) for v in x0],
+        "x": [float(v) for v in problem.x0],
         **{name: _json_number(value) for name, value in report._asdict().items()},
         "pass": passed,
     }
@@ -175,18 +166,17 @@ def main(argv=None):
         parser.error("a command is required (try 'solve' or --list-problems)")
 
     try:
-        problem, x0, y0, file_config = _load_problem(args.problem)
+        problem, file_config = _load_problem(args.problem)
         config = _resolve_config(file_config, args)
         if args.check_derivatives:
             # differences that meet inf - inf give a NaN error, which
             # the report writes as null and fails
             with np.errstate(over="ignore", invalid="ignore"):
-                return _run_derivative_check(problem, x0, y0)
+                return _run_derivative_check(problem)
         # an overflow ends in a defined status and message, so numpy's
         # warning about it would only print ahead of them
         with np.errstate(over="ignore"):
-            v0 = make_iterate(x0, y0 if y0 is not None else [])
-            result = solve(problem, v0, config)
+            result = solve(problem, config=config)
     except ProblemFormatError as exc:
         print(f"curvsqp: {exc}", file=sys.stderr)
         return 1

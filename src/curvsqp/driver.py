@@ -121,7 +121,9 @@ class SolverConfig:
     trials); epsilon_a sets the working-set threshold, margin the
     convexifying shift, u_max the curvature step cap and qp_tol the QP
     tolerance. enable_curvature=False turns off curvature steps. Every
-    setting is checked on construction.
+    setting is checked on construction and stored as a plain float, int
+    or bool, so a numpy scalar or an int given for a float setting
+    reaches neither the arithmetic nor the log.
     """
 
     tol_first: float = 1e-8
@@ -141,7 +143,8 @@ class SolverConfig:
     qp_tol: float = 1e-10
 
     def __post_init__(self):
-        """Raise ValueError on a setting outside its range."""
+        """Raise ValueError on a setting outside its range, then store
+        each number as the field's own type."""
         for f in fields(self):
             v = getattr(self, f.name)
             if f.type is int:
@@ -150,17 +153,18 @@ class SolverConfig:
             elif f.type is float:
                 need, test = _FLOAT_RANGES.get(f.name, (">= 0", lambda v: v >= 0.0))
                 need = f"finite and {need}"
+                # a float skips the slower abstract-class check
+                real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
                 try:
-                    ok = (
-                        isinstance(v, numbers.Real) and not isinstance(v, bool)
-                        and math.isfinite(v) and test(v)
-                    )
+                    ok = real and math.isfinite(v) and test(v)
                 except OverflowError:  # an integer too large for a float
                     ok = False
             else:
                 need, ok = "a boolean", isinstance(v, bool)
             if not ok:
                 raise ValueError(f"{f.name} must be {need}, got {v!r}")
+            if type(v) is not f.type:
+                object.__setattr__(self, f.name, f.type(v))
 
 
 # pinned log column order; "class" maps to the cls attribute

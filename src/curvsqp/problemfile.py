@@ -17,7 +17,8 @@ objective and each constraint are monomial term lists [coefficient,
 exponent-vector]; derivatives are generated analytically from the
 exponents, so parsed problems have exact gradients, Jacobians, and
 Hessians. Each callback evaluates a precompiled monomial table in one
-numpy pass.
+numpy pass. config takes SolverConfig fields and is checked by
+SolverConfig itself, so a bad value fails at parse.
 """
 
 import json
@@ -35,8 +36,8 @@ FORMAT_VERSION = 1
 
 _TOP_KEYS = {"format_version", "name", "n", "objective", "constraints", "start", "config"}
 _START_KEYS = {"x", "y"}
-# overridable solver settings: every SolverConfig field, with its type
-_CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)}
+# overridable solver settings: every SolverConfig field
+_CONFIG_KEYS = {f.name for f in fields(SolverConfig)}
 # the monomial tables hold exponents as int64
 _MAX_EXPONENT = np.iinfo(np.int64).max
 _NO_ENTRIES = np.zeros(0, dtype=np.intp)
@@ -138,6 +139,9 @@ class Polynomial:
 
 
 class ParsedProblem(NamedTuple):
+    """A problem file: the problem, which carries the start (x0, y0),
+    and the file's config entries as SolverConfig stores them."""
+
     problem: NlpProblem
     x0: np.ndarray
     y0: np.ndarray
@@ -185,8 +189,8 @@ def _parse_terms(raw, n, where):
     )
 
 
-def build_polynomial_problem(name, objective, constraint_polys, n):
-    """Assemble an NlpProblem from parsed polynomials."""
+def build_polynomial_problem(name, objective, constraint_polys, n, x0=None, y0=None):
+    """Assemble an NlpProblem from parsed polynomials, started at (x0, y0)."""
     m = len(constraint_polys)
 
     def c_fun(x):
@@ -211,6 +215,8 @@ def build_polynomial_problem(name, objective, constraint_polys, n):
         constraints=c_fun,
         jacobian=jac,
         hessian=hess,
+        x0=x0,
+        y0=y0,
     )
 
 
@@ -268,24 +274,18 @@ def parse_problem_file(text):
         _fail(f"start.y must be a list of length m={m}")
     y0 = np.array([_check_number(v, f"start.y[{i}]") for i, v in enumerate(raw_y)])
 
-    config = {}
-    raw_cfg = data.get("config", {})
-    if not isinstance(raw_cfg, dict):
+    config = data.get("config", {})
+    if not isinstance(config, dict):
         _fail("'config' must be an object")
-    for key, value in raw_cfg.items():
-        if key not in _CONFIG_TYPES:
-            _fail(f"unknown config field '{key}'")
-        want = _CONFIG_TYPES[key]
-        if want is bool:
-            if not isinstance(value, bool):
-                _fail(f"config.{key} must be a boolean")
-            config[key] = value
-        elif want is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                _fail(f"config.{key} must be an integer")
-            config[key] = value
-        else:
-            config[key] = _check_number(value, f"config.{key}")
+    unknown = set(config) - _CONFIG_KEYS
+    if unknown:
+        _fail(f"unknown config field(s): {', '.join(sorted(unknown))}")
+    if config:
+        try:
+            settings = SolverConfig(**config)
+        except ValueError as exc:
+            raise ProblemFormatError(f"bad config value: {exc}") from exc
+        config = {key: getattr(settings, key) for key in config}
 
-    problem = build_polynomial_problem(name, objective, constraint_polys, n)
+    problem = build_polynomial_problem(name, objective, constraint_polys, n, x0, y0)
     return ParsedProblem(problem=problem, x0=x0, y0=y0, config=config)

@@ -9,7 +9,7 @@ import curvsqp.cli as cli
 import curvsqp.driver as driver
 from conftest import nan_difference_problem
 from curvsqp.cli import CSV_FIELDS, LOG_HEADER_COMMENT, _run_derivative_check, main
-from curvsqp.driver import SolverConfig
+from curvsqp.driver import SolverConfig, solve
 from curvsqp.errors import ProblemFormatError, QpFailure
 from curvsqp.model import check_derivatives, evaluate, make_iterate
 from curvsqp.problemfile import parse_problem_file
@@ -330,7 +330,7 @@ def test_parsed_constraint_hessians_are_exact():
         (lambda d: d.update(objective=[[1e999, [1, 1]]]), "finite"),
         (lambda d: d.update(objective=[[10**400, [1, 1]]]), "coefficient: value must be finite"),
         (lambda d: d["start"].update(x=[10**400, 1.0]), "x\\[0\\]: value must be finite"),
-        (lambda d: d.update(config={"mu0": 10**400}), "mu0: value must be finite"),
+        (lambda d: d.update(config={"mu0": 10**400}), "mu0 must be finite"),
         (lambda d: d["start"].update(x=[1.0]), "length n=2"),
         (lambda d: d["start"].update(x=[-1.0, 1.0]), "nonnegative"),
         (lambda d: d["start"].update(z=[0.0]), "unknown start"),
@@ -346,6 +346,52 @@ def test_schema_violations_are_rejected(mutate, fragment):
     mutate(doc)
     with pytest.raises(ProblemFormatError, match=fragment):
         parse_problem_file(json.dumps(doc))
+
+
+def test_a_parsed_problem_solves_from_its_own_start_point():
+    parsed = parse_problem_file(json.dumps(BILINEAR))
+    assert parsed.problem.x0 is parsed.x0 and parsed.problem.y0 is parsed.y0
+    given = solve(parsed.problem, make_iterate(parsed.x0, parsed.y0))
+    assert solve(parsed.problem).history == given.history
+
+
+@pytest.mark.parametrize("config", [{"mu0": -1}, {"j_max": -1}, {"eta_S": 1.0}])
+def test_a_bad_config_value_fails_at_parse(config):
+    doc = dict(BILINEAR, config=config)
+    with pytest.raises(ProblemFormatError, match="bad config value"):
+        parse_problem_file(json.dumps(doc))
+
+
+def test_parsed_config_holds_the_values_solver_config_stores():
+    doc = dict(BILINEAR, config={"mu0": 1, "max_iterations": 7})
+    config = parse_problem_file(json.dumps(doc)).config
+    assert config == {"mu0": 1.0, "max_iterations": 7}
+    assert type(config["mu0"]) is float
+
+
+# (flag arguments, the SolverConfig field, a file value, the flag's value)
+_FLAGS = [
+    (["--mu0", "0.5"], "mu0", 0.25, 0.5),
+    (["--nu", "2.0"], "nu", 3.0, 2.0),
+    (["--tol1", "1e-5"], "tol_first", 1e-4, 1e-5),
+    (["--tol2", "1e-3"], "tol_second", 1e-2, 1e-3),
+    (["--tolc", "1e-7"], "tol_constraint", 1e-6, 1e-7),
+    (["--max-iter", "7"], "max_iterations", 9, 7),
+    (["--no-curvature"], "enable_curvature", True, False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, field, file_value, flag_value", _FLAGS, ids=[argv[0] for argv, *_ in _FLAGS]
+)
+def test_each_flag_overrides_its_file_setting(argv, field, file_value, flag_value):
+    parser = cli._build_parser()
+    given = parser.parse_args(["solve", "saddle-line", *argv])
+    assert getattr(cli._resolve_config({field: file_value}, given), field) == flag_value
+    # without the flag, the file's value stays, whichever it is
+    absent = parser.parse_args(["solve", "saddle-line"])
+    for value in (file_value, flag_value):
+        assert getattr(cli._resolve_config({field: value}, absent), field) == value
 
 
 def test_schema_violation_through_the_cli(tmp_path, capsys):
@@ -426,7 +472,7 @@ def test_derivative_check_overflow_is_an_evaluation_error(tmp_path, capsys):
 def test_nan_derivative_error_fails_the_check_as_strict_json(capsys):
     problem = nan_difference_problem()
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _run_derivative_check(problem, problem.x0, None) == 4
+        assert _run_derivative_check(problem) == 4
 
     def no_constant(name):
         raise ValueError(f"{name} is not JSON")
@@ -441,7 +487,7 @@ def test_nan_derivative_check_prints_no_numpy_warning(monkeypatch, capsys):
     # inf - inf in the symmetrized differences is a NaN error, which
     # the report fails; numpy must not warn about it on stderr as well
     problem = nan_difference_problem()
-    monkeypatch.setattr(cli, "_load_problem", lambda selector: (problem, problem.x0, None, {}))
+    monkeypatch.setattr(cli, "_load_problem", lambda selector: (problem, {}))
     assert main(["solve", "nan-differences", "--check-derivatives"]) == 4
     out, err = capsys.readouterr()
     assert json.loads(out)["hessian_error"] is None

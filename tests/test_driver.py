@@ -1,9 +1,13 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 import curvsqp.driver as driver
+from curvsqp.classify import initial_state
+from curvsqp.cli import write_log
+from curvsqp.curvature import scale
 from curvsqp.driver import (
     SolveStatus,
     SolverConfig,
@@ -11,9 +15,13 @@ from curvsqp.driver import (
     solve,
 )
 from curvsqp.errors import FactorizationBreakdown, QpFailure, QpInternalError
+from curvsqp.factor import convexify
+from curvsqp.merit import MeritState, curvilinear_search
 from curvsqp.model import NlpProblem, make_iterate
 from curvsqp.oracle import certify_reference
 from curvsqp.problems import get_problem
+from curvsqp.qpstep import solve_qp
+from curvsqp.workset import estimate
 
 
 # the IterationRecord fields that only a step fills in
@@ -476,6 +484,61 @@ def test_out_of_range_settings_raise_value_error(setting):
     (name,) = setting
     with pytest.raises(ValueError, match=name):
         solve(get_problem("convex-qp"), config=SolverConfig(**setting))
+
+
+def test_settings_are_stored_as_plain_numbers():
+    given = {
+        "mu0": np.float64(0.1),
+        "tau0": np.float32(0.125),
+        "nu": 1,
+        "max_iterations": np.int64(5),
+    }
+    config = SolverConfig(**given)
+    types = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+    for name, value in given.items():
+        stored = getattr(config, name)
+        assert type(stored) is types[name]
+        assert stored == value
+    # a single-precision setting no longer makes the records single precision
+    rec = solve(get_problem("saddle-line"), config=SolverConfig(mu0=np.float32(0.125))).history[1]
+    assert all(type(v) is float for v in (rec.mu, rec.mu_R, rec.tau, rec.N_k))
+
+
+def test_integer_settings_write_the_log_of_their_float_values(tmp_path):
+    logs = []
+    for value in (1, 1.0):
+        result = solve(get_problem("saddle-line"), config=SolverConfig(mu0=value, tau0=value))
+        logs.append(tmp_path / f"{type(value).__name__}.csv")
+        write_log(logs[-1], result.history)
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+
+
+# function defaults that repeat a SolverConfig default: (function, its
+# parameter, the SolverConfig field)
+_COPIED_DEFAULTS = [
+    (estimate, "epsilon_a", "epsilon_a"),
+    (convexify, "margin", "margin"),
+    (scale, "u_max", "u_max"),
+    (curvilinear_search, "j_max", "j_max"),
+    (solve_qp, "tol", "qp_tol"),
+    (initial_state, "tau", "tau0"),
+    (second_order_certificate, "epsilon_a", "epsilon_a"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, parameter, field",
+    _COPIED_DEFAULTS,
+    ids=[f"{fn.__name__}-{parameter}" for fn, parameter, _ in _COPIED_DEFAULTS],
+)
+def test_function_defaults_equal_the_solver_config_defaults(function, parameter, field):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == getattr(SolverConfig(), field)
+
+
+@pytest.mark.parametrize("field", ["nu", "eta_S", "alpha_min"])
+def test_merit_state_defaults_equal_the_solver_config_defaults(field):
+    assert MeritState._field_defaults[field] == getattr(SolverConfig(), field)
 
 
 def test_settings_at_the_ends_of_their_ranges_are_accepted():
