@@ -32,6 +32,7 @@ its floor, comparing the two merits that search produced.
 
 import math
 import numbers
+import reprlib
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -162,7 +163,7 @@ class SolverConfig:
             else:
                 need, ok = "a boolean", isinstance(v, bool)
             if not ok:
-                raise ValueError(f"{f.name} must be {need}, got {v!r}")
+                raise ValueError(f"{f.name} must be {need}, got {reprlib.repr(v)}")
             if type(v) is not f.type:
                 object.__setattr__(self, f.name, f.type(v))
 

@@ -10,6 +10,10 @@ counts certify the inertia of the factored part. Adding a diagonal shift
 larger than the size of S to the unpivoted H rows then makes the whole
 KKT matrix second-order-correct: exactly |F| positive and m negative
 eigenvalues.
+
+With no dual rows (m = 0) and a diagonal H_F, every pivot column is
+zero, so the elimination only orders the pivots; it is then replayed as
+one permutation (_diagonal_pivots), with the same bits as the loop.
 """
 
 from dataclasses import dataclass
@@ -149,6 +153,32 @@ def _swap(A, L, perm, sign, k, r):
     sign[k], sign[r] = sign[r], sign[k]
 
 
+def _diagonal_pivots(A, perm, ptype, psize, tiny):
+    """Stage-1 pivots of a diagonal A with no dual rows, or None.
+
+    None unless A qualifies (see eliminate); else takes the first largest
+    diagonal while it exceeds tiny, as the loop does, permutes A and perm
+    once and returns the pivot count k.
+    """
+    diag = A.diagonal()
+    off_bits = np.count_nonzero(A.view(np.uint64)) - np.count_nonzero(diag.view(np.uint64))
+    if off_bits or not np.isfinite(diag).all():
+        return None
+    vals = diag.tolist()
+    order = list(range(len(vals)))
+    k = 0
+    while k < len(vals) and (top := max(vals[k:])) > tiny:
+        j = vals.index(top, k)
+        vals[k], vals[j] = vals[j], vals[k]
+        order[k], order[j] = order[j], order[k]
+        k += 1
+    np.fill_diagonal(A, vals)
+    perm[:] = perm[order]
+    ptype[:k] = 0
+    psize[:k] = 1
+    return k
+
+
 def eliminate(A, L, perm, ptype, psize, nh, tiny):
     """Restricted-pivot elimination of a symmetric saddle matrix, in place.
 
@@ -168,11 +198,21 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
     remain unpivoted (breakdown), else 0. Bit-identical to the scalar
     loop oracle.stage1_reference: the Schur updates keep its operation
     order, which is why they are outer products and not matmuls.
+
+    L must enter as the identity. When no row is a dual row, the diagonal
+    is finite and every other entry is +0.0 bit for bit (-0.0 is not),
+    each Schur update subtracts +0.0, which changes no bit, and each
+    multiplier is the +0.0 that L already holds; _diagonal_pivots then
+    replays only the pivot order and applies it once.
     """
     N = A.shape[0]
     diag = A.diagonal()
     dual = perm >= nh
     duals_left = int(np.count_nonzero(dual))
+    if not duals_left:
+        k = _diagonal_pivots(A, perm, ptype, psize, tiny)
+        if k is not None:
+            return k, k, 0
     # +1 on curvature rows, -1 on dual rows, permuted along with perm
     sign = np.where(dual, -1.0, 1.0)
     # the 1x1 Schur update's outer product, reshaped to the rows left

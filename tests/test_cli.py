@@ -362,6 +362,15 @@ def test_a_bad_config_value_fails_at_parse(config):
         parse_problem_file(json.dumps(doc))
 
 
+def test_a_huge_integer_config_value_gives_a_short_message():
+    doc = dict(BILINEAR, config={"mu0": 10**400})
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem_file(json.dumps(doc))
+    message = str(info.value)
+    assert message.startswith("bad config value: mu0 must be finite")
+    assert len(message) < 120
+
+
 def test_parsed_config_holds_the_values_solver_config_stores():
     doc = dict(BILINEAR, config={"mu0": 1, "max_iterations": 7})
     config = parse_problem_file(json.dumps(doc)).config
