@@ -62,7 +62,7 @@ from .errors import (
     QpFailure,
     QpInternalError,
 )
-from .factor import apply_shift, build_kkt, convexify, stage1_factorize
+from .factor import apply_shift, build_kkt, convexify, diagonal_entries, stage1_factorize
 from .merit import (
     MeritState,
     condense,
@@ -300,12 +300,18 @@ _DOUBLINGS = 2.0 ** np.arange(87)
 def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     """Diagonal-bump G = H_tilde + (1/mu) J.T J until it admits Cholesky.
 
-    Returns the G factored, theta and the number of Cholesky attempts.
-    The stage-1 shift certifies the free block only; entries of the
-    working set can still make the full matrix indefinite, so their
-    diagonals get the least bump theta on the grid 0, s, 2s, 4s, ...
-    (s = 1e-8 * (1 + h_scale), up to 1e18 * (1 + h_scale)) at which the
-    test factorization succeeds.
+    Returns the certified G, theta and the number of attempts, each a
+    positive-definiteness test. The stage-1 shift certifies the free
+    block only; entries of the working set can still make the full
+    matrix indefinite, so their diagonals get the least bump theta on
+    the grid 0, s, 2s, 4s, ... (s = 1e-8 * (1 + h_scale), up to
+    1e18 * (1 + h_scale)) at which the test factorization succeeds.
+
+    A test is a Cholesky factorization, except on a base that
+    factor.diagonal_entries accepts: every product potrf subtracts from
+    a pivot is then a signed zero, so it succeeds exactly when each
+    diagonal entry, with theta added on the bump rows as apply_shift
+    adds it, is positive, and that sign test replaces it.
 
     The search starts at k0, the least grid point >= theta_prev (the
     previous step's answer, clamped to the top of the grid). If grid[k0]
@@ -334,12 +340,19 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     grid = np.concatenate(([0.0], steps[(steps <= limit) & (steps < np.inf)]))
     top = grid.size - 1
     attempts = 0
-    # G keeps the matrix of the least point found to factor
+    diag = diagonal_entries(base)
+    # G keeps the matrix of the least point found to factor; the sign
+    # test builds no matrix, so there G is built once, at the answer
     G = None
 
     def factors(k):
         nonlocal attempts, G
         attempts += 1
+        if diag is not None:
+            trial = diag.copy()
+            if grid[k]:
+                trial[bump_rows] += grid[k]
+            return bool((trial > 0.0).all())
         trial = apply_shift(base, bump_rows, grid[k])
         try:
             np.linalg.cholesky(trial)
@@ -377,6 +390,8 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
             lo = mid
     if hi == grid.size:
         raise QpInternalError("convexified Hessian cannot be made positive definite")
+    if G is None:
+        G = apply_shift(base, bump_rows, grid[hi])
     return G, float(grid[hi]), attempts
 
 

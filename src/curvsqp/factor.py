@@ -14,6 +14,9 @@ eigenvalues.
 With no dual rows (m = 0) and a diagonal H_F, every pivot column is
 zero, so the elimination only orders the pivots; it is then replayed as
 one permutation (_diagonal_pivots), with the same bits as the loop.
+diagonal_entries is the test for such a matrix; the Hessian
+certification (driver), the QP (qpstep) and the lift of a curvature
+direction (curvature) use it too.
 """
 
 from dataclasses import dataclass
@@ -153,16 +156,33 @@ def _swap(A, L, perm, sign, k, r):
     sign[k], sign[r] = sign[r], sign[k]
 
 
+def diagonal_entries(A):
+    """A's diagonal if it is finite and every other entry is +0.0 bit for bit, else None.
+
+    On such a matrix every product an elimination, a Cholesky
+    factorization or a triangular solve forms with an off-diagonal entry
+    is a signed zero, so those routines reduce to exact operations on the
+    diagonal. -0.0 off the diagonal is refused: subtracting it can turn a
+    -0.0 into +0.0. A nonzero A[0, 1] rejects a dense matrix at once.
+    """
+    if A.shape[0] > 1 and A[0, 1] != 0.0:
+        return None
+    diag = A.diagonal()
+    if (np.count_nonzero(A.view(np.uint64)) != np.count_nonzero(diag.view(np.uint64))
+            or not np.isfinite(diag).all()):
+        return None
+    return diag
+
+
 def _diagonal_pivots(A, perm, ptype, psize, tiny):
     """Stage-1 pivots of a diagonal A with no dual rows, or None.
 
-    None unless A qualifies (see eliminate); else takes the first largest
-    diagonal while it exceeds tiny, as the loop does, permutes A and perm
-    once and returns the pivot count k.
+    None unless diagonal_entries accepts A (see eliminate); else takes
+    the first largest diagonal while it exceeds tiny, as the loop does,
+    permutes A and perm once and returns the pivot count k.
     """
-    diag = A.diagonal()
-    off_bits = np.count_nonzero(A.view(np.uint64)) - np.count_nonzero(diag.view(np.uint64))
-    if off_bits or not np.isfinite(diag).all():
+    diag = diagonal_entries(A)
+    if diag is None:
         return None
     vals = diag.tolist()
     order = list(range(len(vals)))
@@ -322,9 +342,14 @@ def stage1_factorize(kkt):
     tiny = 1e-12 * (1.0 + kkt.norm_max)
     n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
 
-    counts = dict(zip(PIVOT_TAGS, np.bincount(ptype[:n_blocks], minlength=3).tolist()))
+    hd = n_piv - n_blocks  # a 2x2 pivot is one block over two positions
+    if status == 0:
+        # every dual row went into a D- or an HD pivot
+        counts = {"H+": n_blocks - kkt.m, "D-": kkt.m - hd, "HD": hd}
+    else:
+        counts = dict(zip(PIVOT_TAGS, np.bincount(ptype[:n_blocks], minlength=3).tolist()))
     B = np.zeros((n_piv, n_piv))
-    np.fill_diagonal(B, A.diagonal()[:n_piv])
+    B.ravel()[::n_piv + 1] = A.diagonal()[:n_piv]  # B's diagonal
     if counts["HD"]:
         ends = np.cumsum(psize[:n_blocks])[ptype[:n_blocks] == 2]
         for e in ends.tolist():
@@ -341,7 +366,7 @@ def stage1_factorize(kkt):
         n_piv=n_piv,
         counts=counts,
         tiny=tiny,
-        unpivoted_h=perm[n_piv:].copy(),
+        unpivoted_h=perm[n_piv:],
     )
     if status != 0:
         raise FactorizationBreakdown(

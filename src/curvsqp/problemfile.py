@@ -234,9 +234,11 @@ def parse_problem_file(text):
     for required in ("format_version", "name", "n", "objective", "start"):
         if required not in data:
             _fail(f"missing required field '{required}'")
-    if data["format_version"] != FORMAT_VERSION:
+    version = data["format_version"]
+    # True and 1.0 compare equal to 1, so the type is checked first
+    if isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
         _fail(
-            f"format_version {data['format_version']!r} not supported "
+            f"format_version {version!r} not supported "
             f"(expected {FORMAT_VERSION})"
         )
     name = data["name"]

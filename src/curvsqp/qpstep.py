@@ -6,6 +6,19 @@ certified H_used + J.T J / mu, symmetric positive definite, and the dual
 step follows from p in closed form. Starting from a feasible seed with
 pinned entries sitting exactly on their bounds, every working-set
 subproblem has a unique minimizer, so the iteration terminates.
+
+A G that factor.diagonal_entries accepts (no equality rows and a
+separable objective) is applied by elementwise product and division
+instead of G @ p and np.linalg.solve, with the same QpStep bit for bit:
+every product of an off-diagonal entry is a signed zero, and "+ 0.0"
+gives zero rows the +0.0 the matrix product gives them. A quotient can
+differ from LAPACK's only in the sign of a zero step entry, where the
+residual is zero; that entry of p is then +0.0 or nonzero (a released
+entry keeps -0.0 only while its residual is grad's nonzero entry), so
+adding the step changes no bit of it either. The loop falls back to
+LAPACK for a working-set subproblem whose quotient is not finite, and
+to the matrix operations for good once p is not finite: LAPACK's
+substitutions spread an inf to every row, and so does 0 * inf in G @ p.
 """
 
 from typing import NamedTuple
@@ -13,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QpFailure, QpInternalError
+from .factor import diagonal_entries
 
 
 class QpStep(NamedTuple):
@@ -48,9 +62,12 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         active[idx] = True
         p[idx] = -x[idx]
 
+    # G's diagonal while the elementwise route is exact, else None
+    diag = diagonal_entries(G) if np.isfinite(grad).all() and np.isfinite(x).all() else None
     iterations = 0
-    # the free indices, with their reduced matrix and bounds, are
-    # gathered again only after the working set changes
+    # the free indices, with their reduced matrix (its diagonal on the
+    # elementwise route) and bounds, are gathered again only after the
+    # working set changes
     f_idx = None
     while True:
         if iterations >= max_iterations:
@@ -59,7 +76,7 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
                 partial=p,
             )
         iterations += 1
-        r = grad + G @ p
+        r = grad + (diag * p + 0.0) if diag is not None else grad + G @ p
         if f_idx is None:
             f_idx = np.flatnonzero(~active)
             G_f = lo_f = None
@@ -69,14 +86,20 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         at_minimizer = float(np.max(np.abs(r_f), initial=0.0)) <= scale
         if not at_minimizer:
             if G_f is None:
-                G_f = G.take(f_idx, 0).take(f_idx, 1)
+                G_f = diag[f_idx] if diag is not None else G.take(f_idx, 0).take(f_idx, 1)
                 lo_f = -x[f_idx]
-            try:
-                d_f = np.linalg.solve(G_f, -r_f)
-            except np.linalg.LinAlgError as exc:
-                raise QpInternalError(
-                    "singular reduced Hessian in a working-set subproblem"
-                ) from exc
+            if diag is not None:
+                if not G_f.all():
+                    raise QpInternalError("singular reduced Hessian in a working-set subproblem")
+                with np.errstate(over="ignore", under="ignore"):
+                    d_f = -r_f / G_f
+            if diag is None or not np.isfinite(d_f).all():
+                try:
+                    d_f = np.linalg.solve(np.diag(G_f) if diag is not None else G_f, -r_f)
+                except np.linalg.LinAlgError as exc:
+                    raise QpInternalError(
+                        "singular reduced Hessian in a working-set subproblem"
+                    ) from exc
             p_f = p[f_idx]
             # a step at roundoff level cannot improve the subspace further
             at_minimizer = float(np.max(np.abs(d_f))) <= 4e-16 * (
@@ -111,6 +134,8 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
                 alpha = ratios[first]
                 blocker = int(f_idx[pos[first]])
         p[f_idx] = p_f + alpha * d_f
+        if diag is not None and not np.isfinite(p).all():
+            diag, f_idx = None, None
         if blocker >= 0:
             p[blocker] = -x[blocker]
             active[blocker] = True

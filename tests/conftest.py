@@ -192,3 +192,24 @@ def nan_difference_problem():
         hessian=lambda x, y: np.zeros((2, 2)),
         x0=np.array([1.0, 1.0]),
     )
+
+
+# diagonal entries drawn by the diagonal families: ties, +-0.0, negative,
+# subnormal, and entries whose symmetrized double overflows (1.7e308) or
+# whose shifted value can (8e307)
+DIAGONAL_VALUES = (-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 5e-324, -5e-324, 1e-300,
+                   8e307, -8e307, 1.7e308)
+
+
+def spy_on_diagonal_entries(monkeypatch, module):
+    """Record, per call of module.diagonal_entries, whether it accepted."""
+    took = []
+    original = module.diagonal_entries
+
+    def spy(A):
+        diag = original(A)
+        took.append(diag is not None)
+        return diag
+
+    monkeypatch.setattr(module, "diagonal_entries", spy)
+    return took

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import curvsqp.driver as driver
+from conftest import DIAGONAL_VALUES, spy_on_diagonal_entries
 from curvsqp.driver import _certified_hessian
 from curvsqp.errors import QpInternalError
 from curvsqp.oracle import certify_reference
@@ -139,3 +141,104 @@ def test_certification_bisects_the_grid(monkeypatch):
     assert count(_grid_point(answer, 1.0)) == 2
     assert count(_grid_point(answer - 1, 1.0)) <= 3
     assert count(_grid_point(answer + 1, 1.0)) <= 3
+
+
+def diagonal_certify_instances(seed, count):
+    """Yield (H_tilde, J, mu, bump_rows, h_scale) with a diagonal H_tilde and m = 0.
+
+    Entries come from DIAGONAL_VALUES. Kinds rotate through positive
+    rows outside a random bump subset (theta anywhere on the grid), any
+    rows outside it (often no theta works) and no bump rows given (every
+    row is bumped). h_scale is 1, 3 or 1.7e290, whose grid reaches
+    1.7e308, so a shifted 8e307 overflows; certify_reference never stops
+    on a grid whose limit 1e18 * (1 + h_scale) is inf. n <= 10.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.array(DIAGONAL_VALUES)
+    for i in range(count):
+        n = int(rng.integers(1, 11))
+        d = rng.choice(values, size=n)
+        kind = i % 3
+        if kind == 2:
+            bump = np.zeros(0, dtype=int)
+        else:
+            bump = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            if kind == 0:
+                free = np.setdiff1d(np.arange(n), bump)
+                d[free] = rng.choice(values[values > 0.0], size=free.size)
+        yield np.diag(d), np.zeros((0, n)), 1.0, bump, float(rng.choice([1.0, 3.0, 1.7e290]))
+
+
+def _certify_outcome(fn, *args):
+    """(theta, dtype, shape, bytes[, attempts]) of a certification, or the error's type."""
+    try:
+        out = fn(*args)
+    except QpInternalError as exc:
+        return type(exc).__name__
+    return (float(out[1]), out[0].dtype.str, out[0].shape, out[0].tobytes()) + tuple(out[2:])
+
+
+def test_diagonal_certification_matches_the_reference_and_cholesky(monkeypatch):
+    """The sign test finds Cholesky's theta, matrix and attempt count from every start."""
+    took = spy_on_diagonal_entries(monkeypatch, driver)
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    fast = []
+    thetas = []
+    with np.errstate(over="ignore"):
+        for H, J, mu, bump, h_scale in diagonal_certify_instances(42, 300):
+            ref = _certify_outcome(certify_reference, H, J, mu, bump, h_scale)
+            answer = _grid_index(ref[0], h_scale) if isinstance(ref, tuple) else 0
+            for start in _starts(answer, h_scale):
+                took.clear()
+                calls.clear()
+                args = (H, J, mu, bump, h_scale, start)
+                out = _certify_outcome(_certified_hessian, *args)
+                assert (out if isinstance(out, str) else out[:4]) == ref, start
+                assert len(took) == 1 and took[0] == (not calls)
+                fast.append((args, out, took[0]))
+            thetas.append(ref if isinstance(ref, str) else answer)
+        # the Cholesky route makes the same attempts
+        monkeypatch.setattr(driver, "diagonal_entries", lambda A: None)
+        for args, out, _ in fast:
+            assert _certify_outcome(_certified_hessian, *args) == out
+    # the family must reach the sign test, the Cholesky route (a base
+    # whose symmetrization overflows), theta = 0, a shifted theta and a
+    # failure
+    assert sum(row[-1] for row in fast) > 1000
+    assert not all(row[-1] for row in fast)
+    assert thetas.count(0) and thetas.count("QpInternalError")
+    assert any(isinstance(t, int) and t > 0 for t in thetas)
+
+
+def test_off_diagonal_certification_runs_cholesky(monkeypatch):
+    """A nonzero or -0.0 off-diagonal pair, or a NaN or inf diagonal, declines the sign test."""
+    took = spy_on_diagonal_entries(monkeypatch, driver)
+    cases = 0
+    with np.errstate(all="ignore"):
+        for H, J, mu, bump, h_scale in diagonal_certify_instances(43, 120):
+            n = H.shape[0]
+            controls = []
+            if n > 1:
+                for off in (1e-3, -0.0):
+                    C = H.copy()
+                    C[0, -1] = C[-1, 0] = off
+                    controls.append(C)
+            for bad in (np.nan, np.inf, -np.inf):
+                C = H.copy()
+                C[-1, -1] = bad
+                controls.append(C)
+            for C in controls:
+                took.clear()
+                out = _certify_outcome(_certified_hessian, C, J, mu, bump, h_scale)
+                ref = _certify_outcome(certify_reference, C, J, mu, bump, h_scale)
+                assert (out if isinstance(out, str) else out[:4]) == ref
+                assert took == [False]
+                cases += 1
+    assert cases > 400

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import kkt_instances
+from conftest import DIAGONAL_VALUES, kkt_instances
 from curvsqp.curvature import (
     CurvatureDirection,
+    _lift,
     curvature_form,
     extract_direction,
     no_direction,
@@ -228,3 +229,54 @@ def test_refresh_drops_direction_when_penalty_shrinks():
     np.testing.assert_array_equal(kept.w_hat, -(J @ kept.u_hat) / 5.0)
     dropped = refresh_direction(d, H, J, 0.5)
     assert not dropped.exists
+
+
+def test_lift_matches_lapack_bit_for_bit(monkeypatch):
+    """_lift returns np.linalg.solve's bits, and skips it only on an identity block."""
+    rng = np.random.default_rng(75)
+    factors = []
+    for H, J, mu in kkt_instances(76, 60):
+        factors.append(_factor(H, J, mu))
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        H = np.diag(rng.choice(DIAGONAL_VALUES[:7], size=n))
+        factors.append(_factor(H, np.zeros((0, n)), 1.0))
+    lapack = np.linalg.solve
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return lapack(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    skipped = identities = others = 0
+    for factor in factors:
+        k = factor.n_piv
+        if not k:
+            continue
+        U = factor.L[:k, :k].T
+        identity = np.array_equal(U.view(np.uint64), np.eye(k).view(np.uint64))
+        identities += identity
+        others += not identity
+        for kind in range(6):
+            rhs = rng.normal(size=k) * 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+            if kind == 1:
+                rhs[rng.uniform(size=k) < 0.4] = 0.0
+            elif kind == 2:
+                rhs[rng.uniform(size=k) < 0.4] = -0.0
+            elif kind == 3:
+                rhs[:] = rng.choice([-0.0, 0.0], size=k)
+            elif kind == 4:
+                rhs[rng.integers(k)] = rng.choice([np.nan, np.inf, -np.inf])
+            elif kind == 5:
+                rhs = 0.0 - np.zeros((3, k)).T @ rng.normal(size=3)
+            calls.clear()
+            with np.errstate(invalid="ignore"):
+                out = _lift(U, rhs)
+                assert out.tobytes() == lapack(U, rhs).tobytes()
+            exact = np.isfinite(rhs).all() and not np.any((rhs == 0.0) & np.signbit(rhs))
+            assert (calls == []) == (identity and exact)
+            skipped += not calls
+    # the diagonal factors leave identity blocks, the others mostly do not
+    assert identities > 40 and others > 30
+    assert skipped > 150

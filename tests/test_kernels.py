@@ -1,7 +1,10 @@
 import numpy as np
 
+import curvsqp.curvature as curvature
+import curvsqp.driver as driver
 import curvsqp.factor as factor
-from conftest import kkt_instances, scaled_kkt_instances
+import curvsqp.qpstep as qpstep
+from conftest import kkt_instances, scaled_kkt_instances, spy_on_diagonal_entries
 from curvsqp.driver import solve
 from curvsqp.factor import build_kkt, eliminate
 from curvsqp.model import NlpProblem, make_iterate
@@ -196,6 +199,26 @@ def test_the_permutation_changes_no_record(monkeypatch):
         fast.append(solve(problem, v0))
         assert took and all(took)
     monkeypatch.setattr(factor, "_diagonal_pivots", lambda *args: None)
+    for (problem, v0), result in zip(cases, fast):
+        assert len(result.history) > 1
+        assert solve(problem, v0).history == result.history
+
+
+def test_the_diagonal_routes_change_no_record(monkeypatch):
+    """Sign tests, quotients and the skipped lift keep every record of the matrix routes."""
+    cases = [_separable_cosine(seed) for seed in range(3)]
+    cases.append((get_problem("cosine-saddle"), None))
+    modules = (factor, driver, qpstep, curvature)
+    spies = [spy_on_diagonal_entries(monkeypatch, module) for module in modules]
+    fast = []
+    for problem, v0 in cases:
+        for took in spies:
+            took.clear()
+        fast.append(solve(problem, v0))
+        # every route accepts the diagonal matrices of these solves
+        assert all(took and all(took) for took in spies)
+    for module in modules:
+        monkeypatch.setattr(module, "diagonal_entries", lambda A: None)
     for (problem, v0), result in zip(cases, fast):
         assert len(result.history) > 1
         assert solve(problem, v0).history == result.history

@@ -5,7 +5,9 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 
+from curvsqp.errors import ProblemFormatError
 from curvsqp.oracle import polynomial_reference
 from curvsqp.problemfile import Polynomial, build_polynomial_problem, parse_problem_file
 
@@ -146,3 +148,14 @@ def test_sparse_hessian_table_at_moderate_n():
     assert poly.value(x) == f
     assert np.array_equal(poly.gradient(x), g)
     assert np.array_equal(poly.hessian(x), H)
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_format_version_must_be_an_integer(version):
+    """A bool or a float that equals 1 is not the integer format version 1."""
+    doc = {"format_version": version, "name": "free", "n": 1,
+           "objective": [[1.0, [2]]], "start": {"x": [1.0]}}
+    with pytest.raises(ProblemFormatError, match="format_version"):
+        parse_problem_file(json.dumps(doc))
+    doc["format_version"] = 1
+    assert parse_problem_file(json.dumps(doc)).problem.n == 1

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import condensed_step, qp_instances, stacked_reference
+import curvsqp.qpstep as qpstep
+from conftest import (
+    DIAGONAL_VALUES,
+    condensed_step,
+    qp_instances,
+    spy_on_diagonal_entries,
+    stacked_reference,
+)
 from curvsqp.merit import MeritState
 from curvsqp.errors import QpFailure, QpInternalError
 from curvsqp.model import Evaluation, make_iterate
@@ -176,3 +183,116 @@ def test_active_set_loop_matches_the_reference_at_the_edges():
     out = _qp_outcome(solve_qp, singular, grad, x, seed_active=[2])
     assert out == _qp_outcome(qp_reference, singular, grad, x, seed_active=[2])
     assert out[0] == "QpInternalError"
+
+
+def diagonal_qp_instances(seed, count):
+    """Yield (G, grad, x, seed_active) bound QPs with a diagonal G.
+
+    A quarter of G's diagonal comes from DIAGONAL_VALUES, the rest from
+    a few moderate values, so ties are common. Odd instances draw from
+    all of DIAGONAL_VALUES (zeros make a reduced system singular), even
+    ones from its positive entries only, where a subnormal entry under
+    an O(1) residual makes a quotient that overflows to inf. grad has
+    +-0.0 entries on every third instance, about a third of x sits on
+    its bound, and every twentieth x has a NaN. n <= 10.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.array(DIAGONAL_VALUES)
+    for i in range(count):
+        n = int(rng.integers(1, 11))
+        d = rng.choice([0.25, 1.0, 2.0, 7.5], size=n)
+        listed = rng.uniform(size=n) < 0.25
+        d[listed] = rng.choice(values if i % 2 else values[values > 0.0], size=int(listed.sum()))
+        G = np.diag(d)
+        grad = rng.normal(size=n) * 10.0 ** rng.uniform(0.0, 2.0)
+        if i % 3 == 0:
+            zeros = rng.uniform(size=n) < 0.3
+            grad[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        x = rng.uniform(0.0, 2.0, size=n)
+        x[rng.uniform(size=n) < 0.3] = 0.0
+        if i % 20 == 19:
+            x[rng.integers(n)] = np.nan
+        yield G, grad, x, np.flatnonzero(rng.uniform(size=n) < 0.4)
+
+
+def _nan_blind(out):
+    """_qp_outcome with every NaN in p, z or the partial step made the same.
+
+    numpy's loops do not keep the sign of a NaN operand, and the two
+    loops store their steps differently, so only the route's own matrix
+    twin is compared with the NaN bits.
+    """
+    fields = (0, 1) if isinstance(out[-1], int) else (2,)
+    out = list(out)
+    for i in fields:
+        if out[i] is not None:
+            values = np.frombuffer(out[i])
+            out[i] = np.where(np.isnan(values), np.nan, values).tobytes()
+    return tuple(out)
+
+
+def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
+    """Products and quotients give the QpStep, or the error, of G @ p and LAPACK."""
+    took = spy_on_diagonal_entries(monkeypatch, qpstep)
+    lapack = np.linalg.solve
+    solves = []
+
+    def counted(a, b):
+        solves.append(a.shape)
+        return lapack(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    kinds = {"divided": 0, "fell back": 0, "matrix route": 0, "singular": 0}
+    fast = []
+    with np.errstate(all="ignore"):
+        for G, grad, x, seed in diagonal_qp_instances(63, 1500):
+            took.clear()
+            solves.clear()
+            # a cap of 40 ends the NaN cycles early; the others need fewer
+            out = _qp_outcome(solve_qp, G, grad, x, seed_active=seed, max_iterations=40)
+            fell_back = bool(solves)
+            ref = _qp_outcome(qp_reference, G, grad, x, seed_active=seed, max_iterations=40)
+            assert _nan_blind(out) == _nan_blind(ref)
+            fast.append((G, grad, x, seed, out))
+            if out[0] == "QpInternalError":
+                kinds["singular"] += 1
+            elif not any(took):
+                kinds["matrix route"] += 1
+            else:
+                kinds["fell back" if fell_back else "divided"] += 1
+        monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
+        for G, grad, x, seed, out in fast:
+            assert _qp_outcome(solve_qp, G, grad, x, seed_active=seed, max_iterations=40) == out
+    # the family must reach every route: the quotients alone, a fallback
+    # to LAPACK (an overflowing quotient), the matrix route (a NaN in x)
+    # and a singular system
+    assert kinds["divided"] > 300
+    assert min(kinds.values()) > 30, kinds
+
+
+def test_off_diagonal_qp_runs_the_matrix_route(monkeypatch):
+    """A nonzero or -0.0 off-diagonal pair, or a NaN or inf diagonal, keeps G @ p and LAPACK."""
+    took = spy_on_diagonal_entries(monkeypatch, qpstep)
+    cases = 0
+    with np.errstate(all="ignore"):
+        for G, grad, x, seed in diagonal_qp_instances(64, 200):
+            n = G.shape[0]
+            x = np.nan_to_num(x)
+            controls = []
+            if n > 1:
+                for off in (1e-3, -0.0):
+                    C = G.copy()
+                    C[0, -1] = C[-1, 0] = off
+                    controls.append(C)
+            for bad in (np.nan, np.inf, -np.inf):
+                C = G.copy()
+                C[-1, -1] = bad
+                controls.append(C)
+            for C in controls:
+                took.clear()
+                out = _qp_outcome(solve_qp, C, grad, x, seed_active=seed, max_iterations=40)
+                assert _nan_blind(out) == _nan_blind(
+                    _qp_outcome(qp_reference, C, grad, x, seed_active=seed, max_iterations=40))
+                assert took == [False]
+                cases += 1
+    assert cases > 600

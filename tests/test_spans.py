@@ -42,9 +42,12 @@ def _counts(iterations, cholesky, callbacks):
 
 EXPECTED = {
     "saddle-line": _counts(5, 11, 26),
-    "cosine-saddle": _counts(6, 5, 32),
+    # the certification of its diagonal Hessian calls no Cholesky
+    "cosine-saddle": _counts(6, 0, 32),
     "convex-qp": _counts(8, 7, 40),
 }
+# positive-definiteness tests the records count, by Cholesky or by sign
+ATTEMPTS = {"saddle-line": 11, "cosine-saddle": 5, "convex-qp": 7}
 
 
 def _load_spans():
@@ -63,10 +66,12 @@ def test_tracer_counts_every_patched_call(name):
     problem = tracer.traced_problem(get_problem(name))
     restore = tracer.install()
     try:
-        tracer.solve(driver.solve, problem)
+        result = tracer.solve(driver.solve, problem)
     finally:
         restore()
-    assert Counter(span[0] for span in tracer.spans) == EXPECTED[name]
+    # a Counter, so the zero count of an absent span compares equal
+    assert Counter(span[0] for span in tracer.spans) == Counter(EXPECTED[name])
+    assert sum(record.cholesky_attempts for record in result.history) == ATTEMPTS[name]
     for attr, original in originals.items():
         assert getattr(driver, attr) is original
     assert merit.evaluate is evaluate
