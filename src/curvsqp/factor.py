@@ -19,8 +19,6 @@ certification (driver), the QP (qpstep) and the lift of a curvature
 direction (curvature) use it too.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,66 +76,46 @@ class PivotBlock(NamedTuple):
     offset: int
 
 
-@dataclass(frozen=True)
-class Stage1Factor:
+class Stage1Factor(NamedTuple):
     """Result of the restricted elimination: perm @ K @ perm.T = L diag(B, S) L.T.
 
     perm[i] is the original row now in position i; positions < n_piv are
-    pivoted (B holds their block diagonal), the rest carry the Schur
-    complement S. counts maps pivot tags to how often they fired.
+    pivoted, the rest carry the Schur complement S. A is the eliminated
+    matrix, whose leading n_piv x n_piv part holds the pivot blocks B on
+    its block diagonal. ptype and psize are eliminate's records of the
+    pivots in order: each one's PIVOT_TAGS index and its size.
     """
 
     kkt: KktSystem
     perm: np.ndarray
     L: np.ndarray
-    B: np.ndarray
+    A: np.ndarray
     S: np.ndarray
     n_piv: int
-    counts: dict
+    ptype: np.ndarray
+    psize: np.ndarray
     tiny: float
-    unpivoted_h: np.ndarray
 
-    @cached_property
+    @property
     def blocks(self):
-        """The PivotBlocks of B in elimination order, built on first access.
-
-        A block is 2x2 exactly when its upper coupling is nonzero: the HD
-        pivot is chosen on a nonzero one, and B is zero off its blocks.
-        """
+        """The PivotBlocks of B in elimination order."""
         blocks = []
         off = 0
-        while off < self.n_piv:
-            if off + 1 < self.n_piv and self.B[off, off + 1] != 0.0:
-                size, tag = 2, "HD"
-            else:
-                size, tag = 1, "H+" if self.perm[off] < self.kkt.n_free else "D-"
-            blocks.append(PivotBlock(values=self.B[off:off + size, off:off + size].copy(),
-                                     tag=tag, offset=off))
+        for code, size in zip(self.ptype.tolist(), self.psize.tolist()):
+            blocks.append(PivotBlock(values=self.A[off:off + size, off:off + size].copy(),
+                                     tag=PIVOT_TAGS[code], offset=off))
             off += size
         return tuple(blocks)
 
     @property
-    def inertia_so_far(self):
-        """Inertia of the factored block B, read off the pivot tags."""
-        pos = self.counts["H+"] + self.counts["HD"]
-        neg = self.counts["D-"] + self.counts["HD"]
-        return (pos, neg, 0)
+    def counts(self):
+        """How often each pivot tag fired."""
+        return dict(zip(PIVOT_TAGS, np.bincount(self.ptype, minlength=3).tolist()))
 
-    def permutation_matrix(self):
-        N = self.perm.shape[0]
-        P = np.zeros((N, N))
-        P[np.arange(N), self.perm] = 1.0
-        return P
-
-    def reconstruction_error(self):
-        """Max-norm of perm(K)perm.T - L diag(B, S) L.T, for diagnostics."""
-        N = self.perm.shape[0]
-        D = np.zeros((N, N))
-        k = self.n_piv
-        D[:k, :k] = self.B
-        D[k:, k:] = self.S
-        P = self.permutation_matrix()
-        return float(np.max(np.abs(P @ self.kkt.K @ P.T - self.L @ D @ self.L.T), initial=0.0))
+    @property
+    def unpivoted_h(self):
+        """Original indices of the rows left in S."""
+        return self.perm[self.n_piv:]
 
 
 def _swap(A, L, perm, sign, k, r):
@@ -216,8 +194,9 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
     unit-lower-triangular multipliers. Returns (k, npiv, status): k
     eliminated positions, npiv pivot records, status 1 when dual rows
     remain unpivoted (breakdown), else 0. Bit-identical to the scalar
-    loop oracle.stage1_reference: the Schur updates keep its operation
-    order, which is why they are outer products and not matmuls.
+    loop stage1_reference in tests/reference.py: the Schur updates keep
+    its operation order, which is why they are outer products and not
+    matmuls.
 
     L must enter as the identity. When no row is a dual row, the diagonal
     is finite and every other entry is +0.0 bit for bit (-0.0 is not),
@@ -341,32 +320,17 @@ def stage1_factorize(kkt):
     psize = np.zeros(N, dtype=np.int64)
     tiny = 1e-12 * (1.0 + kkt.norm_max)
     n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
-
-    hd = n_piv - n_blocks  # a 2x2 pivot is one block over two positions
-    if status == 0:
-        # every dual row went into a D- or an HD pivot
-        counts = {"H+": n_blocks - kkt.m, "D-": kkt.m - hd, "HD": hd}
-    else:
-        counts = dict(zip(PIVOT_TAGS, np.bincount(ptype[:n_blocks], minlength=3).tolist()))
-    B = np.zeros((n_piv, n_piv))
-    B.ravel()[::n_piv + 1] = A.diagonal()[:n_piv]  # B's diagonal
-    if counts["HD"]:
-        ends = np.cumsum(psize[:n_blocks])[ptype[:n_blocks] == 2]
-        for e in ends.tolist():
-            B[e - 2, e - 1] = A[e - 2, e - 1]
-            B[e - 1, e - 2] = A[e - 1, e - 2]
     S = A[n_piv:, n_piv:]
-    S = 0.5 * (S + S.T)
     factor = Stage1Factor(
         kkt=kkt,
         perm=perm,
         L=L,
-        B=B,
-        S=S,
+        A=A,
+        S=0.5 * (S + S.T),
         n_piv=n_piv,
-        counts=counts,
+        ptype=ptype[:n_blocks],
+        psize=psize[:n_blocks],
         tiny=tiny,
-        unpivoted_h=perm[n_piv:],
     )
     if status != 0:
         raise FactorizationBreakdown(
@@ -410,21 +374,3 @@ def apply_shift(H, rows, delta):
     if delta:
         H[rows, rows] += delta
     return H
-
-
-def inertia(A, zero_tol_factor=1e-10):
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
-
-    Uses the LAPACK symmetric eigensolver; the test suite cross-checks it
-    against the independent Jacobi route. Eigenvalues within
-    zero_tol_factor times the largest magnitude count as zero.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] == 0:
-        return (0, 0, 0)
-    vals = np.linalg.eigvalsh(0.5 * (A + A.T))
-    tol = zero_tol_factor * float(np.max(np.abs(vals), initial=0.0))
-    n_zero = int(np.sum(np.abs(vals) <= tol))
-    n_pos = int(np.sum(vals > tol))
-    n_neg = int(np.sum(vals < -tol))
-    return (n_pos, n_neg, n_zero)

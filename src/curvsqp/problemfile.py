@@ -76,8 +76,9 @@ class Polynomial:
     The value, gradient and Hessian are monomial tables. Their rows
     come from np.nonzero over the exponents, which lists (term, j) and
     (term, j, l) in term-major order, so every entry sums its terms in
-    the order of oracle.polynomial_reference and matches it bit for
-    bit. The derivative tables are built on first use.
+    the order of the per-monomial loop polynomial_reference in
+    tests/reference.py and matches it bit for bit. The derivative
+    tables are built on first use.
     """
 
     coeffs: np.ndarray

@@ -5,7 +5,7 @@ import curvsqp.driver as driver
 from conftest import DIAGONAL_VALUES, spy_on_diagonal_entries
 from curvsqp.driver import _certified_hessian
 from curvsqp.errors import QpInternalError
-from curvsqp.oracle import certify_reference
+from reference import certify_reference
 
 
 def certify_instances(seed, count):
@@ -50,7 +50,7 @@ def _grid_index(theta, h_scale):
 
 def _grid_length(h_scale):
     theta, limit, length = 1e-8 * (1.0 + h_scale), 1e18 * (1.0 + h_scale), 1
-    while theta <= limit:
+    while theta <= limit and theta < np.inf:
         theta, length = 2.0 * theta, length + 1
     return length
 
@@ -110,6 +110,34 @@ def test_unfixable_free_block_raises_on_both_routes():
         certify_reference(H, J, 1.0, bump, 1.0)
 
 
+@pytest.mark.parametrize("H, bump", [
+    # row 1 is negative and never bumped, so no theta helps
+    (np.diag([1.0, -1.0]), np.array([0])),
+    # the symmetrized base holds -inf, which only theta = inf would lift
+    (np.array([[-1.7e308, 1.0], [1.0, 1.0]]), np.zeros(0, dtype=int)),
+], ids=["unbumped-negative-row", "infinite-base"])
+def test_grid_ends_at_its_largest_finite_point_on_both_routes(monkeypatch, H, bump):
+    """With 1e18 * (1 + h_scale) = inf, theta never reaches inf: both routes raise."""
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        # a grid has at most 88 points; more attempts are a runaway search
+        assert len(calls) <= 88
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    J = np.zeros((0, 2))
+    # the symmetrization of -1.7e308 overflows
+    with np.errstate(over="ignore"):
+        with pytest.raises(QpInternalError):
+            _certified_hessian(H, J, 1.0, bump, 1.7e308)
+        calls.clear()
+        with pytest.raises(QpInternalError):
+            certify_reference(H, J, 1.0, bump, 1.7e308)
+
+
 def test_certification_bisects_the_grid(monkeypatch):
     # bumping row 1 must beat the Schur complement 0 - 1/a = -40, which
     # first happens near grid index 32 with h_scale = 1
@@ -149,9 +177,10 @@ def diagonal_certify_instances(seed, count):
     Entries come from DIAGONAL_VALUES. Kinds rotate through positive
     rows outside a random bump subset (theta anywhere on the grid), any
     rows outside it (often no theta works) and no bump rows given (every
-    row is bumped). h_scale is 1, 3 or 1.7e290, whose grid reaches
-    1.7e308, so a shifted 8e307 overflows; certify_reference never stops
-    on a grid whose limit 1e18 * (1 + h_scale) is inf. n <= 10.
+    row is bumped). h_scale is 1, 3, 1.7e290, whose grid reaches
+    1.7e308, so a shifted 8e307 overflows, or 1.7e308, whose limit
+    1e18 * (1 + h_scale) is inf, so the grid ends at its largest finite
+    point. n <= 10.
     """
     rng = np.random.default_rng(seed)
     values = np.array(DIAGONAL_VALUES)
@@ -166,7 +195,7 @@ def diagonal_certify_instances(seed, count):
             if kind == 0:
                 free = np.setdiff1d(np.arange(n), bump)
                 d[free] = rng.choice(values[values > 0.0], size=free.size)
-        yield np.diag(d), np.zeros((0, n)), 1.0, bump, float(rng.choice([1.0, 3.0, 1.7e290]))
+        yield np.diag(d), np.zeros((0, n)), 1.0, bump, float(rng.choice([1.0, 3.0, 1.7e290, 1.7e308]))
 
 
 def _certify_outcome(fn, *args):

@@ -18,10 +18,10 @@ from curvsqp.errors import FactorizationBreakdown, QpFailure, QpInternalError
 from curvsqp.factor import convexify
 from curvsqp.merit import MeritState, curvilinear_search
 from curvsqp.model import NlpProblem, make_iterate
-from curvsqp.oracle import certify_reference
 from curvsqp.problems import get_problem
 from curvsqp.qpstep import solve_qp
 from curvsqp.workset import estimate
+from reference import certify_reference
 
 
 # the IterationRecord fields that only a step fills in

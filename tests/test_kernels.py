@@ -8,8 +8,8 @@ from conftest import kkt_instances, scaled_kkt_instances, spy_on_diagonal_entrie
 from curvsqp.driver import solve
 from curvsqp.factor import build_kkt, eliminate
 from curvsqp.model import NlpProblem, make_iterate
-from curvsqp.oracle import stage1_reference
 from curvsqp.problems import get_problem
+from reference import stage1_reference
 
 
 def _stage1_inputs(H, J, mu):

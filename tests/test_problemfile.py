@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from curvsqp.errors import ProblemFormatError
-from curvsqp.oracle import polynomial_reference
 from curvsqp.problemfile import Polynomial, build_polynomial_problem, parse_problem_file
+from reference import polynomial_reference
 
 
 def _random_polynomial(rng, n):

@@ -12,8 +12,8 @@ from conftest import (
 from curvsqp.merit import MeritState
 from curvsqp.errors import QpFailure, QpInternalError
 from curvsqp.model import Evaluation, make_iterate
-from curvsqp.oracle import qp_reference
 from curvsqp.qpstep import solve_qp
+from reference import qp_reference
 
 
 def test_one_dimensional_bound_hits():
