@@ -6,14 +6,15 @@ certifies negative curvature of H_F + (1/mu) J_F.T J_F: pick the unit
 through the transposed triangular factor, and keep the primal part. The
 lifted vector automatically satisfies the dual stationarity rows, which
 is what makes the full-space quadratic form collapse onto the free
-primal block.
+primal block. A zero right-hand side (no S row coupled to a pivoted one)
+lifts to the +0.0 LAPACK returns through a finite factor, without the
+solve.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .factor import diagonal_entries
 from .workset import embed
 
 
@@ -56,23 +57,6 @@ def curvature_form(u, H, J, mu):
     return val
 
 
-_NEG_ZERO = np.float64(-0.0).view(np.uint64)
-
-
-def _lift(U, rhs):
-    """np.linalg.solve(U, rhs) for a unit upper-triangular U, bit for bit.
-
-    When diagonal_entries accepts U (the identity that the diagonal
-    stage-1 path leaves) and rhs is finite with no -0.0, every
-    substitution step subtracts a signed zero from an entry that is
-    nonzero or +0.0, which changes no bit, so the answer is rhs itself.
-    """
-    if (diagonal_entries(U) is not None and np.isfinite(rhs).all()
-            and not (rhs.view(np.uint64) == _NEG_ZERO).any()):
-        return rhs
-    return np.linalg.solve(U, rhs)
-
-
 def extract_direction(factor, ws, H, J):
     """Pull a negative-curvature direction out of a stage-1 factor.
 
@@ -104,14 +88,16 @@ def extract_direction(factor, ws, H, J):
 
     # solve L.T d = (0, w_S); the unit upper-triangular solve needs only
     # the pivoted leading block since the trailing part of L is identity.
-    # 0.0 - x is -x with no -0.0, which lets _lift skip an identity block
+    # 0.0 - x is -x with no -0.0, so a zero rhs is all +0.0
     N = factor.perm.shape[0]
     k = factor.n_piv
     d = np.zeros(N)
     d[k:] = w_S
     if k:
         rhs = 0.0 - factor.L[k:, :k].T @ w_S
-        d[:k] = _lift(factor.L[:k, :k].T, rhs)
+        U = factor.L[:k, :k].T
+        if rhs.any() or not np.isfinite(U).all():
+            d[:k] = np.linalg.solve(U, rhs)
 
     # un-permute, keep the free primal components, embed on the active set
     z = np.zeros(N)

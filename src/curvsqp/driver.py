@@ -557,7 +557,6 @@ def solve(problem, v0=None, config=None):
                     last.merit_new, last.merit, _merit_state(last, last.mu, config),
                     last.alpha, last.N_k, last.R_k, mu_R_next=fstate.mu_R,
                 )
-                mu = max(mu, fstate.mu_R)
 
             last_ratio = direction.rayleigh
             state_F = _merit_state(fstate, mu, config)

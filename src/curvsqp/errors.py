@@ -33,7 +33,7 @@ class LineSearchFailure(CurvSqpError):
 
 
 class QpFailure(CurvSqpError):
-    """Active-set iteration cap reached. Carries the best iterate found."""
+    """Active-set iteration cap reached or data not finite. Carries the iterate reached, if any."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

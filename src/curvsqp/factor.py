@@ -15,8 +15,7 @@ With no dual rows (m = 0) and a diagonal H_F, every pivot column is
 zero, so the elimination only orders the pivots; it is then replayed as
 one permutation (_diagonal_pivots), with the same bits as the loop.
 diagonal_entries is the test for such a matrix; the Hessian
-certification (driver), the QP (qpstep) and the lift of a curvature
-direction (curvature) use it too.
+certification (driver) and the QP (qpstep) use it too.
 """
 
 from typing import NamedTuple

@@ -7,20 +7,22 @@ step follows from p in closed form. Starting from a feasible seed with
 pinned entries sitting exactly on their bounds, every working-set
 subproblem has a unique minimizer, so the iteration terminates.
 
+The data must be finite: a non-finite grad or x raises QpFailure at
+entry, and so does the first working-set subproblem whose reduced
+residual or step is not finite, with the p reached before it.
+
 A G that factor.diagonal_entries accepts (no equality rows and a
 separable objective) is applied by elementwise product and division
-instead of G @ p and np.linalg.solve, with the same QpStep bit for bit:
-every product of an off-diagonal entry is a signed zero, and "+ 0.0"
-gives zero rows the +0.0 the matrix product gives them. A quotient can
-differ from LAPACK's only in the sign of a zero step entry, where the
-residual is zero; that entry of p is then +0.0 or nonzero (a released
-entry keeps -0.0 only while its residual is grad's nonzero entry), so
-adding the step changes no bit of it either. The loop falls back to
-LAPACK for a working-set subproblem whose quotient is not finite, and
-to the matrix operations for good once p is not finite: LAPACK's
-substitutions spread an inf to every row, and so does 0 * inf in G @ p.
+instead of G @ p and np.linalg.solve, with the same QpStep or QpFailure
+bit for bit: every product of an off-diagonal entry is a signed zero,
+and "+ 0.0" gives zero rows the +0.0 the matrix product gives them. A
+quotient can differ from LAPACK's only in the sign of a zero step entry,
+where the residual is zero; that entry of p is then +0.0 or nonzero (a
+released entry keeps -0.0 only while its residual is grad's nonzero
+entry), so adding the step changes no bit of it either.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +44,8 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
 
     Returns a QpStep. seed_active lists indices pinned at -x[i] in the
     starting point. Iteration count is capped at 100 * n by default;
-    hitting the cap raises QpFailure, a singular reduced system raises
-    QpInternalError.
+    hitting the cap or non-finite data raises QpFailure, a singular
+    reduced system raises QpInternalError.
     """
     G = np.asarray(G, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -53,7 +55,10 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         raise ValueError("G, grad and x dimensions disagree")
     if max_iterations is None:
         max_iterations = 100 * max(n, 1)
-    scale = tol * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
+    grad_max = float(np.max(np.abs(grad), initial=0.0))
+    if not (math.isfinite(grad_max) and np.isfinite(x).all()):
+        raise QpFailure("non-finite gradient or bound")
+    scale = tol * (1.0 + grad_max)
 
     active = np.zeros(n, dtype=bool)
     p = np.zeros(n)
@@ -62,8 +67,8 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         active[idx] = True
         p[idx] = -x[idx]
 
-    # G's diagonal while the elementwise route is exact, else None
-    diag = diagonal_entries(G) if np.isfinite(grad).all() and np.isfinite(x).all() else None
+    # G's diagonal on the elementwise route, else None
+    diag = diagonal_entries(G)
     iterations = 0
     # the free indices, with their reduced matrix (its diagonal on the
     # elementwise route) and bounds, are gathered again only after the
@@ -81,9 +86,10 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
             f_idx = np.flatnonzero(~active)
             G_f = lo_f = None
         r_f = r[f_idx]
+        r_max = float(np.max(np.abs(r_f), initial=0.0))
         # stationarity is judged on the reduced residual, never on the step
         # length: a huge gradient must not swallow a genuine Newton step
-        at_minimizer = float(np.max(np.abs(r_f), initial=0.0)) <= scale
+        at_minimizer = r_max <= scale
         if not at_minimizer:
             if G_f is None:
                 G_f = diag[f_idx] if diag is not None else G.take(f_idx, 0).take(f_idx, 1)
@@ -93,18 +99,20 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
                     raise QpInternalError("singular reduced Hessian in a working-set subproblem")
                 with np.errstate(over="ignore", under="ignore"):
                     d_f = -r_f / G_f
-            if diag is None or not np.isfinite(d_f).all():
+            else:
                 try:
-                    d_f = np.linalg.solve(np.diag(G_f) if diag is not None else G_f, -r_f)
+                    d_f = np.linalg.solve(G_f, -r_f)
                 except np.linalg.LinAlgError as exc:
                     raise QpInternalError(
                         "singular reduced Hessian in a working-set subproblem"
                     ) from exc
+            d_max = float(np.max(np.abs(d_f)))
+            # a residual that is not finite fails the stationarity test
+            if not math.isfinite(r_max + d_max):
+                raise QpFailure("non-finite residual or step in a working-set subproblem", partial=p)
             p_f = p[f_idx]
             # a step at roundoff level cannot improve the subspace further
-            at_minimizer = float(np.max(np.abs(d_f))) <= 4e-16 * (
-                1.0 + float(np.max(np.abs(p_f)))
-            )
+            at_minimizer = d_max <= 4e-16 * (1.0 + float(np.max(np.abs(p_f))))
         if at_minimizer:
             # subspace minimizer; check bound multipliers
             a_idx = np.flatnonzero(active)
@@ -125,17 +133,10 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         if pos.size:
             ratios = (lo_f[pos] - p_f[pos]) / d_f[pos]
             first = int(ratios.argmin())
-            if ratios[first] != ratios[first]:
-                # argmin stops at a NaN, which the test below never passes
-                hits = np.flatnonzero(ratios < alpha)
-                if hits.size:
-                    first = int(hits[np.argmin(ratios[hits])])
             if ratios[first] < alpha:
                 alpha = ratios[first]
                 blocker = int(f_idx[pos[first]])
         p[f_idx] = p_f + alpha * d_f
-        if diag is not None and not np.isfinite(p).all():
-            diag, f_idx = None, None
         if blocker >= 0:
             p[blocker] = -x[blocker]
             active[blocker] = True

@@ -241,12 +241,14 @@ def qp_reference(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
 
     The reference for the active-set loop: free and active indices, the
     reduced matrix and the ratio test are gathered afresh from the full
-    arrays each time. The QpStep, the QpFailure and the QpInternalError
-    of the two routes must agree bit for bit.
+    arrays each time, and finiteness is tested on whole arrays. The
+    QpStep, the QpFailure and the QpInternalError of the two routes must
+    agree bit for bit.
 
     Returns a QpStep. seed_active lists indices pinned at -x[i] in the
     starting point. Iteration count is capped at 100 * n by default;
-    hitting the cap raises QpFailure, a singular reduced system raises
+    hitting the cap raises QpFailure, as a non-finite grad, x, reduced
+    residual or step does, and a singular reduced system raises
     QpInternalError.
     """
     G = np.asarray(G, dtype=float)
@@ -257,6 +259,8 @@ def qp_reference(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         raise ValueError("G, grad and x dimensions disagree")
     if max_iterations is None:
         max_iterations = 100 * max(n, 1)
+    if not (np.isfinite(grad).all() and np.isfinite(x).all()):
+        raise QpFailure("non-finite gradient or bound")
     scale = tol * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
 
     active = np.zeros(n, dtype=bool)
@@ -286,6 +290,8 @@ def qp_reference(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
                 raise QpInternalError(
                     "singular reduced Hessian in a working-set subproblem"
                 ) from exc
+            if not (np.isfinite(r[f_idx]).all() and np.isfinite(d_f).all()):
+                raise QpFailure("non-finite residual or step in a working-set subproblem", partial=p)
             # a step at roundoff level cannot improve the subspace further
             at_minimizer = float(np.max(np.abs(d_f))) <= 4e-16 * (
                 1.0 + float(np.max(np.abs(p[f_idx])))

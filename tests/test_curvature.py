@@ -4,7 +4,6 @@ import pytest
 from conftest import DIAGONAL_VALUES, kkt_instances
 from curvsqp.curvature import (
     CurvatureDirection,
-    _lift,
     curvature_form,
     extract_direction,
     no_direction,
@@ -231,16 +230,8 @@ def test_refresh_drops_direction_when_penalty_shrinks():
     assert not dropped.exists
 
 
-def test_lift_matches_lapack_bit_for_bit(monkeypatch):
-    """_lift returns np.linalg.solve's bits, and skips it only on an identity block."""
-    rng = np.random.default_rng(75)
-    factors = []
-    for H, J, mu in kkt_instances(76, 60):
-        factors.append(_factor(H, J, mu))
-    for _ in range(60):
-        n = int(rng.integers(1, 13))
-        H = np.diag(rng.choice(DIAGONAL_VALUES[:7], size=n))
-        factors.append(_factor(H, np.zeros((0, n)), 1.0))
+def _counted_solves(monkeypatch):
+    """Record the matrix shape of every np.linalg.solve call."""
     lapack = np.linalg.solve
     calls = []
 
@@ -249,34 +240,74 @@ def test_lift_matches_lapack_bit_for_bit(monkeypatch):
         return lapack(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    skipped = identities = others = 0
-    for factor in factors:
-        k = factor.n_piv
+    return calls
+
+
+def test_lift_matches_lapack_bit_for_bit(monkeypatch):
+    """A zero right-hand side lifts to the +0.0 bits LAPACK returns for it, without the solve."""
+    rng = np.random.default_rng(75)
+    cases = list(kkt_instances(76, 120))
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        cases.append((np.diag(rng.choice(DIAGONAL_VALUES[:7], size=n)), np.zeros((0, n)), 1.0))
+    # a coupled positive definite block beside an uncoupled diagonal one,
+    # with dual rows on the coupled block only
+    for _ in range(60):
+        nc, nd, m = (int(v) for v in rng.integers(1, 5, size=3))
+        A = rng.normal(size=(nc, nc))
+        H = np.zeros((nc + nd, nc + nd))
+        H[:nc, :nc] = A @ A.T + 0.1 * np.eye(nc)
+        H[nc:, nc:] = np.diag(rng.choice(DIAGONAL_VALUES[:7], size=nd))
+        J = np.zeros((m - 1, nc + nd))
+        J[:, :nc] = rng.normal(size=(m - 1, nc))
+        cases.append((H, J, float(10.0 ** rng.uniform(-3.0, 0.0))))
+    lapack = np.linalg.solve
+    calls = _counted_solves(monkeypatch)
+    skipped = solved = 0
+    for H, J, mu in cases:
+        factor = _factor(H, J, mu)
+        k, ns = factor.n_piv, factor.S.shape[0]
         if not k:
             continue
         U = factor.L[:k, :k].T
-        identity = np.array_equal(U.view(np.uint64), np.eye(k).view(np.uint64))
-        identities += identity
-        others += not identity
-        for kind in range(6):
-            rhs = rng.normal(size=k) * 10.0 ** rng.uniform(-3.0, 3.0, size=k)
-            if kind == 1:
-                rhs[rng.uniform(size=k) < 0.4] = 0.0
-            elif kind == 2:
-                rhs[rng.uniform(size=k) < 0.4] = -0.0
-            elif kind == 3:
-                rhs[:] = rng.choice([-0.0, 0.0], size=k)
-            elif kind == 4:
-                rhs[rng.integers(k)] = rng.choice([np.nan, np.inf, -np.inf])
-            elif kind == 5:
-                rhs = 0.0 - np.zeros((3, k)).T @ rng.normal(size=3)
-            calls.clear()
-            with np.errstate(invalid="ignore"):
-                out = _lift(U, rhs)
-                assert out.tobytes() == lapack(U, rhs).tobytes()
-            exact = np.isfinite(rhs).all() and not np.any((rhs == 0.0) & np.signbit(rhs))
-            assert (calls == []) == (identity and exact)
-            skipped += not calls
-    # the diagonal factors leave identity blocks, the others mostly do not
-    assert identities > 40 and others > 30
-    assert skipped > 150
+        # the premise: every zero right-hand side the lift can form,
+        # 0.0 - L_S.T @ w for a unit w, solves to +0.0 through LAPACK
+        for w in np.eye(ns):
+            rhs = 0.0 - factor.L[k:, :k].T @ w
+            if not rhs.any():
+                assert lapack(U, rhs).tobytes() == np.zeros(k).tobytes()
+        calls.clear()
+        d = extract_direction(factor, _all_free(H.shape[0]), H, J)
+        if not d.exists:
+            continue
+        # a skipped solve leaves the pivoted primal entries at +0.0
+        pivoted = factor.perm[:k][factor.perm[:k] < factor.kkt.n_free]
+        if calls:
+            solved += 1
+        else:
+            skipped += 1
+            assert not d.u_hat[pivoted].view(np.uint64).any()
+    assert skipped > 40 and solved > 40
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_an_uncoupled_block_lifts_without_a_solve(monkeypatch, m):
+    """Only the S row's own entry reaches the lift: no solve, and LAPACK's bits."""
+    # a coupled positive block and an uncoupled negative entry that
+    # becomes S; the pivoted block's U is not the identity
+    H = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, -2.0]])
+    J = np.array([[1.0, 2.0, 0.0]])[:m]
+    factor = _factor(H, J, 0.5)
+    k = factor.n_piv
+    U = factor.L[:k, :k].T
+    assert not np.array_equal(U, np.eye(k))
+    calls = _counted_solves(monkeypatch)
+    d = extract_direction(factor, _all_free(3), H, J)
+    assert calls == []
+    assert d.exists and d.rho == 2.0
+    # the direction np.linalg.solve would have lifted, entry by entry
+    w_S = np.sqrt(d.rho) * np.ones(1)
+    lifted = np.zeros(k + 1)
+    lifted[factor.perm[:k]] = np.linalg.solve(U, 0.0 - factor.L[k:, :k].T @ w_S)
+    lifted[factor.perm[k:]] = w_S
+    assert d.u_hat.tobytes() == lifted[:3].tobytes()

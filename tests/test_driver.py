@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import curvsqp.driver as driver
+from conftest import quadric_sphere_instances
 from curvsqp.classify import initial_state
 from curvsqp.cli import write_log
 from curvsqp.curvature import scale
@@ -425,6 +426,21 @@ def test_history_bookkeeping():
     assert result.history[-1].alpha == 0.0
     total = sum(result.class_counts.values())
     assert total == sum(1 for rec in result.history if rec.cls in "SLMF")
+
+
+def test_the_penalty_never_falls_below_mu_r():
+    """mu >= mu_R on every record, with no floor in solve.
+
+    penalty_update keeps mu or takes max(mu / 2, mu_R), and mu_R never
+    rises; a new rule for mu_R must keep this.
+    """
+    cases = [(get_problem(name), None) for name in ("convex-qp", "cosine-saddle", "saddle-line")]
+    cases += list(quadric_sphere_instances(seed=1, count=10))
+    cases += [(_two_cosines(), None), (_two_cosines((6.2, 6.28)), None)]
+    for problem, v0 in cases:
+        history = solve(problem, v0).history
+        assert len(history) > 1
+        assert all(rec.mu >= rec.mu_R for rec in history), problem.name
 
 
 def test_certificate_is_vacuous_with_every_variable_active():

@@ -1,6 +1,5 @@
 import numpy as np
 
-import curvsqp.curvature as curvature
 import curvsqp.driver as driver
 import curvsqp.factor as factor
 import curvsqp.qpstep as qpstep
@@ -205,10 +204,10 @@ def test_the_permutation_changes_no_record(monkeypatch):
 
 
 def test_the_diagonal_routes_change_no_record(monkeypatch):
-    """Sign tests, quotients and the skipped lift keep every record of the matrix routes."""
+    """Sign tests and quotients keep every record of the matrix routes."""
     cases = [_separable_cosine(seed) for seed in range(3)]
     cases.append((get_problem("cosine-saddle"), None))
-    modules = (factor, driver, qpstep, curvature)
+    modules = (factor, driver, qpstep)
     spies = [spy_on_diagonal_entries(monkeypatch, module) for module in modules]
     fast = []
     for problem, v0 in cases:

@@ -173,11 +173,6 @@ def test_active_set_loop_matches_the_reference_at_the_edges():
             out = _qp_outcome(solve_qp, G, g, x, **kwargs)
             assert out == _qp_outcome(qp_reference, G, g, x, **kwargs)
     assert _qp_outcome(solve_qp, G, grad, x, seed_active=[1], max_iterations=1)[0] == "QpFailure"
-    # a NaN bound makes a NaN ratio, at which argmin would stop, ahead
-    # of the ratio 0.5 that blocks
-    x_nan = np.array([np.nan, 0.5, 2.0])
-    out = _qp_outcome(solve_qp, np.eye(3), np.ones(3), x_nan)
-    assert out == _qp_outcome(qp_reference, np.eye(3), np.ones(3), x_nan)
     # a singular reduced block: QpInternalError on both routes
     singular = np.zeros((3, 3))
     out = _qp_outcome(solve_qp, singular, grad, x, seed_active=[2])
@@ -192,9 +187,10 @@ def diagonal_qp_instances(seed, count):
     a few moderate values, so ties are common. Odd instances draw from
     all of DIAGONAL_VALUES (zeros make a reduced system singular), even
     ones from its positive entries only, where a subnormal entry under
-    an O(1) residual makes a quotient that overflows to inf. grad has
-    +-0.0 entries on every third instance, about a third of x sits on
-    its bound, and every twentieth x has a NaN. n <= 10.
+    an O(1) residual makes a quotient that overflows to inf and a huge
+    one a residual that does. grad has +-0.0 entries on every third
+    instance, about a third of x sits on its bound, and every twentieth
+    x has a NaN. n <= 10.
     """
     rng = np.random.default_rng(seed)
     values = np.array(DIAGONAL_VALUES)
@@ -215,22 +211,6 @@ def diagonal_qp_instances(seed, count):
         yield G, grad, x, np.flatnonzero(rng.uniform(size=n) < 0.4)
 
 
-def _nan_blind(out):
-    """_qp_outcome with every NaN in p, z or the partial step made the same.
-
-    numpy's loops do not keep the sign of a NaN operand, and the two
-    loops store their steps differently, so only the route's own matrix
-    twin is compared with the NaN bits.
-    """
-    fields = (0, 1) if isinstance(out[-1], int) else (2,)
-    out = list(out)
-    for i in fields:
-        if out[i] is not None:
-            values = np.frombuffer(out[i])
-            out[i] = np.where(np.isnan(values), np.nan, values).tobytes()
-    return tuple(out)
-
-
 def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
     """Products and quotients give the QpStep, or the error, of G @ p and LAPACK."""
     took = spy_on_diagonal_entries(monkeypatch, qpstep)
@@ -242,32 +222,66 @@ def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
         return lapack(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    kinds = {"divided": 0, "fell back": 0, "matrix route": 0, "singular": 0}
+    kinds = {"divided": 0, "not finite": 0, "at entry": 0, "singular": 0}
     fast = []
     with np.errstate(all="ignore"):
         for G, grad, x, seed in diagonal_qp_instances(63, 1500):
             took.clear()
             solves.clear()
-            # a cap of 40 ends the NaN cycles early; the others need fewer
-            out = _qp_outcome(solve_qp, G, grad, x, seed_active=seed, max_iterations=40)
-            fell_back = bool(solves)
-            ref = _qp_outcome(qp_reference, G, grad, x, seed_active=seed, max_iterations=40)
-            assert _nan_blind(out) == _nan_blind(ref)
+            out = _qp_outcome(solve_qp, G, grad, x, seed_active=seed)
+            # the elementwise route never calls LAPACK
+            assert solves == [] and took in ([], [True])
+            assert out == _qp_outcome(qp_reference, G, grad, x, seed_active=seed)
             fast.append((G, grad, x, seed, out))
             if out[0] == "QpInternalError":
                 kinds["singular"] += 1
-            elif not any(took):
-                kinds["matrix route"] += 1
+            elif out[0] == "QpFailure":
+                kinds["at entry" if out[2] is None else "not finite"] += 1
             else:
-                kinds["fell back" if fell_back else "divided"] += 1
+                kinds["divided"] += 1
         monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
         for G, grad, x, seed, out in fast:
-            assert _qp_outcome(solve_qp, G, grad, x, seed_active=seed, max_iterations=40) == out
-    # the family must reach every route: the quotients alone, a fallback
-    # to LAPACK (an overflowing quotient), the matrix route (a NaN in x)
-    # and a singular system
+            assert _qp_outcome(solve_qp, G, grad, x, seed_active=seed) == out
+    # the family must reach every outcome: a QpStep from the quotients
+    # alone, a QpFailure at an overflowing quotient or residual, one at
+    # entry (a NaN in x) and a singular system
     assert kinds["divided"] > 300
     assert min(kinds.values()) > 30, kinds
+
+
+def test_non_finite_data_fails_at_entry_on_both_routes(monkeypatch):
+    """A NaN in x or an inf in grad raises QpFailure before the first iteration."""
+    took = spy_on_diagonal_entries(monkeypatch, qpstep)
+    G, grad, x = np.diag([2.0, 1.0, 3.0]), np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.0, 2.0])
+    bad_x, bad_grad = x.copy(), grad.copy()
+    bad_x[1] = np.nan
+    bad_grad[2] = np.inf
+    cases = [(grad, bad_x, None), (bad_grad, x, None), (bad_grad, x, [1]), (-bad_grad, bad_x, [0])]
+    expected = ("QpFailure", "non-finite gradient or bound", None)
+    for g, xx, seed in cases:
+        took.clear()
+        assert _qp_outcome(solve_qp, G, g, xx, seed_active=seed) == expected
+        # the route is never chosen: no iteration ran
+        assert took == []
+    monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
+    for g, xx, seed in cases:
+        assert _qp_outcome(solve_qp, G, g, xx, seed_active=seed) == expected
+        assert _qp_outcome(qp_reference, G, g, xx, seed_active=seed) == expected
+
+
+def test_an_overflowing_quotient_keeps_the_last_finite_p(monkeypatch):
+    """A subnormal diagonal under an O(1) residual ends in QpFailure, on both routes."""
+    # x1 is freed by its multiplier once x0 has taken its unit Newton
+    # step; the subproblem over both then divides 1 by 5e-324
+    G, grad, x = np.diag([1.0, 5e-324]), np.array([-1.0, -1.0]), np.array([0.5, 1.0])
+    expected = ("QpFailure", "non-finite residual or step in a working-set subproblem",
+                np.array([1.0, -1.0]).tobytes())
+    took = spy_on_diagonal_entries(monkeypatch, qpstep)
+    assert _qp_outcome(solve_qp, G, grad, x, seed_active=[1]) == expected
+    assert took == [True]
+    monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
+    assert _qp_outcome(solve_qp, G, grad, x, seed_active=[1]) == expected
+    assert _qp_outcome(qp_reference, G, grad, x, seed_active=[1]) == expected
 
 
 def test_off_diagonal_qp_runs_the_matrix_route(monkeypatch):
@@ -290,9 +304,8 @@ def test_off_diagonal_qp_runs_the_matrix_route(monkeypatch):
                 controls.append(C)
             for C in controls:
                 took.clear()
-                out = _qp_outcome(solve_qp, C, grad, x, seed_active=seed, max_iterations=40)
-                assert _nan_blind(out) == _nan_blind(
-                    _qp_outcome(qp_reference, C, grad, x, seed_active=seed, max_iterations=40))
+                out = _qp_outcome(solve_qp, C, grad, x, seed_active=seed)
+                assert out == _qp_outcome(qp_reference, C, grad, x, seed_active=seed)
                 assert took == [False]
                 cases += 1
     assert cases > 600
