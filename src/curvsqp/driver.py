@@ -285,8 +285,12 @@ def _merit_state(source, mu, config):
 
 
 def _exact_merit_xx_hessian(problem, ev, iterate, state):
-    """Lagrangian Hessian at the multiplier the merit actually carries."""
-    if ev.c.shape[0] == 0:
+    """Lagrangian Hessian at the multiplier the merit actually carries.
+
+    With no constraints, or only affine ones, the multiplier does not
+    enter it, so it is the Hessian ev already holds.
+    """
+    if ev.c.shape[0] == 0 or problem.linear_constraints:
         return ev.H
     pi = state.y_E - ev.c / state.mu
     return lagrangian_hessian(problem, iterate.x, pi + state.nu * (pi - iterate.y))
@@ -496,8 +500,9 @@ def solve(problem, v0=None, config=None):
 
     Trial points of the search call only the objective and constraints
     callbacks; gradient, Jacobian and Hessian run at the start point,
-    at each accepted trial, and (Hessian only, when m > 0) at the merit
-    multiplier of each curvature step.
+    at each accepted trial, and (Hessian only, when m > 0 and
+    problem.linear_constraints is false) at the merit multiplier of
+    each curvature step.
 
     A callback failure (EvaluationError) or a stage-1 breakdown
     (FactorizationBreakdown) ends the solve with the matching status,

@@ -34,6 +34,11 @@ class NlpProblem:
 
     hessian(x, y) returns the Hessian of f + y'c. The solver calls it
     at the negated multiplier, through lagrangian_hessian.
+
+    linear_constraints declares every c_i affine, so that hessian(x, y)
+    does not depend on y. The solver then takes the Hessian it already
+    holds at x for the merit multiplier of a curvature step instead of
+    calling hessian again; check_derivatives tests the declaration.
     """
 
     name: str
@@ -46,6 +51,7 @@ class NlpProblem:
     hessian: Callable
     x0: np.ndarray = field(default=None)
     y0: np.ndarray = field(default=None)
+    linear_constraints: bool = False
 
 
 class Iterate(NamedTuple):
@@ -182,7 +188,9 @@ def check_derivatives(problem, x, y=None, step=1e-5):
     checked against the gradient of the same Lagrangian f - y'c it is
     the Hessian of, and the multiplier-weighted constraint curvature is
     covered too. Errors are max-norm, relative to 1 + the exact
-    quantity's max-norm.
+    quantity's max-norm. A problem that declares linear_constraints,
+    with m > 0, also has its Hessian taken at y + 1: the change from H
+    counts as Hessian error, so a false declaration fails the check.
     """
     x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
@@ -206,9 +214,14 @@ def check_derivatives(problem, x, y=None, step=1e-5):
         denom = 1.0 + float(np.max(np.abs(exact), initial=0.0))
         return float(np.max(np.abs(approx - exact), initial=0.0)) / denom
 
+    hessian_error = rel(H_fd, ev.H)
+    if problem.linear_constraints and m:
+        moved = rel(lagrangian_hessian(problem, x, y + 1.0), ev.H)
+        hessian_error = float(np.max((hessian_error, moved)))
+
     return DerivativeReport(
         gradient_error=rel(g_fd, ev.g),
         jacobian_error=rel(J_fd, ev.J),
-        hessian_error=rel(H_fd, ev.H),
+        hessian_error=hessian_error,
         step=step,
     )

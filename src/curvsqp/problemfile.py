@@ -17,8 +17,10 @@ objective and each constraint are monomial term lists [coefficient,
 exponent-vector]; derivatives are generated analytically from the
 exponents, so parsed problems have exact gradients, Jacobians, and
 Hessians. Each callback evaluates a precompiled monomial table in one
-numpy pass. config takes SolverConfig fields and is checked by
-SolverConfig itself, so a bad value fails at parse.
+numpy pass. A file whose constraint terms all have total degree at most
+1 gives a problem that declares linear_constraints. config takes
+SolverConfig fields and is checked by SolverConfig itself, so a bad
+value fails at parse.
 """
 
 import json
@@ -87,6 +89,12 @@ class Polynomial:
     @property
     def n(self):
         return self.expos.shape[1]
+
+    @property
+    def affine(self):
+        """Whether every term has total degree at most 1."""
+        # each exponent is at most 1 first, so the row sums cannot overflow
+        return bool((self.expos <= 1).all() and (self.expos.sum(axis=1) <= 1).all())
 
     @cached_property
     def value_table(self):
@@ -191,7 +199,11 @@ def _parse_terms(raw, n, where):
 
 
 def build_polynomial_problem(name, objective, constraint_polys, n, x0=None, y0=None):
-    """Assemble an NlpProblem from parsed polynomials, started at (x0, y0)."""
+    """Assemble an NlpProblem from parsed polynomials, started at (x0, y0).
+
+    The problem declares linear_constraints when every constraint term
+    has total degree at most 1, which holds when there are none.
+    """
     m = len(constraint_polys)
 
     def c_fun(x):
@@ -218,6 +230,7 @@ def build_polynomial_problem(name, objective, constraint_polys, n, x0=None, y0=N
         hessian=hess,
         x0=x0,
         y0=y0,
+        linear_constraints=all(p.affine for p in constraint_polys),
     )
 
 

@@ -2,7 +2,7 @@
 
 Each builder returns an NlpProblem with a default start point. All three
 have linear (or absent) equality constraints, so H(x, y) reduces to the
-objective Hessian.
+objective Hessian, and each declares linear_constraints.
 """
 
 import numpy as np
@@ -40,6 +40,7 @@ def _saddle_line():
         hessian=H,
         x0=np.array([1.0, 1.0]),
         y0=np.array([1.0]),
+        linear_constraints=True,
     )
 
 
@@ -74,6 +75,7 @@ def _cosine_saddle():
         hessian=H,
         x0=np.array([2.0 * np.pi, 1.0]),
         y0=np.zeros(0),
+        linear_constraints=True,
     )
 
 
@@ -111,6 +113,7 @@ def _convex_qp():
         hessian=H,
         x0=np.array([2.0, 0.5]),
         y0=np.array([0.0]),
+        linear_constraints=True,
     )
 
 

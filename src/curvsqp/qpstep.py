@@ -131,7 +131,9 @@ def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         blocker = -1
         pos = np.flatnonzero(d_f < 0.0)
         if pos.size:
-            ratios = (lo_f[pos] - p_f[pos]) / d_f[pos]
+            # a ratio that overflows to inf never blocks
+            with np.errstate(over="ignore"):
+                ratios = (lo_f[pos] - p_f[pos]) / d_f[pos]
             first = int(ratios.argmin())
             if ratios[first] < alpha:
                 alpha = ratios[first]

@@ -313,7 +313,9 @@ def qp_reference(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
         blocker = -1
         pos = np.flatnonzero(d_f < 0.0)
         b_idx = f_idx[pos]
-        ratios = (-x[b_idx] - p[b_idx]) / d_f[pos]
+        # a ratio that overflows to inf never blocks
+        with np.errstate(over="ignore"):
+            ratios = (-x[b_idx] - p[b_idx]) / d_f[pos]
         hits = np.flatnonzero(ratios < alpha)
         if hits.size:
             first = hits[np.argmin(ratios[hits])]

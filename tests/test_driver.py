@@ -167,7 +167,7 @@ def _problem(name):
     [
         ("convex-qp", 8, 8),
         ("cosine-saddle", 7, 6),
-        ("saddle-line", 5, 6),
+        ("saddle-line", 5, 5),
         ("simplex-indefinite", 8, 9),
         ("two-cosines", 9, 7),
         ("two-cosines-arc-failure", 3, 2),
@@ -201,9 +201,10 @@ def test_each_point_is_evaluated_once(name, points, hessians):
     ]
     assert calls["gradient"] == calls["jacobian"] == 1 + len(stepped)
     # plus one Hessian at the merit's multiplier per curvature step when
-    # there are constraints
+    # there are constraints not declared linear
     curvature_steps = sum(1 for rec in result.history if rec.norm_u > 0.0)
-    assert calls["hessian"] == 1 + len(stepped) + (curvature_steps if base.m else 0)
+    extra = curvature_steps if base.m and not base.linear_constraints else 0
+    assert calls["hessian"] == 1 + len(stepped) + extra
     assert (calls["objective"], calls["hessian"]) == (points, hessians)
 
 
@@ -292,7 +293,8 @@ def _hessian_failing_above_zero(failure):
             return failure()
         return base.hessian(x, y)
 
-    return dataclasses.replace(base, hessian=hessian)
+    # undeclared, so the merit multiplier's Hessian is asked for
+    return dataclasses.replace(base, hessian=hessian, linear_constraints=False)
 
 
 def _raise():

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import nan_difference_problem
+from conftest import nan_difference_problem, quadric_sphere_instances
 from curvsqp.errors import EvaluationError
 from curvsqp.model import (
     NlpProblem,
@@ -202,6 +203,17 @@ def test_derivative_check_detects_corruption():
     )
     report = check_derivatives(broken, np.array([1.0, 1.0]), np.array([1.0]))
     assert report.gradient_error >= 1e-2
+
+
+def test_derivative_check_fails_a_false_linear_declaration():
+    # the sphere row's Hessian 2I enters with its multiplier
+    problem, v0 = next(quadric_sphere_instances(seed=1, count=1))
+    x, y = v0.x + 0.1, np.array([0.7, -1.3])
+    assert check_derivatives(problem, x, y).max_error <= 1e-6
+    declared = dataclasses.replace(problem, linear_constraints=True)
+    report = check_derivatives(declared, x, y)
+    assert report.gradient_error <= 1e-6 and report.jacobian_error <= 1e-6
+    assert report.hessian_error > 1e-6
 
 
 def test_derivative_check_fails_on_a_nan_error():

@@ -40,8 +40,8 @@ def test_digest_sees_every_record_field_it_does_not_omit():
         result, omit={"cholesky_attempts"}
     )
 
-    a = {"saddle-line/00": tool.digest(result), "convex-qp/00": "x"}
-    b = {"saddle-line/00": tool.digest(moved), "cosine-saddle/00": "y"}
+    a = {"saddle-line/00": {"digest": tool.digest(result)}, "convex-qp/00": {"digest": "x"}}
+    b = {"saddle-line/00": {"digest": tool.digest(moved)}, "cosine-saddle/00": {"digest": "y"}}
     assert tool.compare(a, b) == ["convex-qp/00", "cosine-saddle/00", "saddle-line/00"]
     assert tool.compare(a, dict(a)) == []
 
@@ -110,5 +110,41 @@ def test_compare_names_the_record_fields_only_one_side_digested(tmp_path, capsys
     assert tool.main(["--compare", str(paths["a"]), str(paths["old"])]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "0 of 1 instances differ",
+        "0 instances leave second-order-optimal",
+    ]
+
+
+def test_compare_reports_hessian_counts_without_judging_them(tmp_path, capsys):
+    tool = _load_tool()
+    base = get_problem("saddle-line")
+    counted, calls = tool.counting_hessian(base)
+    result = solve(counted)
+    assert result.history == solve(base).history
+    entry = tool.outcome(result, hessians=len(calls))
+    assert entry == {**tool.outcome(result), "hessians": 5}
+
+    fewer = {**entry, "hessians": 4}
+    old = {k: v for k, v in entry.items() if k != "hessians"}
+    a = {"p/00": entry, "p/01": entry, "p/02": entry}
+    b = {"p/00": fewer, "p/01": entry, "p/02": old}
+    # a Hessian count alone never makes an instance differ
+    assert tool.compare(a, b) == []
+    # p/02 of b was written without counts
+    assert tool.hessian_changes(a, b) == ["p/00"]
+
+    paths = []
+    for name, instances in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"omit": [], "instances": instances}))
+    assert tool.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 3 instances differ",
+        "0 instances leave second-order-optimal",
+        "p/00: 5 -> 4 Hessian calls",
+        "1 of 3 instances change their Hessian count",
+    ]
+    assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 3 instances differ",
         "0 instances leave second-order-optimal",
     ]

@@ -1,5 +1,6 @@
 """Problem-file monomial tables against the per-monomial reference loop."""
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curvsqp.driver import solve
 from curvsqp.errors import ProblemFormatError
 from curvsqp.problemfile import Polynomial, build_polynomial_problem, parse_problem_file
 from reference import polynomial_reference
@@ -86,6 +88,58 @@ def test_a_file_without_constraints_gives_empty_values_of_the_declared_shape():
     assert parsed.problem.m == 0
     assert parsed.problem.constraints(parsed.x0).shape == (0,)
     assert parsed.problem.jacobian(parsed.x0).shape == (0, 3)
+
+
+# the built-in saddle-line as a file: f = x1*x2 on x1 + x2 = 2
+_SADDLE_LINE = {
+    "format_version": 1, "name": "saddle-line", "n": 2,
+    "objective": [[1.0, [1, 1]]],
+    "constraints": [[[1.0, [1, 0]], [1.0, [0, 1]], [-2.0, [0, 0]]]],
+    "start": {"x": [1.0, 1.0], "y": [1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "constraints, linear",
+    [
+        ([[[1.0, [1, 0]], [1.0, [0, 1]], [-2.0, [0, 0]]], [[3.0, [0, 1]]]], True),
+        ([[[1.0, [1, 0]], [-2.0, [0, 0]]], [[1.0, [0, 1]], [1.0, [1, 1]]]], False),
+        ([[[1.0, [0, 2]], [-1.0, [0, 0]]]], False),
+        # the row sum 2**63 would wrap to a negative int64
+        ([[[1.0, [2**62, 2**62]]]], False),
+        ([], True),
+    ],
+    ids=["affine", "one-product", "one-square", "wrapping-degree", "no-rows"],
+)
+def test_constraints_of_degree_at_most_one_are_declared_linear(constraints, linear):
+    doc = {**_SADDLE_LINE, "constraints": constraints,
+           "start": {"x": [1.0, 1.0], "y": [0.0] * len(constraints)}}
+    assert parse_problem_file(json.dumps(doc)).problem.linear_constraints is linear
+
+
+def test_a_declared_linear_file_saves_one_hessian_per_curvature_step():
+    parsed = parse_problem_file(json.dumps(_SADDLE_LINE))
+    assert parsed.problem.linear_constraints
+    runs = []
+    for declared in (True, False):
+        base = dataclasses.replace(parsed.problem, linear_constraints=declared)
+        calls = []
+
+        def hessian(x, y, base=base, calls=calls):
+            calls.append(1)
+            return base.hessian(x, y)
+
+        runs.append((solve(dataclasses.replace(base, hessian=hessian)), len(calls)))
+    (result, hessians), (undeclared, undeclared_hessians) = runs
+    assert result.history == undeclared.history
+    stepped = [
+        rec for rec in result.history
+        if rec.alpha > 0.0 and (rec.norm_dv > 0.0 or rec.norm_u > 0.0)
+    ]
+    curvature_steps = sum(1 for rec in result.history if rec.norm_u > 0.0)
+    assert curvature_steps > 0
+    assert hessians == 1 + len(stepped)
+    assert undeclared_hessians == hessians + curvature_steps
 
 
 def _categories(call):

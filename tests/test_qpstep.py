@@ -284,6 +284,20 @@ def test_an_overflowing_quotient_keeps_the_last_finite_p(monkeypatch):
     assert _qp_outcome(qp_reference, G, grad, x, seed_active=[1]) == expected
 
 
+def test_an_overflowing_ratio_never_blocks(monkeypatch):
+    """A subnormal step entry gives an inf ratio, with no warning, on both routes."""
+    # x1's ratio (-1 - 0) / -1e-310 overflows; the full Newton step stands
+    G, grad, x = np.eye(2), np.array([1.0, 1e-310]), np.array([2.0, 1.0])
+    took = spy_on_diagonal_entries(monkeypatch, qpstep)
+    step = solve_qp(G, grad, x)
+    assert took == [True]
+    assert step.p.tobytes() == (-grad).tobytes() and step.active.size == 0
+    expected = _qp_outcome(solve_qp, G, grad, x)
+    monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
+    assert _qp_outcome(solve_qp, G, grad, x) == expected
+    assert _qp_outcome(qp_reference, G, grad, x) == expected
+
+
 def test_off_diagonal_qp_runs_the_matrix_route(monkeypatch):
     """A nonzero or -0.0 off-diagonal pair, or a NaN or inf diagonal, keeps G @ p and LAPACK."""
     took = spy_on_diagonal_entries(monkeypatch, qpstep)

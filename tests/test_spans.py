@@ -41,7 +41,7 @@ def _counts(iterations, cholesky, callbacks):
 
 
 EXPECTED = {
-    "saddle-line": _counts(5, 11, 26),
+    "saddle-line": _counts(5, 11, 25),
     # the certification of its diagonal Hessian calls no Cholesky
     "cosine-saddle": _counts(6, 0, 32),
     "convex-qp": _counts(8, 7, 40),

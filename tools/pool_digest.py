@@ -8,7 +8,8 @@ Solves every instance of the three benchmark pools (perfbench/families.py,
 drawn from perfbench/run.py's POOL_SEED, in generation order) and writes
 one SHA-256 per instance over the status, message, iteration count,
 final x, y and f, and every field of every IterationRecord, with the
-status and iteration count beside it in plain text. Floats are hashed
+status, iteration count and number of hessian callback calls beside it
+in plain text; the Hessian count is not digested. Floats are hashed
 through repr, which round-trips exactly, so two digests agree only when
 the solves agree bit for bit. --omit leaves named record fields out, for
 comparing against a version that lacks them or whose work counters are
@@ -20,8 +21,10 @@ perfbench is only imported, never changed.
 both list theirs), then prints every instance whose digest differs,
 with its status and iteration count on both sides, then the number of
 instances that end second-order-optimal in A and not in B: a change of
-behaviour should keep that number at 0. It exits with status 1 when any
-digest differs.
+behaviour should keep that number at 0. When both sides count Hessians
+and some instance's count moved, it prints those instances and how many
+there are; a count alone never makes an instance differ. It exits with
+status 1 when any digest, status or iteration count differs.
 """
 
 import argparse
@@ -35,6 +38,8 @@ import warnings
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 OPTIMAL = "second-order-optimal"
+# the outcome entries compare judges; "hessians" is only reported
+JUDGED = ("digest", "status", "iterations")
 
 
 def _canonical(value):
@@ -64,13 +69,32 @@ def digest(result, omit=()):
     return h.hexdigest()
 
 
-def outcome(result, omit=()):
-    """The digest of one SolveResult, with its status and iteration count."""
-    return {
+def outcome(result, omit=(), hessians=None):
+    """The digest of one SolveResult, with its status and iteration count.
+
+    hessians, when given, is the number of hessian callback calls the
+    solve made, kept beside the digest.
+    """
+    entry = {
         "digest": digest(result, omit),
         "status": result.status.value,
         "iterations": result.iterations,
     }
+    if hessians is not None:
+        entry["hessians"] = hessians
+    return entry
+
+
+def counting_hessian(problem):
+    """problem with its hessian callback counted, and the list counting it."""
+    calls = []
+    hessian = problem.hessian
+
+    def counted(x, y):
+        calls.append(None)
+        return hessian(x, y)
+
+    return dataclasses.replace(problem, hessian=counted), calls
 
 
 def pool_digests(src, omit=()):
@@ -91,8 +115,9 @@ def pool_digests(src, omit=()):
             inst = gen(rng)
             if workload == "poly-file":
                 inst = families.parse_instance(inst)
-            result = curvsqp.solve(inst.problem, inst.v0, inst.config)
-            out[f"{workload}/{i:02d}"] = outcome(result, omit)
+            problem, calls = counting_hessian(inst.problem)
+            result = curvsqp.solve(problem, inst.v0, inst.config)
+            out[f"{workload}/{i:02d}"] = outcome(result, omit, len(calls))
     return record_fields(curvsqp.IterationRecord, omit), out
 
 
@@ -117,8 +142,20 @@ def field_changes(a, b):
 
 
 def compare(a, b):
-    """Keys whose outcomes differ or that only one side has."""
-    return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+    """Keys whose digest, status or iteration count differ, or that only one side has."""
+
+    def judged(entry):
+        return None if entry is None else [entry.get(key) for key in JUDGED]
+
+    return sorted(k for k in set(a) | set(b) if judged(a.get(k)) != judged(b.get(k)))
+
+
+def hessian_changes(a, b):
+    """Keys whose Hessian count both sides report and that count differs."""
+    return sorted(
+        k for k in set(a) & set(b)
+        if "hessians" in a[k] and "hessians" in b[k] and a[k]["hessians"] != b[k]["hessians"]
+    )
 
 
 def left_optimal(a, b):
@@ -156,6 +193,11 @@ def main(argv=None):
             print(f"{key}: {_side(a.get(key))} -> {_side(b.get(key))}")
         print(f"{len(differ)} of {len(set(a) | set(b))} instances differ")
         print(f"{len(left_optimal(a, b))} instances leave {OPTIMAL}")
+        moved = hessian_changes(a, b)
+        for key in moved:
+            print(f"{key}: {a[key]['hessians']} -> {b[key]['hessians']} Hessian calls")
+        if moved:
+            print(f"{len(moved)} of {len(set(a) | set(b))} instances change their Hessian count")
         return 1 if differ else 0
 
     sys.path.insert(0, PERFBENCH)
