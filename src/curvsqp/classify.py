@@ -69,7 +69,7 @@ def measures(ev, iterate, direction):
     )
 
 
-def initial_state(meas, y, mu_R, tau=1e-2):
+def initial_state(meas, y, mu_R, tau):
     return FilterState(
         tau=tau,
         phi_S_max=max(1.0, 2.0 * meas.phi_S),

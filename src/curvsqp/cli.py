@@ -95,16 +95,10 @@ def _resolve_config(file_config, args):
         raise ProblemFormatError(f"bad config value: {exc}") from exc
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_log(path, history):
     lines = [LOG_HEADER_COMMENT, ",".join(CSV_FIELDS)]
     for record in history:
-        lines.append(",".join(_format_cell(v) for v in record.csv_values()))
+        lines.append(",".join(map(str, record.csv_values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

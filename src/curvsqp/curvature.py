@@ -71,12 +71,12 @@ def extract_direction(factor, ws, H, J):
     floor = 1e-10 * (1.0 + kkt.h_scale)
     if S.shape[0] == 0:
         return no_direction(n, m)
+    # S is symmetric bit for bit, so the first maximum (or NaN) in row
+    # order lies on or above the diagonal: q <= r
     q, r = np.unravel_index(np.argmax(np.abs(S)), S.shape)
     rho = float(abs(S[q, r]))
     if rho <= floor:
         return no_direction(n, m)
-    if r < q:
-        q, r = r, q
     ns = S.shape[0]
     h = np.zeros(ns)
     if q == r:
@@ -120,13 +120,11 @@ def extract_direction(factor, ws, H, J):
 
 
 def refresh_direction(direction, H, J, mu):
-    """Re-evaluate a direction's certificates for a new penalty value.
+    """Re-evaluate an existing direction's certificates for a new penalty value.
 
     Shrinking mu strengthens the (1/mu) J.T J term, so a direction that
     was negative can stop being one; it is then dropped.
     """
-    if not direction.exists:
-        return direction
     u = direction.u_hat
     curv = curvature_form(u, H, J, mu)
     if curv >= 0.0:
@@ -163,7 +161,7 @@ class ScaledStep(NamedTuple):
     beta: float
 
 
-def scale(direction, x, p, u_max=1.0):
+def scale(direction, x, p, u_max):
     """Largest multiple of the direction that stays usable.
 
     beta is capped so that x + p + beta*u_hat >= 0 and

@@ -121,10 +121,12 @@ class SolverConfig:
     alpha_min condition the merit and its search (at most j_max + 1
     trials); epsilon_a sets the working-set threshold, margin the
     convexifying shift, u_max the curvature step cap and qp_tol the QP
-    tolerance. enable_curvature=False turns off curvature steps. Every
-    setting is checked on construction and stored as a plain float, int
-    or bool, so a numpy scalar or an int given for a float setting
-    reaches neither the arithmetic nor the log.
+    tolerance. enable_curvature=False turns off curvature steps. These
+    defaults are the only ones: the layers below solve take every
+    setting from their caller. Every setting is checked on construction
+    and stored as a plain float, int or bool, so a numpy scalar or an
+    int given for a float setting reaches neither the arithmetic nor the
+    log.
     """
 
     tol_first: float = 1e-8
@@ -640,13 +642,13 @@ def solve(problem, v0=None, config=None):
     )
 
 
-def second_order_certificate(problem, iterate, mu, epsilon_a=1e-2):
+def second_order_certificate(problem, iterate, mu):
     """Recompute the curvature test at a point, as used for termination.
 
-    Runs the solver's own analysis with mu as both penalties. Returns
-    (ratio, working set, exists). An empty free set makes the condition
-    vacuous and reports ratio 0.
+    Runs the solver's own analysis under SolverConfig() with mu as both
+    penalties. Returns (ratio, working set, exists). An empty free set
+    makes the condition vacuous and reports ratio 0.
     """
     ev = evaluate(problem, iterate)
-    ws, _, direction = _analyze(ev, iterate.x, mu, mu, SolverConfig(epsilon_a=epsilon_a))
+    ws, _, direction = _analyze(ev, iterate.x, mu, mu, SolverConfig())
     return direction.rayleigh, ws, direction.exists

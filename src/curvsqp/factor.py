@@ -350,7 +350,7 @@ class Convexification(NamedTuple):
     shifted_rows: np.ndarray
 
 
-def convexify(factor, margin=0.5):
+def convexify(factor, margin):
     """Choose the diagonal shift for the unpivoted H rows.
 
     An empty S needs no shift. Otherwise delta = (1 + margin) times the

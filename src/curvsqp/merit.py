@@ -52,9 +52,9 @@ class MeritState(NamedTuple):
 
     y_E: np.ndarray
     mu: float
-    nu: float = 1.0
-    eta_S: float = 0.25
-    alpha_min: float = 1e-2
+    nu: float
+    eta_S: float
+    alpha_min: float
 
 
 def merit_value(ev, iterate, state):
@@ -101,7 +101,7 @@ class LineSearchResult(NamedTuple):
     bound_rejections: int
 
 
-def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_max=50):
+def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_max):
     """Backtrack along x + alpha*u + alpha^2*p (duals likewise).
 
     Accepts the first alpha = 2**-j whose trial point satisfies

@@ -39,7 +39,7 @@ class QpStep(NamedTuple):
     iterations: int
 
 
-def solve_qp(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
+def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     """Solve the bound-constrained QP for symmetric positive definite G.
 
     Returns a QpStep. seed_active lists indices pinned at -x[i] in the

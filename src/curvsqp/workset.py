@@ -14,7 +14,7 @@ class WorkingSet(NamedTuple):
     threshold: float
 
 
-def estimate(x, mu, epsilon_a=1e-2):
+def estimate(x, mu, epsilon_a):
     """Indices with x_i <= min(mu, epsilon_a) are taken as active.
 
     Shrinking mu can only shrink the active set.

@@ -7,10 +7,23 @@ definite, and rank-deficient to keep the factorization paths honest.
 
 import numpy as np
 
+from curvsqp.driver import SolverConfig
 from curvsqp.merit import MeritState, condense, dual_step, merit_gradient
 from curvsqp.model import Evaluation, NlpProblem, make_iterate
 from curvsqp.oracle import merit_hessian, qp_brute_force
 from curvsqp.qpstep import solve_qp
+
+
+# the settings of a default solve; a test takes from here each value that
+# driver.solve passes from its config to the layers below it
+DEFAULTS = SolverConfig()
+
+
+def merit_state(y_E, mu, **settings):
+    """MeritState at y_E and mu; nu, eta_S and alpha_min come from
+    settings, else from DEFAULTS."""
+    defaults = {name: getattr(DEFAULTS, name) for name in ("nu", "eta_S", "alpha_min")}
+    return MeritState(y_E=y_E, mu=mu, **{**defaults, **settings})
 
 
 def kkt_instances(seed, count):
@@ -82,7 +95,7 @@ def qp_instances(seed, count):
         x = rng.uniform(0.0, 2.0, size=n)
         x[rng.uniform(size=n) < 0.2] = 0.0
         iterate = make_iterate(x, rng.normal(size=m))
-        state = MeritState(y_E=rng.normal(size=m), mu=mu, nu=nu)
+        state = merit_state(y_E=rng.normal(size=m), mu=mu, nu=nu)
         if rng.uniform() < 0.5:
             seed_active = np.flatnonzero(rng.uniform(size=n) < 0.3)
         else:
@@ -99,7 +112,7 @@ def condensed_step(ev, iterate, state, seed_active=None):
     """
     grad, constant = condense(ev, iterate, state)
     G = ev.H + (ev.J.T @ ev.J) / state.mu
-    qp = solve_qp(G, grad, iterate.x, seed_active=seed_active)
+    qp = solve_qp(G, grad, iterate.x, seed_active=seed_active, tol=DEFAULTS.qp_tol)
     dv = np.concatenate([qp.p, dual_step(ev, iterate, state, qp.p)])
     return qp, grad, G, dv, qp.model_decrease + constant
 

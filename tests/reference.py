@@ -236,7 +236,7 @@ def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
     return apply_shift(base, bump_rows, theta), theta
 
 
-def qp_reference(G, grad, x, seed_active=None, tol=1e-10, max_iterations=None):
+def qp_reference(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     """qpstep.solve_qp with every index set rebuilt on every iteration.
 
     The reference for the active-set loop: free and active indices, the

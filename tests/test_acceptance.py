@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DEFAULTS,
     central_diff,
     condensed_step,
     kkt_instances,
     merit_form_instances,
+    merit_state,
     qp_instances,
     stacked_reference,
 )
@@ -68,7 +70,7 @@ def test_c02_convexified_kkt_has_target_inertia():
     for H, J, mu in kkt_instances(102, 1000):
         nf, m = H.shape[0], J.shape[0]
         factor = stage1_factorize(build_kkt(H, J, mu))
-        conv = convexify(factor)
+        conv = convexify(factor, DEFAULTS.margin)
         H_t = apply_shift(H, conv.shifted_rows, conv.delta)
         shifted = build_kkt(H_t, J, mu)
         assert eigen(shifted.K).inertia == (nf, m, 0)
@@ -116,7 +118,7 @@ def test_c05_stacked_merit_form_collapses_to_penalized_form():
     for H, J, mu, nu, u in merit_form_instances(105, 500):
         m = J.shape[0]
         ev = Evaluation(f=0.0, c=np.zeros(m), g=np.zeros(H.shape[0]), J=J, H=H)
-        state = MeritState(y_E=np.zeros(m), mu=mu, nu=nu)
+        state = merit_state(y_E=np.zeros(m), mu=mu, nu=nu)
         H_M = merit_hessian(ev, state, H)
         w = -(J @ u) / mu
         v = np.concatenate([u, w])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import DEFAULTS
 from curvsqp.classify import (
     FilterState,
     Measures,
@@ -176,7 +177,7 @@ def test_update_rejects_unknown_label():
 
 
 def test_initial_state_floors_thresholds_at_one():
-    st = initial_state(_meas(eta=0.01), [0.0], 0.1)
+    st = initial_state(_meas(eta=0.01), [0.0], 0.1, DEFAULTS.tau0)
     assert st.phi_S_max == 1.0
     assert st.phi_L_max == 1.0
     assert st.tau == pytest.approx(1e-2)
@@ -184,7 +185,7 @@ def test_initial_state_floors_thresholds_at_one():
 
 
 def test_initial_state_doubles_large_scores():
-    st = initial_state(_meas(eta=2.0, omega_first=3.0), [2e6], 0.1)
+    st = initial_state(_meas(eta=2.0, omega_first=3.0), [2e6], 0.1, DEFAULTS.tau0)
     assert st.phi_S_max == pytest.approx(2.0 * (2.0 + 3e-5))
     assert st.phi_L_max == pytest.approx(2.0 * (2e-5 + 3.0))
     np.testing.assert_array_equal(st.y_E, [1e6])

@@ -8,17 +8,17 @@ import curvsqp.driver as driver
 from conftest import quadric_sphere_instances
 from curvsqp.classify import initial_state
 from curvsqp.cli import write_log
-from curvsqp.curvature import scale
+from curvsqp.curvature import curvature_form, refresh_direction, scale
 from curvsqp.driver import (
     SolveStatus,
     SolverConfig,
     second_order_certificate,
     solve,
 )
-from curvsqp.errors import FactorizationBreakdown, QpFailure, QpInternalError
+from curvsqp.errors import EvaluationError, FactorizationBreakdown, QpFailure, QpInternalError
 from curvsqp.factor import convexify
 from curvsqp.merit import MeritState, curvilinear_search
-from curvsqp.model import NlpProblem, make_iterate
+from curvsqp.model import NlpProblem, evaluate, make_iterate
 from curvsqp.problems import get_problem
 from curvsqp.qpstep import solve_qp
 from curvsqp.workset import estimate
@@ -383,6 +383,67 @@ def test_failing_start_point_leaves_an_empty_history():
         assert np.isnan(value)
 
 
+def test_a_nan_gradient_at_the_start_is_an_evaluation_error():
+    problem = dataclasses.replace(get_problem("saddle-line"), gradient=lambda x: np.full(2, np.nan))
+    result = solve(problem)
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert result.message == "saddle-line: non-finite evaluator output"
+
+
+def test_an_infinite_jacobian_at_the_first_accepted_trial_is_an_evaluation_error():
+    base = get_problem("saddle-line")
+    calls = []
+
+    def jacobian(x):
+        calls.append(x)
+        return base.jacobian(x) if len(calls) == 1 else np.full((1, 2), np.inf)
+
+    result = solve(dataclasses.replace(base, jacobian=jacobian))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert result.message == "saddle-line: non-finite evaluator output"
+    # the start, then the accepted trial of the first step
+    assert len(calls) == 2
+
+
+def test_an_evaluation_error_from_a_callback_keeps_its_text():
+    def objective(x):
+        raise EvaluationError("custom text")
+
+    result = solve(dataclasses.replace(get_problem("saddle-line"), objective=objective))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert result.message == "custom text"
+
+
+def test_an_m_label_refreshes_the_direction_at_the_halved_mu_R(monkeypatch):
+    # force M at saddle-line's first classified iterate: mu_R halves while
+    # the direction exists, so the solve re-measures it at the new mu_R
+    classify = driver.classify_iterate
+    labels, refreshed = [], []
+
+    def forced(meas, fstate, resid):
+        labels.append(classify(meas, fstate, resid) if labels else "M")
+        return labels[-1]
+
+    def refresh(direction, H, J, mu):
+        refreshed.append(direction)
+        return refresh_direction(direction, H, J, mu)
+
+    monkeypatch.setattr(driver, "classify_iterate", forced)
+    monkeypatch.setattr(driver, "refresh_direction", refresh)
+    problem = get_problem("saddle-line")
+    result = solve(problem)
+    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
+    assert len(refreshed) == 1
+    rec = result.history[1]
+    assert rec.cls == "M" and rec.mu_R == 0.05
+    # the extracted direction's quotient at mu_R = 0.1, then at 0.05
+    u = refreshed[0].u_hat
+    assert refreshed[0].rayleigh == -0.9502262443438912
+    ev = evaluate(problem, make_iterate(rec.x, rec.y))
+    assert rec.curv_ratio == curvature_form(u, ev.H, ev.J, 0.05) / float(u @ u)
+    assert rec.curv_ratio == -0.9049773755656108
+
+
 def _square_jacobian_problem():
     # f = -4 x0 x1 + x2 with rows [x2, x2, x0 + x1 - 2]: m == n == 3
     J = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -531,32 +592,23 @@ def test_integer_settings_write_the_log_of_their_float_values(tmp_path):
     assert logs[0].read_bytes() == logs[1].read_bytes()
 
 
-# function defaults that repeat a SolverConfig default: (function, its
-# parameter, the SolverConfig field)
-_COPIED_DEFAULTS = [
-    (estimate, "epsilon_a", "epsilon_a"),
-    (convexify, "margin", "margin"),
-    (scale, "u_max", "u_max"),
-    (curvilinear_search, "j_max", "j_max"),
-    (solve_qp, "tol", "qp_tol"),
-    (initial_state, "tau", "tau0"),
-    (second_order_certificate, "epsilon_a", "epsilon_a"),
+# the settings driver.solve passes from its config to a layer below it
+_PASSED_SETTINGS = [
+    (estimate, "epsilon_a"),
+    (convexify, "margin"),
+    (scale, "u_max"),
+    (curvilinear_search, "j_max"),
+    (solve_qp, "tol"),
+    (initial_state, "tau"),
 ]
 
 
-@pytest.mark.parametrize(
-    "function, parameter, field",
-    _COPIED_DEFAULTS,
-    ids=[f"{fn.__name__}-{parameter}" for fn, parameter, _ in _COPIED_DEFAULTS],
-)
-def test_function_defaults_equal_the_solver_config_defaults(function, parameter, field):
-    default = inspect.signature(function).parameters[parameter].default
-    assert default == getattr(SolverConfig(), field)
-
-
-@pytest.mark.parametrize("field", ["nu", "eta_S", "alpha_min"])
-def test_merit_state_defaults_equal_the_solver_config_defaults(field):
-    assert MeritState._field_defaults[field] == getattr(SolverConfig(), field)
+def test_only_the_solver_config_gives_a_setting_a_default():
+    for function, parameter in _PASSED_SETTINGS:
+        default = inspect.signature(function).parameters[parameter].default
+        assert default is inspect.Parameter.empty, (function.__name__, parameter)
+    assert MeritState._field_defaults == {}
+    assert "epsilon_a" not in inspect.signature(second_order_certificate).parameters
 
 
 def test_settings_at_the_ends_of_their_ranges_are_accepted():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import kkt_instances, scaled_kkt_instances
+from conftest import DEFAULTS, kkt_instances, scaled_kkt_instances
 from curvsqp.errors import FactorizationBreakdown
 from curvsqp.factor import (
     PIVOT_TAGS,
@@ -150,7 +150,7 @@ def test_convexify_hand_delta():
 
 def test_convexify_empty_schur_is_identity():
     factor = stage1_factorize(build_kkt(np.diag([2.0, 3.0]), np.array([[1.0, 0.0]]), 0.5))
-    conv = convexify(factor)
+    conv = convexify(factor, DEFAULTS.margin)
     assert conv.delta == 0.0
     np.testing.assert_array_equal(apply_shift(np.diag([2.0, 3.0]), conv.shifted_rows, conv.delta), np.diag([2.0, 3.0]))
 

@@ -56,6 +56,16 @@ def test_elimination_matches_the_reference_on_scaled_systems():
     assert breakdowns > 0
 
 
+def test_a_cross_pivot_whose_dual_row_sits_at_k_matches_the_reference():
+    # pivots H+ (x0), H+ (x2) and D- (the second dual row, which x0's
+    # pivot made admissible); at k = 3 no 1x1 is left, and the 2x2 pairs
+    # x1 with the first dual row (original index 3), which sits at
+    # position k: swapping x1 into k moves the dual row to x1's place
+    H = np.diag([4.0, 0.0, 1.0])
+    J = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert _compare([(H, J, 1e-300)]) == (1, 0)
+
+
 def nonfinite_kkt_instances(seed, count):
     """Yield (H_F, J_F, mu) triples with NaN and +-inf on the H diagonal.
 

@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import central_diff, merit_form_instances
+from conftest import DEFAULTS, central_diff, merit_form_instances, merit_state
 from curvsqp.curvature import ScaledStep
 from curvsqp.errors import EvaluationError, LineSearchFailure
 from curvsqp.merit import (
     EPS,
-    MeritState,
     condense,
     curvilinear_search,
     dual_step,
@@ -23,7 +22,7 @@ from curvsqp.problems import get_problem
 
 def _state(y_E, mu, **kw):
     y_E = np.atleast_1d(np.asarray(y_E, dtype=float))
-    return MeritState(y_E=y_E, mu=mu, **kw)
+    return merit_state(y_E=y_E, mu=mu, **kw)
 
 
 def _synthetic_eval(H, J):
@@ -58,7 +57,7 @@ def test_gradient_unconstrained_is_objective_gradient():
     prob = get_problem("cosine-saddle")
     it = make_iterate([1.0, 3.0], [])
     ev = evaluate(prob, it)
-    state = MeritState(y_E=np.zeros(0), mu=0.4)
+    state = merit_state(y_E=np.zeros(0), mu=0.4)
     np.testing.assert_array_equal(merit_gradient(ev, it, state), ev.g)
 
 
@@ -83,7 +82,7 @@ def test_gradient_matches_finite_differences():
 
 def test_hessian_unconstrained_is_curvature_block():
     ev = _synthetic_eval(np.array([[2.0]]), np.zeros((0, 1)))
-    state = MeritState(y_E=np.zeros(0), mu=1.0)
+    state = merit_state(y_E=np.zeros(0), mu=1.0)
     np.testing.assert_array_equal(merit_hessian(ev, state, ev.H), [[2.0]])
 
 
@@ -123,7 +122,7 @@ def test_hessian_matches_gradient_differences():
 def test_stacked_form_collapses_to_primal_form():
     """(u, -(1/mu)Ju) against the merit Hessian equals the penalized form."""
     for H, J, mu, nu, u in merit_form_instances(77, 200):
-        state = MeritState(y_E=np.zeros(J.shape[0]), mu=mu, nu=nu)
+        state = merit_state(y_E=np.zeros(J.shape[0]), mu=mu, nu=nu)
         H_M = merit_hessian(_synthetic_eval(H, J), state, H)
         w = -(J @ u) / mu
         v = np.concatenate([u, w])
@@ -139,7 +138,7 @@ def test_condensed_model_is_the_stacked_model_least_over_q():
         m, n = J.shape
         ev = Evaluation(f=0.0, c=rng.normal(size=m), g=rng.normal(size=n), J=J, H=H)
         it = make_iterate(np.ones(n), rng.normal(size=m))
-        state = MeritState(y_E=rng.normal(size=m), mu=mu, nu=nu)
+        state = merit_state(y_E=rng.normal(size=m), mu=mu, nu=nu)
         grad, constant = condense(ev, it, state)
         dv = np.concatenate([p, dual_step(ev, it, state, p)])
         H_M = merit_hessian(ev, state, H)
@@ -156,7 +155,7 @@ def test_condensed_model_without_constraints_is_the_plain_model():
     prob = get_problem("cosine-saddle")
     it = make_iterate([1.0, 3.0], [])
     ev = evaluate(prob, it)
-    state = MeritState(y_E=np.zeros(0), mu=0.4)
+    state = merit_state(y_E=np.zeros(0), mu=0.4)
     grad, constant = condense(ev, it, state)
     np.testing.assert_array_equal(grad, ev.g)
     assert constant == 0.0
@@ -177,16 +176,16 @@ def _scalar_problem(fun, dfun):
 
 
 def _mstate(mu=1.0, **kw):
-    return MeritState(y_E=np.zeros(0), mu=mu, **kw)
+    return merit_state(y_E=np.zeros(0), mu=mu, **kw)
 
 
 def _merit(prob, point, state):
     return merit_value(evaluate(prob, point), point, state)
 
 
-def _search(prob, it, step, dv, state, N_k, R_k, **kw):
+def _search(prob, it, step, dv, state, N_k, R_k, j_max=DEFAULTS.j_max):
     """Search from it, with the start merit computed here as the driver does."""
-    return curvilinear_search(prob, it, _merit(prob, it, state), step, dv, state, N_k, R_k, **kw)
+    return curvilinear_search(prob, it, _merit(prob, it, state), step, dv, state, N_k, R_k, j_max)
 
 
 def test_search_accepts_full_step():
@@ -260,7 +259,7 @@ def test_search_rejects_positive_model_quantities():
     step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
     for N_k, R_k in [(1e-9, 0.0), (0.0, 1e-9), (np.nan, 0.0), (0.0, np.nan)]:
         with pytest.raises(ValueError, match="nonpositive"):
-            curvilinear_search(prob, it, 1.0, step, np.ones(1), _mstate(), N_k, R_k)
+            curvilinear_search(prob, it, 1.0, step, np.ones(1), _mstate(), N_k, R_k, DEFAULTS.j_max)
     assert calls == []
 
 
@@ -294,7 +293,9 @@ def test_search_does_not_ask_for_a_decrease_below_rounding():
     prob = _scalar_problem(f, lambda t: 1.0)
     it = make_iterate([85.0], [])
     step = ScaledStep(u=np.zeros(1), w=np.zeros(0), beta=0.0)
-    res = curvilinear_search(prob, it, f85, step, np.array([1e-3]), _mstate(), -1e-12, 0.0)
+    res = curvilinear_search(
+        prob, it, f85, step, np.array([1e-3]), _mstate(), -1e-12, 0.0, DEFAULTS.j_max
+    )
     assert res.j == 1
     assert res.accepted.x[0] == 85.0 + 0.25e-3 != 85.0
 
@@ -384,7 +385,7 @@ def _arc(n, m, seed, x_low=0.5):
     it = make_iterate(rng.uniform(x_low, x_low + 1.5, n), rng.normal(size=m))
     step = ScaledStep(u=rng.normal(size=n), w=rng.normal(size=m), beta=1.0)
     dv = rng.normal(size=n + m) * rng.uniform(0.1, 1.0)
-    state = MeritState(
+    state = merit_state(
         y_E=rng.normal(size=m), mu=float(rng.uniform(0.05, 1.0)),
         nu=float(rng.uniform(0.5, 2.0)), eta_S=float(rng.uniform(0.1, 0.5)),
     )
@@ -392,7 +393,7 @@ def _arc(n, m, seed, x_low=0.5):
     return it, step, dv, state, N_k, R_k
 
 
-def _outcome(prob, script, it, step, dv, state, N_k, R_k, j_max=50):
+def _outcome(prob, script, it, step, dv, state, N_k, R_k, j_max=DEFAULTS.j_max):
     """The search's LineSearchResult, or the error it raised, with the
     number of objective calls it made."""
     counted, calls = _scripted(prob, script)

@@ -4,12 +4,13 @@ import pytest
 import curvsqp.qpstep as qpstep
 from conftest import (
     DIAGONAL_VALUES,
+    DEFAULTS,
     condensed_step,
+    merit_state,
     qp_instances,
     spy_on_diagonal_entries,
     stacked_reference,
 )
-from curvsqp.merit import MeritState
 from curvsqp.errors import QpFailure, QpInternalError
 from curvsqp.model import Evaluation, make_iterate
 from curvsqp.qpstep import solve_qp
@@ -17,7 +18,7 @@ from reference import qp_reference
 
 
 def test_one_dimensional_bound_hits():
-    step = solve_qp(np.array([[2.0]]), np.array([4.0]), np.array([1.0]))
+    step = solve_qp(np.array([[2.0]]), np.array([4.0]), np.array([1.0]), tol=DEFAULTS.qp_tol)
     np.testing.assert_allclose(step.p, [-1.0])
     np.testing.assert_allclose(step.z, [2.0])
     assert step.model_decrease == pytest.approx(-3.0)
@@ -27,21 +28,22 @@ def test_one_dimensional_bound_hits():
 def test_interior_newton_step():
     G = np.array([[4.0, 1.0], [1.0, 3.0]])
     grad = np.array([-1.0, -2.0])
-    step = solve_qp(G, grad, np.array([5.0, 5.0]))
+    step = solve_qp(G, grad, np.array([5.0, 5.0]), tol=DEFAULTS.qp_tol)
     np.testing.assert_allclose(step.p, np.linalg.solve(G, -grad), atol=1e-12)
     np.testing.assert_array_equal(step.z, [0.0, 0.0])
     assert step.active.size == 0
 
 
 def test_zero_gradient_zero_step():
-    step = solve_qp(np.eye(3), np.zeros(3), np.ones(3))
+    step = solve_qp(np.eye(3), np.zeros(3), np.ones(3), tol=DEFAULTS.qp_tol)
     np.testing.assert_array_equal(step.p, np.zeros(3))
     assert step.model_decrease == 0.0
 
 
 def test_seeded_bound_is_released():
     # the seed pins the variable at its bound; the multiplier check frees it
-    step = solve_qp(np.array([[2.0]]), np.array([-4.0]), np.array([1.0]), seed_active=[0])
+    step = solve_qp(np.array([[2.0]]), np.array([-4.0]), np.array([1.0]), seed_active=[0],
+                    tol=DEFAULTS.qp_tol)
     np.testing.assert_allclose(step.p, [2.0])
     assert step.active.size == 0
 
@@ -49,7 +51,7 @@ def test_seeded_bound_is_released():
 def _model(H, J, g, c, y, mu, nu, x):
     ev = Evaluation(f=0.0, c=np.array(c, dtype=float), g=np.array(g, dtype=float),
                     J=np.array(J, dtype=float), H=np.array(H, dtype=float))
-    state = MeritState(y_E=np.zeros(len(c)), mu=mu, nu=nu)
+    state = merit_state(y_E=np.zeros(len(c)), mu=mu, nu=nu)
     return ev, make_iterate(x, y), state
 
 
@@ -110,15 +112,15 @@ def test_pinned_entries_sit_exactly_on_bounds():
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
-        solve_qp(np.eye(2), np.zeros(3), np.ones(1))
+        solve_qp(np.eye(2), np.zeros(3), np.ones(1), tol=DEFAULTS.qp_tol)
     with pytest.raises(ValueError):
-        solve_qp(np.eye(2), np.zeros(2), np.ones(3))
+        solve_qp(np.eye(2), np.zeros(2), np.ones(3), tol=DEFAULTS.qp_tol)
 
 
 def _qp_outcome(fn, G, grad, x, **kwargs):
     """The QpStep's bytes, or the error's type, text and partial step."""
     try:
-        step = fn(G, grad, x, **kwargs)
+        step = fn(G, grad, x, tol=DEFAULTS.qp_tol, **kwargs)
     except (QpFailure, QpInternalError) as exc:
         partial = getattr(exc, "partial", None)
         return type(exc).__name__, str(exc), None if partial is None else partial.tobytes()
@@ -289,7 +291,7 @@ def test_an_overflowing_ratio_never_blocks(monkeypatch):
     # x1's ratio (-1 - 0) / -1e-310 overflows; the full Newton step stands
     G, grad, x = np.eye(2), np.array([1.0, 1e-310]), np.array([2.0, 1.0])
     took = spy_on_diagonal_entries(monkeypatch, qpstep)
-    step = solve_qp(G, grad, x)
+    step = solve_qp(G, grad, x, tol=DEFAULTS.qp_tol)
     assert took == [True]
     assert step.p.tobytes() == (-grad).tobytes() and step.active.size == 0
     expected = _qp_outcome(solve_qp, G, grad, x)
