@@ -592,23 +592,66 @@ def test_integer_settings_write_the_log_of_their_float_values(tmp_path):
     assert logs[0].read_bytes() == logs[1].read_bytes()
 
 
-# the settings driver.solve passes from its config to a layer below it
-_PASSED_SETTINGS = [
-    (estimate, "epsilon_a"),
-    (convexify, "margin"),
-    (scale, "u_max"),
-    (curvilinear_search, "j_max"),
-    (solve_qp, "tol"),
-    (initial_state, "tau"),
+# settings whose default once was copied below the driver: (function, its
+# parameter, the SolverConfig field)
+_COPIED_DEFAULTS = [
+    (estimate, "epsilon_a", "epsilon_a"),
+    (convexify, "margin", "margin"),
+    (scale, "u_max", "u_max"),
+    (curvilinear_search, "j_max", "j_max"),
+    (solve_qp, "tol", "qp_tol"),
+    (initial_state, "tau", "tau0"),
+    (second_order_certificate, "epsilon_a", "epsilon_a"),
 ]
 
 
-def test_only_the_solver_config_gives_a_setting_a_default():
-    for function, parameter in _PASSED_SETTINGS:
+@pytest.mark.parametrize(
+    "function, parameter, field",
+    _COPIED_DEFAULTS,
+    ids=[f"{fn.__name__}-{parameter}" for fn, parameter, _ in _COPIED_DEFAULTS],
+)
+def test_function_defaults_equal_the_solver_config_defaults(monkeypatch, function, parameter, field):
+    # the function holds no default of its own: the value it works with
+    # under the default config is SolverConfig's, passed down by the driver
+    problem = get_problem("saddle-line")
+    if function is second_order_certificate:
+        assert parameter not in inspect.signature(function).parameters
+        # it analyzes under SolverConfig(), whose epsilon_a reaches estimate
+        function, run = estimate, lambda: second_order_certificate(
+            problem, make_iterate(problem.x0, np.zeros(problem.m)), 0.1
+        )
+    else:
         default = inspect.signature(function).parameters[parameter].default
-        assert default is inspect.Parameter.empty, (function.__name__, parameter)
-    assert MeritState._field_defaults == {}
-    assert "epsilon_a" not in inspect.signature(second_order_certificate).parameters
+        assert default is inspect.Parameter.empty
+        run = lambda: solve(problem)
+    received = []
+
+    def spy(*args, **kwargs):
+        received.append(inspect.signature(function).bind(*args, **kwargs).arguments[parameter])
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(driver, function.__name__, spy)
+    run()
+    assert received
+    assert all(value == getattr(SolverConfig(), field) for value in received)
+
+
+@pytest.mark.parametrize("field", ["nu", "eta_S", "alpha_min"])
+def test_merit_state_defaults_equal_the_solver_config_defaults(monkeypatch, field):
+    # MeritState has no default for the field; every state the solve
+    # builds carries SolverConfig's value
+    assert field not in MeritState._field_defaults
+    merit_state = driver._merit_state
+    built = []
+
+    def spy(source, mu, config):
+        built.append(merit_state(source, mu, config))
+        return built[-1]
+
+    monkeypatch.setattr(driver, "_merit_state", spy)
+    solve(get_problem("saddle-line"))
+    assert built
+    assert all(getattr(state, field) == getattr(SolverConfig(), field) for state in built)
 
 
 def test_settings_at_the_ends_of_their_ranges_are_accepted():
