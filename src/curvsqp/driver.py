@@ -14,8 +14,8 @@ curvature direction). One search is made per step; when it finds no
 point the solve ends as line-search-failure. Each iteration ends in
 exactly one IterationRecord, which is also what the next penalty update
 reads. solve builds it in one place from the measures and the step
-fields that _step returns; _NO_STEP holds the values of a record that
-made no step.
+fields _step fills in, also when the step raises; _NO_STEP holds the
+values of a record that made no step.
 
 Each point is evaluated once. The start gets the full evaluation here;
 search trials get only f and c, and the accepted trial's full
@@ -206,8 +206,9 @@ class IterationRecord:
     made no step, and the next step's search starts at theta. trials
     and bound_rejections count the line-search trials of the step and
     those rejected at the bounds without a callback; a search that
-    accepts has backtracked trials - 1 times. A step whose search fails
-    keeps the path's norm_u and R_k and the failed search's counts.
+    accepts has backtracked trials - 1 times. A step that raises keeps
+    the fields it reached and alpha = 0; its counts are the failed
+    search's, 0 when the search raised EvaluationError.
     """
 
     k: int
@@ -421,8 +422,8 @@ def _analyze(ev, x, mu, mu_R, config):
     return ws, conv, direction
 
 
-# the step fields of a record that made no step; _step starts from a
-# copy and fills in each value as the step learns it
+# the step fields of a record that made no step; each iteration's record
+# starts from a copy, which _step fills in as it learns each value
 _NO_STEP = dict(
     alpha=0.0, norm_p=0.0, norm_u=0.0, norm_dv=0.0, N_k=0.0, R_k=0.0, theta=0.0,
     cholesky_attempts=0, trials=0, bound_rejections=0,
@@ -430,7 +431,7 @@ _NO_STEP = dict(
 
 
 def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, theta_prev,
-          config):
+          config, step_fields):
     """Certify, solve the QP, scale the curvature step and search.
 
     The QP in x runs on the convexified Hessian plus the penalty term,
@@ -439,62 +440,64 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     search runs along the curvilinear path (u, p), with u = 0 when the
     scaled curvature step is empty.
 
-    Returns (step_fields, ls, status, message). step_fields holds the
-    record's step fields: a copy of _NO_STEP with every value the step
-    reached filled in, so a QP failure keeps theta and the Cholesky
-    attempts, and a failed search, or a non-finite model quantity N_k or
-    R_k, keeps norm_u, R_k and the trial counts. ls is the accepted
-    LineSearchResult, None when the point did not move; status is the
-    SolveStatus that ends the solve, None when it goes on.
+    step_fields is the record's copy of _NO_STEP; each value is written
+    into it as the step learns it, so a step that raises leaves its
+    record what it reached. Returns the accepted LineSearchResult, or
+    None for the null step. A failure raises: a callback's
+    EvaluationError, QpFailure or QpInternalError, or LineSearchFailure
+    when N_k or R_k is not finite (before any trial) or j_max runs out.
     """
-    step_fields = dict(_NO_STEP)
     state_R = _merit_state(fstate, fstate.mu_R, config)
     H_tilde = ev.H
     if conv is not None:
         H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
     h_scale = float(np.max(np.abs(ev.H), initial=0.0))
     grad_p, constant = condense(ev, it, state_R)
-    try:
-        G, step_fields["theta"], step_fields["cholesky_attempts"] = _certified_hessian(
-            H_tilde, ev.J, fstate.mu_R, ws.active, h_scale, theta_prev
-        )
-        qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
-    except (QpFailure, QpInternalError) as exc:
-        return step_fields, None, SolveStatus.QP_FAILURE, str(exc)
+    G, step_fields["theta"], step_fields["cholesky_attempts"] = _certified_hessian(
+        H_tilde, ev.J, fstate.mu_R, ws.active, h_scale, theta_prev
+    )
+    qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
     dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
-    N_k = min(qp.model_decrease + constant, 0.0)
+    step_fields.update(norm_p=float(np.linalg.norm(qp.p)), norm_dv=float(np.linalg.norm(dv)),
+                       N_k=min(qp.model_decrease + constant, 0.0))
 
     direction = orient(direction, merit_gradient(ev, it, state_R))
     step = scale(direction, it.x, qp.p, config.u_max)
-    R_k = 0.0
+    step_fields["norm_u"] = float(np.linalg.norm(step.u))
     if step.beta > 0.0:
         # the stacked merit form at (u, w = -(1/mu_R) J u)
         H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
-        R_k = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
-    step_fields.update(norm_p=float(np.linalg.norm(qp.p)), norm_u=float(np.linalg.norm(step.u)),
-                       norm_dv=float(np.linalg.norm(dv)), N_k=N_k, R_k=R_k)
+        step_fields["R_k"] = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
+    N_k, R_k = step_fields["N_k"], step_fields["R_k"]
 
     for name, value in (("N_k", N_k), ("R_k", R_k)):
         if not math.isfinite(value):
             # no right-hand side can be formed, so no trial is evaluated
-            return (step_fields, None, SolveStatus.LINE_SEARCH_FAILURE,
-                    f"non-finite model quantity {name} = {value}")
+            raise LineSearchFailure(f"non-finite model quantity {name} = {value}",
+                                    diagnostics={"n_trials": 0, "bound_rejections": 0})
 
     if step_fields["norm_dv"] == 0.0 and step_fields["norm_u"] == 0.0:
         # stationary for the current subproblem; only the parameter
         # updates can make progress, so take the null step
         step_fields["alpha"] = 1.0
-        return step_fields, None, None, ""
-    try:
-        ls = curvilinear_search(
-            problem, it, merit_here, step, dv, state_F, N_k, R_k, config.j_max
-        )
-    except LineSearchFailure as exc:
-        step_fields.update(trials=exc.diagnostics["n_trials"],
-                           bound_rejections=exc.diagnostics["bound_rejections"])
-        return step_fields, None, SolveStatus.LINE_SEARCH_FAILURE, str(exc)
+        return None
+    ls = curvilinear_search(problem, it, merit_here, step, dv, state_F, N_k, R_k, config.j_max)
     step_fields.update(alpha=ls.alpha, trials=ls.n_trials, bound_rejections=ls.bound_rejections)
-    return step_fields, ls, None, ""
+    return ls
+
+
+# the status each solver error ends a solve with, looked up with
+# isinstance, so a callback's own EvaluationError subclass maps too
+_FAILURES = (
+    (EvaluationError, SolveStatus.EVALUATION_ERROR),
+    (FactorizationBreakdown, SolveStatus.FACTORIZATION_BREAKDOWN),
+    (LineSearchFailure, SolveStatus.LINE_SEARCH_FAILURE),
+    ((QpFailure, QpInternalError), SolveStatus.QP_FAILURE),
+)
+
+
+def _failure_status(exc):
+    return next(status for kind, status in _FAILURES if isinstance(exc, kind))
 
 
 def solve(problem, v0=None, config=None):
@@ -506,13 +509,14 @@ def solve(problem, v0=None, config=None):
     problem.linear_constraints is false) at the merit multiplier of
     each curvature step.
 
-    A callback failure (EvaluationError) or a stage-1 breakdown
-    (FactorizationBreakdown) ends the solve with the matching status,
-    the exception's text as message and the records closed before it.
-    The result's measures are NaN when the failure came before the
-    final iterate was measured, and f too when the start point fails.
-    A bad start point (wrong dimensions, a non-finite entry, a violated
-    bound) still raises ValueError.
+    A solver error ends the solve with its _FAILURES status and its text
+    as message. One raised in a step closes that step's record with the
+    step fields it reached and alpha = 0. One raised at the start point
+    or by a stage-1 breakdown keeps the records closed before it and
+    leaves the result's measures NaN (f too when the start fails);
+    otherwise they are the last record's. class_counts counts the
+    records' labels. A bad start point (wrong dimensions, a non-finite
+    entry, a violated bound) still raises ValueError.
     """
     config = config if config is not None else SolverConfig()
     if v0 is None:
@@ -532,18 +536,14 @@ def solve(problem, v0=None, config=None):
     mu = config.mu0
     fstate = None
     history = []
-    counts = {"S": 0, "L": 0, "M": 0, "F": 0}
-    last_meas, last_ratio = _UNMEASURED, np.nan
 
     try:
         ev = evaluate(problem, it)
         while True:
-            # a failure before the measures below reports NaN measures
-            last_meas, last_ratio = _UNMEASURED, np.nan
             # working set at the carried-over flexible penalty
             mu_R_pre = fstate.mu_R if fstate is not None else config.mu0
             ws, conv, direction = _analyze(ev, it.x, mu, mu_R_pre, config)
-            meas = last_meas = measures(ev, it, direction)
+            meas = measures(ev, it, direction)
 
             if fstate is None:
                 fstate = initial_state(meas, it.y, config.mu0, tau=config.tau0)
@@ -552,7 +552,6 @@ def solve(problem, v0=None, config=None):
                 pre_state = _merit_state(fstate, fstate.mu_R, config)
                 resid = merit_residuals(merit_gradient(ev, it, pre_state), it.x)
                 label = classify_iterate(meas, fstate, resid)
-                counts[label] += 1
                 mu_R_old = fstate.mu_R
                 fstate = update_state(label, fstate, meas, it)
                 if fstate.mu_R != mu_R_old and direction.exists:
@@ -565,7 +564,6 @@ def solve(problem, v0=None, config=None):
                     last.alpha, last.N_k, last.R_k, mu_R_next=fstate.mu_R,
                 )
 
-            last_ratio = direction.rayleigh
             state_F = _merit_state(fstate, mu, config)
             merit_here = merit_value(ev, it, state_F)
 
@@ -573,9 +571,9 @@ def solve(problem, v0=None, config=None):
                 meas.eta <= config.tol_constraint
                 and meas.omega_first <= config.tol_first
             )
-            step_fields, ls, status, message = _NO_STEP, None, None, ""
+            step_fields, ls, status, message = dict(_NO_STEP), None, None, ""
             if first_order_ok and (
-                not config.enable_curvature or last_ratio >= -config.tol_second
+                not config.enable_curvature or direction.rayleigh >= -config.tol_second
             ):
                 status = (
                     SolveStatus.SECOND_ORDER_OPTIMAL
@@ -588,10 +586,14 @@ def solve(problem, v0=None, config=None):
             else:
                 # the certification search starts at the previous step's shift
                 theta_prev = history[-1].theta if history else 0.0
-                step_fields, ls, status, message = _step(
-                    problem, ev, it, ws, conv, direction, fstate, state_F, merit_here,
-                    theta_prev, config,
-                )
+                try:
+                    ls = _step(problem, ev, it, ws, conv, direction, fstate, state_F,
+                               merit_here, theta_prev, config, step_fields)
+                except (EvaluationError, LineSearchFailure, QpFailure, QpInternalError) as exc:
+                    status, message = _failure_status(exc), str(exc)
+                    if isinstance(exc, LineSearchFailure):
+                        step_fields.update(trials=exc.diagnostics["n_trials"],
+                                           bound_rejections=exc.diagnostics["bound_rejections"])
 
             history.append(
                 IterationRecord(
@@ -604,7 +606,7 @@ def solve(problem, v0=None, config=None):
                     mu=mu,
                     mu_R=fstate.mu_R,
                     tau=fstate.tau,
-                    curv_ratio=last_ratio,
+                    curv_ratio=direction.rayleigh,
                     merit=merit_here,
                     ws_size=ws.active.size,
                     x=tuple(it.x.tolist()),
@@ -618,25 +620,22 @@ def solve(problem, v0=None, config=None):
                 break
             if ls is not None:
                 it, ev = ls.accepted, ls.ev
+        ratio = direction.rayleigh
     except (EvaluationError, FactorizationBreakdown) as exc:
-        # the history keeps every record closed before the failure
-        status = (
-            SolveStatus.EVALUATION_ERROR
-            if isinstance(exc, EvaluationError)
-            else SolveStatus.FACTORIZATION_BREAKDOWN
-        )
-        message = str(exc)
+        # the start point or a stage-1 factorization, before any measures
+        status, message = _failure_status(exc), str(exc)
+        meas, ratio = _UNMEASURED, np.nan
 
     return SolveResult(
         status=status,
         iterate=it,
         history=tuple(history),
         f=ev.f if ev is not None else np.nan,
-        eta=last_meas.eta,
-        omega_first=last_meas.omega_first,
-        omega=last_meas.omega,
-        curv_ratio=last_ratio,
-        class_counts=counts,
+        eta=meas.eta,
+        omega_first=meas.omega_first,
+        omega=meas.omega,
+        curv_ratio=ratio,
+        class_counts={label: sum(rec.cls == label for rec in history) for label in "SLMF"},
         wall_time_s=time.perf_counter() - t0,
         message=message,
     )

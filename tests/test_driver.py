@@ -282,7 +282,57 @@ def test_bad_constraints_at_a_trial_is_an_evaluation_error(bad, text):
     result = solve(dataclasses.replace(base, constraints=constraints))
     assert result.status is SolveStatus.EVALUATION_ERROR
     assert text in result.message
-    assert result.history == ()
+    _assert_first_step_failed(result)
+
+
+def _assert_first_step_failed(result):
+    # the failing step closes the one record, after its certification
+    (record,) = result.history
+    assert record.cls == "-"
+    assert record.alpha == 0.0 and record.trials == 0
+    assert record.cholesky_attempts >= 1
+    assert result.eta == record.eta
+
+
+def test_cholesky_attempts_count_every_factorization_of_a_failing_solve(monkeypatch):
+    base = _simplex_indefinite()
+    calls, factorizations = [], []
+    cholesky = np.linalg.cholesky
+
+    def constraints(x):
+        calls.append(1)
+        return base.constraints(x) if len(calls) == 1 else np.array([np.nan])
+
+    def counted(a):
+        factorizations.append(1)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    result = solve(dataclasses.replace(base, constraints=constraints))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert factorizations
+    assert sum(rec.cholesky_attempts for rec in result.history) == len(factorizations)
+
+
+class _OwnEvaluationError(EvaluationError):
+    pass
+
+
+def test_an_evaluation_error_subclass_at_a_trial_is_an_evaluation_error():
+    base = _simplex_indefinite()
+    calls = []
+
+    def objective(x):
+        # the second call is the first trial of the first search
+        calls.append(1)
+        if len(calls) > 1:
+            raise _OwnEvaluationError("own text")
+        return base.objective(x)
+
+    result = solve(dataclasses.replace(base, objective=objective))
+    assert result.status is SolveStatus.EVALUATION_ERROR
+    assert result.message == "own text"
+    _assert_first_step_failed(result)
 
 
 def _hessian_failing_above_zero(failure):
@@ -311,8 +361,8 @@ def test_bad_merit_multiplier_hessian_is_an_evaluation_error(failure):
     result = solve(_hessian_failing_above_zero(failure), start)
     assert result.status is SolveStatus.EVALUATION_ERROR
     assert result.message.startswith("saddle-line: ")
-    # the first curvature step fails, before any record is closed
-    assert result.history == ()
+    # the first curvature step fails and closes its record
+    _assert_first_step_failed(result)
     np.testing.assert_array_equal(result.iterate.x, start.x)
     assert result.f == get_problem("saddle-line").objective(result.iterate.x)
 
@@ -350,17 +400,20 @@ def test_certificate_still_raises_on_breakdown():
         second_order_certificate(_steep_cubic(), make_iterate([3.0], [0.0]), 1e-3)
 
 
-def test_evaluation_error_keeps_the_history():
+def _runaway():
     # unbounded quartic: the iterates grow until the objective overflows
-    problem = _unconstrained(
+    return _unconstrained(
         "runaway",
         lambda x: float(-x[0] ** 4),
         lambda x: np.array([-4.0 * x[0] ** 3]),
         lambda x, y: np.array([[-12.0 * x[0] ** 2]]),
         [2.0],
     )
+
+
+def test_evaluation_error_keeps_the_history():
     with np.errstate(over="ignore"):
-        result = solve(problem, config=SolverConfig(max_iterations=400))
+        result = solve(_runaway(), config=SolverConfig(max_iterations=400))
     assert result.status is SolveStatus.EVALUATION_ERROR
     assert "non-finite" in result.message
     assert result.history
@@ -479,16 +532,75 @@ def test_certificate_with_a_square_jacobian():
     assert ratio == 0.0
 
 
-def test_history_bookkeeping():
-    result = solve(get_problem("convex-qp"))
+def _kink():
+    # |x - 1| from the wrong side: the unit step jumps across the kink
+    return _unconstrained(
+        "kink",
+        lambda x: float(abs(x[0] - 1.0)),
+        lambda x: np.array([np.sign(x[0] - 1.0)]),
+        lambda x, y: np.array([[0.0]]),
+        [1.2],
+    )
+
+
+# one solve for each way a solve ends: optimal, an evaluation error
+# inside a step, a failed search and a stage-1 breakdown
+_ENDINGS = {
+    "convex-qp": lambda: solve(get_problem("convex-qp")),
+    "runaway": lambda: solve(_runaway(), config=SolverConfig(max_iterations=400)),
+    "kink": lambda: solve(_kink(), config=SolverConfig(j_max=0)),
+    "steep-cubic": lambda: solve(_steep_cubic()),
+}
+
+
+@pytest.mark.parametrize("ending", _ENDINGS)
+def test_history_bookkeeping(ending):
+    with np.errstate(over="ignore"):
+        result = _ENDINGS[ending]()
     for i, rec in enumerate(result.history):
         assert rec.k == i
         assert rec.mu >= rec.mu_R
         assert len(rec.csv_values()) == 15
     assert result.history[0].cls == "-"
-    assert result.history[-1].alpha == 0.0
     total = sum(result.class_counts.values())
     assert total == sum(1 for rec in result.history if rec.cls in "SLMF")
+    last = result.history[-1]
+    if result.status is SolveStatus.FACTORIZATION_BREAKDOWN:
+        # the breakdown comes before the final iterate is measured
+        assert all(np.isnan(v) for v in (result.eta, result.omega, result.curv_ratio))
+    else:
+        assert last.alpha == 0.0
+        assert (result.eta, result.omega, result.curv_ratio) == (
+            last.eta, last.omega, last.curv_ratio)
+
+
+def test_null_step_keeps_the_point():
+    # f = 1e4 x0 + (x1 - 1)^2 / 2 against the bound x0 >= 0: the QP
+    # solver counts the start's x1 residual of 5e-7 as converged against
+    # the bound multiplier's 1e4, so the step is exactly zero
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        return float(1e4 * x[0] + 0.5 * (x[1] - 1.0) ** 2)
+
+    problem = _unconstrained(
+        "bound-wall",
+        objective,
+        lambda x: np.array([1e4, x[1] - 1.0]),
+        lambda x, y: np.diag([0.0, 1.0]),
+        [0.0, 1.0 + 5e-7],
+    )
+    result = solve(problem, config=SolverConfig(max_iterations=1))
+    assert result.status is SolveStatus.ITERATION_LIMIT
+    null, after = result.history
+    assert null.alpha == 1.0 and null.trials == 0
+    assert null.norm_p == null.norm_dv == null.norm_u == 0.0
+    # the certification of a diagonal matrix: 7 sign tests
+    assert (null.theta, null.cholesky_attempts) == (2e-08, 7)
+    assert after.x == null.x
+    # the start point only: a null step evaluates nothing
+    assert len(calls) == 1
 
 
 def test_the_penalty_never_falls_below_mu_r():
@@ -739,16 +851,8 @@ def test_solve_rejects_a_non_finite_start_point(x, y):
 
 
 def test_kink_defeats_the_search_when_no_backtracking_is_allowed():
-    # |x - 1| from the wrong side: the unit step jumps across the kink,
-    # and j_max=0 forbids trying anything shorter
-    problem = _unconstrained(
-        "kink",
-        lambda x: float(abs(x[0] - 1.0)),
-        lambda x: np.array([np.sign(x[0] - 1.0)]),
-        lambda x, y: np.array([[0.0]]),
-        [1.2],
-    )
-    result = solve(problem, config=SolverConfig(j_max=0))
+    # j_max=0 forbids trying anything shorter than the unit step
+    result = solve(_kink(), config=SolverConfig(j_max=0))
     assert result.status is SolveStatus.LINE_SEARCH_FAILURE
     assert result.status.exit_code == 4
     assert result.message
