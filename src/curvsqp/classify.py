@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import norm
+
 MIX = 1e-5
 Y_CAP = 1e6
 
@@ -54,9 +56,9 @@ def measures(ev, iterate, direction):
     scores as non-optimal.
     """
     m = ev.c.shape[0]
-    eta = float(np.linalg.norm(ev.c)) if m else 0.0
+    eta = norm(ev.c) if m else 0.0
     resid = ev.g - ev.J.T @ iterate.y if m else ev.g
-    omega_first = float(np.linalg.norm(np.minimum(iterate.x, resid)))
+    omega_first = norm(np.minimum(iterate.x, resid))
     curv_ratio = direction.rayleigh
     omega = max(omega_first, -curv_ratio)
     return Measures(
@@ -106,8 +108,8 @@ def merit_residuals(grad_merit, x):
     """Split a stacked merit gradient into the M-test residual pair."""
     n = x.shape[0]
     gx, gy = grad_merit[:n], grad_merit[n:]
-    stat_x = float(np.linalg.norm(np.minimum(x, gx)))
-    stat_y = float(np.linalg.norm(gy)) if gy.shape[0] else 0.0
+    stat_x = norm(np.minimum(x, gx))
+    stat_y = norm(gy) if gy.shape[0] else 0.0
     return stat_y, stat_x
 
 

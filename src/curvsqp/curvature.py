@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import norm
 from .workset import embed
 
 
@@ -73,7 +74,7 @@ def extract_direction(factor, ws, H, J):
         return no_direction(n, m)
     # S is symmetric bit for bit, so the first maximum (or NaN) in row
     # order lies on or above the diagonal: q <= r
-    q, r = np.unravel_index(np.argmax(np.abs(S)), S.shape)
+    q, r = np.unravel_index(np.abs(S).argmax(), S.shape)
     rho = float(abs(S[q, r]))
     if rho <= floor:
         return no_direction(n, m)
@@ -173,10 +174,10 @@ def scale(direction, x, p, u_max):
     beta = 0.0
     if direction.exists:
         u_hat = direction.u_hat
-        beta = max(float(u_max), 2.0 * float(np.linalg.norm(p))) / float(np.linalg.norm(u_hat))
+        beta = max(float(u_max), 2.0 * norm(p)) / norm(u_hat)
         neg = u_hat < 0.0
-        if np.any(neg):
-            beta = min(beta, float(np.min((x + p)[neg] / (-u_hat[neg]))))
+        if neg.any():
+            beta = min(beta, float(((x + p)[neg] / (-u_hat[neg])).min()))
     if not beta > 0.0:
         return ScaledStep(u=np.zeros(n), w=np.zeros(m), beta=0.0)
     return ScaledStep(u=beta * u_hat, w=beta * direction.w_hat, beta=beta)

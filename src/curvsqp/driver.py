@@ -72,7 +72,7 @@ from .merit import (
     merit_value,
     penalty_update,
 )
-from .model import evaluate, lagrangian_hessian, make_iterate
+from .model import evaluate, lagrangian_hessian, make_iterate, norm
 from .qpstep import solve_qp
 from .workset import estimate, restrict_columns, restrict_principal
 
@@ -208,7 +208,8 @@ class IterationRecord:
     those rejected at the bounds without a callback; a search that
     accepts has backtracked trials - 1 times. A step that raises keeps
     the fields it reached and alpha = 0; its counts are the failed
-    search's, 0 when the search raised EvaluationError.
+    search's, the trial that raised EvaluationError included, and 0
+    when it failed before its search.
     """
 
     k: int
@@ -451,19 +452,19 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     H_tilde = ev.H
     if conv is not None:
         H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
-    h_scale = float(np.max(np.abs(ev.H), initial=0.0))
+    h_scale = float(np.abs(ev.H).max(initial=0.0))
     grad_p, constant = condense(ev, it, state_R)
     G, step_fields["theta"], step_fields["cholesky_attempts"] = _certified_hessian(
         H_tilde, ev.J, fstate.mu_R, ws.active, h_scale, theta_prev
     )
     qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
     dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
-    step_fields.update(norm_p=float(np.linalg.norm(qp.p)), norm_dv=float(np.linalg.norm(dv)),
+    step_fields.update(norm_p=norm(qp.p), norm_dv=norm(dv),
                        N_k=min(qp.model_decrease + constant, 0.0))
 
     direction = orient(direction, merit_gradient(ev, it, state_R))
     step = scale(direction, it.x, qp.p, config.u_max)
-    step_fields["norm_u"] = float(np.linalg.norm(step.u))
+    step_fields["norm_u"] = norm(step.u)
     if step.beta > 0.0:
         # the stacked merit form at (u, w = -(1/mu_R) J u)
         H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
@@ -528,7 +529,7 @@ def solve(problem, v0=None, config=None):
         raise ValueError("start point dimensions do not match the problem")
     if not (np.isfinite(v0.x).all() and np.isfinite(v0.y).all()):
         raise ValueError("start point is not finite")
-    if float(np.min(v0.x, initial=0.0)) < 0.0:
+    if float(v0.x.min(initial=0.0)) < 0.0:
         raise ValueError("start point violates the nonnegativity bounds")
 
     t0 = time.perf_counter()
@@ -591,9 +592,11 @@ def solve(problem, v0=None, config=None):
                                merit_here, theta_prev, config, step_fields)
                 except (EvaluationError, LineSearchFailure, QpFailure, QpInternalError) as exc:
                     status, message = _failure_status(exc), str(exc)
-                    if isinstance(exc, LineSearchFailure):
-                        step_fields.update(trials=exc.diagnostics["n_trials"],
-                                           bound_rejections=exc.diagnostics["bound_rejections"])
+                    # a failed search's counts, on the error it let through
+                    counts = getattr(exc, "diagnostics", None)
+                    if counts:
+                        step_fields.update(trials=counts["n_trials"],
+                                           bound_rejections=counts["bound_rejections"])
 
             history.append(
                 IterationRecord(

@@ -6,7 +6,11 @@ class CurvSqpError(Exception):
 
 
 class EvaluationError(CurvSqpError):
-    """Problem callbacks returned bad data (wrong shape, NaN, Inf) or raised."""
+    """Problem callbacks returned bad data (wrong shape, NaN, Inf) or raised.
+
+    One that the curvilinear search lets through carries its
+    diagnostics, n_trials and bound_rejections, as LineSearchFailure does.
+    """
 
 
 class ProblemFormatError(CurvSqpError):

@@ -62,8 +62,8 @@ def build_kkt(H_F, J_F, mu):
         K=K,
         n_free=nf,
         m=m,
-        norm_max=float(np.max(np.abs(K), initial=0.0)),
-        h_scale=float(np.max(np.abs(H_F), initial=0.0)),
+        norm_max=float(np.abs(K).max(initial=0.0)),
+        h_scale=float(np.abs(H_F).max(initial=0.0)),
     )
 
 
@@ -362,7 +362,7 @@ def convexify(factor, margin):
     rows = np.sort(factor.unpivoted_h)
     if S.shape[0] == 0:
         return Convexification(delta=0.0, shifted_rows=rows)
-    norm_inf = float(np.max(np.sum(np.abs(S), axis=1)))
+    norm_inf = float(np.abs(S).sum(axis=1).max())
     delta = max((1.0 + float(margin)) * norm_inf, 1e-8 * (1.0 + factor.kkt.h_scale))
     return Convexification(delta=delta, shifted_rows=rows)
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LineSearchFailure
+from .errors import EvaluationError, LineSearchFailure
 from .model import Evaluation, Iterate, evaluate, merit_terms
 
 SNAP_FACTOR = 1e-13
@@ -120,13 +120,15 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
     (merit_terms); the accepted trial alone gets the full evaluation,
     which reuses its f and c and is returned as ev. A derivative
     callback is therefore never called at a rejected trial, while a bad
-    f or c at any trial raises EvaluationError. Trial points that dip
-    below the bounds beyond roundoff are rejected without evaluation and
-    count as failed trials; components within the roundoff band are
-    snapped to exactly zero before the merit is measured, so the
-    accepted point is the one the inequality was verified at. Raises
-    LineSearchFailure when j_max is exhausted; its diagnostics carry
-    n_trials and bound_rejections.
+    f or c at any trial raises EvaluationError, as does a bad derivative
+    at the accepted one. Trial points that dip below the bounds beyond
+    roundoff are rejected without evaluation and count as failed trials;
+    components within the roundoff band are snapped to exactly zero
+    before the merit is measured, so the accepted point is the one the
+    inequality was verified at. Raises LineSearchFailure when j_max is
+    exhausted. Either error leaves with diagnostics carrying n_trials
+    (the trials evaluated, the failing one included) and
+    bound_rejections.
     """
     if not (N_k <= 0.0 and R_k <= 0.0):
         raise ValueError(f"model decrease quantities must be nonpositive, not {N_k}, {R_k}")
@@ -134,31 +136,36 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
     n = x.shape[0]
     u, w = step.u, step.w
     p, q = dv[:n], dv[n:]
-    snap = SNAP_FACTOR * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    snap = SNAP_FACTOR * (1.0 + float(np.abs(x).max(initial=0.0)))
     relaxed = merit_old + 10.0 * EPS * abs(merit_old)
     rejected = 0
     for j in range(j_max + 1):
         alpha = 2.0 ** (-j)
         x_t = x + alpha * u + alpha * alpha * p
-        lowest = float(np.min(x_t, initial=0.0))
+        lowest = float(x_t.min(initial=0.0))
         if lowest < -snap:
             rejected += 1
             continue
         if lowest < 0.0:
             x_t = np.where(x_t < 0.0, 0.0, x_t)
         cand = Iterate(x=x_t, y=y + alpha * w + alpha * alpha * q)
-        terms = merit_terms(problem, cand)
-        m_t = merit_value(terms, cand, state)
-        if m_t <= relaxed + alpha * alpha * state.eta_S * (N_k + 0.5 * R_k):
-            return LineSearchResult(
-                alpha=alpha,
-                j=j,
-                accepted=cand,
-                ev=evaluate(problem, cand, terms),
-                merit_new=m_t,
-                n_trials=j + 1,
-                bound_rejections=rejected,
-            )
+        try:
+            terms = merit_terms(problem, cand)
+            m_t = merit_value(terms, cand, state)
+            if m_t <= relaxed + alpha * alpha * state.eta_S * (N_k + 0.5 * R_k):
+                return LineSearchResult(
+                    alpha=alpha,
+                    j=j,
+                    accepted=cand,
+                    ev=evaluate(problem, cand, terms),
+                    merit_new=m_t,
+                    n_trials=j + 1,
+                    bound_rejections=rejected,
+                )
+        except EvaluationError as exc:
+            # the failing trial was evaluated, so it counts
+            exc.diagnostics = {"n_trials": j + 1, "bound_rejections": rejected}
+            raise
     raise LineSearchFailure(
         f"no step accepted in {j_max + 1} trials",
         diagnostics={"n_trials": j_max + 1, "bound_rejections": rejected},

@@ -71,6 +71,16 @@ def make_iterate(x, y):
     return Iterate(x=x, y=y)
 
 
+def norm(x):
+    """np.linalg.norm(x) of a float vector, bit for bit, without its wrapper.
+
+    The same float path: the vector in memory order, its dot product
+    with itself and the correctly rounded square root.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 class Evaluation(NamedTuple):
     """All problem quantities at one iterate: f, c, g, J, H.
 
@@ -143,7 +153,7 @@ def evaluate(problem, iterate, terms=None):
     g = _call(problem, "gradient", (n,), x)
     J = _call(problem, "jacobian", (m, n), x)
     H = lagrangian_hessian(problem, x, iterate.y)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(J))):
+    if not (np.isfinite(g).all() and np.isfinite(J).all()):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     return Evaluation(f=f, c=c, g=g, J=J, H=H)
 
@@ -157,12 +167,12 @@ def lagrangian_hessian(problem, x, y):
     n = problem.n
     H = _call(problem, "hessian", (n, n), x, -y)
     # the max propagates NaN and inf, so it is also the finiteness test
-    hnorm = float(np.max(np.abs(H), initial=0.0))
+    hnorm = float(np.abs(H).max(initial=0.0))
     if not math.isfinite(hnorm):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     asym = H - H.T
     np.abs(asym, out=asym)
-    if float(np.max(asym, initial=0.0)) > 1e-12 * (1.0 + hnorm):
+    if float(asym.max(initial=0.0)) > 1e-12 * (1.0 + hnorm):
         raise EvaluationError(f"{problem.name}: H is not symmetric")
     return H
 
@@ -177,8 +187,9 @@ class DerivativeReport(NamedTuple):
 
     @property
     def max_error(self):
-        # np.max propagates NaN, where max() would keep an earlier value
-        return float(np.max((self.gradient_error, self.jacobian_error, self.hessian_error)))
+        # the ufunc propagates NaN, where max() would keep an earlier value
+        return float(np.maximum.reduce((self.gradient_error, self.jacobian_error,
+                                        self.hessian_error)))
 
 
 def check_derivatives(problem, x, y=None, step=1e-5):
@@ -211,13 +222,13 @@ def check_derivatives(problem, x, y=None, step=1e-5):
     H_fd = 0.5 * (H_fd + H_fd.T)
 
     def rel(approx, exact):
-        denom = 1.0 + float(np.max(np.abs(exact), initial=0.0))
-        return float(np.max(np.abs(approx - exact), initial=0.0)) / denom
+        denom = 1.0 + float(np.abs(exact).max(initial=0.0))
+        return float(np.abs(approx - exact).max(initial=0.0)) / denom
 
     hessian_error = rel(H_fd, ev.H)
     if problem.linear_constraints and m:
         moved = rel(lagrangian_hessian(problem, x, y + 1.0), ev.H)
-        hessian_error = float(np.max((hessian_error, moved)))
+        hessian_error = float(np.maximum.reduce((hessian_error, moved)))
 
     return DerivativeReport(
         gradient_error=rel(g_fd, ev.g),

@@ -55,7 +55,7 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
         raise ValueError("G, grad and x dimensions disagree")
     if max_iterations is None:
         max_iterations = 100 * max(n, 1)
-    grad_max = float(np.max(np.abs(grad), initial=0.0))
+    grad_max = float(np.abs(grad).max(initial=0.0))
     if not (math.isfinite(grad_max) and np.isfinite(x).all()):
         raise QpFailure("non-finite gradient or bound")
     scale = tol * (1.0 + grad_max)
@@ -83,10 +83,10 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
         iterations += 1
         r = grad + (diag * p + 0.0) if diag is not None else grad + G @ p
         if f_idx is None:
-            f_idx = np.flatnonzero(~active)
+            f_idx = (~active).nonzero()[0]
             G_f = lo_f = None
         r_f = r[f_idx]
-        r_max = float(np.max(np.abs(r_f), initial=0.0))
+        r_max = float(np.abs(r_f).max(initial=0.0))
         # stationarity is judged on the reduced residual, never on the step
         # length: a huge gradient must not swallow a genuine Newton step
         at_minimizer = r_max <= scale
@@ -106,20 +106,20 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
                     raise QpInternalError(
                         "singular reduced Hessian in a working-set subproblem"
                     ) from exc
-            d_max = float(np.max(np.abs(d_f)))
+            d_max = float(np.abs(d_f).max())
             # a residual that is not finite fails the stationarity test
             if not math.isfinite(r_max + d_max):
                 raise QpFailure("non-finite residual or step in a working-set subproblem", partial=p)
             p_f = p[f_idx]
             # a step at roundoff level cannot improve the subspace further
-            at_minimizer = d_max <= 4e-16 * (1.0 + float(np.max(np.abs(p_f))))
+            at_minimizer = d_max <= 4e-16 * (1.0 + float(np.abs(p_f).max()))
         if at_minimizer:
             # subspace minimizer; check bound multipliers
-            a_idx = np.flatnonzero(active)
+            a_idx = active.nonzero()[0]
             if a_idx.size == 0:
                 break
             z_a = r[a_idx]
-            worst = int(np.argmin(z_a))
+            worst = int(z_a.argmin())
             if z_a[worst] >= -scale:
                 break
             active[a_idx[worst]] = False
@@ -129,7 +129,7 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
         # smallest ratios below 1 blocks
         alpha = 1.0
         blocker = -1
-        pos = np.flatnonzero(d_f < 0.0)
+        pos = (d_f < 0.0).nonzero()[0]
         if pos.size:
             # a ratio that overflows to inf never blocks
             with np.errstate(over="ignore"):
@@ -145,7 +145,7 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
             f_idx = None
 
     z = np.zeros(n)
-    a_idx = np.flatnonzero(active)
+    a_idx = active.nonzero()[0]
     z[a_idx] = r[a_idx]
     obj = float(grad @ p + 0.5 * p @ (G @ p))
     return QpStep(p=p, z=z, model_decrease=obj, active=a_idx, iterations=iterations)

@@ -282,14 +282,18 @@ def test_bad_constraints_at_a_trial_is_an_evaluation_error(bad, text):
     result = solve(dataclasses.replace(base, constraints=constraints))
     assert result.status is SolveStatus.EVALUATION_ERROR
     assert text in result.message
-    _assert_first_step_failed(result)
+    _assert_first_step_failed(result, trials=1)
+    # the start point and the trial that raised, which the record counts
+    assert len(calls) == 1 + result.history[0].trials
 
 
-def _assert_first_step_failed(result):
-    # the failing step closes the one record, after its certification
+def _assert_first_step_failed(result, trials):
+    # the failing step closes the one record, after its certification;
+    # its counts are the trials its search evaluated, the failing one too
     (record,) = result.history
     assert record.cls == "-"
-    assert record.alpha == 0.0 and record.trials == 0
+    assert record.alpha == 0.0
+    assert (record.trials, record.bound_rejections) == (trials, 0)
     assert record.cholesky_attempts >= 1
     assert result.eta == record.eta
 
@@ -332,7 +336,7 @@ def test_an_evaluation_error_subclass_at_a_trial_is_an_evaluation_error():
     result = solve(dataclasses.replace(base, objective=objective))
     assert result.status is SolveStatus.EVALUATION_ERROR
     assert result.message == "own text"
-    _assert_first_step_failed(result)
+    _assert_first_step_failed(result, trials=1)
 
 
 def _hessian_failing_above_zero(failure):
@@ -361,8 +365,8 @@ def test_bad_merit_multiplier_hessian_is_an_evaluation_error(failure):
     result = solve(_hessian_failing_above_zero(failure), start)
     assert result.status is SolveStatus.EVALUATION_ERROR
     assert result.message.startswith("saddle-line: ")
-    # the first curvature step fails and closes its record
-    _assert_first_step_failed(result)
+    # the first curvature step fails before its search and closes its record
+    _assert_first_step_failed(result, trials=0)
     np.testing.assert_array_equal(result.iterate.x, start.x)
     assert result.f == get_problem("saddle-line").objective(result.iterate.x)
 
@@ -911,8 +915,9 @@ def test_nan_curvature_form_ends_the_step_before_any_trial(monkeypatch):
     assert np.isnan(last.R_k) and last.norm_u > 0.0
     assert (last.alpha, last.trials) == (0.0, 0)
     # the start point and the first search's trials; none for the second
-    first = result.history[0]
-    assert len(objective_calls) == 1 + first.trials - first.bound_rejections
+    assert len(objective_calls) == 1 + sum(
+        rec.trials - rec.bound_rejections for rec in result.history
+    )
     np.testing.assert_array_equal(result.iterate.x, last.x)
 
 

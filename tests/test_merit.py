@@ -509,3 +509,5 @@ def test_block_search_raises_where_the_reference_does(m, k):
     exc, calls = _outcome(_arc_problem(4, m, 10), script, *_arc(4, m, 10))
     assert isinstance(exc, EvaluationError) and f"call {k}" in str(exc)
     assert calls == k + 1
+    # the error carries the search's counts, the failing trial included
+    assert exc.diagnostics["n_trials"] == calls + exc.diagnostics["bound_rejections"]
