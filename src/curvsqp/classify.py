@@ -71,13 +71,18 @@ def measures(ev, iterate, direction):
     )
 
 
+def _cap(y):
+    """np.clip(y, -Y_CAP, Y_CAP), bit for bit."""
+    return np.minimum(np.maximum(y, -Y_CAP), Y_CAP)
+
+
 def initial_state(meas, y, mu_R, tau):
     return FilterState(
         tau=tau,
         phi_S_max=max(1.0, 2.0 * meas.phi_S),
         phi_L_max=max(1.0, 2.0 * meas.phi_L),
         mu_R=mu_R,
-        y_E=np.clip(np.asarray(y, dtype=float), -Y_CAP, Y_CAP),
+        y_E=_cap(np.asarray(y, dtype=float)),
     )
 
 
@@ -119,13 +124,13 @@ def update_state(cls, fstate, meas, iterate):
         return fstate._replace(
             phi_S_max=max(0.5 * fstate.phi_S_max, meas.phi_S),
             phi_L_max=max(0.5 * fstate.phi_L_max, meas.phi_L),
-            y_E=np.clip(iterate.y, -Y_CAP, Y_CAP),
+            y_E=_cap(iterate.y),
         )
     if cls == "M":
         return fstate._replace(
             tau=0.5 * fstate.tau,
             mu_R=0.5 * fstate.mu_R,
-            y_E=np.clip(iterate.y, -Y_CAP, Y_CAP),
+            y_E=_cap(iterate.y),
         )
     if cls == "F":
         return fstate

@@ -74,7 +74,7 @@ def extract_direction(factor, ws, H, J):
         return no_direction(n, m)
     # S is symmetric bit for bit, so the first maximum (or NaN) in row
     # order lies on or above the diagonal: q <= r
-    q, r = np.unravel_index(np.abs(S).argmax(), S.shape)
+    q, r = divmod(int(np.abs(S).argmax()), S.shape[1])
     rho = float(abs(S[q, r]))
     if rho <= floor:
         return no_direction(n, m)
@@ -97,7 +97,8 @@ def extract_direction(factor, ws, H, J):
     if k:
         rhs = 0.0 - factor.L[k:, :k].T @ w_S
         U = factor.L[:k, :k].T
-        if rhs.any() or not np.isfinite(U).all():
+        if (np.logical_or.reduce(rhs, None, bool)
+                or not np.logical_and.reduce(np.isfinite(U), None)):
             d[:k] = np.linalg.solve(U, rhs)
 
     # un-permute, keep the free primal components, embed on the active set
@@ -176,8 +177,8 @@ def scale(direction, x, p, u_max):
         u_hat = direction.u_hat
         beta = max(float(u_max), 2.0 * norm(p)) / norm(u_hat)
         neg = u_hat < 0.0
-        if neg.any():
-            beta = min(beta, float(((x + p)[neg] / (-u_hat[neg])).min()))
+        if np.logical_or.reduce(neg, None):
+            beta = min(beta, float(np.minimum.reduce((x + p)[neg] / (-u_hat[neg]), None)))
     if not beta > 0.0:
         return ScaledStep(u=np.zeros(n), w=np.zeros(m), beta=0.0)
     return ScaledStep(u=beta * u_hat, w=beta * direction.w_hat, beta=beta)

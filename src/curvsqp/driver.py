@@ -300,9 +300,35 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
     return lagrangian_hessian(problem, iterate.x, pi + state.nu * (pi - iterate.y))
 
 
-# 2**j for every positive point of the certification grid: the grid
-# spans 1e-8 to 1e18 times its scale, so 87 doublings cover it
-_DOUBLINGS = 2.0 ** np.arange(87)
+def _certification_grid(h_scale, theta_prev):
+    """(s, top, k0) of the certification grid 0, s, 2s, 4s, ... at h_scale.
+
+    Point k > 0 is _grid_point(s, k) = s * 2.0 ** (k - 1), with
+    s = 1e-8 * (1 + h_scale), exact since doubling is. The grid ends at
+    point top, the last one at most 1e18 * (1 + h_scale), or the largest
+    finite one when that limit overflows. k0 is the index of the least
+    point >= theta_prev, clamped to top. top and k0 come from the
+    exponents of s and theta_prev (math.frexp), so no point is formed
+    until it is tried. h_scale must be finite.
+    """
+    s = 1e-8 * (1.0 + h_scale)
+    ms, es = math.frexp(s)
+    # 2**86 * s is always below the limit; s * 2**j is finite while es + j <= 1024
+    top = min(87, 1025 - es)
+    if theta_prev <= 0.0:
+        k0 = 0
+    elif theta_prev < math.inf:
+        mt, et = math.frexp(theta_prev)
+        # the least j with s * 2**j >= theta_prev, compared as mantissa and exponent
+        k0 = min(max(et - es + (mt > ms), 0) + 1, top)
+    else:  # inf, or NaN, which a sorted search places last too
+        k0 = top
+    return s, top, k0
+
+
+def _grid_point(s, k):
+    """Point k of the certification grid whose first positive point is s."""
+    return s * 2.0 ** (k - 1) if k else 0.0
 
 
 def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
@@ -313,7 +339,8 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     block only; entries of the working set can still make the full
     matrix indefinite, so their diagonals get the least bump theta on
     the grid 0, s, 2s, 4s, ... (s = 1e-8 * (1 + h_scale), up to
-    1e18 * (1 + h_scale)) at which the test factorization succeeds.
+    1e18 * (1 + h_scale); see _certification_grid) at which the test
+    factorization succeeds. h_scale is max |H|, so finite.
 
     A test is a Cholesky factorization, except on a base that
     factor.diagonal_entries accepts: every product potrf subtracts from
@@ -322,7 +349,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     adds it, is positive, and that sign test replaces it.
 
     The search starts at k0, the least grid point >= theta_prev (the
-    previous step's answer, clamped to the top of the grid). If grid[k0]
+    previous step's answer, clamped to the top of the grid). If point k0
     factors it gallops down to k0 - 1, k0 - 2, k0 - 4, ... (and 0) until
     an attempt fails, otherwise up to k0 + 1, k0 + 2, k0 + 4, ... (and
     the top) until one succeeds, then bisects the bracket: 2 attempts
@@ -340,13 +367,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
     base = 0.5 * (base + base.T)
 
-    # doubling is exact, so grid[i] = s * 2**(i - 1); a limit that
-    # overflows to inf still ends the grid at the largest finite point
-    with np.errstate(over="ignore"):
-        steps = (1e-8 * (1.0 + h_scale)) * _DOUBLINGS
-    limit = 1e18 * (1.0 + h_scale)
-    grid = np.concatenate(([0.0], steps[(steps <= limit) & (steps < np.inf)]))
-    top = grid.size - 1
+    s, top, k0 = _certification_grid(h_scale, theta_prev)
     attempts = 0
     diag = diagonal_entries(base)
     # G keeps the matrix of the least point found to factor; the sign
@@ -356,12 +377,13 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     def factors(k):
         nonlocal attempts, G
         attempts += 1
+        theta = _grid_point(s, k)
         if diag is not None:
             trial = diag.copy()
-            if grid[k]:
-                trial[bump_rows] += grid[k]
-            return bool((trial > 0.0).all())
-        trial = apply_shift(base, bump_rows, grid[k])
+            if theta:
+                trial[bump_rows] += theta
+            return bool(np.logical_and.reduce(trial > 0.0, None))
+        trial = apply_shift(base, bump_rows, theta)
         try:
             np.linalg.cholesky(trial)
         except np.linalg.LinAlgError:
@@ -369,10 +391,9 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
         G = trial
         return True
 
-    # grid[lo] fails (lo = -1 until a point is seen to); grid[hi] is the
-    # least point known to factor, or one past the end
-    k0 = min(int(np.searchsorted(grid, theta_prev)), top)
-    lo, hi = -1, grid.size
+    # point lo fails (lo = -1 until a point is seen to); point hi is the
+    # least point known to factor, or top + 1 when none is
+    lo, hi = -1, top + 1
     if factors(k0):
         hi, step = k0, 1
         while hi > 0:
@@ -396,11 +417,11 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
             hi = mid
         else:
             lo = mid
-    if hi == grid.size:
+    if hi > top:
         raise QpInternalError("convexified Hessian cannot be made positive definite")
     if G is None:
-        G = apply_shift(base, bump_rows, grid[hi])
-    return G, float(grid[hi]), attempts
+        G = apply_shift(base, bump_rows, _grid_point(s, hi))
+    return G, _grid_point(s, hi), attempts
 
 
 def _analyze(ev, x, mu, mu_R, config):
@@ -452,7 +473,7 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     H_tilde = ev.H
     if conv is not None:
         H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
-    h_scale = float(np.abs(ev.H).max(initial=0.0))
+    h_scale = float(np.maximum.reduce(np.abs(ev.H), None, initial=0.0))
     grad_p, constant = condense(ev, it, state_R)
     G, step_fields["theta"], step_fields["cholesky_attempts"] = _certified_hessian(
         H_tilde, ev.J, fstate.mu_R, ws.active, h_scale, theta_prev
@@ -527,9 +548,10 @@ def solve(problem, v0=None, config=None):
         v0 = make_iterate(problem.x0, y0)
     if v0.x.shape != (problem.n,) or v0.y.shape != (problem.m,):
         raise ValueError("start point dimensions do not match the problem")
-    if not (np.isfinite(v0.x).all() and np.isfinite(v0.y).all()):
+    if not (np.logical_and.reduce(np.isfinite(v0.x), None)
+            and np.logical_and.reduce(np.isfinite(v0.y), None)):
         raise ValueError("start point is not finite")
-    if float(v0.x.min(initial=0.0)) < 0.0:
+    if float(np.minimum.reduce(v0.x, None, initial=0.0)) < 0.0:
         raise ValueError("start point violates the nonnegativity bounds")
 
     t0 = time.perf_counter()

@@ -12,9 +12,9 @@ KKT matrix second-order-correct: exactly |F| positive and m negative
 eigenvalues.
 
 With no dual rows (m = 0) and a diagonal H_F, every pivot column is
-zero, so the elimination only orders the pivots; it is then replayed as
-one permutation (_diagonal_pivots), with the same bits as the loop.
-diagonal_entries is the test for such a matrix; the Hessian
+zero, so the elimination only orders the pivots; stage1_factorize then
+replays it as one permutation (_diagonal_pivots), with the same bits as
+the loop. diagonal_entries is the test for such a matrix; the Hessian
 certification (driver) and the QP (qpstep) use it too.
 """
 
@@ -56,14 +56,16 @@ def build_kkt(H_F, J_F, mu):
     K[:nf, :nf] = 0.5 * (H_F + H_F.T)
     K[:nf, nf:] = J_F.T
     K[nf:, :nf] = J_F
-    K[nf:, nf:] = -mu * np.eye(m)
+    # -mu * I: -mu on the diagonal and the -0.0 of -mu * 0.0 off it
+    K[nf:, nf:] = -0.0
+    K.ravel()[nf * (N + 1)::N + 1] = -mu
     return KktSystem(
         mu=mu,
         K=K,
         n_free=nf,
         m=m,
-        norm_max=float(np.abs(K).max(initial=0.0)),
-        h_scale=float(np.abs(H_F).max(initial=0.0)),
+        norm_max=float(np.maximum.reduce(np.abs(K), None, initial=0.0)),
+        h_scale=float(np.maximum.reduce(np.abs(H_F), None, initial=0.0)),
     )
 
 
@@ -146,31 +148,35 @@ def diagonal_entries(A):
         return None
     diag = A.diagonal()
     if (np.count_nonzero(A.view(np.uint64)) != np.count_nonzero(diag.view(np.uint64))
-            or not np.isfinite(diag).all()):
+            or not np.logical_and.reduce(np.isfinite(diag), None)):
         return None
     return diag
 
 
 def _diagonal_pivots(A, perm, ptype, psize, tiny):
-    """Stage-1 pivots of a diagonal A with no dual rows, or None.
+    """Stage-1 pivots of a diagonal, C-contiguous A with no dual rows, or None.
 
-    None unless diagonal_entries accepts A (see eliminate); else takes
-    the first largest diagonal while it exceeds tiny, as the loop does,
-    permutes A and perm once and returns the pivot count k.
+    None unless diagonal_entries accepts A; else replays eliminate's
+    choices, permutes A and perm once and returns the pivot count k. The
+    loop pivots the values above tiny from the largest down, each time
+    on the first remaining entry equal to it in the current order, and
+    swaps that entry into place; so one descending sort gives every
+    pivot value, and only the position of each is looked up.
     """
     diag = diagonal_entries(A)
     if diag is None:
         return None
     vals = diag.tolist()
     order = list(range(len(vals)))
-    k = 0
-    while k < len(vals) and (top := max(vals[k:])) > tiny:
+    tops = [v for v in vals if v > tiny]
+    tops.sort(reverse=True)
+    for k, top in enumerate(tops):
         j = vals.index(top, k)
         vals[k], vals[j] = vals[j], vals[k]
         order[k], order[j] = order[j], order[k]
-        k += 1
-    np.fill_diagonal(A, vals)
+    A.ravel()[::A.shape[0] + 1] = vals
     perm[:] = perm[order]
+    k = len(tops)
     ptype[:k] = 0
     psize[:k] = 1
     return k
@@ -195,22 +201,12 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
     remain unpivoted (breakdown), else 0. Bit-identical to the scalar
     loop stage1_reference in tests/reference.py: the Schur updates keep
     its operation order, which is why they are outer products and not
-    matmuls.
-
-    L must enter as the identity. When no row is a dual row, the diagonal
-    is finite and every other entry is +0.0 bit for bit (-0.0 is not),
-    each Schur update subtracts +0.0, which changes no bit, and each
-    multiplier is the +0.0 that L already holds; _diagonal_pivots then
-    replays only the pivot order and applies it once.
+    matmuls. L must enter as the identity.
     """
     N = A.shape[0]
     diag = A.diagonal()
     dual = perm >= nh
     duals_left = int(np.count_nonzero(dual))
-    if not duals_left:
-        k = _diagonal_pivots(A, perm, ptype, psize, tiny)
-        if k is not None:
-            return k, k, 0
     # +1 on curvature rows, -1 on dual rows, permuted along with perm
     sign = np.where(dual, -1.0, 1.0)
     # the 1x1 Schur update's outer product, reshaped to the rows left
@@ -237,7 +233,7 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
                 tied = s == top
                 if np.count_nonzero(tied) > 1:
                     tied_dual = tied & (sign[k:] < 0.0)
-                    if tied_dual.any():
+                    if np.logical_or.reduce(tied_dual, None):
                         tied = tied_dual
                 best = int(tied.argmax())
             best += k
@@ -304,7 +300,13 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
 
 
 def stage1_factorize(kkt):
-    """Run the restricted elimination on a KKT system.
+    """Run the restricted elimination on a KKT system; S is symmetrized.
+
+    With no dual rows, a matrix that diagonal_entries accepts is
+    factored by _diagonal_pivots instead of eliminate, with the same
+    bits: each Schur update would subtract +0.0, which changes no bit,
+    and each multiplier would be the +0.0 that L already holds. A then
+    stays diagonal, so symmetrizing S changes only its diagonal.
 
     Raises FactorizationBreakdown (carrying the partial factor) if dual
     rows remain when no admissible pivot is left; with a positive mu this
@@ -313,19 +315,30 @@ def stage1_factorize(kkt):
     """
     N = kkt.n_free + kkt.m
     A = kkt.K.copy()
-    L = np.eye(N)
+    L = np.zeros((N, N))
+    L.ravel()[::N + 1] = 1.0
     perm = np.arange(N, dtype=np.int64)
     ptype = np.zeros(N, dtype=np.int64)
     psize = np.zeros(N, dtype=np.int64)
     tiny = 1e-12 * (1.0 + kkt.norm_max)
-    n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
-    S = A[n_piv:, n_piv:]
+    k = None if kkt.m else _diagonal_pivots(A, perm, ptype, psize, tiny)
+    if k is None:
+        n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
+        S = A[n_piv:, n_piv:]
+        S = 0.5 * (S + S.T)
+    else:
+        n_piv = n_blocks = k
+        status = 0
+        # 0.5 * (S + S.T) of a diagonal S, overflow included
+        d = A.diagonal()[k:]
+        S = np.zeros((N - k, N - k))
+        S.ravel()[::N - k + 1] = 0.5 * (d + d)
     factor = Stage1Factor(
         kkt=kkt,
         perm=perm,
         L=L,
         A=A,
-        S=0.5 * (S + S.T),
+        S=S,
         n_piv=n_piv,
         ptype=ptype[:n_blocks],
         psize=psize[:n_blocks],
@@ -359,10 +372,11 @@ def convexify(factor, margin):
     a singular shifted matrix.
     """
     S = factor.S
-    rows = np.sort(factor.unpivoted_h)
+    rows = factor.unpivoted_h.copy()
+    rows.sort()
     if S.shape[0] == 0:
         return Convexification(delta=0.0, shifted_rows=rows)
-    norm_inf = float(np.abs(S).sum(axis=1).max())
+    norm_inf = float(np.maximum.reduce(np.add.reduce(np.abs(S), 1), None))
     delta = max((1.0 + float(margin)) * norm_inf, 1e-8 * (1.0 + factor.kkt.h_scale))
     return Convexification(delta=delta, shifted_rows=rows)
 

@@ -136,13 +136,13 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
     n = x.shape[0]
     u, w = step.u, step.w
     p, q = dv[:n], dv[n:]
-    snap = SNAP_FACTOR * (1.0 + float(np.abs(x).max(initial=0.0)))
+    snap = SNAP_FACTOR * (1.0 + float(np.maximum.reduce(np.abs(x), None, initial=0.0)))
     relaxed = merit_old + 10.0 * EPS * abs(merit_old)
     rejected = 0
     for j in range(j_max + 1):
         alpha = 2.0 ** (-j)
         x_t = x + alpha * u + alpha * alpha * p
-        lowest = float(x_t.min(initial=0.0))
+        lowest = float(np.minimum.reduce(x_t, None, initial=0.0))
         if lowest < -snap:
             rejected += 1
             continue

@@ -135,7 +135,7 @@ def merit_terms(problem, iterate):
         raise EvaluationError(f"y has shape {y.shape}, expected ({m},)")
     f = float(_call(problem, "objective", (), x))
     c = _call(problem, "constraints", (m,), x)
-    if not math.isfinite(f) or (m and not np.isfinite(c).all()):
+    if not math.isfinite(f) or (m and not np.logical_and.reduce(np.isfinite(c), None)):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     return MeritTerms(f=f, c=c)
 
@@ -153,7 +153,8 @@ def evaluate(problem, iterate, terms=None):
     g = _call(problem, "gradient", (n,), x)
     J = _call(problem, "jacobian", (m, n), x)
     H = lagrangian_hessian(problem, x, iterate.y)
-    if not (np.isfinite(g).all() and np.isfinite(J).all()):
+    if not (np.logical_and.reduce(np.isfinite(g), None)
+            and np.logical_and.reduce(np.isfinite(J), None)):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     return Evaluation(f=f, c=c, g=g, J=J, H=H)
 
@@ -167,12 +168,12 @@ def lagrangian_hessian(problem, x, y):
     n = problem.n
     H = _call(problem, "hessian", (n, n), x, -y)
     # the max propagates NaN and inf, so it is also the finiteness test
-    hnorm = float(np.abs(H).max(initial=0.0))
+    hnorm = float(np.maximum.reduce(np.abs(H), None, initial=0.0))
     if not math.isfinite(hnorm):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
     asym = H - H.T
     np.abs(asym, out=asym)
-    if float(asym.max(initial=0.0)) > 1e-12 * (1.0 + hnorm):
+    if float(np.maximum.reduce(asym, None, initial=0.0)) > 1e-12 * (1.0 + hnorm):
         raise EvaluationError(f"{problem.name}: H is not symmetric")
     return H
 
@@ -222,8 +223,8 @@ def check_derivatives(problem, x, y=None, step=1e-5):
     H_fd = 0.5 * (H_fd + H_fd.T)
 
     def rel(approx, exact):
-        denom = 1.0 + float(np.abs(exact).max(initial=0.0))
-        return float(np.abs(approx - exact).max(initial=0.0)) / denom
+        denom = 1.0 + float(np.maximum.reduce(np.abs(exact), None, initial=0.0))
+        return float(np.maximum.reduce(np.abs(approx - exact), None, initial=0.0)) / denom
 
     hessian_error = rel(H_fd, ev.H)
     if problem.linear_constraints and m:

@@ -55,8 +55,8 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
         raise ValueError("G, grad and x dimensions disagree")
     if max_iterations is None:
         max_iterations = 100 * max(n, 1)
-    grad_max = float(np.abs(grad).max(initial=0.0))
-    if not (math.isfinite(grad_max) and np.isfinite(x).all()):
+    grad_max = float(np.maximum.reduce(np.abs(grad), None, initial=0.0))
+    if not (math.isfinite(grad_max) and np.logical_and.reduce(np.isfinite(x), None)):
         raise QpFailure("non-finite gradient or bound")
     scale = tol * (1.0 + grad_max)
 
@@ -86,7 +86,7 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
             f_idx = (~active).nonzero()[0]
             G_f = lo_f = None
         r_f = r[f_idx]
-        r_max = float(np.abs(r_f).max(initial=0.0))
+        r_max = float(np.maximum.reduce(np.abs(r_f), None, initial=0.0))
         # stationarity is judged on the reduced residual, never on the step
         # length: a huge gradient must not swallow a genuine Newton step
         at_minimizer = r_max <= scale
@@ -95,7 +95,7 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
                 G_f = diag[f_idx] if diag is not None else G.take(f_idx, 0).take(f_idx, 1)
                 lo_f = -x[f_idx]
             if diag is not None:
-                if not G_f.all():
+                if not np.logical_and.reduce(G_f, None, bool):
                     raise QpInternalError("singular reduced Hessian in a working-set subproblem")
                 with np.errstate(over="ignore", under="ignore"):
                     d_f = -r_f / G_f
@@ -106,13 +106,13 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
                     raise QpInternalError(
                         "singular reduced Hessian in a working-set subproblem"
                     ) from exc
-            d_max = float(np.abs(d_f).max())
+            d_max = float(np.maximum.reduce(np.abs(d_f), None))
             # a residual that is not finite fails the stationarity test
             if not math.isfinite(r_max + d_max):
                 raise QpFailure("non-finite residual or step in a working-set subproblem", partial=p)
             p_f = p[f_idx]
             # a step at roundoff level cannot improve the subspace further
-            at_minimizer = d_max <= 4e-16 * (1.0 + float(np.abs(p_f).max()))
+            at_minimizer = d_max <= 4e-16 * (1.0 + float(np.maximum.reduce(np.abs(p_f), None)))
         if at_minimizer:
             # subspace minimizer; check bound multipliers
             a_idx = active.nonzero()[0]

@@ -236,6 +236,28 @@ def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
     return apply_shift(base, bump_rows, theta), theta
 
 
+# 2**j for every positive point of the certification grid: the grid
+# spans 1e-8 to 1e18 times its scale, so 87 doublings cover it
+_DOUBLINGS = 2.0 ** np.arange(87)
+
+
+def certification_grid_reference(h_scale, theta_prev):
+    """(grid, top, k0): the certification grid as one array, its last index
+    and the index of the least point >= theta_prev, clamped to top.
+
+    The reference for driver._certification_grid and driver._grid_point:
+    every positive point is formed at once as s * 2**j, the points past
+    1e18 * (1 + h_scale) or past the largest finite one are dropped, and
+    k0 comes from a sorted search of the array.
+    """
+    with np.errstate(over="ignore"):
+        steps = (1e-8 * (1.0 + h_scale)) * _DOUBLINGS
+    limit = 1e18 * (1.0 + h_scale)
+    grid = np.concatenate(([0.0], steps[(steps <= limit) & (steps < np.inf)]))
+    top = grid.size - 1
+    return grid, top, min(int(np.searchsorted(grid, theta_prev)), top)
+
+
 def qp_reference(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     """qpstep.solve_qp with every index set rebuilt on every iteration.
 

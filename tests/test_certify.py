@@ -3,9 +3,9 @@ import pytest
 
 import curvsqp.driver as driver
 from conftest import DIAGONAL_VALUES, spy_on_diagonal_entries
-from curvsqp.driver import _certified_hessian
+from curvsqp.driver import _certification_grid, _certified_hessian
 from curvsqp.errors import QpInternalError
-from reference import certify_reference
+from reference import certification_grid_reference, certify_reference
 
 
 def certify_instances(seed, count):
@@ -136,6 +136,31 @@ def test_grid_ends_at_its_largest_finite_point_on_both_routes(monkeypatch, H, bu
         calls.clear()
         with pytest.raises(QpInternalError):
             certify_reference(H, J, 1.0, bump, 1.7e308)
+
+
+def _grid_starts(grid):
+    """theta_prev at, between, below and past the points of a grid array."""
+    top = grid[-1]
+    starts = [0.0, -0.0, -1.0, 5e-324, grid[1] / 3.0, top, np.nextafter(top, np.inf),
+              1.5 * top, 4.0 * top, 1.7e308, np.inf, np.nan]
+    for a, b in zip(grid[:-1], grid[1:]):
+        starts += [a, np.nextafter(a, np.inf), 0.5 * (a + b), 0.75 * b, np.nextafter(b, 0.0)]
+    return starts
+
+
+@pytest.mark.parametrize("h_scale", [0.0, 1.0, 3.0, 1.7e290, 1.7e308])
+def test_the_arithmetic_grid_is_the_array_bit_for_bit(h_scale):
+    """top, k0 and every point match the grid built as one array."""
+    with np.errstate(over="ignore"):
+        grid, top, _ = certification_grid_reference(h_scale, 0.0)
+        starts = _grid_starts(grid)
+    s, got_top, _ = _certification_grid(h_scale, 0.0)
+    assert got_top == top
+    points = np.array([driver._grid_point(s, k) for k in range(top + 1)])
+    assert points.tobytes() == grid.tobytes()
+    for theta in starts:
+        assert _certification_grid(h_scale, theta)[2] == \
+            certification_grid_reference(h_scale, theta)[2], theta
 
 
 def test_certification_bisects_the_grid(monkeypatch):

@@ -1,12 +1,16 @@
-"""The per-iteration modules call numpy's reductions without its wrappers.
+"""The per-iteration modules call numpy's C-level forms, without its wrappers.
 
 At the benchmark sizes (n = 8 to 128) an iteration is bound by the cost
-of each numpy call, not by flops, and np.max, np.linalg.norm and the
-like each pass through a Python-level wrapper of a few microseconds
-before reaching the ndarray method or ufunc reduction they dispatch to.
-The modules on the iteration path call that method or reduction
-directly, and every 1-d vector norm goes through model.norm, which
-repeats np.linalg.norm's float path and so returns its bits.
+of each numpy call, not by flops, and np.max, np.linalg.norm, np.eye and
+the like each pass through a Python-level wrapper of a microsecond or
+more before reaching the ufunc, method or slice write they come down
+to. The ndarray reduction methods (x.max(), mask.all(), ...) are such
+wrappers too: each forwards to a Python function in numpy's _methods
+module, which calls the ufunc reduction. The modules on the iteration
+path call the ufunc reduction (with axis=None, since ufunc.reduce
+defaults to axis 0) or write the slice directly, and every 1-d vector
+norm goes through model.norm, which repeats np.linalg.norm's float path
+and so returns its bits.
 """
 
 import ast
@@ -27,12 +31,15 @@ EXEMPT = ("oracle", "cli", "problemfile")
 LINTED = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in EXEMPT)
 PER_ITERATION = ("driver", "classify", "curvature", "merit", "model", "factor", "qpstep",
                  "workset")
-# numpy functions that reach a method or ufunc reduction through a wrapper
+# numpy functions that reach a method, ufunc or slice write through a wrapper
 WRAPPERS = {
     "numpy." + name
     for name in ("max", "min", "amax", "amin", "any", "all", "sum", "argmax", "argmin",
-                 "flatnonzero", "linalg.norm")
+                 "flatnonzero", "linalg.norm", "eye", "fill_diagonal", "clip", "sort",
+                 "searchsorted", "unravel_index")
 }
+# ndarray methods that forward to a Python function before their ufunc
+METHODS = ("max", "min", "sum", "prod", "all", "any", "mean", "clip")
 
 
 def _dotted(node):
@@ -77,6 +84,28 @@ def wrapper_uses(source):
     return sorted(found)
 
 
+def method_calls(source):
+    """(line, ".name") of every call of a METHODS method in the source.
+
+    A call on an imported name (np.sum, math.prod) is a module's function,
+    not a method: wrapper_uses judges numpy's.
+    """
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in METHODS):
+            dotted = _dotted(node.func.value)
+            if dotted is None or dotted.split(".")[0] not in imported:
+                found.append((node.lineno, "." + node.func.attr))
+    return sorted(found)
+
+
 def test_every_per_iteration_module_is_linted():
     assert set(PER_ITERATION) <= set(LINTED)
 
@@ -97,19 +126,56 @@ def test_module_calls_no_numpy_wrapper(module):
         ("from numpy import linalg as la\nla.norm(x)\n", "numpy.linalg.norm"),
         ("import numpy.linalg as la\nla.norm(x)\n", "numpy.linalg.norm"),
         ("from numpy import flatnonzero\n", "numpy.flatnonzero"),
+        ("import numpy as np\nL = np.eye(n)\n", "numpy.eye"),
+        ("import numpy\nnumpy.fill_diagonal(A, d)\n", "numpy.fill_diagonal"),
+        ("from numpy import clip\n", "numpy.clip"),
+        ("import numpy as np\nrows = np.sort(perm[k:])\n", "numpy.sort"),
+        ("import numpy as xp\nk = xp.searchsorted(grid, t)\n", "numpy.searchsorted"),
+        ("import numpy as np\nq, r = np.unravel_index(flat, S.shape)\n", "numpy.unravel_index"),
     ],
 )
 def test_the_lint_sees_each_spelling(source, name):
     assert [found for _, found in wrapper_uses(source)] == [name]
 
 
-def test_the_lint_passes_methods_and_ufunc_reductions():
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("a = np.abs(x).max(initial=0.0)\n", ".max"),
+        ("lowest = float(x_t.min(initial=0.0))\n", ".min"),
+        ("row_sums = np.abs(S).sum(axis=1)\n", ".sum"),
+        ("volume = self.widths.prod()\n", ".prod"),
+        ("ok = (trial > 0.0).all()\n", ".all"),
+        ("if mask.any():\n    pass\n", ".any"),
+        ("center = x.mean()\n", ".mean"),
+        ("y_E = y.clip(-cap, cap)\n", ".clip"),
+    ],
+)
+def test_the_lint_sees_each_method(source, name):
+    source = "import numpy as np\n" + source
+    assert [found for _, found in method_calls(source)] == [name]
+
+
+@pytest.mark.parametrize("module", PER_ITERATION)
+def test_per_iteration_module_calls_no_reduction_method(module):
+    path = SRC / f"{module}.py"
+    calls = method_calls(path.read_text())
+    assert not calls, f"{path.name} calls ndarray reduction methods: {calls}"
+
+
+def test_the_lint_passes_ufunc_reductions():
     source = (
+        "import math\n"
         "import numpy as np\n"
-        "a = np.abs(x).max(initial=0.0) + np.maximum.reduce(x) + x.sum()\n"
-        "b = mask.nonzero()[0]\n"
+        "a = np.maximum.reduce(np.abs(x), None, initial=0.0) + np.add.reduce(S, 1)\n"
+        "b = np.logical_and.reduce(np.isfinite(x), None) or np.logical_or.reduce(m, None)\n"
+        "c = np.minimum(np.maximum(y, -cap), cap)\n"
+        "d = max(a, b) + min(a, b) + math.prod(v) + x.argmax() + x.dot(x)\n"
+        "e = mask.nonzero()[0]\n"
+        "K.ravel()[::n + 1] = -mu\n"
     )
     assert wrapper_uses(source) == []
+    assert method_calls(source) == []
 
 
 def _bits(value):

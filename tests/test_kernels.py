@@ -1,11 +1,12 @@
 import numpy as np
+import pytest
 
 import curvsqp.driver as driver
 import curvsqp.factor as factor
 import curvsqp.qpstep as qpstep
 from conftest import kkt_instances, scaled_kkt_instances, spy_on_diagonal_entries
 from curvsqp.driver import solve
-from curvsqp.factor import build_kkt, eliminate
+from curvsqp.factor import build_kkt, eliminate, stage1_factorize
 from curvsqp.model import NlpProblem, make_iterate
 from curvsqp.problems import get_problem
 from reference import stage1_reference
@@ -151,12 +152,31 @@ def _spy_on_diagonal_pivots(monkeypatch):
     return took
 
 
+def _compare_factorization(H, J, mu):
+    """stage1_factorize against the reference elimination, bit for bit.
+
+    A, L, perm and the pivot records must be the reference's, and S the
+    symmetrized trailing block of the reference's A.
+    """
+    ins = _stage1_inputs(H, J, mu)
+    k, npiv, _ = stage1_reference(*ins)
+    A, L, perm, ptype, psize = ins[:5]
+    got = stage1_factorize(build_kkt(H, J, mu))
+    assert (got.n_piv, got.ptype.size) == (k, npiv)
+    for a, b in ((got.A, A), (got.L, L), (got.perm, perm), (got.ptype, ptype[:npiv]),
+                 (got.psize, psize[:npiv])):
+        _assert_bitwise_equal(a, b)
+    S = A[k:, k:]
+    _assert_bitwise_equal(got.S, 0.5 * (S + S.T))
+    return got
+
+
 def test_diagonal_systems_without_dual_rows_take_the_permutation(monkeypatch):
     took = _spy_on_diagonal_pivots(monkeypatch)
     instances = list(diagonal_kkt_instances(35, 600))
     for H, J, mu in instances:
         took.clear()
-        _compare([(H, J, mu)])
+        _compare_factorization(H, J, mu)
         assert took == [True]
     # controls: a nonzero and a -0.0 off-diagonal pair, a NaN and an inf
     # diagonal; each must run the loop
@@ -175,8 +195,41 @@ def test_diagonal_systems_without_dual_rows_take_the_permutation(monkeypatch):
     with np.errstate(all="ignore"):
         for H, J, mu in controls:
             took.clear()
-            _compare([(H, J, mu)], _nonfinite_inputs)
+            _compare_factorization(H, J, mu)
             assert took == [False]
+
+
+@pytest.mark.parametrize(
+    "d, perm",
+    [
+        # the first swap moves row 0 behind its twin, row 1; a stable
+        # descending argsort would give [2, 0, 1]
+        ([1.0, 1.0, 2.0], [2, 1, 0]),
+        # the second swap moves row 0 behind its twin, row 2; a stable
+        # descending argsort would give [1, 3, 0, 2]
+        ([1.0, 3.0, 1.0, 2.0], [1, 3, 2, 0]),
+    ],
+)
+def test_the_permutation_takes_ties_in_the_order_the_loop_does(monkeypatch, d, perm):
+    took = _spy_on_diagonal_pivots(monkeypatch)
+    got = _compare_factorization(np.diag(d), np.zeros((0, len(d))), 1.0)
+    assert took == [True]
+    assert got.perm.tolist() == perm
+
+
+def test_the_permutation_symmetrizes_s_with_its_overflow(monkeypatch):
+    # build_kkt's own symmetrization would overflow first, so K is set
+    # directly; its threshold 1e-12 * (1 + 1.7e308) admits no pivot, and
+    # S + S.T overflows on the -1.7e308 diagonal entry
+    K = np.diag([2.0, -1.7e308, 1.0])
+    kkt = build_kkt(np.eye(3), np.zeros((0, 3)), 1.0)._replace(K=K, norm_max=1.7e308)
+    took = _spy_on_diagonal_pivots(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = stage1_factorize(kkt)
+    assert took == [True]
+    with np.errstate(over="ignore"):
+        _assert_bitwise_equal(got.S, 0.5 * (K + K.T))
+    assert got.S.diagonal().tolist() == [2.0, -np.inf, 1.0]
 
 
 def _separable_cosine(seed, n=6):
