@@ -8,7 +8,9 @@ lifted vector automatically satisfies the dual stationarity rows, which
 is what makes the full-space quadratic form collapse onto the free
 primal block. A zero right-hand side (no S row coupled to a pivoted one)
 lifts to the +0.0 LAPACK returns through a finite factor, without the
-solve.
+solve. A diagonal factor (factor.stage1_factorize on a 1-D K) has an
+identity L and a finite S, so that right-hand side is always zero, and
+its S is read as a diagonal: the first largest |S| lies on it.
 """
 
 from typing import NamedTuple
@@ -74,8 +76,10 @@ def extract_direction(factor, ws, H, J):
         return no_direction(n, m)
     # S is symmetric bit for bit, so the first maximum (or NaN) in row
     # order lies on or above the diagonal: q <= r
-    q, r = divmod(int(np.abs(S).argmax()), S.shape[1])
-    rho = float(abs(S[q, r]))
+    S_abs = np.abs(S)
+    flat = int(S_abs.argmax())
+    q, r = divmod(flat, S.shape[1]) if S.ndim == 2 else (flat, flat)
+    rho = float(S_abs.flat[flat])
     if rho <= floor:
         return no_direction(n, m)
     ns = S.shape[0]
@@ -94,7 +98,7 @@ def extract_direction(factor, ws, H, J):
     k = factor.n_piv
     d = np.zeros(N)
     d[k:] = w_S
-    if k:
+    if k and factor.L is not None:
         rhs = 0.0 - factor.L[k:, :k].T @ w_S
         U = factor.L[:k, :k].T
         if (np.logical_or.reduce(rhs, None, bool)

@@ -62,7 +62,8 @@ from .errors import (
     QpFailure,
     QpInternalError,
 )
-from .factor import apply_shift, build_kkt, convexify, diagonal_entries, stage1_factorize
+from .factor import (apply_shift, build_kkt, convexify, diagonal_entries, finite_or_matrix,
+                     stage1_factorize)
 from .merit import (
     MeritState,
     condense,
@@ -202,8 +203,9 @@ class IterationRecord:
     acceptance inequality be checked again; the accepted point is the
     next record's (x, y), or the result's iterate after the last record.
     theta is the certification shift of the step and cholesky_attempts
-    the factorizations its search made; both are 0 on a record that
-    made no step, and the next step's search starts at theta. trials
+    counts the positive-definiteness tests its search made (Cholesky
+    factorizations, or sign tests on a diagonal); both are 0 on a record
+    that made no step, and the next step's search starts at theta. trials
     and bound_rejections count the line-search trials of the step and
     those rejected at the bounds without a callback; a search that
     accepts has backtracked trials - 1 times. A step that raises keeps
@@ -297,7 +299,7 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
     if ev.c.shape[0] == 0 or problem.linear_constraints:
         return ev.H
     pi = state.y_E - ev.c / state.mu
-    return lagrangian_hessian(problem, iterate.x, pi + state.nu * (pi - iterate.y))
+    return lagrangian_hessian(problem, iterate.x, pi + state.nu * (pi - iterate.y))[0]
 
 
 def _certification_grid(h_scale, theta_prev):
@@ -342,11 +344,12 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     1e18 * (1 + h_scale); see _certification_grid) at which the test
     factorization succeeds. h_scale is max |H|, so finite.
 
-    A test is a Cholesky factorization, except on a base that
-    factor.diagonal_entries accepts: every product potrf subtracts from
-    a pivot is then a signed zero, so it succeeds exactly when each
-    diagonal entry, with theta added on the bump rows as apply_shift
-    adds it, is positive, and that sign test replaces it.
+    A test is a Cholesky factorization, except on a diagonal: a 1-D
+    H_tilde (J without rows) whose symmetrized base is finite. Every
+    product potrf subtracts from a pivot is then a signed zero, so it
+    succeeds exactly when each entry, with theta added on the bump rows
+    by apply_shift, is positive, and that sign test replaces it; G is
+    then that diagonal. Any other base runs Cholesky on its matrix.
 
     The search starts at k0, the least grid point >= theta_prev (the
     previous step's answer, clamped to the top of the grid). If point k0
@@ -365,25 +368,20 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     if bump_rows.size == 0:
         bump_rows = np.arange(n)
     base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
-    base = 0.5 * (base + base.T)
+    base = finite_or_matrix(0.5 * (base + base.T))
 
     s, top, k0 = _certification_grid(h_scale, theta_prev)
     attempts = 0
-    diag = diagonal_entries(base)
     # G keeps the matrix of the least point found to factor; the sign
-    # test builds no matrix, so there G is built once, at the answer
+    # test keeps none, so there G is built once, at the answer
     G = None
 
     def factors(k):
         nonlocal attempts, G
         attempts += 1
-        theta = _grid_point(s, k)
-        if diag is not None:
-            trial = diag.copy()
-            if theta:
-                trial[bump_rows] += theta
+        trial = apply_shift(base, bump_rows, _grid_point(s, k))
+        if base.ndim == 1:
             return bool(np.logical_and.reduce(trial > 0.0, None))
-        trial = apply_shift(base, bump_rows, theta)
         try:
             np.linalg.cholesky(trial)
         except np.linalg.LinAlgError:
@@ -427,21 +425,24 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
 def _analyze(ev, x, mu, mu_R, config):
     """Working set at penalty mu, then the free KKT factor at mu_R.
 
-    Returns (ws, conv, direction): the working set, the convexifying
-    shift of the factor (None when every variable is active) and the
+    Returns (ws, conv, direction, H): the working set, the convexifying
+    shift of the factor (None when every variable is active), the
     negative-curvature direction it yields (a non-direction when there
-    is none or curvature is disabled).
+    is none or curvature is disabled) and the Hessian every step takes:
+    ev.H, or its diagonal when m = 0 and factor.diagonal_entries accepts it.
     """
     m, n = ev.J.shape
     ws = estimate(x, mu, config.epsilon_a)
+    H = diagonal_entries(ev.H) if m == 0 else None
+    H = ev.H if H is None else H
     conv, direction = None, no_direction(n, m)
     if ws.free.size:
-        kkt = build_kkt(restrict_principal(ev.H, ws), restrict_columns(ev.J, ws), mu_R)
+        kkt = build_kkt(restrict_principal(H, ws), restrict_columns(ev.J, ws), mu_R)
         factor = stage1_factorize(kkt)
         conv = convexify(factor, config.margin)
         if config.enable_curvature:
             direction = extract_direction(factor, ws, ev.H, ev.J)
-    return ws, conv, direction
+    return ws, conv, direction, H
 
 
 # the step fields of a record that made no step; each iteration's record
@@ -452,7 +453,7 @@ _NO_STEP = dict(
 )
 
 
-def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, theta_prev,
+def _step(problem, ev, H, it, ws, conv, direction, fstate, state_F, merit_here, theta_prev,
           config, step_fields):
     """Certify, solve the QP, scale the curvature step and search.
 
@@ -470,13 +471,12 @@ def _step(problem, ev, it, ws, conv, direction, fstate, state_F, merit_here, the
     when N_k or R_k is not finite (before any trial) or j_max runs out.
     """
     state_R = _merit_state(fstate, fstate.mu_R, config)
-    H_tilde = ev.H
+    H_tilde = H
     if conv is not None:
-        H_tilde = apply_shift(ev.H, ws.free[conv.shifted_rows], conv.delta)
-    h_scale = float(np.maximum.reduce(np.abs(ev.H), None, initial=0.0))
+        H_tilde = apply_shift(H, ws.free[conv.shifted_rows], conv.delta)
     grad_p, constant = condense(ev, it, state_R)
     G, step_fields["theta"], step_fields["cholesky_attempts"] = _certified_hessian(
-        H_tilde, ev.J, fstate.mu_R, ws.active, h_scale, theta_prev
+        H_tilde, ev.J, fstate.mu_R, ws.active, ev.h_scale, theta_prev
     )
     qp = solve_qp(G, grad_p, it.x, seed_active=ws.active, tol=config.qp_tol)
     dv = np.concatenate([qp.p, dual_step(ev, it, state_R, qp.p)])
@@ -565,7 +565,7 @@ def solve(problem, v0=None, config=None):
         while True:
             # working set at the carried-over flexible penalty
             mu_R_pre = fstate.mu_R if fstate is not None else config.mu0
-            ws, conv, direction = _analyze(ev, it.x, mu, mu_R_pre, config)
+            ws, conv, direction, H = _analyze(ev, it.x, mu, mu_R_pre, config)
             meas = measures(ev, it, direction)
 
             if fstate is None:
@@ -610,7 +610,7 @@ def solve(problem, v0=None, config=None):
                 # the certification search starts at the previous step's shift
                 theta_prev = history[-1].theta if history else 0.0
                 try:
-                    ls = _step(problem, ev, it, ws, conv, direction, fstate, state_F,
+                    ls = _step(problem, ev, H, it, ws, conv, direction, fstate, state_F,
                                merit_here, theta_prev, config, step_fields)
                 except (EvaluationError, LineSearchFailure, QpFailure, QpInternalError) as exc:
                     status, message = _failure_status(exc), str(exc)
@@ -674,5 +674,5 @@ def second_order_certificate(problem, iterate, mu):
     makes the condition vacuous and reports ratio 0.
     """
     ev = evaluate(problem, iterate)
-    ws, _, direction = _analyze(ev, iterate.x, mu, mu, SolverConfig())
+    ws, _, direction, _ = _analyze(ev, iterate.x, mu, mu, SolverConfig())
     return direction.rayleigh, ws, direction.exists

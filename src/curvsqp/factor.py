@@ -12,12 +12,23 @@ KKT matrix second-order-correct: exactly |F| positive and m negative
 eigenvalues.
 
 With no dual rows (m = 0) and a diagonal H_F, every pivot column is
-zero, so the elimination only orders the pivots; stage1_factorize then
-replays it as one permutation (_diagonal_pivots), with the same bits as
-the loop. diagonal_entries is the test for such a matrix; the Hessian
-certification (driver) and the QP (qpstep) use it too.
+zero, so the elimination only orders the pivots, and the shift, the
+direction, the certification and the QP reduce to elementwise work. The
+driver decides this once per iteration, with diagonal_entries on the
+full Hessian, and then hands every step H's diagonal as a 1-D array: a
+1-D H_F, K, A, S, H_tilde or G stands for the diagonal matrix it holds,
++0.0 off the diagonal, and no n x n array is built for it. build_kkt
+keeps K as its diagonal, stage1_factorize replays the elimination as one
+permutation (_diagonal_pivots) and keeps A and S as diagonals with no L,
+and convexify, curvature.extract_direction, apply_shift, the
+certification (driver) and the QP (qpstep) read them as such, with the
+bits of the matrix routes. Where a diagonal is not finite, or its
+symmetrization 0.5 * (d + d) overflows, the function that meets it runs
+the matrix route on diagonal_matrix(d) instead, as diagonal_entries
+declined such a matrix.
 """
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -25,10 +36,15 @@ import numpy as np
 from .errors import FactorizationBreakdown
 
 PIVOT_TAGS = ("H+", "D-", "HD")
+# the largest |d| whose doubling d + d is finite
+_HALF_MAX = 0.5 * sys.float_info.max
 
 
 class KktSystem(NamedTuple):
-    """Free-variable KKT matrix, its sizes and scales; h_scale is max |H_F|."""
+    """Free-variable KKT matrix, its sizes and scales; h_scale is max |H_F|.
+
+    K is 1-D when build_kkt was given a diagonal H_F: its diagonal.
+    """
 
     mu: float
     K: np.ndarray
@@ -39,26 +55,33 @@ class KktSystem(NamedTuple):
 
 
 def build_kkt(H_F, J_F, mu):
-    """Assemble [[H_F, J_F.T], [J_F, -mu*I]]. mu must be positive."""
+    """Assemble [[H_F, J_F.T], [J_F, -mu*I]]. mu must be positive.
+
+    A 1-D H_F is a diagonal, allowed only with no dual rows; K is then
+    the diagonal 0.5 * (H_F + H_F) of the matrix it stands for.
+    """
     H_F = np.asarray(H_F, dtype=float)
     J_F = np.asarray(J_F, dtype=float)
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     nf = H_F.shape[0]
-    if H_F.shape != (nf, nf):
-        raise ValueError("H_F must be square")
     m = J_F.shape[0]
+    if H_F.shape != (nf, nf) and (H_F.shape != (nf,) or m):
+        raise ValueError("H_F must be square, or a diagonal when J_F has no rows")
     if J_F.shape != (m, nf):
         raise ValueError("J_F must have one column per free variable")
-    N = nf + m
-    K = np.zeros((N, N))
-    K[:nf, :nf] = 0.5 * (H_F + H_F.T)
-    K[:nf, nf:] = J_F.T
-    K[nf:, :nf] = J_F
-    # -mu * I: -mu on the diagonal and the -0.0 of -mu * 0.0 off it
-    K[nf:, nf:] = -0.0
-    K.ravel()[nf * (N + 1)::N + 1] = -mu
+    if H_F.ndim == 1:
+        K = 0.5 * (H_F + H_F)
+    else:
+        N = nf + m
+        K = np.zeros((N, N))
+        K[:nf, :nf] = 0.5 * (H_F + H_F.T)
+        K[:nf, nf:] = J_F.T
+        K[nf:, :nf] = J_F
+        # -mu * I: -mu on the diagonal and the -0.0 of -mu * 0.0 off it
+        K[nf:, nf:] = -0.0
+        K.ravel()[nf * (N + 1)::N + 1] = -mu
     return KktSystem(
         mu=mu,
         K=K,
@@ -84,7 +107,9 @@ class Stage1Factor(NamedTuple):
     pivoted, the rest carry the Schur complement S. A is the eliminated
     matrix, whose leading n_piv x n_piv part holds the pivot blocks B on
     its block diagonal. ptype and psize are eliminate's records of the
-    pivots in order: each one's PIVOT_TAGS index and its size.
+    pivots in order: each one's PIVOT_TAGS index and its size. A
+    diagonal factor (of a 1-D K) holds A and S as their diagonals and L
+    as None, for the identity.
     """
 
     kkt: KktSystem
@@ -103,8 +128,10 @@ class Stage1Factor(NamedTuple):
         blocks = []
         off = 0
         for code, size in zip(self.ptype.tolist(), self.psize.tolist()):
-            blocks.append(PivotBlock(values=self.A[off:off + size, off:off + size].copy(),
-                                     tag=PIVOT_TAGS[code], offset=off))
+            # a diagonal factor's pivots are 1x1: its entries, as 1x1 blocks
+            values = (self.A[off:off + size, off:off + size] if self.A.ndim == 2
+                      else self.A[off:off + 1, None])
+            blocks.append(PivotBlock(values=values.copy(), tag=PIVOT_TAGS[code], offset=off))
             off += size
         return tuple(blocks)
 
@@ -153,20 +180,36 @@ def diagonal_entries(A):
     return diag
 
 
-def _diagonal_pivots(A, perm, ptype, psize, tiny):
-    """Stage-1 pivots of a diagonal, C-contiguous A with no dual rows, or None.
+def diagonal_matrix(d):
+    """The square matrix with diagonal d and +0.0 everywhere else."""
+    n = d.shape[0]
+    A = np.zeros((n, n))
+    A.ravel()[::n + 1] = d
+    return A
 
-    None unless diagonal_entries accepts A; else replays eliminate's
-    choices, permutes A and perm once and returns the pivot count k. The
-    loop pivots the values above tiny from the largest down, each time
-    on the first remaining entry equal to it in the current order, and
+
+def finite_or_matrix(A):
+    """A, unless it is a diagonal (1-D) with a non-finite entry: then its matrix.
+
+    The routes that take a diagonal as a vector need it finite, as
+    diagonal_entries does; any other runs the matrix route.
+    """
+    if A.ndim == 1 and not np.logical_and.reduce(np.isfinite(A), None):
+        return diagonal_matrix(A)
+    return A
+
+
+def _diagonal_pivots(d, tiny):
+    """Stage-1 pivots of a finite diagonal d with no dual rows: (vals, order, k).
+
+    Replays eliminate's choices: vals is d in pivot order, order the
+    original index of each position, and k the pivot count. The loop
+    pivots the values above tiny from the largest down, each time on
+    the first remaining entry equal to it in the current order, and
     swaps that entry into place; so one descending sort gives every
     pivot value, and only the position of each is looked up.
     """
-    diag = diagonal_entries(A)
-    if diag is None:
-        return None
-    vals = diag.tolist()
+    vals = d.tolist()
     order = list(range(len(vals)))
     tops = [v for v in vals if v > tiny]
     tops.sort(reverse=True)
@@ -174,12 +217,7 @@ def _diagonal_pivots(A, perm, ptype, psize, tiny):
         j = vals.index(top, k)
         vals[k], vals[j] = vals[j], vals[k]
         order[k], order[j] = order[j], order[k]
-    A.ravel()[::A.shape[0] + 1] = vals
-    perm[:] = perm[order]
-    k = len(tops)
-    ptype[:k] = 0
-    psize[:k] = 1
-    return k
+    return vals, order, len(tops)
 
 
 def eliminate(A, L, perm, ptype, psize, nh, tiny):
@@ -302,11 +340,13 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
 def stage1_factorize(kkt):
     """Run the restricted elimination on a KKT system; S is symmetrized.
 
-    With no dual rows, a matrix that diagonal_entries accepts is
-    factored by _diagonal_pivots instead of eliminate, with the same
-    bits: each Schur update would subtract +0.0, which changes no bit,
-    and each multiplier would be the +0.0 that L already holds. A then
-    stays diagonal, so symmetrizing S changes only its diagonal.
+    A diagonal K (1-D, no dual rows) is factored by _diagonal_pivots
+    instead of eliminate, with the same bits: each Schur update would
+    subtract +0.0, which changes no bit, and each multiplier would be
+    the +0.0 of an identity L. A then stays diagonal, so symmetrizing S
+    changes only its diagonal. A diagonal with an entry that is not
+    finite, or whose doubling overflows, goes through eliminate as its
+    matrix.
 
     Raises FactorizationBreakdown (carrying the partial factor) if dual
     rows remain when no admissible pivot is left; with a positive mu this
@@ -314,31 +354,37 @@ def stage1_factorize(kkt):
     whole dual row.
     """
     N = kkt.n_free + kkt.m
-    A = kkt.K.copy()
+    tiny = 1e-12 * (1.0 + kkt.norm_max)
+    if kkt.K.ndim == 1 and kkt.norm_max <= _HALF_MAX:
+        vals, order, n_piv = _diagonal_pivots(kkt.K, tiny)
+        A = np.array(vals)
+        S = A[n_piv:]
+        S = 0.5 * (S + S)
+        return Stage1Factor(
+            kkt=kkt,
+            perm=np.array(order, dtype=np.int64),
+            L=None,
+            A=A,
+            S=S,
+            n_piv=n_piv,
+            ptype=np.zeros(n_piv, dtype=np.int64),
+            psize=np.ones(n_piv, dtype=np.int64),
+            tiny=tiny,
+        )
+    A = kkt.K.copy() if kkt.K.ndim == 2 else diagonal_matrix(kkt.K)
     L = np.zeros((N, N))
     L.ravel()[::N + 1] = 1.0
     perm = np.arange(N, dtype=np.int64)
     ptype = np.zeros(N, dtype=np.int64)
     psize = np.zeros(N, dtype=np.int64)
-    tiny = 1e-12 * (1.0 + kkt.norm_max)
-    k = None if kkt.m else _diagonal_pivots(A, perm, ptype, psize, tiny)
-    if k is None:
-        n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
-        S = A[n_piv:, n_piv:]
-        S = 0.5 * (S + S.T)
-    else:
-        n_piv = n_blocks = k
-        status = 0
-        # 0.5 * (S + S.T) of a diagonal S, overflow included
-        d = A.diagonal()[k:]
-        S = np.zeros((N - k, N - k))
-        S.ravel()[::N - k + 1] = 0.5 * (d + d)
+    n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
+    S = A[n_piv:, n_piv:]
     factor = Stage1Factor(
         kkt=kkt,
         perm=perm,
         L=L,
         A=A,
-        S=S,
+        S=0.5 * (S + S.T),
         n_piv=n_piv,
         ptype=ptype[:n_blocks],
         psize=psize[:n_blocks],
@@ -369,21 +415,31 @@ def convexify(factor, margin):
     An empty S needs no shift. Otherwise delta = (1 + margin) times the
     max-absolute-row-sum norm of S, which strictly dominates |lambda_min|;
     a small floor keeps a nonempty but numerically zero S from producing
-    a singular shifted matrix.
+    a singular shifted matrix. Of a diagonal S that norm is max |S|: each
+    row sum adds only +0.0 to its diagonal entry.
     """
     S = factor.S
     rows = factor.unpivoted_h.copy()
     rows.sort()
     if S.shape[0] == 0:
         return Convexification(delta=0.0, shifted_rows=rows)
-    norm_inf = float(np.maximum.reduce(np.add.reduce(np.abs(S), 1), None))
+    row_sums = np.abs(S)
+    if S.ndim == 2:
+        row_sums = np.add.reduce(row_sums, 1)
+    norm_inf = float(np.maximum.reduce(row_sums, None))
     delta = max((1.0 + float(margin)) * norm_inf, 1e-8 * (1.0 + factor.kkt.h_scale))
     return Convexification(delta=delta, shifted_rows=rows)
 
 
 def apply_shift(H, rows, delta):
-    """Copy of H with delta added on its diagonal at rows; delta 0 writes nothing."""
+    """Copy of H with delta added on its diagonal at rows; delta 0 writes nothing.
+
+    A 1-D H is a diagonal, and so is the copy.
+    """
     H = np.array(H, dtype=float, copy=True)
     if delta:
-        H[rows, rows] += delta
+        if H.ndim == 2:
+            H[rows, rows] += delta
+        else:
+            H[rows] += delta
     return H

@@ -84,7 +84,8 @@ def norm(x):
 class Evaluation(NamedTuple):
     """All problem quantities at one iterate: f, c, g, J, H.
 
-    H is the Hessian of the Lagrangian f - y'c at the iterate's y.
+    H is the Hessian of the Lagrangian f - y'c at the iterate's y, and
+    h_scale is max |H|, as lagrangian_hessian measured it.
     """
 
     f: float
@@ -92,6 +93,7 @@ class Evaluation(NamedTuple):
     g: np.ndarray
     J: np.ndarray
     H: np.ndarray
+    h_scale: float
 
 
 class MeritTerms(NamedTuple):
@@ -152,15 +154,16 @@ def evaluate(problem, iterate, terms=None):
     x, n, m = iterate.x, problem.n, problem.m
     g = _call(problem, "gradient", (n,), x)
     J = _call(problem, "jacobian", (m, n), x)
-    H = lagrangian_hessian(problem, x, iterate.y)
+    H, h_scale = lagrangian_hessian(problem, x, iterate.y)
     if not (np.logical_and.reduce(np.isfinite(g), None)
             and np.logical_and.reduce(np.isfinite(J), None)):
         raise EvaluationError(f"{problem.name}: non-finite evaluator output")
-    return Evaluation(f=f, c=c, g=g, J=J, H=H)
+    return Evaluation(f=f, c=c, g=g, J=J, H=H, h_scale=h_scale)
 
 
 def lagrangian_hessian(problem, x, y):
-    """Hessian of f - y'c at x, checked for shape, finiteness, symmetry.
+    """(H, max |H|): the Hessian of f - y'c at x, checked for shape,
+    finiteness and symmetry, and the max that tested it.
 
     The only place that asks for problem.hessian: the callback's
     convention is f + y'c, so it is called at -y.
@@ -175,7 +178,7 @@ def lagrangian_hessian(problem, x, y):
     np.abs(asym, out=asym)
     if float(np.maximum.reduce(asym, None, initial=0.0)) > 1e-12 * (1.0 + hnorm):
         raise EvaluationError(f"{problem.name}: H is not symmetric")
-    return H
+    return H, hnorm
 
 
 class DerivativeReport(NamedTuple):
@@ -228,7 +231,7 @@ def check_derivatives(problem, x, y=None, step=1e-5):
 
     hessian_error = rel(H_fd, ev.H)
     if problem.linear_constraints and m:
-        moved = rel(lagrangian_hessian(problem, x, y + 1.0), ev.H)
+        moved = rel(lagrangian_hessian(problem, x, y + 1.0)[0], ev.H)
         hessian_error = float(np.maximum.reduce((hessian_error, moved)))
 
     return DerivativeReport(

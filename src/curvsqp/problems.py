@@ -83,7 +83,7 @@ def _convex_qp():
     # Strictly convex quadratic with one linear constraint. Unique
     # minimizer x = (7/6, 5/6), y = 2/3, objective 1/3; no negative
     # curvature anywhere, so curvature steps must never fire.
-    Q = np.diag([1.0, 2.0])
+    Q = np.array([[1.0, 0.0], [0.0, 2.0]])
     a = np.array([0.5, 0.5])
 
     def f(x):

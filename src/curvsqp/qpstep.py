@@ -11,15 +11,18 @@ The data must be finite: a non-finite grad or x raises QpFailure at
 entry, and so does the first working-set subproblem whose reduced
 residual or step is not finite, with the p reached before it.
 
-A G that factor.diagonal_entries accepts (no equality rows and a
-separable objective) is applied by elementwise product and division
-instead of G @ p and np.linalg.solve, with the same QpStep or QpFailure
-bit for bit: every product of an off-diagonal entry is a signed zero,
-and "+ 0.0" gives zero rows the +0.0 the matrix product gives them. A
-quotient can differ from LAPACK's only in the sign of a zero step entry,
-where the residual is zero; that entry of p is then +0.0 or nonzero (a
-released entry keeps -0.0 only while its residual is grad's nonzero
-entry), so adding the step changes no bit of it either.
+A 1-D G is the diagonal of the matrix it stands for, +0.0 off the
+diagonal; the driver certifies one when the problem has no equality
+rows and a separable objective (factor.diagonal_entries). A finite one
+is applied by elementwise product and division instead of G @ p and
+np.linalg.solve, with the same QpStep or QpFailure bit for bit: every
+product of an off-diagonal entry is a signed zero, and "+ 0.0" gives
+zero rows the +0.0 the matrix product gives them. A quotient can differ
+from LAPACK's only in the sign of a zero step entry, where the residual
+is zero; that entry of p is then +0.0 or nonzero (a released entry
+keeps -0.0 only while its residual is grad's nonzero entry), so adding
+the step changes no bit of it either. A diagonal that is not finite
+runs the matrix route on its matrix (factor.finite_or_matrix).
 """
 
 import math
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QpFailure, QpInternalError
-from .factor import diagonal_entries
+from .factor import finite_or_matrix
 
 
 class QpStep(NamedTuple):
@@ -42,16 +45,17 @@ class QpStep(NamedTuple):
 def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     """Solve the bound-constrained QP for symmetric positive definite G.
 
-    Returns a QpStep. seed_active lists indices pinned at -x[i] in the
-    starting point. Iteration count is capped at 100 * n by default;
-    hitting the cap or non-finite data raises QpFailure, a singular
-    reduced system raises QpInternalError.
+    G is an n x n matrix or, 1-D, a diagonal. Returns a QpStep.
+    seed_active lists indices pinned at -x[i] in the starting point.
+    Iteration count is capped at 100 * n by default; hitting the cap or
+    non-finite data raises QpFailure, a singular reduced system raises
+    QpInternalError.
     """
     G = np.asarray(G, dtype=float)
     grad = np.asarray(grad, dtype=float)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if G.shape != (n, n) or grad.shape != (n,):
+    if G.shape not in ((n, n), (n,)) or grad.shape != (n,):
         raise ValueError("G, grad and x dimensions disagree")
     if max_iterations is None:
         max_iterations = 100 * max(n, 1)
@@ -67,8 +71,9 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
         active[idx] = True
         p[idx] = -x[idx]
 
+    G = finite_or_matrix(G)
     # G's diagonal on the elementwise route, else None
-    diag = diagonal_entries(G)
+    diag = G if G.ndim == 1 else None
     iterations = 0
     # the free indices, with their reduced matrix (its diagonal on the
     # elementwise route) and bounds, are gathered again only after the
@@ -147,5 +152,5 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     z = np.zeros(n)
     a_idx = active.nonzero()[0]
     z[a_idx] = r[a_idx]
-    obj = float(grad @ p + 0.5 * p @ (G @ p))
+    obj = float(grad @ p + 0.5 * p @ ((diag * p + 0.0) if diag is not None else G @ p))
     return QpStep(p=p, z=z, model_decrease=obj, active=a_idx, iterations=iterations)

@@ -32,8 +32,12 @@ def estimate(x, mu, epsilon_a):
 
 
 def restrict_principal(A, ws):
-    """Principal submatrix of A on the free variables (a Hessian block)."""
-    return np.asarray(A).take(ws.free, 0).take(ws.free, 1)
+    """Principal submatrix of A on the free variables (a Hessian block).
+
+    A 1-D A is a diagonal: its free entries are the block's diagonal.
+    """
+    A = np.asarray(A).take(ws.free, 0)
+    return A.take(ws.free, 1) if A.ndim == 2 else A
 
 
 def restrict_columns(A, ws):

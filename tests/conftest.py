@@ -90,7 +90,8 @@ def qp_instances(seed, count):
         H = A @ A.T + (0.1 + rng.uniform()) * np.eye(n) - (J.T @ J) / (2.0 * mu)
         H = 0.5 * (H + H.T)
         ev = Evaluation(
-            f=0.0, c=rng.normal(size=m), g=rng.normal(size=n) * 3.0, J=J, H=H
+            f=0.0, c=rng.normal(size=m), g=rng.normal(size=n) * 3.0, J=J, H=H,
+            h_scale=float(np.max(np.abs(H))),
         )
         x = rng.uniform(0.0, 2.0, size=n)
         x[rng.uniform(size=n) < 0.2] = 0.0

@@ -214,8 +214,11 @@ def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
     QpInternalError once it passes 1e18 * (1 + h_scale) or overflows to
     inf: like the driver's, the grid ends at its largest finite point
     when that limit is inf. Returns the factored matrix and theta; the
-    two routes must agree bit for bit.
+    two routes must agree bit for bit. A 1-D H_tilde, as the driver
+    passes a diagonal Hessian, is the matrix with that diagonal.
     """
+    if H_tilde.ndim == 1:
+        H_tilde = np.diag(H_tilde)
     n = H_tilde.shape[0]
     if bump_rows.size == 0:
         bump_rows = np.arange(n)

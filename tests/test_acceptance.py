@@ -117,7 +117,8 @@ def test_c05_stacked_merit_form_collapses_to_penalized_form():
     """(u, -(1/mu)Ju) quadratic form equals u'(H + J'J/mu)u to 1e-12 relative."""
     for H, J, mu, nu, u in merit_form_instances(105, 500):
         m = J.shape[0]
-        ev = Evaluation(f=0.0, c=np.zeros(m), g=np.zeros(H.shape[0]), J=J, H=H)
+        ev = Evaluation(f=0.0, c=np.zeros(m), g=np.zeros(H.shape[0]), J=J, H=H,
+                        h_scale=float(np.max(np.abs(H))))
         state = merit_state(y_E=np.zeros(m), mu=mu, nu=nu)
         H_M = merit_hessian(ev, state, H)
         w = -(J @ u) / mu

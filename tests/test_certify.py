@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import curvsqp.driver as driver
-from conftest import DIAGONAL_VALUES, spy_on_diagonal_entries
+from conftest import DIAGONAL_VALUES
 from curvsqp.driver import _certification_grid, _certified_hessian
 from curvsqp.errors import QpInternalError
 from reference import certification_grid_reference, certify_reference
@@ -197,7 +197,7 @@ def test_certification_bisects_the_grid(monkeypatch):
 
 
 def diagonal_certify_instances(seed, count):
-    """Yield (H_tilde, J, mu, bump_rows, h_scale) with a diagonal H_tilde and m = 0.
+    """Yield (d, J, mu, bump_rows, h_scale): a diagonal H_tilde as its vector d, m = 0.
 
     Entries come from DIAGONAL_VALUES. Kinds rotate through positive
     rows outside a random bump subset (theta anywhere on the grid), any
@@ -220,21 +220,23 @@ def diagonal_certify_instances(seed, count):
             if kind == 0:
                 free = np.setdiff1d(np.arange(n), bump)
                 d[free] = rng.choice(values[values > 0.0], size=free.size)
-        yield np.diag(d), np.zeros((0, n)), 1.0, bump, float(rng.choice([1.0, 3.0, 1.7e290, 1.7e308]))
+        yield d, np.zeros((0, n)), 1.0, bump, float(rng.choice([1.0, 3.0, 1.7e290, 1.7e308]))
 
 
 def _certify_outcome(fn, *args):
-    """(theta, dtype, shape, bytes[, attempts]) of a certification, or the error's type."""
+    """(theta, dtype, shape, bytes[, attempts]) of a certification, or the error's type.
+
+    A diagonal G, returned as its vector, is read as its matrix.
+    """
     try:
         out = fn(*args)
     except QpInternalError as exc:
         return type(exc).__name__
-    return (float(out[1]), out[0].dtype.str, out[0].shape, out[0].tobytes()) + tuple(out[2:])
+    G = np.diag(out[0]) if out[0].ndim == 1 else out[0]
+    return (float(out[1]), G.dtype.str, G.shape, G.tobytes()) + tuple(out[2:])
 
 
-def test_diagonal_certification_matches_the_reference_and_cholesky(monkeypatch):
-    """The sign test finds Cholesky's theta, matrix and attempt count from every start."""
-    took = spy_on_diagonal_entries(monkeypatch, driver)
+def _counted_cholesky(monkeypatch):
     cholesky = np.linalg.cholesky
     calls = []
 
@@ -243,23 +245,28 @@ def test_diagonal_certification_matches_the_reference_and_cholesky(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def test_diagonal_certification_matches_the_reference_and_cholesky(monkeypatch):
+    """The sign test finds Cholesky's theta, matrix and attempt count from every start."""
+    calls = _counted_cholesky(monkeypatch)
     fast = []
     thetas = []
     with np.errstate(over="ignore"):
-        for H, J, mu, bump, h_scale in diagonal_certify_instances(42, 300):
+        for d, J, mu, bump, h_scale in diagonal_certify_instances(42, 300):
+            H = np.diag(d)
             ref = _certify_outcome(certify_reference, H, J, mu, bump, h_scale)
             answer = _grid_index(ref[0], h_scale) if isinstance(ref, tuple) else 0
             for start in _starts(answer, h_scale):
-                took.clear()
                 calls.clear()
-                args = (H, J, mu, bump, h_scale, start)
-                out = _certify_outcome(_certified_hessian, *args)
+                out = _certify_outcome(_certified_hessian, d, J, mu, bump, h_scale, start)
                 assert (out if isinstance(out, str) else out[:4]) == ref, start
-                assert len(took) == 1 and took[0] == (not calls)
-                fast.append((args, out, took[0]))
+                # the diagonal route calls no Cholesky; a base whose
+                # symmetrization overflows runs it on its matrix
+                fast.append(((H, J, mu, bump, h_scale, start), out, not calls))
             thetas.append(ref if isinstance(ref, str) else answer)
-        # the Cholesky route makes the same attempts
-        monkeypatch.setattr(driver, "diagonal_entries", lambda A: None)
+        # the same certification of the matrix makes the same attempts
         for args, out, _ in fast:
             assert _certify_outcome(_certified_hessian, *args) == out
     # the family must reach the sign test, the Cholesky route (a base
@@ -272,27 +279,27 @@ def test_diagonal_certification_matches_the_reference_and_cholesky(monkeypatch):
 
 
 def test_off_diagonal_certification_runs_cholesky(monkeypatch):
-    """A nonzero or -0.0 off-diagonal pair, or a NaN or inf diagonal, declines the sign test."""
-    took = spy_on_diagonal_entries(monkeypatch, driver)
+    """A nonzero or -0.0 off-diagonal pair, or a NaN or inf on a diagonal, runs Cholesky."""
+    calls = _counted_cholesky(monkeypatch)
     cases = 0
     with np.errstate(all="ignore"):
-        for H, J, mu, bump, h_scale in diagonal_certify_instances(43, 120):
-            n = H.shape[0]
+        for d, J, mu, bump, h_scale in diagonal_certify_instances(43, 120):
+            n = d.shape[0]
             controls = []
             if n > 1:
                 for off in (1e-3, -0.0):
-                    C = H.copy()
+                    C = np.diag(d)
                     C[0, -1] = C[-1, 0] = off
-                    controls.append(C)
+                    controls.append((C, C))
             for bad in (np.nan, np.inf, -np.inf):
-                C = H.copy()
-                C[-1, -1] = bad
-                controls.append(C)
-            for C in controls:
-                took.clear()
+                c = d.copy()
+                c[-1] = bad
+                controls.append((c, np.diag(c)))
+            for C, matrix in controls:
+                calls.clear()
                 out = _certify_outcome(_certified_hessian, C, J, mu, bump, h_scale)
-                ref = _certify_outcome(certify_reference, C, J, mu, bump, h_scale)
+                assert calls
+                ref = _certify_outcome(certify_reference, matrix, J, mu, bump, h_scale)
                 assert (out if isinstance(out, str) else out[:4]) == ref
-                assert took == [False]
                 cases += 1
     assert cases > 400

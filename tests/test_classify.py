@@ -48,6 +48,7 @@ def test_measure_formulas_weigh_eta_and_omega():
         g=np.array([0.5]),
         J=np.array([[0.0]]),
         H=np.array([[-2.0]]),
+        h_scale=2.0,
     )
     it = make_iterate([0.0], [0.0])
     d = no_direction(1, 1)
@@ -75,6 +76,7 @@ def test_first_order_point_without_curvature_scores_zero_omega():
         g=np.array([2.0]),
         J=np.array([[2.0]]),
         H=np.eye(1),
+        h_scale=1.0,
     )
     it = make_iterate([1.0], [1.0])
     m = measures(ev, it, no_direction(1, 1))

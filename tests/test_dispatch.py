@@ -36,7 +36,7 @@ WRAPPERS = {
     "numpy." + name
     for name in ("max", "min", "amax", "amin", "any", "all", "sum", "argmax", "argmin",
                  "flatnonzero", "linalg.norm", "eye", "fill_diagonal", "clip", "sort",
-                 "searchsorted", "unravel_index")
+                 "searchsorted", "unravel_index", "diag", "diagflat", "diagonal")
 }
 # ndarray methods that forward to a Python function before their ufunc
 METHODS = ("max", "min", "sum", "prod", "all", "any", "mean", "clip")
@@ -132,6 +132,9 @@ def test_module_calls_no_numpy_wrapper(module):
         ("import numpy as np\nrows = np.sort(perm[k:])\n", "numpy.sort"),
         ("import numpy as xp\nk = xp.searchsorted(grid, t)\n", "numpy.searchsorted"),
         ("import numpy as np\nq, r = np.unravel_index(flat, S.shape)\n", "numpy.unravel_index"),
+        ("import numpy as np\nK = np.diag(d)\n", "numpy.diag"),
+        ("import numpy\nA = numpy.diagflat(d)\n", "numpy.diagflat"),
+        ("from numpy import diagonal\n", "numpy.diagonal"),
     ],
 )
 def test_the_lint_sees_each_spelling(source, name):
@@ -173,6 +176,7 @@ def test_the_lint_passes_ufunc_reductions():
         "d = max(a, b) + min(a, b) + math.prod(v) + x.argmax() + x.dot(x)\n"
         "e = mask.nonzero()[0]\n"
         "K.ravel()[::n + 1] = -mu\n"
+        "f = K.diagonal() + K.ravel()[::n + 1]\n"
     )
     assert wrapper_uses(source) == []
     assert method_calls(source) == []

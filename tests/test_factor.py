@@ -37,6 +37,12 @@ def test_build_kkt_validation():
         build_kkt(HAND_H, np.zeros((1, 3)), 1.0)
     with pytest.raises(ValueError):
         build_kkt(np.zeros((2, 3)), HAND_J, 1.0)
+    # a diagonal H_F takes no dual rows, and must have one entry per column
+    with pytest.raises(ValueError, match="diagonal"):
+        build_kkt(np.ones(2), HAND_J, 1.0)
+    with pytest.raises(ValueError):
+        build_kkt(np.ones(3), np.zeros((0, 2)), 1.0)
+    assert build_kkt(np.ones(2), np.zeros((0, 2)), 1.0).K.tolist() == [1.0, 1.0]
 
 
 def test_stage1_hand_schur_complement():

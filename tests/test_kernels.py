@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import curvsqp.driver as driver
 import curvsqp.factor as factor
-import curvsqp.qpstep as qpstep
 from conftest import kkt_instances, scaled_kkt_instances, spy_on_diagonal_entries
-from curvsqp.driver import solve
-from curvsqp.factor import build_kkt, eliminate, stage1_factorize
+from curvsqp.curvature import extract_direction
+from curvsqp.driver import second_order_certificate, solve
+from curvsqp.factor import (build_kkt, convexify, diagonal_entries, diagonal_matrix, eliminate,
+                            stage1_factorize)
 from curvsqp.model import NlpProblem, make_iterate
 from curvsqp.problems import get_problem
+from curvsqp.workset import estimate, restrict_principal
 from reference import stage1_reference
 
 
@@ -138,65 +142,53 @@ def diagonal_kkt_instances(seed, count):
         yield np.diag(d), np.zeros((0, nf)), float(10.0 ** rng.uniform(-3.0, 0.0))
 
 
-def _spy_on_diagonal_pivots(monkeypatch):
-    """Record, per call of factor._diagonal_pivots, whether it took the path."""
-    took = []
-    original = factor._diagonal_pivots
+def _stage1_of_diagonal(d, mu):
+    """stage1_factorize of the diagonal d, given as a vector, against the
+    reference elimination of its matrix, bit for bit.
 
-    def spy(*args):
-        k = original(*args)
-        took.append(k is not None)
-        return k
-
-    monkeypatch.setattr(factor, "_diagonal_pivots", spy)
-    return took
-
-
-def _compare_factorization(H, J, mu):
-    """stage1_factorize against the reference elimination, bit for bit.
-
-    A, L, perm and the pivot records must be the reference's, and S the
-    symmetrized trailing block of the reference's A.
+    A diagonal factor must hold the reference's A and S as their
+    diagonals, +0.0 being all the reference holds off them, and stands
+    for the identity L; a factor that ran the loop must match as it is.
     """
-    ins = _stage1_inputs(H, J, mu)
+    n = d.shape[0]
+    J = np.zeros((0, n))
+    ins = _stage1_inputs(np.diag(d), J, mu)
     k, npiv, _ = stage1_reference(*ins)
     A, L, perm, ptype, psize = ins[:5]
-    got = stage1_factorize(build_kkt(H, J, mu))
+    got = stage1_factorize(build_kkt(d, J, mu))
+    got_A, got_L, got_S = got.A, got.L, got.S
+    if got_A.ndim == 1:
+        assert got_L is None and got_S.ndim == 1
+        got_A, got_L, got_S = diagonal_matrix(got_A), np.eye(n), diagonal_matrix(got_S)
     assert (got.n_piv, got.ptype.size) == (k, npiv)
-    for a, b in ((got.A, A), (got.L, L), (got.perm, perm), (got.ptype, ptype[:npiv]),
+    for a, b in ((got_A, A), (got_L, L), (got.perm, perm), (got.ptype, ptype[:npiv]),
                  (got.psize, psize[:npiv])):
         _assert_bitwise_equal(a, b)
     S = A[k:, k:]
-    _assert_bitwise_equal(got.S, 0.5 * (S + S.T))
+    _assert_bitwise_equal(got_S, 0.5 * (S + S.T))
     return got
 
 
-def test_diagonal_systems_without_dual_rows_take_the_permutation(monkeypatch):
-    took = _spy_on_diagonal_pivots(monkeypatch)
+def test_diagonal_systems_without_dual_rows_take_the_permutation():
     instances = list(diagonal_kkt_instances(35, 600))
     for H, J, mu in instances:
-        took.clear()
-        _compare_factorization(H, J, mu)
-        assert took == [True]
-    # controls: a nonzero and a -0.0 off-diagonal pair, a NaN and an inf
-    # diagonal; each must run the loop
+        got = _stage1_of_diagonal(H.diagonal().copy(), mu)
+        assert got.A.ndim == 1
+        # the pivot blocks read off a diagonal factor are its 1x1 entries
+        blocks = got.blocks
+        assert [(b.values.shape, b.tag, b.offset) for b in blocks] == \
+            [((1, 1), "H+", i) for i in range(got.n_piv)]
+        assert [b.values[0, 0] for b in blocks] == got.A[:got.n_piv].tolist()
+    # controls: a NaN and an inf diagonal must run the loop on its matrix
     controls = []
     for H, J, mu in instances[:200]:
-        if H.shape[0] < 2:
-            continue
-        for off in (1e-3, -0.0):
-            C = H.copy()
-            C[0, -1] = C[-1, 0] = off
-            controls.append((C, J, mu))
         for bad in (np.nan, np.inf, -np.inf):
-            C = H.copy()
-            C[-1, -1] = bad
-            controls.append((C, J, mu))
+            d = H.diagonal().copy()
+            d[-1] = bad
+            controls.append((d, mu))
     with np.errstate(all="ignore"):
-        for H, J, mu in controls:
-            took.clear()
-            _compare_factorization(H, J, mu)
-            assert took == [False]
+        for d, mu in controls:
+            assert _stage1_of_diagonal(d, mu).A.ndim == 2
 
 
 @pytest.mark.parametrize(
@@ -210,26 +202,58 @@ def test_diagonal_systems_without_dual_rows_take_the_permutation(monkeypatch):
         ([1.0, 3.0, 1.0, 2.0], [1, 3, 2, 0]),
     ],
 )
-def test_the_permutation_takes_ties_in_the_order_the_loop_does(monkeypatch, d, perm):
-    took = _spy_on_diagonal_pivots(monkeypatch)
-    got = _compare_factorization(np.diag(d), np.zeros((0, len(d))), 1.0)
-    assert took == [True]
+def test_the_permutation_takes_ties_in_the_order_the_loop_does(d, perm):
+    got = _stage1_of_diagonal(np.array(d), 1.0)
+    assert got.A.ndim == 1
     assert got.perm.tolist() == perm
 
 
-def test_the_permutation_symmetrizes_s_with_its_overflow(monkeypatch):
+def test_a_diagonal_whose_doubling_overflows_takes_the_loop():
     # build_kkt's own symmetrization would overflow first, so K is set
     # directly; its threshold 1e-12 * (1 + 1.7e308) admits no pivot, and
-    # S + S.T overflows on the -1.7e308 diagonal entry
-    K = np.diag([2.0, -1.7e308, 1.0])
-    kkt = build_kkt(np.eye(3), np.zeros((0, 3)), 1.0)._replace(K=K, norm_max=1.7e308)
-    took = _spy_on_diagonal_pivots(monkeypatch)
+    # S + S.T overflows on the -1.7e308 diagonal entry, so the loop runs
+    # on the matrix and symmetrizes S as it always did
+    d = np.array([2.0, -1.7e308, 1.0])
+    kkt = build_kkt(np.ones(3), np.zeros((0, 3)), 1.0)._replace(K=d, norm_max=1.7e308)
     with pytest.warns(RuntimeWarning, match="overflow"):
         got = stage1_factorize(kkt)
-    assert took == [True]
-    with np.errstate(over="ignore"):
-        _assert_bitwise_equal(got.S, 0.5 * (K + K.T))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        matrix = stage1_factorize(kkt._replace(K=diagonal_matrix(d)))
+    assert got.A.ndim == 2
+    for a, b in ((got.A, matrix.A), (got.L, matrix.L), (got.S, matrix.S), (got.perm, matrix.perm)):
+        _assert_bitwise_equal(a, b)
     assert got.S.diagonal().tolist() == [2.0, -np.inf, 1.0]
+
+
+def test_the_shift_and_direction_of_a_diagonal_factor_are_the_loops():
+    """convexify and extract_direction read a diagonal factor with the bits of its matrix.
+
+    The instances' diagonals tie often (|S| too), so the direction must
+    come from the first largest |S| in pivot order, as the matrix's
+    row-major search finds it; half of them put the first variable on
+    its bound, so the direction is embedded around an active entry.
+    """
+    directions = 0
+    for i, (H, J, mu) in enumerate(diagonal_kkt_instances(36, 600)):
+        n = H.shape[0]
+        x = np.ones(n)
+        x[0] = 0.0 if i % 2 and n > 1 else 1.0
+        ws = estimate(x, 0.5, 1e-2)
+        d = H.diagonal().copy()
+        got = stage1_factorize(build_kkt(restrict_principal(d, ws), J[:, ws.free], mu))
+        matrix = stage1_factorize(build_kkt(restrict_principal(H, ws), J[:, ws.free], mu))
+        assert got.L is None and matrix.L is not None
+        shift, shift_m = convexify(got, 0.5), convexify(matrix, 0.5)
+        assert repr(shift.delta) == repr(shift_m.delta)
+        _assert_bitwise_equal(shift.shifted_rows, shift_m.shifted_rows)
+        u, u_m = extract_direction(got, ws, H, J), extract_direction(matrix, ws, H, J)
+        assert (u.exists, u.pivot_indices) == (u_m.exists, u_m.pivot_indices)
+        assert repr((u.curvature_B, u.rayleigh, u.rho)) == \
+            repr((u_m.curvature_B, u_m.rayleigh, u_m.rho))
+        _assert_bitwise_equal(u.u_hat, u_m.u_hat)
+        _assert_bitwise_equal(u.w_hat, u_m.w_hat)
+        directions += u.exists
+    assert directions > 200
 
 
 def _separable_cosine(seed, n=6):
@@ -250,37 +274,155 @@ def _separable_cosine(seed, n=6):
     return problem, make_iterate(x0, np.zeros(0))
 
 
-def test_the_permutation_changes_no_record(monkeypatch):
-    """A solve that takes the diagonal path keeps every record of the loop."""
+def _diagonal_cases():
+    """Three seeded n = 6 separable cosines and cosine-saddle."""
     cases = [_separable_cosine(seed) for seed in range(3)]
     cases.append((get_problem("cosine-saddle"), None))
-    took = _spy_on_diagonal_pivots(monkeypatch)
-    fast = []
-    for problem, v0 in cases:
-        took.clear()
-        fast.append(solve(problem, v0))
-        assert took and all(took)
-    monkeypatch.setattr(factor, "_diagonal_pivots", lambda *args: None)
-    for (problem, v0), result in zip(cases, fast):
-        assert len(result.history) > 1
-        assert solve(problem, v0).history == result.history
+    return cases
+
+
+def _spy_on_stage1(monkeypatch):
+    """Record, per stage1_factorize call, whether its factor is a diagonal one."""
+    took = []
+    original = factor.stage1_factorize
+
+    def spy(kkt):
+        got = original(kkt)
+        took.append(got.L is None)
+        return got
+
+    monkeypatch.setattr(driver, "stage1_factorize", spy)
+    return took
+
+
+def _records(history):
+    """Every field of every record, floats by repr, so NaN and -0.0 count too."""
+    return [repr(dataclasses.astuple(rec)) for rec in history]
+
+
+def _decline(monkeypatch):
+    """Switch the diagonal route off: the driver's one test declines."""
+    monkeypatch.setattr(driver, "diagonal_entries", lambda A: None)
 
 
 def test_the_diagonal_routes_change_no_record(monkeypatch):
-    """Sign tests and quotients keep every record of the matrix routes."""
-    cases = [_separable_cosine(seed) for seed in range(3)]
-    cases.append((get_problem("cosine-saddle"), None))
-    modules = (factor, driver, qpstep)
-    spies = [spy_on_diagonal_entries(monkeypatch, module) for module in modules]
+    """One diagonal test per iteration; the vectors keep every record of the matrix routes."""
+    took = spy_on_diagonal_entries(monkeypatch, driver)
+    stage1 = _spy_on_stage1(monkeypatch)
     fast = []
-    for problem, v0 in cases:
-        for took in spies:
-            took.clear()
-        fast.append(solve(problem, v0))
-        # every route accepts the diagonal matrices of these solves
-        assert all(took and all(took) for took in spies)
-    for module in modules:
-        monkeypatch.setattr(module, "diagonal_entries", lambda A: None)
-    for (problem, v0), result in zip(cases, fast):
+    for problem, v0 in _diagonal_cases():
+        took.clear()
+        stage1.clear()
+        result = solve(problem, v0)
+        fast.append(result)
+        # the driver's one decision, once per iteration, and stage 1 on
+        # its diagonal every time
         assert len(result.history) > 1
-        assert solve(problem, v0).history == result.history
+        assert took == [True] * len(result.history)
+        assert stage1 == took
+    _decline(monkeypatch)
+    for (problem, v0), result in zip(_diagonal_cases(), fast):
+        stage1.clear()
+        assert _records(solve(problem, v0).history) == _records(result.history)
+        assert stage1 and not any(stage1)
+
+
+def test_the_certificate_takes_the_diagonal_route_bit_for_bit(monkeypatch):
+    """second_order_certificate at each point of the solves, with and without the route."""
+    points = []
+    for problem, v0 in _diagonal_cases():
+        result = solve(problem, v0)
+        points += [(problem, make_iterate(rec.x, rec.y)) for rec in result.history]
+        points.append((problem, result.iterate))
+    took = spy_on_diagonal_entries(monkeypatch, driver)
+    fast = []
+    for problem, point in points:
+        took.clear()
+        fast.append(second_order_certificate(problem, point, 0.1))
+        assert took == [True]
+    _decline(monkeypatch)
+    for (problem, point), (ratio, ws, exists) in zip(points, fast):
+        ratio_m, ws_m, exists_m = second_order_certificate(problem, point, 0.1)
+        assert repr((ratio_m, exists_m)) == repr((ratio, exists))
+        assert ws_m.active.tobytes() == ws.active.tobytes()
+    # the points include saddles with a direction and minimizers without
+    assert {exists for _, _, exists in fast} == {True, False}
+
+
+def _diagonal_with(d, off=None):
+    """An unconstrained quadratic 1/2 sum(d_i x_i^2) - sum(x_i) with Hessian diag(d),
+    started at x = 1; off, when given, is the (0, 1) and (1, 0) Hessian entry."""
+    d = np.array(d)
+    H = np.diag(d)
+    if off is not None:
+        H[0, 1] = H[1, 0] = off
+    n = d.shape[0]
+    problem = NlpProblem(
+        name="diagonal-quadratic",
+        n=n,
+        m=0,
+        objective=lambda x: float(0.5 * (d * x) @ x - np.add.reduce(x)),
+        gradient=lambda x: d * x - 1.0,
+        constraints=lambda x: np.zeros(0),
+        jacobian=lambda x: np.zeros((0, n)),
+        hessian=lambda x, y: H.copy(),
+        x0=np.ones(n),
+    )
+    return problem
+
+
+def test_the_diagonal_test_declines_off_diagonal_and_non_finite_entries():
+    instances = list(diagonal_kkt_instances(37, 200))
+    for H, _, _ in instances:
+        diag = diagonal_entries(H)
+        assert diag.tobytes() == H.diagonal().tobytes()
+    declined = 0
+    for H, _, _ in instances:
+        controls = []
+        if H.shape[0] > 1:
+            for off in (1e-3, -0.0, np.nan):
+                C = H.copy()
+                C[0, -1] = C[-1, 0] = off
+                controls.append(C)
+        for bad in (np.nan, np.inf, -np.inf):
+            C = H.copy()
+            C[-1, -1] = bad
+            controls.append(C)
+        for C in controls:
+            assert diagonal_entries(C) is None
+            declined += 1
+    assert declined > 800
+
+
+@pytest.mark.parametrize("off, takes", [(None, True), (-0.0, False), (1e-3, False)],
+                         ids=["overflowing-diagonal", "negative-zero-pair", "coupled-pair"])
+def test_declined_and_overflowing_diagonals_keep_the_matrix_bits(monkeypatch, off, takes):
+    """1.7e308 on H's diagonal overflows 0.5 * (d + d): the functions that
+    meet it fall back to the matrix route. A -0.0 or nonzero off-diagonal
+    pair makes the driver's test decline. Either way the records are the
+    matrix route's."""
+    problem = _diagonal_with([1.7e308, 2.0, -1.0], off)
+    took = spy_on_diagonal_entries(monkeypatch, driver)
+    stage1 = _spy_on_stage1(monkeypatch)
+    lapack = []
+    for name in ("cholesky", "solve"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, name=name, original=original):
+            lapack.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    with np.errstate(all="ignore"):
+        fast = solve(problem)
+        assert took == [takes] * len(fast.history)
+        # stage 1 never sees the diagonal route: 0.5 * (d + d) overflows
+        assert stage1 and not any(stage1)
+        fast_lapack = lapack[:]
+        lapack.clear()
+        _decline(monkeypatch)
+        slow = solve(problem)
+    # the certification and the QP called LAPACK as the matrix routes do
+    assert fast_lapack == lapack and "cholesky" in lapack and "solve" in lapack
+    assert (fast.status, fast.message) == (slow.status, slow.message)
+    assert _records(fast.history) == _records(slow.history)

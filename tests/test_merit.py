@@ -27,7 +27,8 @@ def _state(y_E, mu, **kw):
 
 def _synthetic_eval(H, J):
     m, n = J.shape
-    return Evaluation(f=0.0, c=np.zeros(m), g=np.zeros(n), J=J, H=H)
+    return Evaluation(f=0.0, c=np.zeros(m), g=np.zeros(n), J=J, H=H,
+                      h_scale=float(np.max(np.abs(H), initial=0.0)))
 
 
 def test_value_reduces_to_objective_on_feasible_match():
@@ -136,7 +137,8 @@ def test_condensed_model_is_the_stacked_model_least_over_q():
     rng = np.random.default_rng(78)
     for H, J, mu, nu, p in merit_form_instances(78, 200):
         m, n = J.shape
-        ev = Evaluation(f=0.0, c=rng.normal(size=m), g=rng.normal(size=n), J=J, H=H)
+        ev = Evaluation(f=0.0, c=rng.normal(size=m), g=rng.normal(size=n), J=J, H=H,
+                        h_scale=float(np.max(np.abs(H))))
         it = make_iterate(np.ones(n), rng.normal(size=m))
         state = merit_state(y_E=rng.normal(size=m), mu=mu, nu=nu)
         grad, constant = condense(ev, it, state)

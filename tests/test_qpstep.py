@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-import curvsqp.qpstep as qpstep
 from conftest import (
     DIAGONAL_VALUES,
     DEFAULTS,
     condensed_step,
     merit_state,
     qp_instances,
-    spy_on_diagonal_entries,
     stacked_reference,
 )
 from curvsqp.errors import QpFailure, QpInternalError
@@ -50,7 +48,8 @@ def test_seeded_bound_is_released():
 
 def _model(H, J, g, c, y, mu, nu, x):
     ev = Evaluation(f=0.0, c=np.array(c, dtype=float), g=np.array(g, dtype=float),
-                    J=np.array(J, dtype=float), H=np.array(H, dtype=float))
+                    J=np.array(J, dtype=float), H=np.array(H, dtype=float),
+                    h_scale=float(np.max(np.abs(H))))
     state = merit_state(y_E=np.zeros(len(c)), mu=mu, nu=nu)
     return ev, make_iterate(x, y), state
 
@@ -213,9 +212,7 @@ def diagonal_qp_instances(seed, count):
         yield G, grad, x, np.flatnonzero(rng.uniform(size=n) < 0.4)
 
 
-def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
-    """Products and quotients give the QpStep, or the error, of G @ p and LAPACK."""
-    took = spy_on_diagonal_entries(monkeypatch, qpstep)
+def _counted_solve(monkeypatch):
     lapack = np.linalg.solve
     solves = []
 
@@ -224,15 +221,20 @@ def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
         return lapack(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
+    return solves
+
+
+def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
+    """Products and quotients give the QpStep, or the error, of G @ p and LAPACK."""
+    solves = _counted_solve(monkeypatch)
     kinds = {"divided": 0, "not finite": 0, "at entry": 0, "singular": 0}
     fast = []
     with np.errstate(all="ignore"):
         for G, grad, x, seed in diagonal_qp_instances(63, 1500):
-            took.clear()
             solves.clear()
-            out = _qp_outcome(solve_qp, G, grad, x, seed_active=seed)
+            out = _qp_outcome(solve_qp, G.diagonal().copy(), grad, x, seed_active=seed)
             # the elementwise route never calls LAPACK
-            assert solves == [] and took in ([], [True])
+            assert solves == []
             assert out == _qp_outcome(qp_reference, G, grad, x, seed_active=seed)
             fast.append((G, grad, x, seed, out))
             if out[0] == "QpInternalError":
@@ -241,7 +243,7 @@ def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
                 kinds["at entry" if out[2] is None else "not finite"] += 1
             else:
                 kinds["divided"] += 1
-        monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
+        # the same QP on the matrix
         for G, grad, x, seed, out in fast:
             assert _qp_outcome(solve_qp, G, grad, x, seed_active=seed) == out
     # the family must reach every outcome: a QpStep from the quotients
@@ -253,57 +255,50 @@ def test_diagonal_qp_matches_the_matrix_route_and_the_reference(monkeypatch):
 
 def test_non_finite_data_fails_at_entry_on_both_routes(monkeypatch):
     """A NaN in x or an inf in grad raises QpFailure before the first iteration."""
-    took = spy_on_diagonal_entries(monkeypatch, qpstep)
-    G, grad, x = np.diag([2.0, 1.0, 3.0]), np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.0, 2.0])
+    solves = _counted_solve(monkeypatch)
+    d, grad, x = np.array([2.0, 1.0, 3.0]), np.array([1.0, -2.0, 0.5]), np.array([1.0, 0.0, 2.0])
     bad_x, bad_grad = x.copy(), grad.copy()
     bad_x[1] = np.nan
     bad_grad[2] = np.inf
     cases = [(grad, bad_x, None), (bad_grad, x, None), (bad_grad, x, [1]), (-bad_grad, bad_x, [0])]
     expected = ("QpFailure", "non-finite gradient or bound", None)
     for g, xx, seed in cases:
-        took.clear()
-        assert _qp_outcome(solve_qp, G, g, xx, seed_active=seed) == expected
-        # the route is never chosen: no iteration ran
-        assert took == []
-    monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
-    for g, xx, seed in cases:
-        assert _qp_outcome(solve_qp, G, g, xx, seed_active=seed) == expected
-        assert _qp_outcome(qp_reference, G, g, xx, seed_active=seed) == expected
+        for G in (d, np.diag(d)):
+            assert _qp_outcome(solve_qp, G, g, xx, seed_active=seed) == expected
+        assert _qp_outcome(qp_reference, np.diag(d), g, xx, seed_active=seed) == expected
+    # no iteration ran
+    assert solves == []
 
 
-def test_an_overflowing_quotient_keeps_the_last_finite_p(monkeypatch):
+def test_an_overflowing_quotient_keeps_the_last_finite_p():
     """A subnormal diagonal under an O(1) residual ends in QpFailure, on both routes."""
     # x1 is freed by its multiplier once x0 has taken its unit Newton
     # step; the subproblem over both then divides 1 by 5e-324
-    G, grad, x = np.diag([1.0, 5e-324]), np.array([-1.0, -1.0]), np.array([0.5, 1.0])
+    d, grad, x = np.array([1.0, 5e-324]), np.array([-1.0, -1.0]), np.array([0.5, 1.0])
     expected = ("QpFailure", "non-finite residual or step in a working-set subproblem",
                 np.array([1.0, -1.0]).tobytes())
-    took = spy_on_diagonal_entries(monkeypatch, qpstep)
-    assert _qp_outcome(solve_qp, G, grad, x, seed_active=[1]) == expected
-    assert took == [True]
-    monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
-    assert _qp_outcome(solve_qp, G, grad, x, seed_active=[1]) == expected
-    assert _qp_outcome(qp_reference, G, grad, x, seed_active=[1]) == expected
+    assert _qp_outcome(solve_qp, d, grad, x, seed_active=[1]) == expected
+    assert _qp_outcome(solve_qp, np.diag(d), grad, x, seed_active=[1]) == expected
+    assert _qp_outcome(qp_reference, np.diag(d), grad, x, seed_active=[1]) == expected
 
 
-def test_an_overflowing_ratio_never_blocks(monkeypatch):
+def test_an_overflowing_ratio_never_blocks():
     """A subnormal step entry gives an inf ratio, with no warning, on both routes."""
     # x1's ratio (-1 - 0) / -1e-310 overflows; the full Newton step stands
-    G, grad, x = np.eye(2), np.array([1.0, 1e-310]), np.array([2.0, 1.0])
-    took = spy_on_diagonal_entries(monkeypatch, qpstep)
-    step = solve_qp(G, grad, x, tol=DEFAULTS.qp_tol)
-    assert took == [True]
+    grad, x = np.array([1.0, 1e-310]), np.array([2.0, 1.0])
+    step = solve_qp(np.ones(2), grad, x, tol=DEFAULTS.qp_tol)
     assert step.p.tobytes() == (-grad).tobytes() and step.active.size == 0
-    expected = _qp_outcome(solve_qp, G, grad, x)
-    monkeypatch.setattr(qpstep, "diagonal_entries", lambda A: None)
-    assert _qp_outcome(solve_qp, G, grad, x) == expected
-    assert _qp_outcome(qp_reference, G, grad, x) == expected
+    expected = _qp_outcome(solve_qp, np.ones(2), grad, x)
+    assert _qp_outcome(solve_qp, np.eye(2), grad, x) == expected
+    assert _qp_outcome(qp_reference, np.eye(2), grad, x) == expected
 
 
 def test_off_diagonal_qp_runs_the_matrix_route(monkeypatch):
-    """A nonzero or -0.0 off-diagonal pair, or a NaN or inf diagonal, keeps G @ p and LAPACK."""
-    took = spy_on_diagonal_entries(monkeypatch, qpstep)
+    """A nonzero or -0.0 off-diagonal pair keeps G @ p and LAPACK, and so does
+    a diagonal with a NaN or inf entry, which runs on its matrix."""
+    solves = _counted_solve(monkeypatch)
     cases = 0
+    lapack_calls = 0
     with np.errstate(all="ignore"):
         for G, grad, x, seed in diagonal_qp_instances(64, 200):
             n = G.shape[0]
@@ -313,15 +308,20 @@ def test_off_diagonal_qp_runs_the_matrix_route(monkeypatch):
                 for off in (1e-3, -0.0):
                     C = G.copy()
                     C[0, -1] = C[-1, 0] = off
-                    controls.append(C)
+                    controls.append((C, C))
             for bad in (np.nan, np.inf, -np.inf):
-                C = G.copy()
-                C[-1, -1] = bad
-                controls.append(C)
-            for C in controls:
-                took.clear()
+                c = G.diagonal().copy()
+                c[-1] = bad
+                controls.append((c, np.diag(c)))
+            for C, matrix in controls:
+                solves.clear()
                 out = _qp_outcome(solve_qp, C, grad, x, seed_active=seed)
-                assert out == _qp_outcome(qp_reference, C, grad, x, seed_active=seed)
-                assert took == [False]
+                calls = solves[:]
+                solves.clear()
+                assert out == _qp_outcome(qp_reference, matrix, grad, x, seed_active=seed)
+                # the reference calls LAPACK wherever the matrix route does
+                assert calls == solves
+                lapack_calls += len(calls)
                 cases += 1
     assert cases > 600
+    assert lapack_calls > 600

@@ -45,7 +45,7 @@ RECORDS = [
     (merit.LineSearchResult,
      ("alpha", "j", "accepted", "ev", "merit_new", "n_trials", "bound_rejections")),
     (model.Iterate, ("x", "y")),
-    (model.Evaluation, ("f", "c", "g", "J", "H")),
+    (model.Evaluation, ("f", "c", "g", "J", "H", "h_scale")),
     (model.DerivativeReport, ("gradient_error", "jacobian_error", "hessian_error", "step")),
     (qpstep.QpStep, ("p", "z", "model_decrease", "active", "iterations")),
     (workset.WorkingSet, ("active", "free", "n", "threshold")),
