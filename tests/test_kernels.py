@@ -327,6 +327,24 @@ def test_the_diagonal_routes_change_no_record(monkeypatch):
         assert stage1 and not any(stage1)
 
 
+def test_the_permutation_changes_no_record(monkeypatch):
+    """Stage 1's permutation keeps every record of the loop on the same diagonals."""
+    stage1 = _spy_on_stage1(monkeypatch)
+    fast = []
+    for problem, v0 in _diagonal_cases():
+        stage1.clear()
+        fast.append(solve(problem, v0))
+        assert stage1 and all(stage1)
+    # every diagonal K now runs the loop on its matrix; the driver still
+    # takes the diagonal route everywhere else
+    monkeypatch.setattr(factor, "_HALF_MAX", -np.inf)
+    for (problem, v0), result in zip(_diagonal_cases(), fast):
+        stage1.clear()
+        assert len(result.history) > 1
+        assert _records(solve(problem, v0).history) == _records(result.history)
+        assert stage1 and not any(stage1)
+
+
 def test_the_certificate_takes_the_diagonal_route_bit_for_bit(monkeypatch):
     """second_order_certificate at each point of the solves, with and without the route."""
     points = []
