@@ -62,8 +62,7 @@ from .errors import (
     QpFailure,
     QpInternalError,
 )
-from .factor import (apply_shift, build_kkt, convexify, diagonal_entries, finite_or_matrix,
-                     stage1_factorize)
+from .factor import apply_shift, build_kkt, convexify, diagonal_entries, stage1_factorize
 from .merit import (
     MeritState,
     condense,
@@ -345,11 +344,12 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     factorization succeeds. h_scale is max |H|, so finite.
 
     A test is a Cholesky factorization, except on a diagonal: a 1-D
-    H_tilde (J without rows) whose symmetrized base is finite. Every
-    product potrf subtracts from a pivot is then a signed zero, so it
-    succeeds exactly when each entry, with theta added on the bump rows
-    by apply_shift, is positive, and that sign test replaces it; G is
-    then that diagonal. Any other base runs Cholesky on its matrix.
+    H_tilde (J without rows). Every product potrf subtracts from a pivot
+    is then a signed zero, so it succeeds exactly when each entry, with
+    theta added on the bump rows by apply_shift, is positive, and that
+    sign test replaces it; G is then that diagonal. An entry whose
+    symmetrization overflowed is +-inf, never NaN (see the factor
+    module), and the sign test judges it as potrf does.
 
     The search starts at k0, the least grid point >= theta_prev (the
     previous step's answer, clamped to the top of the grid). If point k0
@@ -368,7 +368,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     if bump_rows.size == 0:
         bump_rows = np.arange(n)
     base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
-    base = finite_or_matrix(0.5 * (base + base.T))
+    base = 0.5 * (base + base.T)
 
     s, top, k0 = _certification_grid(h_scale, theta_prev)
     attempts = 0

@@ -22,13 +22,21 @@ keeps K as its diagonal, stage1_factorize replays the elimination as one
 permutation (_diagonal_pivots) and keeps A and S as diagonals with no L,
 and convexify, curvature.extract_direction, apply_shift, the
 certification (driver) and the QP (qpstep) read them as such, with the
-bits of the matrix routes. Where a diagonal is not finite, or its
-symmetrization 0.5 * (d + d) overflows, the function that meets it runs
-the matrix route on diagonal_matrix(d) instead, as diagonal_entries
-declined such a matrix.
+bits of the matrix routes. No kernel chooses the route again.
+
+That holds on every diagonal the driver can hand over. A 1-D array that
+reaches a kernel is the diagonal of a finite ev.H, since
+model.lagrangian_hessian rejects any other, and it changes only by
+doublings 0.5 * (d + d) and by non-negative shifts: delta, which may be
++inf, on ev.H's finite entries, and the certification's finite theta.
+No step adds +inf to -inf, so each entry is finite or +-inf, never NaN,
+and a certified G is positive: finite or +inf. On such entries the
+vector routes give the matrix routes' bits: in stage 1 an inf threshold
+admits no pivot on either route; in the certification the sign test on
++-inf agrees with potrf; in the QP inf * 0 is NaN in diag * p and in
+G @ p alike.
 """
 
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +44,6 @@ import numpy as np
 from .errors import FactorizationBreakdown
 
 PIVOT_TAGS = ("H+", "D-", "HD")
-# the largest |d| whose doubling d + d is finite
-_HALF_MAX = 0.5 * sys.float_info.max
 
 
 class KktSystem(NamedTuple):
@@ -180,27 +186,8 @@ def diagonal_entries(A):
     return diag
 
 
-def diagonal_matrix(d):
-    """The square matrix with diagonal d and +0.0 everywhere else."""
-    n = d.shape[0]
-    A = np.zeros((n, n))
-    A.ravel()[::n + 1] = d
-    return A
-
-
-def finite_or_matrix(A):
-    """A, unless it is a diagonal (1-D) with a non-finite entry: then its matrix.
-
-    The routes that take a diagonal as a vector need it finite, as
-    diagonal_entries does; any other runs the matrix route.
-    """
-    if A.ndim == 1 and not np.logical_and.reduce(np.isfinite(A), None):
-        return diagonal_matrix(A)
-    return A
-
-
 def _diagonal_pivots(d, tiny):
-    """Stage-1 pivots of a finite diagonal d with no dual rows: (vals, order, k).
+    """Stage-1 pivots of a diagonal d with no dual rows: (vals, order, k).
 
     Replays eliminate's choices: vals is d in pivot order, order the
     original index of each position, and k the pivot count. The loop
@@ -344,9 +331,7 @@ def stage1_factorize(kkt):
     instead of eliminate, with the same bits: each Schur update would
     subtract +0.0, which changes no bit, and each multiplier would be
     the +0.0 of an identity L. A then stays diagonal, so symmetrizing S
-    changes only its diagonal. A diagonal with an entry that is not
-    finite, or whose doubling overflows, goes through eliminate as its
-    matrix.
+    changes only its diagonal.
 
     Raises FactorizationBreakdown (carrying the partial factor) if dual
     rows remain when no admissible pivot is left; with a positive mu this
@@ -355,7 +340,7 @@ def stage1_factorize(kkt):
     """
     N = kkt.n_free + kkt.m
     tiny = 1e-12 * (1.0 + kkt.norm_max)
-    if kkt.K.ndim == 1 and kkt.norm_max <= _HALF_MAX:
+    if kkt.K.ndim == 1:
         vals, order, n_piv = _diagonal_pivots(kkt.K, tiny)
         A = np.array(vals)
         S = A[n_piv:]
@@ -371,7 +356,7 @@ def stage1_factorize(kkt):
             psize=np.ones(n_piv, dtype=np.int64),
             tiny=tiny,
         )
-    A = kkt.K.copy() if kkt.K.ndim == 2 else diagonal_matrix(kkt.K)
+    A = kkt.K.copy()
     L = np.zeros((N, N))
     L.ravel()[::N + 1] = 1.0
     perm = np.arange(N, dtype=np.int64)

@@ -13,16 +13,18 @@ residual or step is not finite, with the p reached before it.
 
 A 1-D G is the diagonal of the matrix it stands for, +0.0 off the
 diagonal; the driver certifies one when the problem has no equality
-rows and a separable objective (factor.diagonal_entries). A finite one
-is applied by elementwise product and division instead of G @ p and
+rows and a separable objective (factor.diagonal_entries). It is
+applied by elementwise product and division instead of G @ p and
 np.linalg.solve, with the same QpStep or QpFailure bit for bit: every
 product of an off-diagonal entry is a signed zero, and "+ 0.0" gives
 zero rows the +0.0 the matrix product gives them. A quotient can differ
 from LAPACK's only in the sign of a zero step entry, where the residual
 is zero; that entry of p is then +0.0 or nonzero (a released entry
 keeps -0.0 only while its residual is grad's nonzero entry), so adding
-the step changes no bit of it either. A diagonal that is not finite
-runs the matrix route on its matrix (factor.finite_or_matrix).
+the step changes no bit of it either. A diagonal the driver certifies
+is positive, finite or +inf (see the factor module), and an inf entry
+gives the matrix route's bits too: inf * 0 is NaN in diag * p as in
+G @ p.
 """
 
 import math
@@ -31,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QpFailure, QpInternalError
-from .factor import finite_or_matrix
 
 
 class QpStep(NamedTuple):
@@ -71,7 +72,6 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
         active[idx] = True
         p[idx] = -x[idx]
 
-    G = finite_or_matrix(G)
     # G's diagonal on the elementwise route, else None
     diag = G if G.ndim == 1 else None
     iterations = 0

@@ -5,9 +5,10 @@ certification search, the active-set loop that regathers its index sets
 every iteration and the per-monomial polynomial loop are the references
 for the vectorized elimination in factor, the driver's bisection,
 qpstep's loop and problemfile's monomial tables; each pair must agree
-bit for bit. The stage-1 diagnostics below read a Stage1Factor: its
-pivot inertia, its permutation matrix and how well L diag(B, S) L.T
-rebuilds the permuted KKT matrix.
+bit for bit. diagonal_matrix builds the matrix a 1-D diagonal stands
+for, to run a diagonal through those routes. The stage-1 diagnostics
+below read a Stage1Factor: its pivot inertia, its permutation matrix and
+how well L diag(B, S) L.T rebuilds the permuted KKT matrix.
 """
 
 import numpy as np
@@ -356,6 +357,14 @@ def qp_reference(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     z[a_idx] = r[a_idx]
     obj = float(grad @ p + 0.5 * p @ (G @ p))
     return QpStep(p=p, z=z, model_decrease=obj, active=a_idx, iterations=iterations)
+
+
+def diagonal_matrix(d):
+    """The square matrix with diagonal d and +0.0 everywhere else."""
+    n = d.shape[0]
+    A = np.zeros((n, n))
+    A.ravel()[::n + 1] = d
+    return A
 
 
 def inertia_so_far(factor):

@@ -7,13 +7,12 @@ import curvsqp.driver as driver
 import curvsqp.factor as factor
 from conftest import kkt_instances, scaled_kkt_instances, spy_on_diagonal_entries
 from curvsqp.curvature import extract_direction
-from curvsqp.driver import second_order_certificate, solve
-from curvsqp.factor import (build_kkt, convexify, diagonal_entries, diagonal_matrix, eliminate,
-                            stage1_factorize)
+from curvsqp.driver import SolveStatus, second_order_certificate, solve
+from curvsqp.factor import build_kkt, convexify, diagonal_entries, eliminate, stage1_factorize
 from curvsqp.model import NlpProblem, make_iterate
 from curvsqp.problems import get_problem
 from curvsqp.workset import estimate, restrict_principal
-from reference import stage1_reference
+from reference import diagonal_matrix, stage1_reference
 
 
 def _stage1_inputs(H, J, mu):
@@ -148,7 +147,7 @@ def _stage1_of_diagonal(d, mu):
 
     A diagonal factor must hold the reference's A and S as their
     diagonals, +0.0 being all the reference holds off them, and stands
-    for the identity L; a factor that ran the loop must match as it is.
+    for the identity L.
     """
     n = d.shape[0]
     J = np.zeros((0, n))
@@ -156,10 +155,8 @@ def _stage1_of_diagonal(d, mu):
     k, npiv, _ = stage1_reference(*ins)
     A, L, perm, ptype, psize = ins[:5]
     got = stage1_factorize(build_kkt(d, J, mu))
-    got_A, got_L, got_S = got.A, got.L, got.S
-    if got_A.ndim == 1:
-        assert got_L is None and got_S.ndim == 1
-        got_A, got_L, got_S = diagonal_matrix(got_A), np.eye(n), diagonal_matrix(got_S)
+    assert got.L is None and got.A.ndim == 1 and got.S.ndim == 1
+    got_A, got_L, got_S = diagonal_matrix(got.A), np.eye(n), diagonal_matrix(got.S)
     assert (got.n_piv, got.ptype.size) == (k, npiv)
     for a, b in ((got_A, A), (got_L, L), (got.perm, perm), (got.ptype, ptype[:npiv]),
                  (got.psize, psize[:npiv])):
@@ -173,13 +170,14 @@ def test_diagonal_systems_without_dual_rows_take_the_permutation():
     instances = list(diagonal_kkt_instances(35, 600))
     for H, J, mu in instances:
         got = _stage1_of_diagonal(H.diagonal().copy(), mu)
-        assert got.A.ndim == 1
         # the pivot blocks read off a diagonal factor are its 1x1 entries
         blocks = got.blocks
         assert [(b.values.shape, b.tag, b.offset) for b in blocks] == \
             [((1, 1), "H+", i) for i in range(got.n_piv)]
         assert [b.values[0, 0] for b in blocks] == got.A[:got.n_piv].tolist()
-    # controls: a NaN and an inf diagonal must run the loop on its matrix
+    # controls: an inf diagonal, as an overflowing doubling leaves it,
+    # and a NaN, which the driver never hands over, keep the loop's bits
+    # too: their thresholds admit no pivot on either route
     controls = []
     for H, J, mu in instances[:200]:
         for bad in (np.nan, np.inf, -np.inf):
@@ -188,7 +186,7 @@ def test_diagonal_systems_without_dual_rows_take_the_permutation():
             controls.append((d, mu))
     with np.errstate(all="ignore"):
         for d, mu in controls:
-            assert _stage1_of_diagonal(d, mu).A.ndim == 2
+            assert _stage1_of_diagonal(d, mu).n_piv == 0
 
 
 @pytest.mark.parametrize(
@@ -204,25 +202,25 @@ def test_diagonal_systems_without_dual_rows_take_the_permutation():
 )
 def test_the_permutation_takes_ties_in_the_order_the_loop_does(d, perm):
     got = _stage1_of_diagonal(np.array(d), 1.0)
-    assert got.A.ndim == 1
     assert got.perm.tolist() == perm
 
 
-def test_a_diagonal_whose_doubling_overflows_takes_the_loop():
+def test_a_diagonal_whose_doubling_overflows_takes_the_permutation():
     # build_kkt's own symmetrization would overflow first, so K is set
     # directly; its threshold 1e-12 * (1 + 1.7e308) admits no pivot, and
-    # S + S.T overflows on the -1.7e308 diagonal entry, so the loop runs
-    # on the matrix and symmetrizes S as it always did
+    # S + S overflows on the -1.7e308 entry as S + S.T does on the
+    # matrix, so the permutation keeps the loop's bits
     d = np.array([2.0, -1.7e308, 1.0])
     kkt = build_kkt(np.ones(3), np.zeros((0, 3)), 1.0)._replace(K=d, norm_max=1.7e308)
     with pytest.warns(RuntimeWarning, match="overflow"):
         got = stage1_factorize(kkt)
     with pytest.warns(RuntimeWarning, match="overflow"):
         matrix = stage1_factorize(kkt._replace(K=diagonal_matrix(d)))
-    assert got.A.ndim == 2
-    for a, b in ((got.A, matrix.A), (got.L, matrix.L), (got.S, matrix.S), (got.perm, matrix.perm)):
+    assert got.L is None and got.n_piv == matrix.n_piv == 0
+    for a, b in ((diagonal_matrix(got.A), matrix.A), (diagonal_matrix(got.S), matrix.S),
+                 (got.perm, matrix.perm)):
         _assert_bitwise_equal(a, b)
-    assert got.S.diagonal().tolist() == [2.0, -np.inf, 1.0]
+    assert got.S.tolist() == [2.0, -np.inf, 1.0]
 
 
 def test_the_shift_and_direction_of_a_diagonal_factor_are_the_loops():
@@ -337,7 +335,9 @@ def test_the_permutation_changes_no_record(monkeypatch):
         assert stage1 and all(stage1)
     # every diagonal K now runs the loop on its matrix; the driver still
     # takes the diagonal route everywhere else
-    monkeypatch.setattr(factor, "_HALF_MAX", -np.inf)
+    spied = driver.stage1_factorize
+    monkeypatch.setattr(driver, "stage1_factorize",
+                        lambda kkt: spied(kkt._replace(K=diagonal_matrix(kkt.K))))
     for (problem, v0), result in zip(_diagonal_cases(), fast):
         stage1.clear()
         assert len(result.history) > 1
@@ -415,10 +415,10 @@ def test_the_diagonal_test_declines_off_diagonal_and_non_finite_entries():
 @pytest.mark.parametrize("off, takes", [(None, True), (-0.0, False), (1e-3, False)],
                          ids=["overflowing-diagonal", "negative-zero-pair", "coupled-pair"])
 def test_declined_and_overflowing_diagonals_keep_the_matrix_bits(monkeypatch, off, takes):
-    """1.7e308 on H's diagonal overflows 0.5 * (d + d): the functions that
-    meet it fall back to the matrix route. A -0.0 or nonzero off-diagonal
-    pair makes the driver's test decline. Either way the records are the
-    matrix route's."""
+    """1.7e308 on H's diagonal overflows 0.5 * (d + d) to inf, which the
+    vector routes carry with the matrix routes' bits. A -0.0 or nonzero
+    off-diagonal pair makes the driver's test decline, and the matrix
+    routes run. Either way the records are the matrix route's."""
     problem = _diagonal_with([1.7e308, 2.0, -1.0], off)
     took = spy_on_diagonal_entries(monkeypatch, driver)
     stage1 = _spy_on_stage1(monkeypatch)
@@ -434,13 +434,111 @@ def test_declined_and_overflowing_diagonals_keep_the_matrix_bits(monkeypatch, of
     with np.errstate(all="ignore"):
         fast = solve(problem)
         assert took == [takes] * len(fast.history)
-        # stage 1 never sees the diagonal route: 0.5 * (d + d) overflows
-        assert stage1 and not any(stage1)
         fast_lapack = lapack[:]
         lapack.clear()
         _decline(monkeypatch)
         slow = solve(problem)
-    # the certification and the QP called LAPACK as the matrix routes do
-    assert fast_lapack == lapack and "cholesky" in lapack and "solve" in lapack
+    if not takes:
+        # stage 1, the certification and the QP ran the matrix routes
+        assert stage1 and not any(stage1)
+        assert fast_lapack == lapack and "cholesky" in lapack and "solve" in lapack
     assert (fast.status, fast.message) == (slow.status, slow.message)
     assert _records(fast.history) == _records(slow.history)
+
+
+def _overflow_family():
+    """Diagonal quadratics (_diagonal_with) with entries at the top of the float range.
+
+    0.5 * (d + d) overflows to +-inf on 9e307 and above; 8e307 doubles
+    to a finite value that later sums overflow. The four fixed diagonals
+    end qp-failure at the first QP, and [8e307, -3, 1] after 184
+    iterations as line-search-failure with N_k = nan. 40 seeded
+    diagonals with n = 2..6 follow.
+    """
+    diagonals = [[1.7e308, 2.0, -1.0], [-1.7e308, 2.0, -1.0], [1e308, -1e308, 1.0],
+                 [8e307, -3.0, 1.0]]
+    rng = np.random.default_rng(0)
+    values = np.array([1.7e308, -1.7e308, 9e307, -9e307, -2.0, -1.0, 0.5, 1.0, 3.0])
+    for _ in range(40):
+        diagonals.append(rng.choice(values, size=int(rng.integers(2, 7))))
+    return [_diagonal_with(d) for d in diagonals]
+
+
+def test_overflowing_diagonals_keep_the_matrix_records(monkeypatch):
+    """Each solve of the overflow family keeps its status, message and records
+    when the driver's test declines every diagonal."""
+    with np.errstate(all="ignore"):
+        fast = [solve(problem) for problem in _overflow_family()]
+        _decline(monkeypatch)
+        slow = [solve(problem) for problem in _overflow_family()]
+    for a, b in zip(fast, slow):
+        assert (a.status, a.message) == (b.status, b.message)
+        assert _records(a.history) == _records(b.history)
+    assert fast[0].status == SolveStatus.QP_FAILURE and len(fast[0].history) == 1
+    assert fast[3].status == SolveStatus.LINE_SEARCH_FAILURE
+    assert fast[3].iterations == 184 and "N_k = nan" in fast[3].message
+    assert {r.status for r in fast} >= {SolveStatus.QP_FAILURE, SolveStatus.LINE_SEARCH_FAILURE,
+                                        SolveStatus.EVALUATION_ERROR,
+                                        SolveStatus.SECOND_ORDER_OPTIMAL}
+
+
+def _spy_on_diagonal_arguments(monkeypatch):
+    """Record (name, copy) of each 1-D first argument the driver hands
+    build_kkt, _certified_hessian and solve_qp: H_F, H_tilde and G."""
+    seen = []
+    for name in ("build_kkt", "_certified_hessian", "solve_qp"):
+        original = getattr(driver, name)
+
+        def spy(A, *args, name=name, original=original, **kwargs):
+            if A.ndim == 1:
+                seen.append((name, A.copy()))
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(driver, name, spy)
+    return seen
+
+
+def _precondition_breaches(seen):
+    """The recorded diagonals outside the factor module's precondition: a
+    NaN anywhere, or a G with an entry that is not > 0."""
+    return [(name, d) for name, d in seen
+            if np.isnan(d).any() or (name == "solve_qp" and not (d > 0.0).all())]
+
+
+def _solve_diagonal_and_overflow_cases():
+    with np.errstate(all="ignore"):
+        for problem, v0 in _diagonal_cases():
+            solve(problem, v0)
+        for problem in _overflow_family():
+            solve(problem)
+
+
+def test_the_kernels_get_no_nan_and_a_positive_certified_diagonal(monkeypatch):
+    """The precondition the kernels' vector routes rely on holds on every call."""
+    seen = _spy_on_diagonal_arguments(monkeypatch)
+    _solve_diagonal_and_overflow_cases()
+    assert _precondition_breaches(seen) == []
+    # build_kkt gets ev.H's finite diagonal, some of whose doublings
+    # overflow; the certification and the QP get some that hold +inf
+    H_F = [d for got, d in seen if got == "build_kkt"]
+    assert all(np.isfinite(d).all() for d in H_F)
+    assert any((np.abs(d) > 0.5 * np.finfo(float).max).any() for d in H_F)
+    for name in ("_certified_hessian", "solve_qp"):
+        assert any(np.isposinf(d).any() for got, d in seen if got == name), name
+
+
+def test_the_precondition_spy_sees_a_planted_nan(monkeypatch):
+    """A NaN slipped into the driver's diagonal shows up as a breach."""
+    seen = _spy_on_diagonal_arguments(monkeypatch)
+    original = driver.diagonal_entries
+
+    def with_nan(A):
+        diag = original(A)
+        if diag is not None:
+            diag = diag.copy()
+            diag[-1] = np.nan
+        return diag
+
+    monkeypatch.setattr(driver, "diagonal_entries", with_nan)
+    _solve_diagonal_and_overflow_cases()
+    assert _precondition_breaches(seen)
