@@ -8,14 +8,8 @@ library section documents; every other name is imported from its own
 module.
 """
 
-from .driver import (
-    IterationRecord,
-    SolveResult,
-    SolveStatus,
-    SolverConfig,
-    second_order_certificate,
-    solve,
-)
+from .api import IterationRecord, SolveResult, SolveStatus, SolverConfig
+from .driver import second_order_certificate, solve
 from .errors import (
     CurvSqpError,
     EvaluationError,

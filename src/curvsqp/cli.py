@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from .driver import CSV_FIELDS, SolveStatus, SolverConfig, solve
+from .api import CSV_FIELDS, SolveStatus, SolverConfig
+from .driver import solve
 from .errors import CurvSqpError, ProblemFormatError
 from .model import check_derivatives
 from .problemfile import _CONFIG_KEYS, parse_problem_file

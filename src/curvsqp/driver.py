@@ -6,16 +6,16 @@ set, factorizes the free KKT system at the regularization penalty,
 chooses the convexifying shift and pulls out a negative-curvature
 direction. The iterate is then scored and classified, the reference
 multipliers and penalties are updated, and termination is checked. The
-step (_step) certifies H_used + J.T J / mu_R, solves the
-bound-constrained QP in x on it (the dual step follows in closed form),
-scales the curvature step against the QP step, and backtracks along the
-curvilinear path x + alpha*u + alpha^2*p (u = 0 when there is no usable
-curvature direction). One search is made per step; when it finds no
-point the solve ends as line-search-failure. Each iteration ends in
-exactly one IterationRecord, which is also what the next penalty update
-reads. solve builds it in one place from the measures and the step
-fields _step fills in, also when the step raises; _NO_STEP holds the
-values of a record that made no step.
+step (_step) solves the bound-constrained QP in x on H_used + J.T J / mu_R
+as the certify module makes it positive definite (the dual step follows
+in closed form), scales the curvature step against the QP step, and
+backtracks along the curvilinear path x + alpha*u + alpha^2*p (u = 0
+when there is no usable curvature direction). One search is made per
+step; when it finds no point the solve ends as line-search-failure.
+Each iteration ends in exactly one IterationRecord, which is also what
+the next penalty update reads. solve builds it in one place from the
+measures and the step fields _step fills in, also when the step raises;
+_NO_STEP holds the values of a record that made no step.
 
 Each point is evaluated once. The start gets the full evaluation here;
 search trials get only f and c, and the accepted trial's full
@@ -31,14 +31,12 @@ its floor, comparing the two merits that search produced.
 """
 
 import math
-import numbers
-import reprlib
 import time
-from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
 
+from .api import IterationRecord, SolveResult, SolveStatus, SolverConfig
+from .certify import _certified_hessian
 from .classify import (
     Measures,
     classify as classify_iterate,
@@ -77,200 +75,6 @@ from .qpstep import solve_qp
 from .workset import estimate, restrict_columns, restrict_principal
 
 
-class SolveStatus(Enum):
-    SECOND_ORDER_OPTIMAL = "second-order-optimal"
-    FIRST_ORDER_ONLY = "first-order-only"
-    ITERATION_LIMIT = "iteration-limit"
-    LINE_SEARCH_FAILURE = "line-search-failure"
-    QP_FAILURE = "qp-failure"
-    EVALUATION_ERROR = "evaluation-error"
-    FACTORIZATION_BREAKDOWN = "factorization-breakdown"
-
-    @property
-    def exit_code(self):
-        return _EXIT_CODES[self]
-
-
-_EXIT_CODES = {
-    SolveStatus.SECOND_ORDER_OPTIMAL: 0,
-    SolveStatus.FIRST_ORDER_ONLY: 2,
-    SolveStatus.ITERATION_LIMIT: 3,
-    SolveStatus.LINE_SEARCH_FAILURE: 4,
-    SolveStatus.QP_FAILURE: 4,
-    SolveStatus.EVALUATION_ERROR: 4,
-    SolveStatus.FACTORIZATION_BREAKDOWN: 4,
-}
-
-
-# ranges of the float settings; every other one must be >= 0
-_FLOAT_RANGES = {
-    **{name: ("> 0", lambda v: v > 0.0) for name in ("mu0", "nu", "tau0", "u_max", "qp_tol")},
-    "eta_S": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "alpha_min": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
-}
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances, limits and parameters of one solve.
-
-    tol_first, tol_second and tol_constraint are the termination
-    tolerances on stationarity, curvature and feasibility, and
-    max_iterations caps the iterations; mu0 and tau0
-    start the penalties and the stationarity tolerance; nu, eta_S and
-    alpha_min condition the merit and its search (at most j_max + 1
-    trials); epsilon_a sets the working-set threshold, margin the
-    convexifying shift, u_max the curvature step cap and qp_tol the QP
-    tolerance. enable_curvature=False turns off curvature steps. These
-    defaults are the only ones: the layers below solve take every
-    setting from their caller. Every setting is checked on construction
-    and stored as a plain float, int or bool, so a numpy scalar or an
-    int given for a float setting reaches neither the arithmetic nor the
-    log.
-    """
-
-    tol_first: float = 1e-8
-    tol_second: float = 1e-6
-    tol_constraint: float = 1e-8
-    max_iterations: int = 200
-    u_max: float = 1.0
-    epsilon_a: float = 1e-2
-    nu: float = 1.0
-    eta_S: float = 0.25
-    alpha_min: float = 1e-2
-    margin: float = 0.5
-    mu0: float = 0.1
-    tau0: float = 1e-2
-    enable_curvature: bool = True
-    j_max: int = 50
-    qp_tol: float = 1e-10
-
-    def __post_init__(self):
-        """Raise ValueError on a setting outside its range, then store
-        each number as the field's own type."""
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type is int:
-                need = "an integer >= 0"
-                ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
-            elif f.type is float:
-                need, test = _FLOAT_RANGES.get(f.name, (">= 0", lambda v: v >= 0.0))
-                need = f"finite and {need}"
-                # a float skips the slower abstract-class check
-                real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
-                try:
-                    ok = real and math.isfinite(v) and test(v)
-                except OverflowError:  # an integer too large for a float
-                    ok = False
-            else:
-                need, ok = "a boolean", isinstance(v, bool)
-            if not ok:
-                raise ValueError(f"{f.name} must be {need}, got {reprlib.repr(v)}")
-            if type(v) is not f.type:
-                object.__setattr__(self, f.name, f.type(v))
-
-
-# pinned log column order; "class" maps to the cls attribute
-CSV_FIELDS = (
-    "k",
-    "class",
-    "eta",
-    "omega",
-    "phi_S",
-    "phi_L",
-    "mu",
-    "mu_R",
-    "tau",
-    "alpha",
-    "norm_p",
-    "norm_u",
-    "curv_ratio",
-    "merit",
-    "ws_size",
-)
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One iteration: the 15 pinned log columns, then diagnostics.
-
-    x and y are the iterate the record measured, y_E the reference
-    multipliers its merit ran under, and merit_new the merit of the
-    point it accepted (merit itself when it did not move). They are
-    tuples of floats, so records compare exactly. With mu, alpha, N_k
-    and R_k they rebuild the merit state of the search and let its
-    acceptance inequality be checked again; the accepted point is the
-    next record's (x, y), or the result's iterate after the last record.
-    theta is the certification shift of the step and cholesky_attempts
-    counts the positive-definiteness tests its search made (Cholesky
-    factorizations, or sign tests on a diagonal); both are 0 on a record
-    that made no step, and the next step's search starts at theta. trials
-    and bound_rejections count the line-search trials of the step and
-    those rejected at the bounds without a callback; a search that
-    accepts has backtracked trials - 1 times. A step that raises keeps
-    the fields it reached and alpha = 0; its counts are the failed
-    search's, the trial that raised EvaluationError included, and 0
-    when it failed before its search.
-    """
-
-    k: int
-    cls: str
-    eta: float
-    omega: float
-    phi_S: float
-    phi_L: float
-    mu: float
-    mu_R: float
-    tau: float
-    alpha: float
-    norm_p: float
-    norm_u: float
-    curv_ratio: float
-    merit: float
-    ws_size: int
-    # diagnostics, not part of the pinned log columns
-    norm_dv: float
-    N_k: float
-    R_k: float
-    x: tuple
-    y: tuple
-    y_E: tuple
-    merit_new: float
-    theta: float
-    cholesky_attempts: int
-    trials: int
-    bound_rejections: int
-
-    def csv_values(self):
-        return tuple(getattr(self, "cls" if name == "class" else name) for name in CSV_FIELDS)
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of a solve: its status, final iterate and history.
-
-    f and the measures (eta, omega_first, omega, curv_ratio) are those
-    of the final iterate, NaN where the solve failed before measuring
-    it; message holds the error text of a failed solve.
-    """
-
-    status: SolveStatus
-    iterate: object
-    history: tuple
-    f: float
-    eta: float
-    omega_first: float
-    omega: float
-    curv_ratio: float
-    class_counts: dict
-    wall_time_s: float
-    message: str = ""
-
-    @property
-    def iterations(self):
-        return len(self.history)
-
-
 # the measures of an iterate the solve failed before measuring
 _UNMEASURED = Measures(
     eta=np.nan, omega_first=np.nan, curv_ratio=np.nan,
@@ -299,127 +103,6 @@ def _exact_merit_xx_hessian(problem, ev, iterate, state):
         return ev.H
     pi = state.y_E - ev.c / state.mu
     return lagrangian_hessian(problem, iterate.x, pi + state.nu * (pi - iterate.y))[0]
-
-
-def _certification_grid(h_scale, theta_prev):
-    """(s, top, k0) of the certification grid 0, s, 2s, 4s, ... at h_scale.
-
-    Point k > 0 is _grid_point(s, k) = s * 2.0 ** (k - 1), with
-    s = 1e-8 * (1 + h_scale), exact since doubling is. The grid ends at
-    point top, the last one at most 1e18 * (1 + h_scale), or the largest
-    finite one when that limit overflows. k0 is the index of the least
-    point >= theta_prev, clamped to top. top and k0 come from the
-    exponents of s and theta_prev (math.frexp), so no point is formed
-    until it is tried. h_scale must be finite.
-    """
-    s = 1e-8 * (1.0 + h_scale)
-    ms, es = math.frexp(s)
-    # 2**86 * s is always below the limit; s * 2**j is finite while es + j <= 1024
-    top = min(87, 1025 - es)
-    if theta_prev <= 0.0:
-        k0 = 0
-    elif theta_prev < math.inf:
-        mt, et = math.frexp(theta_prev)
-        # the least j with s * 2**j >= theta_prev, compared as mantissa and exponent
-        k0 = min(max(et - es + (mt > ms), 0) + 1, top)
-    else:  # inf, or NaN, which a sorted search places last too
-        k0 = top
-    return s, top, k0
-
-
-def _grid_point(s, k):
-    """Point k of the certification grid whose first positive point is s."""
-    return s * 2.0 ** (k - 1) if k else 0.0
-
-
-def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
-    """Diagonal-bump G = H_tilde + (1/mu) J.T J until it admits Cholesky.
-
-    Returns the certified G, theta and the number of attempts, each a
-    positive-definiteness test. The stage-1 shift certifies the free
-    block only; entries of the working set can still make the full
-    matrix indefinite, so their diagonals get the least bump theta on
-    the grid 0, s, 2s, 4s, ... (s = 1e-8 * (1 + h_scale), up to
-    1e18 * (1 + h_scale); see _certification_grid) at which the test
-    factorization succeeds. h_scale is max |H|, so finite.
-
-    A test is a Cholesky factorization, except on a diagonal: a 1-D
-    H_tilde (J without rows). Every product potrf subtracts from a pivot
-    is then a signed zero, so it succeeds exactly when each entry, with
-    theta added on the bump rows by apply_shift, is positive, and that
-    sign test replaces it; G is then that diagonal. An entry whose
-    symmetrization overflowed is +-inf, never NaN (see the factor
-    module), and the sign test judges it as potrf does.
-
-    The search starts at k0, the least grid point >= theta_prev (the
-    previous step's answer, clamped to the top of the grid). If point k0
-    factors it gallops down to k0 - 1, k0 - 2, k0 - 4, ... (and 0) until
-    an attempt fails, otherwise up to k0 + 1, k0 + 2, k0 + 4, ... (and
-    the top) until one succeeds, then bisects the bracket: 2 attempts
-    when the answer has not moved, O(log |moved|) when it has. With
-    theta_prev = 0, theta = 0 is tried first and the rest of the grid is
-    bisected: at most 8 attempts on the usual 88-point grid. Every route
-    finds the theta of stepping through the grid one point at a time
-    whenever success is monotone in theta. Failure at the top of the
-    grid means the free block itself is bad, which the convexification
-    is supposed to rule out.
-    """
-    n = H_tilde.shape[0]
-    if bump_rows.size == 0:
-        bump_rows = np.arange(n)
-    base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
-    base = 0.5 * (base + base.T)
-
-    s, top, k0 = _certification_grid(h_scale, theta_prev)
-    attempts = 0
-    # G keeps the matrix of the least point found to factor; the sign
-    # test keeps none, so there G is built once, at the answer
-    G = None
-
-    def factors(k):
-        nonlocal attempts, G
-        attempts += 1
-        trial = apply_shift(base, bump_rows, _grid_point(s, k))
-        if base.ndim == 1:
-            return bool(np.logical_and.reduce(trial > 0.0, None))
-        try:
-            np.linalg.cholesky(trial)
-        except np.linalg.LinAlgError:
-            return False
-        G = trial
-        return True
-
-    # point lo fails (lo = -1 until a point is seen to); point hi is the
-    # least point known to factor, or top + 1 when none is
-    lo, hi = -1, top + 1
-    if factors(k0):
-        hi, step = k0, 1
-        while hi > 0:
-            k = max(k0 - step, 0)
-            if not factors(k):
-                lo = k
-                break
-            hi, step = k, 2 * step
-    else:
-        lo, step = k0, 1
-        # from k0 = 0 the rest of the grid is bisected without galloping
-        while k0 > 0 and lo < top:
-            k = min(k0 + step, top)
-            if factors(k):
-                hi = k
-                break
-            lo, step = k, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if factors(mid):
-            hi = mid
-        else:
-            lo = mid
-    if hi > top:
-        raise QpInternalError("convexified Hessian cannot be made positive definite")
-    if G is None:
-        G = apply_shift(base, bump_rows, _grid_point(s, hi))
-    return G, _grid_point(s, hi), attempts
 
 
 def _analyze(ev, x, mu, mu_R, config):
@@ -671,8 +354,11 @@ def second_order_certificate(problem, iterate, mu):
 
     Runs the solver's own analysis under SolverConfig() with mu as both
     penalties. Returns (ratio, working set, exists). An empty free set
-    makes the condition vacuous and reports ratio 0.
+    makes the condition vacuous and reports ratio 0. mu must be finite
+    and positive, as build_kkt requires, also when the free set is empty.
     """
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     ev = evaluate(problem, iterate)
     ws, _, direction, _ = _analyze(ev, iterate.x, mu, mu, SolverConfig())
     return direction.rayleigh, ws, direction.exists

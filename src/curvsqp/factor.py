@@ -21,7 +21,7 @@ full Hessian, and then hands every step H's diagonal as a 1-D array: a
 keeps K as its diagonal, stage1_factorize replays the elimination as one
 permutation (_diagonal_pivots) and keeps A and S as diagonals with no L,
 and convexify, curvature.extract_direction, apply_shift, the
-certification (driver) and the QP (qpstep) read them as such, with the
+certification (certify) and the QP (qpstep) read them as such, with the
 bits of the matrix routes. No kernel chooses the route again.
 
 That holds on every diagonal the driver can hand over. A 1-D array that
@@ -61,7 +61,7 @@ class KktSystem(NamedTuple):
 
 
 def build_kkt(H_F, J_F, mu):
-    """Assemble [[H_F, J_F.T], [J_F, -mu*I]]. mu must be positive.
+    """Assemble [[H_F, J_F.T], [J_F, -mu*I]]. mu must be finite and positive.
 
     A 1-D H_F is a diagonal, allowed only with no dual rows; K is then
     the diagonal 0.5 * (H_F + H_F) of the matrix it stands for.
@@ -69,8 +69,9 @@ def build_kkt(H_F, J_F, mu):
     H_F = np.asarray(H_F, dtype=float)
     J_F = np.asarray(J_F, dtype=float)
     mu = float(mu)
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    # a NaN fails this test too
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     nf = H_F.shape[0]
     m = J_F.shape[0]
     if H_F.shape != (nf, nf) and (H_F.shape != (nf,) or m):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .driver import SolverConfig
+from .api import SolverConfig
 from .errors import ProblemFormatError
 from .model import NlpProblem
 

@@ -2,29 +2,30 @@
 
 Minimizes grad @ p + p @ G @ p / 2 over p subject to p >= -x. The
 driver passes the condensed step model (merit.condense): G is the
-certified H_used + J.T J / mu, symmetric positive definite, and the dual
-step follows from p in closed form. Starting from a feasible seed with
-pinned entries sitting exactly on their bounds, every working-set
-subproblem has a unique minimizer, so the iteration terminates.
+H_used + J.T J / mu certified by the certify module, symmetric positive
+definite, and the dual step follows from p in closed form. Starting
+from a feasible seed with pinned entries sitting exactly on their
+bounds, every working-set subproblem has a unique minimizer, so the
+iteration terminates.
 
 The data must be finite: a non-finite grad or x raises QpFailure at
 entry, and so does the first working-set subproblem whose reduced
 residual or step is not finite, with the p reached before it.
 
 A 1-D G is the diagonal of the matrix it stands for, +0.0 off the
-diagonal; the driver certifies one when the problem has no equality
-rows and a separable objective (factor.diagonal_entries). It is
-applied by elementwise product and division instead of G @ p and
+diagonal; the certify module certifies one when the problem has no
+equality rows and a separable objective (factor.diagonal_entries). It
+is applied by elementwise product and division instead of G @ p and
 np.linalg.solve, with the same QpStep or QpFailure bit for bit: every
 product of an off-diagonal entry is a signed zero, and "+ 0.0" gives
 zero rows the +0.0 the matrix product gives them. A quotient can differ
 from LAPACK's only in the sign of a zero step entry, where the residual
 is zero; that entry of p is then +0.0 or nonzero (a released entry
 keeps -0.0 only while its residual is grad's nonzero entry), so adding
-the step changes no bit of it either. A diagonal the driver certifies
-is positive, finite or +inf (see the factor module), and an inf entry
-gives the matrix route's bits too: inf * 0 is NaN in diag * p as in
-G @ p.
+the step changes no bit of it either. A diagonal the certify module
+certifies is positive, finite or +inf (see the factor module), and an
+inf entry gives the matrix route's bits too: inf * 0 is NaN in diag * p
+as in G @ p.
 """
 
 import math

@@ -3,7 +3,7 @@
 The scalar-loop stage-1 elimination, the one-step-at-a-time
 certification search, the active-set loop that regathers its index sets
 every iteration and the per-monomial polynomial loop are the references
-for the vectorized elimination in factor, the driver's bisection,
+for the vectorized elimination in factor, certify's bisection,
 qpstep's loop and problemfile's monomial tables; each pair must agree
 bit for bit. diagonal_matrix builds the matrix a 1-D diagonal stands
 for, to run a diagonal through those routes. The stage-1 diagnostics
@@ -209,11 +209,11 @@ def polynomial_reference(coeffs, expos, x):
 def certify_reference(H_tilde, J, mu, bump_rows, h_scale):
     """Diagonal-bump H_tilde until H + (1/mu) J.T J admits Cholesky.
 
-    The reference for driver._certified_hessian: theta steps through
+    The reference for certify._certified_hessian: theta steps through
     the grid 0, s, 2s, 4s, ... (s = 1e-8 * (1 + h_scale)) one Cholesky
     attempt at a time until the test factorization succeeds, and raises
     QpInternalError once it passes 1e18 * (1 + h_scale) or overflows to
-    inf: like the driver's, the grid ends at its largest finite point
+    inf: like certify's, the grid ends at its largest finite point
     when that limit is inf. Returns the factored matrix and theta; the
     two routes must agree bit for bit. A 1-D H_tilde, as the driver
     passes a diagonal Hessian, is the matrix with that diagonal.
@@ -249,7 +249,7 @@ def certification_grid_reference(h_scale, theta_prev):
     """(grid, top, k0): the certification grid as one array, its last index
     and the index of the least point >= theta_prev, clamped to top.
 
-    The reference for driver._certification_grid and driver._grid_point:
+    The reference for certify._certification_grid and certify._grid_point:
     every positive point is formed at once as s * 2**j, the points past
     1e18 * (1 + h_scale) or past the largest finite one are dropped, and
     k0 comes from a sorted search of the array.

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-import curvsqp.driver as driver
+import curvsqp.certify as certify
 from conftest import DIAGONAL_VALUES
-from curvsqp.driver import _certification_grid, _certified_hessian
+from curvsqp.certify import _certification_grid, _certified_hessian
 from curvsqp.errors import QpInternalError
 from reference import certification_grid_reference, certify_reference
 
@@ -156,7 +156,7 @@ def test_the_arithmetic_grid_is_the_array_bit_for_bit(h_scale):
         starts = _grid_starts(grid)
     s, got_top, _ = _certification_grid(h_scale, 0.0)
     assert got_top == top
-    points = np.array([driver._grid_point(s, k) for k in range(top + 1)])
+    points = np.array([certify._grid_point(s, k) for k in range(top + 1)])
     assert points.tobytes() == grid.tobytes()
     for theta in starts:
         assert _certification_grid(h_scale, theta)[2] == \

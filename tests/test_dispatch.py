@@ -27,10 +27,10 @@ SRC = Path(curvsqp.__file__).parent
 # off the iteration path: the independent checks, the command line and
 # the problem-file parser, which runs once per file
 EXEMPT = ("oracle", "cli", "problemfile")
-# every other module, the eight an iteration runs among them
+# every other module, the nine an iteration runs among them
 LINTED = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in EXEMPT)
-PER_ITERATION = ("driver", "classify", "curvature", "merit", "model", "factor", "qpstep",
-                 "workset")
+PER_ITERATION = ("driver", "certify", "classify", "curvature", "merit", "model", "factor",
+                 "qpstep", "workset")
 # numpy functions that reach a method, ufunc or slice write through a wrapper
 WRAPPERS = {
     "numpy." + name

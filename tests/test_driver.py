@@ -404,6 +404,14 @@ def test_certificate_still_raises_on_breakdown():
         second_order_certificate(_steep_cubic(), make_iterate([3.0], [0.0]), 1e-3)
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 0.0]], ids=["free", "all-active"])
+def test_certificate_rejects_a_penalty_that_is_not_finite_and_positive(x, mu):
+    # at the origin every variable is active, so build_kkt never runs
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        second_order_certificate(get_problem("saddle-line"), make_iterate(x, [1.0]), mu)
+
+
 def _runaway():
     # unbounded quartic: the iterates grow until the objective overflows
     return _unconstrained(

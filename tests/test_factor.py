@@ -30,6 +30,15 @@ def test_build_kkt_layout():
     assert kkt.norm_max == 1.0
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("H_F, J_F", [(HAND_H, HAND_J), (np.array([1.0, -2.0]), np.zeros((0, 2)))],
+                         ids=["matrix", "diagonal"])
+def test_build_kkt_rejects_a_penalty_that_is_not_finite_and_positive(H_F, J_F, mu):
+    # NaN compares false both ways, so a mu <= 0 test alone lets it through
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        build_kkt(H_F, J_F, mu)
+
+
 def test_build_kkt_validation():
     with pytest.raises(ValueError):
         build_kkt(HAND_H, HAND_J, 0.0)

@@ -24,9 +24,9 @@ import curvsqp.qpstep as qpstep
 import curvsqp.workset as workset
 
 DATACLASSES = {
-    "curvsqp.driver.IterationRecord",
-    "curvsqp.driver.SolveResult",
-    "curvsqp.driver.SolverConfig",
+    "curvsqp.api.IterationRecord",
+    "curvsqp.api.SolveResult",
+    "curvsqp.api.SolverConfig",
     "curvsqp.model.NlpProblem",
     "curvsqp.problemfile.Polynomial",
 }
