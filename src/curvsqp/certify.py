@@ -79,7 +79,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     n = H_tilde.shape[0]
     if bump_rows.size == 0:
         bump_rows = np.arange(n)
-    base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde.copy()
+    base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde
     base = 0.5 * (base + base.T)
 
     s, top, k0 = _certification_grid(h_scale, theta_prev)

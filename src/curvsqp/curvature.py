@@ -6,11 +6,10 @@ certifies negative curvature of H_F + (1/mu) J_F.T J_F: pick the unit
 through the transposed triangular factor, and keep the primal part. The
 lifted vector automatically satisfies the dual stationarity rows, which
 is what makes the full-space quadratic form collapse onto the free
-primal block. A zero right-hand side (no S row coupled to a pivoted one)
-lifts to the +0.0 LAPACK returns through a finite factor, without the
-solve. A diagonal factor (factor.stage1_factorize on a 1-D K) has an
-identity L and a finite S, so that right-hand side is always zero, and
-its S is read as a diagonal: the first largest |S| lies on it.
+primal block. The lift is one triangular solve over the pivoted block.
+A diagonal factor (factor.stage1_factorize on a 1-D K) carries no L, so
+it has nothing to lift through, and its S is read as a diagonal: the
+first largest |S| lies on it.
 """
 
 from typing import NamedTuple
@@ -99,11 +98,7 @@ def extract_direction(factor, ws, H, J):
     d = np.zeros(N)
     d[k:] = w_S
     if k and factor.L is not None:
-        rhs = 0.0 - factor.L[k:, :k].T @ w_S
-        U = factor.L[:k, :k].T
-        if (np.logical_or.reduce(rhs, None, bool)
-                or not np.logical_and.reduce(np.isfinite(U), None)):
-            d[:k] = np.linalg.solve(U, rhs)
+        d[:k] = np.linalg.solve(factor.L[:k, :k].T, 0.0 - factor.L[k:, :k].T @ w_S)
 
     # un-permute, keep the free primal components, embed on the active set
     z = np.zeros(N)

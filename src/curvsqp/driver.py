@@ -128,6 +128,17 @@ def _analyze(ev, x, mu, mu_R, config):
     return ws, conv, direction, H
 
 
+def _check_point(problem, v):
+    """Raise ValueError unless v has the problem's shapes, is finite and has x >= 0."""
+    if v.x.shape != (problem.n,) or v.y.shape != (problem.m,):
+        raise ValueError("start point dimensions do not match the problem")
+    if not (np.logical_and.reduce(np.isfinite(v.x), None)
+            and np.logical_and.reduce(np.isfinite(v.y), None)):
+        raise ValueError("start point is not finite")
+    if float(np.minimum.reduce(v.x, None, initial=0.0)) < 0.0:
+        raise ValueError("start point violates the nonnegativity bounds")
+
+
 # the step fields of a record that made no step; each iteration's record
 # starts from a copy, which _step fills in as it learns each value
 _NO_STEP = dict(
@@ -220,8 +231,7 @@ def solve(problem, v0=None, config=None):
     or by a stage-1 breakdown keeps the records closed before it and
     leaves the result's measures NaN (f too when the start fails);
     otherwise they are the last record's. class_counts counts the
-    records' labels. A bad start point (wrong dimensions, a non-finite
-    entry, a violated bound) still raises ValueError.
+    records' labels. A start point _check_point refuses raises ValueError.
     """
     config = config if config is not None else SolverConfig()
     if v0 is None:
@@ -229,13 +239,7 @@ def solve(problem, v0=None, config=None):
             raise ValueError("problem has no start point and none was given")
         y0 = problem.y0 if problem.y0 is not None else np.zeros(problem.m)
         v0 = make_iterate(problem.x0, y0)
-    if v0.x.shape != (problem.n,) or v0.y.shape != (problem.m,):
-        raise ValueError("start point dimensions do not match the problem")
-    if not (np.logical_and.reduce(np.isfinite(v0.x), None)
-            and np.logical_and.reduce(np.isfinite(v0.y), None)):
-        raise ValueError("start point is not finite")
-    if float(np.minimum.reduce(v0.x, None, initial=0.0)) < 0.0:
-        raise ValueError("start point violates the nonnegativity bounds")
+    _check_point(problem, v0)
 
     t0 = time.perf_counter()
     it, ev = v0, None
@@ -355,10 +359,12 @@ def second_order_certificate(problem, iterate, mu):
     Runs the solver's own analysis under SolverConfig() with mu as both
     penalties. Returns (ratio, working set, exists). An empty free set
     makes the condition vacuous and reports ratio 0. mu must be finite
-    and positive, as build_kkt requires, also when the free set is empty.
+    and positive, as build_kkt requires, also when the free set is empty,
+    and the point must pass solve's start-point checks.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be finite and positive, got {mu}")
+    _check_point(problem, iterate)
     ev = evaluate(problem, iterate)
     ws, _, direction, _ = _analyze(ev, iterate.x, mu, mu, SolverConfig())
     return direction.rayleigh, ws, direction.exists

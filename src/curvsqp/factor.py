@@ -176,10 +176,8 @@ def diagonal_entries(A):
     factorization or a triangular solve forms with an off-diagonal entry
     is a signed zero, so those routines reduce to exact operations on the
     diagonal. -0.0 off the diagonal is refused: subtracting it can turn a
-    -0.0 into +0.0. A nonzero A[0, 1] rejects a dense matrix at once.
+    -0.0 into +0.0.
     """
-    if A.shape[0] > 1 and A[0, 1] != 0.0:
-        return None
     diag = A.diagonal()
     if (np.count_nonzero(A.view(np.uint64)) != np.count_nonzero(diag.view(np.uint64))
             or not np.logical_and.reduce(np.isfinite(diag), None)):

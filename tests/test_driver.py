@@ -412,6 +412,20 @@ def test_certificate_rejects_a_penalty_that_is_not_finite_and_positive(x, mu):
         second_order_certificate(get_problem("saddle-line"), make_iterate(x, [1.0]), mu)
 
 
+@pytest.mark.parametrize(
+    "x, match",
+    [([-1.0, 1.0], "start point violates the nonnegativity bounds"),
+     ([1.0, 1.0, 1.0], "start point dimensions do not match the problem"),
+     ([np.nan, 1.0], "start point is not finite")],
+    ids=["violated-bound", "three-vector", "nan-entry"],
+)
+def test_certificate_rejects_a_point_solve_would_not_start_from(x, match):
+    # the point check of solve's start, made before any callback runs;
+    # at (-1, 1) the analysis alone would certify a point outside the bounds
+    with pytest.raises(ValueError, match=match):
+        second_order_certificate(get_problem("saddle-line"), make_iterate(x, [1.0]), 1.0)
+
+
 def _runaway():
     # unbounded quartic: the iterates grow until the objective overflows
     return _unconstrained(

@@ -412,6 +412,12 @@ def _accept_at(k):
     return lambda call, f: -1e6 if call >= k else 1e6
 
 
+# The six test_block_search_* tests below check curvilinear_search alone
+# through _outcome; no block search or reference search exists, and the
+# names are kept so that the suite's test ids stay stable. They check the
+# acceptance inequality on random arcs, acceptance at the first passing
+# trial, failure after j_max + 1 trials, the bound to the last bit, bound
+# rejections with the roundoff snap, and a callback error's counts.
 @pytest.mark.parametrize("m", [0, 2])
 def test_block_search_matches_the_reference_on_random_arcs(m):
     # natural outcomes, accepted at various j, some after bound rejections;
