@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import norm
-from .workset import embed
 
 
 class CurvatureDirection(NamedTuple):
@@ -57,6 +56,20 @@ def curvature_form(u, H, J, mu):
         Ju = J @ u
         val += float(Ju @ Ju) / mu
     return val
+
+
+def _certified_direction(u, H, J, mu, rho, pivot_indices):
+    """u with its certificates at penalty mu: curvature_B, w and the Rayleigh quotient."""
+    curv = curvature_form(u, H, J, mu)
+    return CurvatureDirection(
+        exists=True,
+        u_hat=u,
+        w_hat=-(J @ u) / mu if J.shape[0] else np.zeros(0),
+        curvature_B=curv,
+        rayleigh=curv / float(u @ u),
+        rho=rho,
+        pivot_indices=pivot_indices,
+    )
 
 
 def extract_direction(factor, ws, H, J):
@@ -100,24 +113,12 @@ def extract_direction(factor, ws, H, J):
     if k and factor.L is not None:
         d[:k] = np.linalg.solve(factor.L[:k, :k].T, 0.0 - factor.L[k:, :k].T @ w_S)
 
-    # un-permute, keep the free primal components, embed on the active set
+    # un-permute, keep the free primal components, zero on the active set
     z = np.zeros(N)
     z[factor.perm] = d
-    u_free = z[:kkt.n_free]
-    u_hat = embed(u_free, ws)
-
-    curv = curvature_form(u_hat, H, J, kkt.mu)
-    w_hat = -(J @ u_hat) / kkt.mu if m else np.zeros(0)
-    nrm2 = float(u_hat @ u_hat)
-    return CurvatureDirection(
-        exists=True,
-        u_hat=u_hat,
-        w_hat=w_hat,
-        curvature_B=curv,
-        rayleigh=curv / nrm2,
-        rho=rho,
-        pivot_indices=(int(q), int(r)),
-    )
+    u_hat = np.zeros(n)
+    u_hat[ws.free] = z[:kkt.n_free]
+    return _certified_direction(u_hat, H, J, kkt.mu, rho, (int(q), int(r)))
 
 
 def refresh_direction(direction, H, J, mu):
@@ -126,16 +127,11 @@ def refresh_direction(direction, H, J, mu):
     Shrinking mu strengthens the (1/mu) J.T J term, so a direction that
     was negative can stop being one; it is then dropped.
     """
-    u = direction.u_hat
-    curv = curvature_form(u, H, J, mu)
-    if curv >= 0.0:
-        return no_direction(u.shape[0], J.shape[0])
-    w = -(J @ u) / mu if J.shape[0] else np.zeros(0)
-    return direction._replace(
-        w_hat=w,
-        curvature_B=curv,
-        rayleigh=curv / float(u @ u),
-    )
+    fresh = _certified_direction(direction.u_hat, H, J, mu, direction.rho,
+                                 direction.pivot_indices)
+    if fresh.curvature_B >= 0.0:
+        return no_direction(direction.u_hat.shape[0], J.shape[0])
+    return fresh
 
 
 def orient(direction, grad_merit):

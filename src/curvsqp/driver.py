@@ -68,11 +68,12 @@ from .merit import (
     dual_step,
     merit_gradient,
     merit_value,
+    merit_xx_hessian,
     penalty_update,
 )
-from .model import evaluate, lagrangian_hessian, make_iterate, norm
+from .model import evaluate, make_iterate, norm
 from .qpstep import solve_qp
-from .workset import estimate, restrict_columns, restrict_principal
+from .workset import estimate, restrict_principal
 
 
 # the measures of an iterate the solve failed before measuring
@@ -93,18 +94,6 @@ def _merit_state(source, mu, config):
     )
 
 
-def _exact_merit_xx_hessian(problem, ev, iterate, state):
-    """Lagrangian Hessian at the multiplier the merit actually carries.
-
-    With no constraints, or only affine ones, the multiplier does not
-    enter it, so it is the Hessian ev already holds.
-    """
-    if ev.c.shape[0] == 0 or problem.linear_constraints:
-        return ev.H
-    pi = state.y_E - ev.c / state.mu
-    return lagrangian_hessian(problem, iterate.x, pi + state.nu * (pi - iterate.y))[0]
-
-
 def _analyze(ev, x, mu, mu_R, config):
     """Working set at penalty mu, then the free KKT factor at mu_R.
 
@@ -120,7 +109,7 @@ def _analyze(ev, x, mu, mu_R, config):
     H = ev.H if H is None else H
     conv, direction = None, no_direction(n, m)
     if ws.free.size:
-        kkt = build_kkt(restrict_principal(H, ws), restrict_columns(ev.J, ws), mu_R)
+        kkt = build_kkt(restrict_principal(H, ws), ev.J[:, ws.free], mu_R)
         factor = stage1_factorize(kkt)
         conv = convexify(factor, config.margin)
         if config.enable_curvature:
@@ -182,15 +171,14 @@ def _step(problem, ev, H, it, ws, conv, direction, fstate, state_F, merit_here, 
     step_fields["norm_u"] = norm(step.u)
     if step.beta > 0.0:
         # the stacked merit form at (u, w = -(1/mu_R) J u)
-        H_exact = _exact_merit_xx_hessian(problem, ev, it, state_R)
+        H_exact = merit_xx_hessian(problem, ev, it, state_R)
         step_fields["R_k"] = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
     N_k, R_k = step_fields["N_k"], step_fields["R_k"]
 
     for name, value in (("N_k", N_k), ("R_k", R_k)):
         if not math.isfinite(value):
             # no right-hand side can be formed, so no trial is evaluated
-            raise LineSearchFailure(f"non-finite model quantity {name} = {value}",
-                                    diagnostics={"n_trials": 0, "bound_rejections": 0})
+            raise LineSearchFailure(f"non-finite model quantity {name} = {value}")
 
     if step_fields["norm_dv"] == 0.0 and step_fields["norm_u"] == 0.0:
         # stationary for the current subproblem; only the parameter

@@ -342,27 +342,23 @@ def stage1_factorize(kkt):
     if kkt.K.ndim == 1:
         vals, order, n_piv = _diagonal_pivots(kkt.K, tiny)
         A = np.array(vals)
+        L = None
+        perm = np.array(order, dtype=np.int64)
+        ptype = np.zeros(n_piv, dtype=np.int64)
+        psize = np.ones(n_piv, dtype=np.int64)
         S = A[n_piv:]
-        S = 0.5 * (S + S)
-        return Stage1Factor(
-            kkt=kkt,
-            perm=np.array(order, dtype=np.int64),
-            L=None,
-            A=A,
-            S=S,
-            n_piv=n_piv,
-            ptype=np.zeros(n_piv, dtype=np.int64),
-            psize=np.ones(n_piv, dtype=np.int64),
-            tiny=tiny,
-        )
-    A = kkt.K.copy()
-    L = np.zeros((N, N))
-    L.ravel()[::N + 1] = 1.0
-    perm = np.arange(N, dtype=np.int64)
-    ptype = np.zeros(N, dtype=np.int64)
-    psize = np.zeros(N, dtype=np.int64)
-    n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
-    S = A[n_piv:, n_piv:]
+        status = 0
+    else:
+        A = kkt.K.copy()
+        L = np.zeros((N, N))
+        L.ravel()[::N + 1] = 1.0
+        perm = np.arange(N, dtype=np.int64)
+        ptype = np.zeros(N, dtype=np.int64)
+        psize = np.zeros(N, dtype=np.int64)
+        n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
+        ptype, psize = ptype[:n_blocks], psize[:n_blocks]
+        S = A[n_piv:, n_piv:]
+    # of a 1-D S the transpose is S itself
     factor = Stage1Factor(
         kkt=kkt,
         perm=perm,
@@ -370,8 +366,8 @@ def stage1_factorize(kkt):
         A=A,
         S=0.5 * (S + S.T),
         n_piv=n_piv,
-        ptype=ptype[:n_blocks],
-        psize=psize[:n_blocks],
+        ptype=ptype,
+        psize=psize,
         tiny=tiny,
     )
     if status != 0:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, LineSearchFailure
-from .model import Evaluation, Iterate, evaluate, merit_terms
+from .model import Evaluation, Iterate, evaluate, lagrangian_hessian, merit_terms
 
 SNAP_FACTOR = 1e-13
 # the search's right-hand side is relaxed by 10 EPS |merit_old|, so it
@@ -68,12 +68,34 @@ def merit_value(ev, iterate, state):
     return float(val)
 
 
+def _pi(ev, state):
+    """pi = y_E - c / mu."""
+    return state.y_E - ev.c / state.mu
+
+
+def _merit_multiplier(pi, iterate, state):
+    """pi + nu (pi - y), the multiplier of the merit's x-derivatives."""
+    return pi + state.nu * (pi - iterate.y)
+
+
 def merit_gradient(ev, iterate, state):
     """Stacked (x, y) gradient of the merit at the iterate."""
-    pi = state.y_E - ev.c / state.mu
-    gx = ev.g - ev.J.T @ (pi + state.nu * (pi - iterate.y))
+    pi = _pi(ev, state)
+    gx = ev.g - ev.J.T @ _merit_multiplier(pi, iterate, state)
     gy = state.nu * state.mu * (iterate.y - pi)
     return np.concatenate([gx, gy])
+
+
+def merit_xx_hessian(problem, ev, iterate, state):
+    """Lagrangian Hessian at the merit's multiplier pi + nu (pi - y).
+
+    With no constraints, or only affine ones, the multiplier does not
+    enter it, so it is the Hessian ev already holds.
+    """
+    if ev.c.shape[0] == 0 or problem.linear_constraints:
+        return ev.H
+    y_M = _merit_multiplier(_pi(ev, state), iterate, state)
+    return lagrangian_hessian(problem, iterate.x, y_M)[0]
 
 
 def condense(ev, iterate, state):
@@ -81,14 +103,14 @@ def condense(ev, iterate, state):
 
     grad = g - J.T pi and constant = -nu mu |y - pi|^2 / 2.
     """
-    pi = state.y_E - ev.c / state.mu
+    pi = _pi(ev, state)
     r = pi - iterate.y
     return ev.g - ev.J.T @ pi, -0.5 * state.nu * state.mu * float(r @ r)
 
 
 def dual_step(ev, iterate, state, p):
     """q = pi - y - J p / mu, where the stacked model is least given p."""
-    return state.y_E - ev.c / state.mu - iterate.y - (ev.J @ p) / state.mu
+    return _pi(ev, state) - iterate.y - (ev.J @ p) / state.mu
 
 
 class LineSearchResult(NamedTuple):

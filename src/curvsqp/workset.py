@@ -38,15 +38,3 @@ def restrict_principal(A, ws):
     """
     A = np.asarray(A).take(ws.free, 0)
     return A.take(ws.free, 1) if A.ndim == 2 else A
-
-
-def restrict_columns(A, ws):
-    """Free columns of A with every row kept (a constraint Jacobian)."""
-    return np.asarray(A)[:, ws.free]
-
-
-def embed(values, ws):
-    """Scatter free-variable values into a full-length vector of zeros."""
-    out = np.zeros(ws.n)
-    out[ws.free] = values
-    return out

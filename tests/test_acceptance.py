@@ -61,6 +61,8 @@ def test_c01_factorization_reconstructs_the_kkt_matrix():
         norm = float(np.max(np.abs(factor.kkt.K), initial=0.0))
         assert reconstruction_error(factor) <= 1e-9 * (1.0 + norm)
         assert factor.counts["D-"] + factor.counts["HD"] == J.shape[0]
+        # S lives on Hessian rows only
+        assert np.all(factor.unpivoted_h < H.shape[0])
         checked += 1
     assert checked == 1000
 

