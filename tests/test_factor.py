@@ -132,6 +132,20 @@ def test_stage1_blocks_match_the_elimination_records():
     assert hd > 0
 
 
+def test_stage1_reconstruction_random():
+    for H, J, mu in kkt_instances(32, 200):
+        factor = stage1_factorize(build_kkt(H, J, mu))
+        assert reconstruction_error(factor) <= 1e-9 * (1.0 + factor.kkt.norm_max)
+
+
+def test_stage1_consumes_all_dual_rows():
+    for H, J, mu in kkt_instances(33, 200):
+        factor = stage1_factorize(build_kkt(H, J, mu))
+        assert factor.counts["D-"] + factor.counts["HD"] == J.shape[0]
+        # S lives on Hessian rows only
+        assert np.all(factor.unpivoted_h < H.shape[0])
+
+
 def test_stage1_schur_diagonal_below_threshold():
     for H, J, mu in kkt_instances(34, 200):
         factor = stage1_factorize(build_kkt(H, J, mu))
