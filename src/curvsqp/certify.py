@@ -84,8 +84,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
 
     s, top, k0 = _certification_grid(h_scale, theta_prev)
     attempts = 0
-    # G keeps the matrix of the least point found to factor; the sign
-    # test keeps none, so there G is built once, at the answer
+    # G keeps the trial of the least point found to factor
     G = None
 
     def factors(k):
@@ -93,11 +92,13 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
         attempts += 1
         trial = apply_shift(base, bump_rows, _grid_point(s, k))
         if base.ndim == 1:
-            return bool(np.logical_and.reduce(trial > 0.0, None))
-        try:
-            np.linalg.cholesky(trial)
-        except np.linalg.LinAlgError:
-            return False
+            if not np.logical_and.reduce(trial > 0.0, None):
+                return False
+        else:
+            try:
+                np.linalg.cholesky(trial)
+            except np.linalg.LinAlgError:
+                return False
         G = trial
         return True
 
@@ -129,6 +130,4 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
             lo = mid
     if hi > top:
         raise QpInternalError("convexified Hessian cannot be made positive definite")
-    if G is None:
-        G = apply_shift(base, bump_rows, _grid_point(s, hi))
     return G, _grid_point(s, hi), attempts

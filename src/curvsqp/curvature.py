@@ -81,7 +81,7 @@ def extract_direction(factor, ws, H, J):
     noise floor.
     """
     kkt = factor.kkt
-    n, m = ws.n, kkt.m
+    n, m = H.shape[0], kkt.m
     S = factor.S
     floor = 1e-10 * (1.0 + kkt.h_scale)
     if S.shape[0] == 0:

@@ -238,28 +238,21 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
     k = 0
     npiv = 0
     while k < N:
-        if duals_left:
-            # |diagonal| on admissible rows; at most tiny, or NaN, elsewhere
-            s = sign[k:] * diag[k:]
+        # |diagonal| on admissible rows, at most tiny or NaN elsewhere;
+        # once only curvature rows are left, the diagonal itself
+        s = sign[k:] * diag[k:] if duals_left else diag[k:]
+        best = int(s.argmax())
+        top = s[best]
+        if top != top:
+            # argmax stopped at a NaN, which fmax skips
             top = np.fmax.reduce(s)
-            best = -1
-        else:
-            # only curvature rows are left, so the first largest diagonal
-            # wins, unless argmax stopped at a NaN, which fmax skips
-            s = diag[k:]
-            best = int(s.argmax())
-            top = s[best]
-            if top != top:
-                top = np.fmax.reduce(s)
-                best = -1
+            best = int((s == top).argmax())
         if top > tiny:
-            if best < 0:
-                tied = s == top
-                if np.count_nonzero(tied) > 1:
-                    tied_dual = tied & (sign[k:] < 0.0)
-                    if np.logical_or.reduce(tied_dual, None):
-                        tied = tied_dual
-                best = int(tied.argmax())
+            if duals_left and sign[k + best] > 0.0:
+                # best is the first row at top; a later tied dual row wins
+                tied_dual = (s == top) & (sign[k:] < 0.0)
+                if np.logical_or.reduce(tied_dual, None):
+                    best = int(tied_dual.argmax())
             best += k
             if best != k:
                 _swap(A, L, perm, sign, k, best)
@@ -382,7 +375,8 @@ class Convexification(NamedTuple):
     """Diagonal shift restoring second-order-correct inertia.
 
     delta is added to the H diagonal at shifted_rows (free-local indices,
-    exactly the rows the elimination left in S).
+    exactly the rows the elimination left in S, in S's order; each row
+    is listed once, so the order changes no bit of the shift).
     """
 
     delta: float
@@ -399,8 +393,7 @@ def convexify(factor, margin):
     row sum adds only +0.0 to its diagonal entry.
     """
     S = factor.S
-    rows = factor.unpivoted_h.copy()
-    rows.sort()
+    rows = factor.unpivoted_h
     if S.shape[0] == 0:
         return Convexification(delta=0.0, shifted_rows=rows)
     row_sums = np.abs(S)

@@ -60,10 +60,6 @@ class Iterate(NamedTuple):
     x: np.ndarray
     y: np.ndarray
 
-    @property
-    def v(self):
-        return np.concatenate([self.x, self.y])
-
 
 def make_iterate(x, y):
     x = np.atleast_1d(np.asarray(x, dtype=float)).copy()

@@ -71,16 +71,32 @@ class MonomialTable(NamedTuple):
         return out
 
 
+def _derivative_rows(coef, expos, rows, j):
+    """(coef, expos) of d/dx_j of monomial row rows[i] at j[i], for each pair i.
+
+    c * prod(x ** e) differentiates to (c * e_j) * prod(x ** e') with
+    e' = e less one in entry j.
+    """
+    expos = expos[rows]
+    at = np.arange(rows.size), j
+    coef = coef[rows] * expos[at]
+    expos[at] -= 1
+    return coef, expos
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Sum of monomials c * prod(x_i ** e_i) with exact derivatives.
 
-    The value, gradient and Hessian are monomial tables. Their rows
-    come from np.nonzero over the exponents, which lists (term, j) and
-    (term, j, l) in term-major order, so every entry sums its terms in
-    the order of the per-monomial loop polynomial_reference in
-    tests/reference.py and matches it bit for bit. The derivative
-    tables are built on first use.
+    The value, gradient and Hessian are monomial tables. The gradient
+    rows come from np.nonzero over the exponents, which lists (term, j)
+    in term-major order, and the Hessian rows from np.nonzero over the
+    gradient table's exponents, keeping l >= j, which lists (term, j, l)
+    in the same term-major order; each row is one _derivative_rows
+    step. So every entry sums its terms in the order of the
+    per-monomial loop polynomial_reference in tests/reference.py and
+    matches it bit for bit. The derivative tables are built on first
+    use.
     """
 
     coeffs: np.ndarray
@@ -104,29 +120,18 @@ class Polynomial:
     @cached_property
     def gradient_table(self):
         t, j = np.nonzero(self.expos)
-        expos = self.expos[t]
-        expos[np.arange(t.size), j] -= 1
-        return MonomialTable(self.coeffs[t] * self.expos[t, j], expos, j, self.n)
+        coef, expos = _derivative_rows(self.coeffs, self.expos, t, j)
+        return MonomialTable(coef, expos, j, self.n)
 
     @cached_property
     def hessian_table(self):
-        """Rows for the diagonal (e_j >= 2) and the upper triangle (j < l).
-
-        Each gradient row (t, j) is paired with the l >= j it reaches, so
-        the masks take one entry per gradient row and variable.
-        """
-        E = self.expos
-        t, j = np.nonzero(E)
-        cols = np.arange(self.n)
-        reach = (cols > j[:, None]) | ((cols == j[:, None]) & (E[t, j] >= 2)[:, None])
-        r, l = np.nonzero(reach & (E[t] > 0))
-        t, j = t[r], j[r]
-        rows = np.arange(t.size)
-        expos = E[t]
-        expos[rows, j] -= 1
-        expos[rows, l] -= 1
-        # (c * e_j) * (e_j - 1) on the diagonal, (c * e_j) * e_l above it
-        coef = (self.coeffs[t] * E[t, j]) * (E[t, l] - (j == l))
+        """d/dx_l of each gradient row (t, j) with l >= j: the diagonal and upper triangle."""
+        grad = self.gradient_table
+        g, l = np.nonzero(grad.expos)
+        j = grad.index[g]
+        keep = l >= j
+        g, j, l = g[keep], j[keep], l[keep]
+        coef, expos = _derivative_rows(grad.coef, grad.expos, g, l)
         index, upper = j * self.n + l, j < l
         return MonomialTable(
             coef,

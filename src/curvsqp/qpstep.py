@@ -87,7 +87,8 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
                 partial=p,
             )
         iterations += 1
-        r = grad + (diag * p + 0.0) if diag is not None else grad + G @ p
+        Gp = diag * p + 0.0 if diag is not None else G @ p
+        r = grad + Gp
         if f_idx is None:
             f_idx = (~active).nonzero()[0]
             G_f = lo_f = None
@@ -150,8 +151,8 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
             active[blocker] = True
             f_idx = None
 
+    # the loop breaks right after measuring p: Gp, r and a_idx are p's
     z = np.zeros(n)
-    a_idx = active.nonzero()[0]
     z[a_idx] = r[a_idx]
-    obj = float(grad @ p + 0.5 * p @ ((diag * p + 0.0) if diag is not None else G @ p))
+    obj = float(grad @ p + 0.5 * p @ Gp)
     return QpStep(p=p, z=z, model_decrease=obj, active=a_idx, iterations=iterations)

@@ -10,8 +10,6 @@ class WorkingSet(NamedTuple):
 
     active: np.ndarray
     free: np.ndarray
-    n: int
-    threshold: float
 
 
 def estimate(x, mu, epsilon_a):
@@ -23,12 +21,7 @@ def estimate(x, mu, epsilon_a):
     threshold = min(float(mu), float(epsilon_a))
     mask = x <= threshold
     idx = np.arange(x.shape[0])
-    return WorkingSet(
-        active=idx[mask],
-        free=idx[~mask],
-        n=x.shape[0],
-        threshold=threshold,
-    )
+    return WorkingSet(active=idx[mask], free=idx[~mask])
 
 
 def restrict_principal(A, ws):

@@ -13,7 +13,7 @@ from curvsqp.driver import SolverConfig, solve
 from curvsqp.errors import ProblemFormatError, QpFailure
 from curvsqp.model import check_derivatives, evaluate, make_iterate
 from curvsqp.problemfile import parse_problem_file
-from curvsqp.problems import get_problem
+from curvsqp.problems import get_problem, list_problems
 
 BILINEAR = {
     "format_version": 1,
@@ -321,7 +321,7 @@ def test_parsed_constraint_hessians_are_exact():
     [
         (lambda d: d.update(extra=1), "unknown top-level"),
         (lambda d: d.update(format_version=2), "format_version"),
-        (lambda d: d.pop("objective"), "missing required"),
+        (lambda d: d.__delitem__("objective"), "missing required"),
         (lambda d: d.update(objective=[[1.0, [1, 1, 1]]]), "length n=2"),
         (lambda d: d.update(objective=[[1.0, [1, -1]]]), "nonnegative integer"),
         (lambda d: d.update(objective=[[1.0, [2**70, 1]]]), "below 2\\*\\*63"),
@@ -339,13 +339,30 @@ def test_parsed_constraint_hessians_are_exact():
         (lambda d: d.update(config={"enable_curvature": 1}), "boolean"),
         (lambda d: d.update(n=0), "positive integer"),
         (lambda d: d.update(name=""), "non-empty string"),
+        (lambda d: d.update(objective=[]), "objective: expected a non-empty list"),
+        (lambda d: d.update(constraints=[1.0]), "constraint 0: expected a non-empty list"),
+        (lambda d: d.update(objective=[[1.0]]), "objective, term 0: expected \\[coefficient"),
+        (lambda d: [d], "top level must be a JSON object"),
+        (lambda d: d.update(constraints={}), "'constraints' must be a list"),
+        (lambda d: d.update(start=[1.0, 1.0]), "'start' must be an object"),
+        (lambda d: d.update(start={"y": [1.0]}), "'start' needs an 'x' entry"),
+        (lambda d: d["start"].update(y=[1.0, 1.0]), "start.y must be a list of length m=1"),
+        (lambda d: d.update(config=[]), "'config' must be an object"),
     ],
 )
 def test_schema_violations_are_rejected(mutate, fragment):
+    # a mutation returns None, or a document that replaces the whole file
     doc = json.loads(json.dumps(BILINEAR))
-    mutate(doc)
+    replaced = mutate(doc)
     with pytest.raises(ProblemFormatError, match=fragment):
-        parse_problem_file(json.dumps(doc))
+        parse_problem_file(json.dumps(doc if replaced is None else replaced))
+
+
+def test_an_unknown_problem_name_lists_the_available_ones():
+    with pytest.raises(KeyError, match="unknown problem 'no-such'; available: ") as info:
+        get_problem("no-such")
+    for name in list_problems():
+        assert name in str(info.value)
 
 
 def test_a_parsed_problem_solves_from_its_own_start_point():

@@ -70,6 +70,43 @@ def test_a_cross_pivot_whose_dual_row_sits_at_k_matches_the_reference():
     assert _compare([(H, J, 1e-300)]) == (1, 0)
 
 
+def dual_tie_kkt_instances(seed, count):
+    """Yield (H_F, J_F, mu) triples whose first pivot is an exact tie.
+
+    One to three H diagonals equal mu, the |diagonal| of every dual row,
+    and the rest lie below it, so the largest admissible |diagonal| is
+    shared by a curvature row and the later dual rows. |F| <= 8, m <= 4.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nf = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 5))
+        mu = float(10.0 ** rng.uniform(-3.0, 0.0))
+        A = rng.normal(size=(nf, nf))
+        H = 0.5 * (A + A.T)
+        H[np.diag_indices(nf)] = mu * rng.uniform(-1.0, 1.0, nf)
+        rows = rng.choice(nf, size=min(nf, int(rng.integers(1, 4))), replace=False)
+        H[rows, rows] = mu
+        yield H, rng.normal(size=(m, nf)), mu
+
+
+def test_a_later_dual_row_wins_an_exact_tie():
+    instances = list(dual_tie_kkt_instances(35, 300))
+    _compare(instances)
+    # plain argmax over the |diagonal| would pivot the tied curvature
+    # row; the first pivot is a dual row instead, on every instance
+    for H, J, mu in instances:
+        A, L, perm, ptype, psize, nh, tiny = _stage1_inputs(H, J, mu)
+        plain = int((np.where(perm < nh, 1.0, -1.0) * A.diagonal()).argmax())
+        eliminate(A, L, perm, ptype, psize, nh, tiny)
+        assert plain < nh <= perm[0] and ptype[0] == 1
+
+
+def test_the_smallest_exact_tie_pivots_the_dual_row_first():
+    got = stage1_factorize(build_kkt([[0.1]], [[1.0]], 0.1))
+    assert got.perm.tolist() == [1, 0] and got.ptype.tolist() == [1, 0]
+
+
 def nonfinite_kkt_instances(seed, count):
     """Yield (H_F, J_F, mu) triples with NaN and +-inf on the H diagonal.
 

@@ -76,7 +76,7 @@ def test_gradient_matches_finite_differences():
             cand = make_iterate(v[:2], v[2:])
             return merit_value(evaluate(prob, cand), cand, state)
 
-        fd = central_diff(m_of, it.v, 1e-5)
+        fd = central_diff(m_of, np.concatenate([it.x, it.y]), 1e-5)
         scale = 1.0 + np.max(np.abs(fd))
         assert np.max(np.abs(grad - fd)) <= 1e-6 * scale
 
@@ -108,11 +108,12 @@ def test_hessian_matches_gradient_differences():
     ev = evaluate(prob, it)
     H_M = merit_hessian(ev, state, ev.H)
     step = 1e-5
+    v = np.concatenate([it.x, it.y])
     for i in range(3):
         e = np.zeros(3)
         e[i] = step
-        hi = make_iterate(it.v[:2] + e[:2], it.v[2:] + e[2:])
-        lo = make_iterate(it.v[:2] - e[:2], it.v[2:] - e[2:])
+        hi = make_iterate(v[:2] + e[:2], v[2:] + e[2:])
+        lo = make_iterate(v[:2] - e[:2], v[2:] - e[2:])
         col = (
             merit_gradient(evaluate(prob, hi), hi, state)
             - merit_gradient(evaluate(prob, lo), lo, state)

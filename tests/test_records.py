@@ -48,7 +48,7 @@ RECORDS = [
     (model.Evaluation, ("f", "c", "g", "J", "H", "h_scale")),
     (model.DerivativeReport, ("gradient_error", "jacobian_error", "hessian_error", "step")),
     (qpstep.QpStep, ("p", "z", "model_decrease", "active", "iterations")),
-    (workset.WorkingSet, ("active", "free", "n", "threshold")),
+    (workset.WorkingSet, ("active", "free")),
     (problemfile.ParsedProblem, ("problem", "x0", "y0", "config")),
 ]
 

@@ -7,7 +7,6 @@ def test_estimate_near_bound():
     ws = estimate(np.array([0.001, 1.0]), mu=0.01, epsilon_a=0.05)
     np.testing.assert_array_equal(ws.active, [0])
     np.testing.assert_array_equal(ws.free, [1])
-    assert ws.threshold == 0.01
 
 
 def test_estimate_all_at_zero():
