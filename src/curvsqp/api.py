@@ -56,8 +56,12 @@ class SolverConfig:
     start the penalties and the stationarity tolerance; nu, eta_S and
     alpha_min condition the merit and its search (at most j_max + 1
     trials); epsilon_a sets the working-set threshold, margin the
-    convexifying shift, u_max the curvature step cap and qp_tol the QP
-    tolerance. enable_curvature=False turns off curvature steps. These
+    convexifying shift, u_max the curvature step cap and qp_tol the QP's
+    stop test: a working set is solved when its free residual r_F has
+    max|r_F| <= qp_tol * (1 + max|grad_F| + max_{i in F} s_i * max_j
+    s_j |p_j|), s_i = sqrt(G_ii), and a bound is released while its
+    multiplier is below -qp_tol * (1 + max|grad|) (see qpstep).
+    enable_curvature=False turns off curvature steps. These
     defaults are the only ones: the layers below solve take every
     setting from their caller. Every setting is checked on construction
     and stored as a plain float, int or bool, so a numpy scalar or an

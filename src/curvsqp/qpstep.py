@@ -8,9 +8,15 @@ from a feasible seed with pinned entries sitting exactly on their
 bounds, every working-set subproblem has a unique minimizer, so the
 iteration terminates.
 
-The data must be finite: a non-finite grad or x raises QpFailure at
-entry, and so does the first working-set subproblem whose reduced
-residual or step is not finite, with the p reached before it.
+A working-set subproblem is solved when its free residual r_F = grad_F
++ (G p)_F has max|r_F| <= tol * (1 + max|grad_F| + max_{i in F} s_i *
+max_j s_j |p_j|). With s_i = sqrt(G_ii), |G_ij| <= s_i s_j for a positive
+definite G, so that bounds every term of (G p)_F, which sets r_F's
+rounding scale; it grows with J.T J / mu as mu falls. s_i is 0 where it
+is not finite (an inf entry of a 1-D G). A bound is released while its
+multiplier is below -tol * (1 + max|grad|). A non-finite grad or x raises
+QpFailure at entry, and so does the first working-set subproblem whose
+reduced residual or step is not finite, with the p reached before it.
 
 A 1-D G is the diagonal of the matrix it stands for, +0.0 off the
 diagonal; the certify module certifies one when the problem has no
@@ -75,6 +81,8 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
 
     # G's diagonal on the elementwise route, else None
     diag = G if G.ndim == 1 else None
+    root = np.sqrt(np.maximum(G if diag is not None else G.diagonal(), 0.0))
+    root[~np.isfinite(root)] = 0.0
     iterations = 0
     # the free indices, with their reduced matrix (its diagonal on the
     # elementwise route) and bounds, are gathered again only after the
@@ -82,45 +90,20 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     f_idx = None
     while True:
         if iterations >= max_iterations:
-            raise QpFailure(
-                f"active-set iteration cap {max_iterations} reached",
-                partial=p,
-            )
+            raise QpFailure(f"active-set iteration cap {max_iterations} reached", partial=p)
         iterations += 1
         Gp = diag * p + 0.0 if diag is not None else G @ p
         r = grad + Gp
         if f_idx is None:
             f_idx = (~active).nonzero()[0]
             G_f = lo_f = None
+            grad_f_max = float(np.maximum.reduce(np.abs(grad[f_idx]), None, initial=0.0))
+            root_f_max = float(np.maximum.reduce(root[f_idx], None, initial=0.0))
         r_f = r[f_idx]
         r_max = float(np.maximum.reduce(np.abs(r_f), None, initial=0.0))
-        # stationarity is judged on the reduced residual, never on the step
-        # length: a huge gradient must not swallow a genuine Newton step
-        at_minimizer = r_max <= scale
-        if not at_minimizer:
-            if G_f is None:
-                G_f = diag[f_idx] if diag is not None else G.take(f_idx, 0).take(f_idx, 1)
-                lo_f = -x[f_idx]
-            if diag is not None:
-                if not np.logical_and.reduce(G_f, None, bool):
-                    raise QpInternalError("singular reduced Hessian in a working-set subproblem")
-                with np.errstate(over="ignore", under="ignore"):
-                    d_f = -r_f / G_f
-            else:
-                try:
-                    d_f = np.linalg.solve(G_f, -r_f)
-                except np.linalg.LinAlgError as exc:
-                    raise QpInternalError(
-                        "singular reduced Hessian in a working-set subproblem"
-                    ) from exc
-            d_max = float(np.maximum.reduce(np.abs(d_f), None))
-            # a residual that is not finite fails the stationarity test
-            if not math.isfinite(r_max + d_max):
-                raise QpFailure("non-finite residual or step in a working-set subproblem", partial=p)
-            p_f = p[f_idx]
-            # a step at roundoff level cannot improve the subspace further
-            at_minimizer = d_max <= 4e-16 * (1.0 + float(np.maximum.reduce(np.abs(p_f), None)))
-        if at_minimizer:
+        gp_max = root_f_max * float(np.maximum.reduce(root * np.abs(p), None, initial=0.0))
+        # the stop test of the module docstring; an inf residual fails it
+        if r_max <= tol * (1.0 + grad_f_max + gp_max) and r_max < math.inf:
             # subspace minimizer; check bound multipliers
             a_idx = active.nonzero()[0]
             if a_idx.size == 0:
@@ -132,6 +115,23 @@ def solve_qp(G, grad, x, seed_active=None, *, tol, max_iterations=None):
             active[a_idx[worst]] = False
             f_idx = None
             continue
+        if G_f is None:
+            G_f = diag[f_idx] if diag is not None else G.take(f_idx, 0).take(f_idx, 1)
+            lo_f = -x[f_idx]
+        try:
+            if diag is None:
+                d_f = np.linalg.solve(G_f, -r_f)
+            elif np.logical_and.reduce(G_f, None, bool):
+                with np.errstate(over="ignore", under="ignore"):
+                    d_f = -r_f / G_f
+            else:  # a zero diagonal entry
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError as exc:
+            raise QpInternalError("singular reduced Hessian in a working-set subproblem") from exc
+        d_max = float(np.maximum.reduce(np.abs(d_f), None))
+        if not math.isfinite(r_max + d_max):
+            raise QpFailure("non-finite residual or step in a working-set subproblem", partial=p)
+        p_f = p[f_idx]
         # ratio test against inactive lower bounds: the first of the
         # smallest ratios below 1 blocks
         alpha = 1.0

@@ -5,6 +5,9 @@ Hessian kinds rotate through indefinite, positive definite, negative
 definite, and rank-deficient to keep the factorization paths honest.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from curvsqp.driver import SolverConfig
@@ -12,6 +15,17 @@ from curvsqp.merit import MeritState, condense, dual_step, merit_gradient
 from curvsqp.model import Evaluation, NlpProblem, make_iterate
 from curvsqp.oracle import merit_hessian, qp_brute_force
 from curvsqp.qpstep import solve_qp
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(stem):
+    """perfbench/<stem>.py, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + stem, PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # the settings of a default solve; a test takes from here each value that
@@ -71,23 +85,25 @@ def scaled_kkt_instances(seed, count):
         yield H, J, mu
 
 
-def qp_instances(seed, count):
+def qp_instances(seed, count, mu=None):
     """Yield (ev, iterate, state, seed_active) step models.
 
     n <= 6 bounded primal entries and m <= 3 unbounded dual entries. H
     is indefinite on some instances, but H + J.T J / mu is positive
     definite, so the condensed QP and the stacked merit model are both
-    strictly convex; some x components sit exactly on their bound.
+    strictly convex; some x components sit exactly on their bound. mu is
+    drawn from [0.1, 1] unless given; every other draw is the same.
     """
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, 4))
-        mu = float(rng.uniform(0.1, 1.0))
+        drawn = float(rng.uniform(0.1, 1.0))
+        penalty = drawn if mu is None else mu
         nu = float(rng.uniform(0.5, 2.0))
         A = rng.normal(size=(n, n))
         J = rng.normal(size=(m, n))
-        H = A @ A.T + (0.1 + rng.uniform()) * np.eye(n) - (J.T @ J) / (2.0 * mu)
+        H = A @ A.T + (0.1 + rng.uniform()) * np.eye(n) - (J.T @ J) / (2.0 * penalty)
         H = 0.5 * (H + H.T)
         ev = Evaluation(
             f=0.0, c=rng.normal(size=m), g=rng.normal(size=n) * 3.0, J=J, H=H,
@@ -96,7 +112,7 @@ def qp_instances(seed, count):
         x = rng.uniform(0.0, 2.0, size=n)
         x[rng.uniform(size=n) < 0.2] = 0.0
         iterate = make_iterate(x, rng.normal(size=m))
-        state = merit_state(y_E=rng.normal(size=m), mu=mu, nu=nu)
+        state = merit_state(y_E=rng.normal(size=m), mu=penalty, nu=nu)
         if rng.uniform() < 0.5:
             seed_active = np.flatnonzero(rng.uniform(size=n) < 0.3)
         else:

@@ -288,6 +288,8 @@ def qp_reference(G, grad, x, seed_active=None, *, tol, max_iterations=None):
     if not (np.isfinite(grad).all() and np.isfinite(x).all()):
         raise QpFailure("non-finite gradient or bound")
     scale = tol * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
+    root = np.sqrt(np.maximum(np.diag(G), 0.0))
+    root[~np.isfinite(root)] = 0.0
 
     active = np.zeros(n, dtype=bool)
     p = np.zeros(n)
@@ -306,9 +308,13 @@ def qp_reference(G, grad, x, seed_active=None, *, tol, max_iterations=None):
         iterations += 1
         r = grad + G @ p
         f_idx = np.flatnonzero(~active)
-        # stationarity is judged on the reduced residual, never on the step
-        # length: a huge gradient must not swallow a genuine Newton step
-        at_minimizer = float(np.max(np.abs(r[f_idx]), initial=0.0)) <= scale
+        r_max = float(np.max(np.abs(r[f_idx]), initial=0.0))
+        # the one stop test: r[f_idx] within tol of its rounding scale,
+        # |grad[f_idx]| plus a bound on every term of (G @ p)[f_idx]
+        gp_max = float(np.max(root[f_idx], initial=0.0)) * float(
+            np.max(root * np.abs(p), initial=0.0))
+        bound = tol * (1.0 + float(np.max(np.abs(grad[f_idx]), initial=0.0)) + gp_max)
+        at_minimizer = np.isfinite(r_max) and r_max <= bound
         if not at_minimizer:
             try:
                 d_f = np.linalg.solve(G[np.ix_(f_idx, f_idx)], -r[f_idx])
@@ -318,10 +324,6 @@ def qp_reference(G, grad, x, seed_active=None, *, tol, max_iterations=None):
                 ) from exc
             if not (np.isfinite(r[f_idx]).all() and np.isfinite(d_f).all()):
                 raise QpFailure("non-finite residual or step in a working-set subproblem", partial=p)
-            # a step at roundoff level cannot improve the subspace further
-            at_minimizer = float(np.max(np.abs(d_f))) <= 4e-16 * (
-                1.0 + float(np.max(np.abs(p[f_idx])))
-            )
         if at_minimizer:
             # subspace minimizer; check bound multipliers
             a_idx = np.flatnonzero(active)

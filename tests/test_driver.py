@@ -624,24 +624,29 @@ def test_history_bookkeeping(ending):
             last.eta, last.omega, last.curv_ratio)
 
 
-def test_null_step_keeps_the_point():
-    # f = 1e4 x0 + (x1 - 1)^2 / 2 against the bound x0 >= 0: the QP
-    # solver counts the start's x1 residual of 5e-7 as converged against
-    # the bound multiplier's 1e4, so the step is exactly zero
-    calls = []
+def _bound_wall(x1, calls):
+    """f = 1e4 x0 + (x1 - 1)^2 / 2 against the bound x0 >= 0, from (0, x1)."""
 
     def objective(x):
         calls.append(1)
         return float(1e4 * x[0] + 0.5 * (x[1] - 1.0) ** 2)
 
-    problem = _unconstrained(
+    return _unconstrained(
         "bound-wall",
         objective,
         lambda x: np.array([1e4, x[1] - 1.0]),
         lambda x, y: np.diag([0.0, 1.0]),
-        [0.0, 1.0 + 5e-7],
+        [0.0, x1],
     )
-    result = solve(problem, config=SolverConfig(max_iterations=1))
+
+
+def test_null_step_keeps_the_point():
+    # x0 is pinned at its bound and the free x1 residual 5e-11 is within
+    # qp_tol * (1 + |grad_x1|) = 1e-10, so the QP step is exactly zero,
+    # while tol_first = 1e-12 still rejects the start
+    calls = []
+    result = solve(_bound_wall(1.0 + 5e-11, calls),
+                   config=SolverConfig(tol_first=1e-12, max_iterations=1))
     assert result.status is SolveStatus.ITERATION_LIMIT
     null, after = result.history
     assert null.alpha == 1.0 and null.trials == 0
@@ -651,6 +656,18 @@ def test_null_step_keeps_the_point():
     assert after.x == null.x
     # the start point only: a null step evaluates nothing
     assert len(calls) == 1
+
+
+def test_bound_wall_takes_its_one_qp_step():
+    # the x1 residual 5e-7 is far above the QP's stop test, which no
+    # longer counts the bound multiplier 1e4 of x0 in its scale
+    calls = []
+    result = solve(_bound_wall(1.0 + 5e-7, calls))
+    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL
+    step, last = result.history
+    assert step.alpha == 1.0 and step.trials == 1
+    assert step.norm_p == pytest.approx(5e-7)
+    assert last.x == (0.0, 1.0)
 
 
 def test_the_penalty_never_falls_below_mu_r():

@@ -1,26 +1,18 @@
-"""Solves with a nonlinear constraint, checked by an independent verifier.
+"""Solves checked by an independent verifier, perfbench/verify.py.
 
 Every built-in and benchmark constraint is linear, so none of them
 depends on the sign with which constraint curvature enters the
 Lagrangian Hessian. The quadric-sphere family does: its sphere row
-curves. perfbench/verify.py is loaded by path and only read.
+curves. The simplex-qp family at a small penalty checks that the step
+QP on H + J'J/mu stays solvable as mu falls. perfbench/ is only read.
 """
 
-import importlib.util
-from pathlib import Path
+import numpy as np
+import pytest
 
-from conftest import quadric_sphere_instances
-from curvsqp.driver import SolveStatus, solve
+from conftest import load_perfbench, quadric_sphere_instances
+from curvsqp.driver import SolveStatus, SolverConfig, solve
 from curvsqp.model import check_derivatives
-
-VERIFY_PY = Path(__file__).resolve().parents[1] / "perfbench" / "verify.py"
-
-
-def _load_verify():
-    spec = importlib.util.spec_from_file_location("perfbench_verify", VERIFY_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_quadric_sphere_derivatives_agree():
@@ -30,9 +22,24 @@ def test_quadric_sphere_derivatives_agree():
 
 
 def test_quadric_sphere_solves_are_second_order_optimal_and_verified():
-    verify = _load_verify()
+    verify = load_perfbench("verify")
     for i, (problem, v0) in enumerate(quadric_sphere_instances(seed=1, count=10)):
         result = solve(problem, v0)
         assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL, (i, result.status)
         verdict = verify.check_point(problem, result.iterate.x)
+        assert verdict.ok, (i, verdict.reason)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_simplex_qp_at_a_small_penalty_is_second_order_optimal_and_verified(n):
+    # at mu0 = 1e-6, cond(H + J'J/mu) reaches about 1e10 and a stop test
+    # without the rounding scale of G p never passed: qp-failure at the
+    # active-set cap on 2 of these 5 instances at n = 16 and all 5 at 32
+    families, verify = load_perfbench("families"), load_perfbench("verify")
+    rng = np.random.default_rng(1)
+    for i in range(5):
+        inst = families.simplex_qp(rng, n=n)
+        result = solve(inst.problem, inst.v0, config=SolverConfig(mu0=1e-6))
+        assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL, (i, result.message)
+        verdict = verify.check_point(inst.problem, result.iterate.x)
         assert verdict.ok, (i, verdict.reason)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import curvsqp.driver as driver
 from conftest import (
     DIAGONAL_VALUES,
     DEFAULTS,
     condensed_step,
+    load_perfbench,
     merit_state,
     qp_instances,
     stacked_reference,
 )
+from curvsqp.driver import SolverConfig, solve
 from curvsqp.errors import QpFailure, QpInternalError
 from curvsqp.model import Evaluation, make_iterate
 from curvsqp.qpstep import solve_qp
@@ -79,6 +82,64 @@ def test_matches_brute_force_family():
         scale = 1.0 + np.max(np.abs(ref_dv))
         assert np.max(np.abs(dv - ref_dv)) <= 1e-8 * scale
         assert value == pytest.approx(ref_obj, abs=1e-8 * (1.0 + abs(ref_obj)))
+
+
+@pytest.mark.parametrize("mu", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_matches_brute_force_at_small_penalties(mu):
+    # G = H + J'J / mu has a large diagonal here, which widens the stop
+    # test's rounding scale; the steps still match the brute force (the
+    # stop test with no such scale matched it as well at these sizes)
+    for ev, it, state, seed in qp_instances(65, 80, mu=mu):
+        _, _, _, dv, value = condensed_step(ev, it, state, seed)
+        ref_dv, _, ref_obj = stacked_reference(ev, it, state)
+        assert np.max(np.abs(dv - ref_dv)) <= 1e-8 * (1.0 + np.max(np.abs(ref_dv)))
+        assert value == pytest.approx(ref_obj, abs=1e-8 * (1.0 + abs(ref_obj)))
+
+
+def test_a_residual_above_tol_still_takes_its_newton_step():
+    # at p = 0 the rounding scale of G p is 0, so the stop test is
+    # max|r_F| <= tol * (1 + max|grad_F|), as in the stop test without
+    # it: grad just above the threshold steps, grad just below stops
+    tol = DEFAULTS.qp_tol
+    d, x = np.array([2.0, 1.0]), np.array([1.0, 1.0])
+    above = np.array([3e-10, -2.0 * tol])
+    below = np.array([0.5 * tol, -tol])
+    for G in (d, np.diag(d)):
+        step = solve_qp(G, above, x, tol=tol)
+        assert step.iterations == 2
+        np.testing.assert_array_equal(step.p, -above / d)
+        step = solve_qp(G, below, x, tol=tol)
+        assert step.iterations == 1 and not step.p.any()
+    for g in (above, below):
+        assert _qp_outcome(solve_qp, d, g, x) == _qp_outcome(qp_reference, np.diag(d), g, x)
+
+
+def test_first_step_qp_at_a_small_penalty_ends(monkeypatch):
+    """The first step QP of a simplex-qp solve at mu0 = 1e-6 and n = 32.
+
+    cond(G) is about 1e10, and the free residual stalls near 1e-9, above
+    tol * (1 + max|grad|) = 2.4e-10; without the rounding scale of G p in
+    the stop test the QP ran to its cap of 3200 iterations.
+    """
+    seen = []
+
+    def captured(G, grad, x, seed_active=None, *, tol):
+        seen.append((G, grad, x, seed_active, tol))
+        return solve_qp(G, grad, x, seed_active, tol=tol)
+
+    monkeypatch.setattr(driver, "solve_qp", captured)
+    inst = load_perfbench("families").simplex_qp(np.random.default_rng(1), n=32)
+    solve(inst.problem, inst.v0, config=SolverConfig(mu0=1e-6, max_iterations=1))
+    G, grad, x, seed_active, tol = seen[0]
+    step = solve_qp(G, grad, x, seed_active, tol=tol)
+    assert step.iterations <= 12 and step.model_decrease < 0.0
+    free = np.ones(x.shape[0], dtype=bool)
+    free[step.active] = False
+    r_free = np.abs(grad + G @ step.p)[free]
+    root = np.sqrt(G.diagonal())
+    gp_max = np.max(root[free]) * np.max(root * np.abs(step.p))
+    assert np.max(r_free) <= tol * (1.0 + np.max(np.abs(grad[free])) + gp_max)
+    assert np.min(step.z[step.active]) >= -tol * (1.0 + np.max(np.abs(grad)))
 
 
 def test_complementarity_and_feasibility_family():
@@ -280,6 +341,24 @@ def test_an_overflowing_quotient_keeps_the_last_finite_p():
     assert _qp_outcome(solve_qp, d, grad, x, seed_active=[1]) == expected
     assert _qp_outcome(solve_qp, np.diag(d), grad, x, seed_active=[1]) == expected
     assert _qp_outcome(qp_reference, np.diag(d), grad, x, seed_active=[1]) == expected
+
+
+def test_an_inf_diagonal_entry_neither_widens_nor_blocks_the_stop_test():
+    """An inf G_ii scales nothing in the stop test, on both routes.
+
+    x0 is pinned at 0, so (G p)_0 is inf * 0 = NaN and x1's subproblem
+    alone is solved first. Had sqrt(G_00) = inf entered the scale, the
+    NaN term would fail every stop test and run the QP to its cap;
+    instead x1 stops at its Newton step and the NaN multiplier of x0
+    ends the QP in QpFailure there.
+    """
+    d, grad, x = np.array([np.inf, 2.0]), np.array([1.0, -4.0]), np.array([0.0, 5.0])
+    expected = ("QpFailure", "non-finite residual or step in a working-set subproblem",
+                np.array([-0.0, 2.0]).tobytes())
+    with np.errstate(invalid="ignore"):
+        assert _qp_outcome(solve_qp, d, grad, x, seed_active=[0]) == expected
+        assert _qp_outcome(solve_qp, np.diag(d), grad, x, seed_active=[0]) == expected
+        assert _qp_outcome(qp_reference, np.diag(d), grad, x, seed_active=[0]) == expected
 
 
 def test_an_overflowing_ratio_never_blocks():

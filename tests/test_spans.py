@@ -5,18 +5,15 @@ the driver bound before the swap would keep its original and report no
 calls, so each span's call count is pinned for the three built-ins.
 """
 
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvsqp.driver as driver
+from conftest import load_perfbench
 import curvsqp.merit as merit
 from curvsqp.problems import get_problem
-
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # span -> calls in one default solve; the solver loop's names first
 _LOOP = (
@@ -50,16 +47,9 @@ EXPECTED = {
 ATTEMPTS = {"saddle-line": 11, "cosine-saddle": 5, "convex-qp": 7}
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_tracer_counts_every_patched_call(name):
-    spans = _load_spans()
+    spans = load_perfbench("spans")
     originals = {attr: getattr(driver, attr) for attr in spans._DRIVER_NAMES}
     evaluate, cholesky = merit.evaluate, np.linalg.cholesky
     tracer = spans.Tracer()
