@@ -150,7 +150,10 @@ class IterationRecord:
     accepts has backtracked trials - 1 times. A step that raises keeps
     the fields it reached and alpha = 0; its counts are the failed
     search's, the trial that raised EvaluationError included, and 0
-    when it failed before its search.
+    when it failed before its search. curvature_dropped is True when the
+    step had a curvature step u but the merit did not curve down along
+    it (R_k = 0), so the step searched along p alone, with u, w, beta
+    and norm_u set to zero; it is False on every other record.
     """
 
     k: int
@@ -180,6 +183,7 @@ class IterationRecord:
     cholesky_attempts: int
     trials: int
     bound_rejections: int
+    curvature_dropped: bool
 
     def csv_values(self):
         return tuple(getattr(self, "cls" if name == "class" else name) for name in CSV_FIELDS)

@@ -10,7 +10,8 @@ step (_step) solves the bound-constrained QP in x on H_used + J.T J / mu_R
 as the certify module makes it positive definite (the dual step follows
 in closed form), scales the curvature step against the QP step, and
 backtracks along the curvilinear path x + alpha*u + alpha^2*p (u = 0
-when there is no usable curvature direction). One search is made per
+when there is no usable curvature direction, or when the merit does not
+curve down along it: R_k = 0). One search is made per
 step; when it finds no point the solve ends as line-search-failure.
 Each iteration ends in exactly one IterationRecord, which is also what
 the next penalty update reads. solve builds it in one place from the
@@ -46,6 +47,7 @@ from .classify import (
     update_state,
 )
 from .curvature import (
+    ScaledStep,
     curvature_form,
     extract_direction,
     no_direction,
@@ -132,7 +134,7 @@ def _check_point(problem, v):
 # starts from a copy, which _step fills in as it learns each value
 _NO_STEP = dict(
     alpha=0.0, norm_p=0.0, norm_u=0.0, norm_dv=0.0, N_k=0.0, R_k=0.0, theta=0.0,
-    cholesky_attempts=0, trials=0, bound_rejections=0,
+    cholesky_attempts=0, trials=0, bound_rejections=0, curvature_dropped=False,
 )
 
 
@@ -144,7 +146,8 @@ def _step(problem, ev, H, it, ws, conv, direction, fstate, state_F, merit_here, 
     certified positive definite by a shift search that starts at the
     previous step's shift theta_prev; the dual step is closed-form. One
     search runs along the curvilinear path (u, p), with u = 0 when the
-    scaled curvature step is empty.
+    scaled curvature step is empty or the merit's curvature R_k along
+    it is 0 (the record's curvature_dropped).
 
     step_fields is the record's copy of _NO_STEP; each value is written
     into it as the step learns it, so a step that raises leaves its
@@ -168,11 +171,15 @@ def _step(problem, ev, H, it, ws, conv, direction, fstate, state_F, merit_here, 
 
     direction = orient(direction, merit_gradient(ev, it, state_R))
     step = scale(direction, it.x, qp.p, config.u_max)
-    step_fields["norm_u"] = norm(step.u)
     if step.beta > 0.0:
         # the stacked merit form at (u, w = -(1/mu_R) J u)
         H_exact = merit_xx_hessian(problem, ev, it, state_R)
         step_fields["R_k"] = min(curvature_form(step.u, H_exact, ev.J, fstate.mu_R), 0.0)
+        if step_fields["R_k"] == 0.0:
+            # the merit does not curve down along u: search along p alone
+            step = ScaledStep(u=np.zeros(step.u.shape[0]), w=np.zeros(step.w.shape[0]), beta=0.0)
+            step_fields["curvature_dropped"] = True
+    step_fields["norm_u"] = norm(step.u)
     N_k, R_k = step_fields["N_k"], step_fields["R_k"]
 
     for name, value in (("N_k", N_k), ("R_k", R_k)):

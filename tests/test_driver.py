@@ -387,7 +387,8 @@ def test_curvature_steps_ask_the_hessian_at_the_merit_multiplier():
 
         result = solve(dataclasses.replace(base, hessian=hessian), v0)
         for rec in result.history:
-            if rec.norm_u > 0.0:
+            # a u dropped for R_k = 0 was still measured at that multiplier
+            if rec.norm_u > 0.0 or rec.curvature_dropped:
                 x, y, y_E = (np.array(v) for v in (rec.x, rec.y, rec.y_E))
                 pi = y_E - base.constraints(x) / rec.mu_R
                 assert (x.tobytes(), (-(pi + nu * (pi - y))).tobytes()) in seen, rec.k

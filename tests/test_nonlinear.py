@@ -7,6 +7,8 @@ curves. The simplex-qp family at a small penalty checks that the step
 QP on H + J'J/mu stays solvable as mu falls. perfbench/ is only read.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,22 @@ def test_quadric_sphere_solves_are_second_order_optimal_and_verified():
         assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL, (i, result.status)
         verdict = verify.check_point(problem, result.iterate.x)
         assert verdict.ok, (i, verdict.reason)
+
+
+@pytest.mark.parametrize("index", [26, 29])
+def test_quadric_sphere_ends_optimal_once_u_of_zero_merit_curvature_is_dropped(index):
+    # at n = 16 these two spent 200 iterations taking curvature steps
+    # along which the merit has R_k = 0 and ended iteration-limit; a u
+    # dropped for zero merit curvature lets the search follow p alone
+    verify = load_perfbench("verify")
+    instances = quadric_sphere_instances(seed=1, count=30, n=16)
+    problem, v0 = next(itertools.islice(instances, index, None))
+    result = solve(problem, v0, config=SolverConfig(max_iterations=200))
+    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL, result.iterations
+    dropped = [rec for rec in result.history if rec.curvature_dropped]
+    assert dropped and all(rec.norm_u == 0.0 == rec.R_k for rec in dropped)
+    verdict = verify.check_point(problem, result.iterate.x)
+    assert verdict.ok, verdict.reason
 
 
 @pytest.mark.parametrize("n", [16, 32])
