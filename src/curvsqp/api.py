@@ -56,7 +56,8 @@ class SolverConfig:
     start the penalties and the stationarity tolerance; nu, eta_S and
     alpha_min condition the merit and its search (at most j_max + 1
     trials); epsilon_a sets the working-set threshold, margin the
-    convexifying shift, u_max the curvature step cap and qp_tol the QP's
+    convexifying shift's excess over -lambda_min(S) (see
+    factor.convexify), u_max the curvature step cap and qp_tol the QP's
     stop test: a working set is solved when its free residual r_F has
     max|r_F| <= qp_tol * (1 + max|grad_F| + max_{i in F} s_i * max_j
     s_j |p_j|), s_i = sqrt(G_ii), and a bound is released while its
@@ -153,7 +154,10 @@ class IterationRecord:
     when it failed before its search. curvature_dropped is True when the
     step had a curvature step u but the merit did not curve down along
     it (R_k = 0), so the step searched along p alone, with u, w, beta
-    and norm_u set to zero; it is False on every other record.
+    and norm_u set to zero; it is False on every other record. delta is
+    the stage-1 shift of the record's analysis (factor.convexify), added
+    to the Hessian rows stage 1 left in S; it is 0.0 when S is empty or
+    every variable is active.
     """
 
     k: int
@@ -184,6 +188,7 @@ class IterationRecord:
     trials: int
     bound_rejections: int
     curvature_dropped: bool
+    delta: float
 
     def csv_values(self):
         return tuple(getattr(self, "cls" if name == "class" else name) for name in CSV_FIELDS)

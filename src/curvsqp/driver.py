@@ -320,6 +320,7 @@ def solve(problem, v0=None, config=None):
                     y=tuple(it.y.tolist()),
                     y_E=tuple(fstate.y_E.tolist()),
                     merit_new=merit_here if ls is None else ls.merit_new,
+                    delta=0.0 if conv is None else conv.delta,
                     **step_fields,
                 )
             )

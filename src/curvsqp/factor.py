@@ -7,7 +7,7 @@ from each side and mixed eigenvalues ("HD"). When it stops, every dual
 row has been consumed, the trailing Schur complement S lives entirely on
 H rows and has no diagonal above the pivot threshold, and the pivot
 counts certify the inertia of the factored part. Adding a diagonal shift
-larger than the size of S to the unpivoted H rows then makes the whole
+larger than -lambda_min(S) to the unpivoted H rows then makes the whole
 KKT matrix second-order-correct: exactly |F| positive and m negative
 eigenvalues.
 
@@ -32,9 +32,13 @@ doublings 0.5 * (d + d) and by non-negative shifts: delta, which may be
 No step adds +inf to -inf, so each entry is finite or +-inf, never NaN,
 and a certified G is positive: finite or +inf. On such entries the
 vector routes give the matrix routes' bits: in stage 1 an inf threshold
-admits no pivot on either route; in the certification the sign test on
-+-inf agrees with potrf; in the QP inf * 0 is NaN in diag * p and in
-G @ p alike.
+admits no pivot on either route; in the shift an S with an infinite
+entry reaches no eigvalsh on either route; in the certification the
+sign test on +-inf agrees with potrf; in the QP inf * 0 is NaN in
+diag * p and in G @ p alike. One gap remains: LAPACK's eigvalsh first
+scales a matrix whose largest |entry| lies outside about [1e-146,
+1e146], so there the least eigenvalue of a diagonal S can differ from
+its least entry in the last bits.
 """
 
 from typing import NamedTuple
@@ -386,21 +390,29 @@ class Convexification(NamedTuple):
 def convexify(factor, margin):
     """Choose the diagonal shift for the unpivoted H rows.
 
-    An empty S needs no shift. Otherwise delta = (1 + margin) times the
-    max-absolute-row-sum norm of S, which strictly dominates |lambda_min|;
-    a small floor keeps a nonempty but numerically zero S from producing
-    a singular shifted matrix. Of a diagonal S that norm is max |S|: each
-    row sum adds only +0.0 to its diagonal entry.
+    The shift lands on S's rows and L's trailing block is the identity,
+    so the shifted KKT matrix has exactly |F| positive and m negative
+    eigenvalues when S + delta*I is positive definite, that is when
+    delta > -lambda_min(S). An empty S needs no shift. Otherwise
+    delta = (1 + margin) * max(-lambda_min(S), 0); a small floor keeps a
+    nonempty but numerically zero S from producing a singular shifted
+    matrix. lambda_min is eigvalsh's least eigenvalue of a 2-D S and the
+    least entry of a diagonal one, which is what eigvalsh returns for
+    the matrix (up to the scaling gap the module docstring names). An S
+    with an entry that is not finite never reaches LAPACK: it takes
+    (1 + margin) * max|S|, which is +inf, or NaN when S holds a NaN, as
+    the row-sum norm of S would be.
     """
     S = factor.S
     rows = factor.unpivoted_h
     if S.shape[0] == 0:
         return Convexification(delta=0.0, shifted_rows=rows)
-    row_sums = np.abs(S)
-    if S.ndim == 2:
-        row_sums = np.add.reduce(row_sums, 1)
-    norm_inf = float(np.maximum.reduce(row_sums, None))
-    delta = max((1.0 + float(margin)) * norm_inf, 1e-8 * (1.0 + factor.kkt.h_scale))
+    size = float(np.maximum.reduce(np.abs(S), None))
+    # a NaN fails this test too
+    if size < np.inf:
+        least = np.linalg.eigvalsh(S)[0] if S.ndim == 2 else np.minimum.reduce(S, None)
+        size = max(-float(least), 0.0)
+    delta = max((1.0 + float(margin)) * size, 1e-8 * (1.0 + factor.kkt.h_scale))
     return Convexification(delta=delta, shifted_rows=rows)
 
 

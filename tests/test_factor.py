@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,65 @@ def test_convexify_needs_strict_margin():
     conv = convexify(factor, margin=0.5)
     assert conv.delta == pytest.approx(4.5)
     assert eigen(apply_shift(H, conv.shifted_rows, conv.delta)).inertia == (2, 0, 0)
+
+
+def _coupled_kkt_instances(seed, count):
+    """Yield (H_F, J_F, mu): indefinite H_F, |F| in 2..10, m in 1..3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nf = int(rng.integers(2, 11))
+        m = int(rng.integers(1, 4))
+        A = rng.normal(size=(nf, nf))
+        yield 0.5 * (A + A.T), rng.normal(size=(m, nf)), float(10.0 ** rng.uniform(-3.0, 0.0))
+
+
+def test_convexify_shifts_by_what_s_needs():
+    """delta is (1 + margin) * -lambda_min(S), never the larger row-sum-norm
+    shift, and gives the shifted KKT matrix exactly |F| positive and m negative
+    eigenvalues."""
+    margin = DEFAULTS.margin
+    shifted = 0
+    for H, J, mu in _coupled_kkt_instances(37, 200):
+        factor = stage1_factorize(build_kkt(H, J, mu))
+        conv = convexify(factor, margin)
+        S = factor.S
+        if S.shape[0] == 0:
+            continue
+        shifted += 1
+        floor = 1e-8 * (1.0 + factor.kkt.h_scale)
+        norm_inf = np.abs(S).sum(axis=1).max()
+        lam = eigen(S).lambda_min
+        assert conv.delta <= max((1.0 + margin) * norm_inf, floor)
+        assert conv.delta > -lam
+        # and no more than the margin asks for
+        assert conv.delta <= max((1.0 + margin) * max(-lam, 0.0), floor) + 1e-9 * norm_inf
+        K = build_kkt(apply_shift(H, conv.shifted_rows, conv.delta), J, mu).K
+        assert eigen(K).inertia == (H.shape[0], J.shape[0], 0)
+    assert shifted > 150
+
+
+def test_convexify_reads_a_diagonal_s_as_its_matrix():
+    d = np.array([2.0, -3.0, -1.0, 0.5])
+    diagonal = stage1_factorize(build_kkt(d, np.zeros((0, 4)), 1.0))
+    matrix = stage1_factorize(build_kkt(np.diag(d), np.zeros((0, 4)), 1.0))
+    # the least entry of S is not its first
+    assert diagonal.S.tolist() == [-1.0, -3.0]
+    shift, shift_m = convexify(diagonal, 0.5), convexify(matrix, 0.5)
+    assert shift.delta == shift_m.delta == 4.5
+    assert (apply_shift(d, shift.shifted_rows, shift.delta) > 0.0).all()
+
+
+@pytest.mark.parametrize("H_F", [np.array([-np.inf, -1.0]), np.diag([-np.inf, -1.0])],
+                         ids=["diagonal", "matrix"])
+def test_convexify_of_an_infinite_s_is_infinite_without_lapack(H_F):
+    # an inf diagonal makes the pivot threshold inf, so S is all of H_F;
+    # eigvalsh on it would give NaN or raise LinAlgError
+    factor = stage1_factorize(build_kkt(H_F, np.zeros((0, 2)), 1.0))
+    assert factor.S.shape[0] == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conv = convexify(factor, DEFAULTS.margin)
+    assert conv.delta == np.inf
 
 
 def test_inertia_examples():

@@ -148,3 +148,44 @@ def test_compare_reports_hessian_counts_without_judging_them(tmp_path, capsys):
         "0 of 3 instances differ",
         "0 instances leave second-order-optimal",
     ]
+
+
+def test_compare_reports_optima_that_moved_without_judging_them(tmp_path, capsys):
+    tool = _load_tool()
+
+    def entry(digest, f, status="second-order-optimal"):
+        return {"digest": digest * 64, "status": status, "iterations": 3, "f": f}
+
+    a = {"p/00": entry("0", -2.0), "p/01": entry("1", -1.5), "p/02": entry("2", 4.0),
+         "p/03": entry("3", 1.0), "p/04": entry("4", 7.0)}
+    b = {
+        "p/00": entry("0", -2.5),
+        # the same minimizer, to within the solver's tolerances
+        "p/01": entry("1", -1.5 * (1.0 + 1e-7)),
+        "p/02": entry("2", 4.0 + 1e-4),
+        # not optimal on both sides, or written without f
+        "p/03": entry("3", 0.5, "iteration-limit"),
+        "p/04": {k: v for k, v in entry("4", 6.0).items() if k != "f"},
+    }
+    assert tool.moved_optima(a, b) == ["p/00", "p/02"]
+    assert tool.moved_optima(a, dict(a)) == []
+
+    paths = []
+    for name, instances in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"omit": [], "instances": instances}))
+    # only p/03's status differs; a moved f alone never fails the comparison
+    assert tool.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "p/03: second-order-optimal in 3 iterations -> iteration-limit in 3 iterations",
+        "1 of 5 instances differ",
+        "1 instances leave second-order-optimal",
+        "p/00: f -2.0 -> -2.5",
+        "p/02: f 4.0 -> 4.0001",
+        "2 of 5 instances stay second-order-optimal at another f: 1 higher, 1 lower",
+    ]
+    del a["p/03"], b["p/03"]
+    for path, instances in zip(paths, (a, b)):
+        path.write_text(json.dumps({"omit": [], "instances": instances}))
+    assert tool.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": 1 higher, 1 lower")

@@ -8,9 +8,9 @@ Solves every instance of the three benchmark pools (perfbench/families.py,
 drawn from perfbench/run.py's POOL_SEED, in generation order) and writes
 one SHA-256 per instance over the status, message, iteration count,
 final x, y and f, and every field of every IterationRecord, with the
-status, iteration count and number of hessian callback calls beside it
-in plain text; the Hessian count is not digested. Floats are hashed
-through repr, which round-trips exactly, so two digests agree only when
+status, iteration count, final f and number of hessian callback calls
+beside it in plain text; the Hessian count is not digested. Floats are
+hashed through repr, which round-trips exactly, so two digests agree only when
 the solves agree bit for bit. --omit leaves named record fields out, for
 comparing against a version that lacks them or whose work counters are
 meant to change; the record fields digested are listed in the output.
@@ -21,7 +21,14 @@ perfbench is only imported, never changed.
 both list theirs), then prints every instance whose digest differs,
 with its status and iteration count on both sides, then the number of
 instances that end second-order-optimal in A and not in B: a change of
-behaviour should keep that number at 0. When both sides count Hessians
+behaviour should keep that number at 0. When some instance ends
+second-order-optimal on both sides but at another f, one more than
+F_TOL * (1 + |f|) away (both sides keeping f), it prints f on both
+sides for each such instance, then how many there are and how many of
+them went higher and lower: a change of behaviour may move a solve to
+another local minimizer, which the comparison reports but does not
+judge. Closer values of f are the same minimizer reached to within the
+solver's tolerances. When both sides count Hessians
 and some instance's count moved, it prints those instances and how many
 there are; a count alone never makes an instance differ. It exits with
 status 1 when any digest, status or iteration count differs.
@@ -38,8 +45,10 @@ import warnings
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 OPTIMAL = "second-order-optimal"
-# the outcome entries compare judges; "hessians" is only reported
+# the outcome entries compare judges; "hessians" and "f" are only reported
 JUDGED = ("digest", "status", "iterations")
+# relative distance at which two optimal f belong to different minimizers
+F_TOL = 1e-6
 
 
 def _canonical(value):
@@ -117,7 +126,7 @@ def pool_digests(src, omit=()):
                 inst = families.parse_instance(inst)
             problem, calls = counting_hessian(inst.problem)
             result = curvsqp.solve(problem, inst.v0, inst.config)
-            out[f"{workload}/{i:02d}"] = outcome(result, omit, len(calls))
+            out[f"{workload}/{i:02d}"] = dict(outcome(result, omit, len(calls)), f=result.f)
     return record_fields(curvsqp.IterationRecord, omit), out
 
 
@@ -158,6 +167,16 @@ def hessian_changes(a, b):
     )
 
 
+def moved_optima(a, b):
+    """Keys that end second-order-optimal on both sides, at f more than
+    F_TOL * (1 + |f|) apart."""
+    return sorted(
+        k for k in set(a) & set(b)
+        if a[k]["status"] == b[k]["status"] == OPTIMAL and "f" in a[k] and "f" in b[k]
+        and abs(b[k]["f"] - a[k]["f"]) > F_TOL * (1.0 + abs(a[k]["f"]))
+    )
+
+
 def left_optimal(a, b):
     """Keys that end second-order-optimal in a and not in b."""
     return sorted(
@@ -193,6 +212,13 @@ def main(argv=None):
             print(f"{key}: {_side(a.get(key))} -> {_side(b.get(key))}")
         print(f"{len(differ)} of {len(set(a) | set(b))} instances differ")
         print(f"{len(left_optimal(a, b))} instances leave {OPTIMAL}")
+        other_f = moved_optima(a, b)
+        for key in other_f:
+            print(f"{key}: f {a[key]['f']!r} -> {b[key]['f']!r}")
+        if other_f:
+            higher = sum(b[key]["f"] > a[key]["f"] for key in other_f)
+            print(f"{len(other_f)} of {len(set(a) | set(b))} instances stay {OPTIMAL}"
+                  f" at another f: {higher} higher, {len(other_f) - higher} lower")
         moved = hessian_changes(a, b)
         for key in moved:
             print(f"{key}: {a[key]['hessians']} -> {b[key]['hessians']} Hessian calls")
