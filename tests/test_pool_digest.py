@@ -3,7 +3,9 @@
 import dataclasses
 import importlib.util
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -189,3 +191,51 @@ def test_compare_reports_optima_that_moved_without_judging_them(tmp_path, capsys
         path.write_text(json.dumps({"omit": [], "instances": instances}))
     assert tool.main(["--compare", str(paths[0]), str(paths[1])]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith(": 1 higher, 1 lower")
+
+
+def test_compare_reports_the_largest_final_x_change_of_the_optima(tmp_path, capsys):
+    tool = _load_tool()
+
+    def entry(x, status="second-order-optimal"):
+        return {"digest": "0" * 64, "status": status, "iterations": 3, "f": 0.0, "x": x}
+
+    a = {"p/00": entry([1.0, -3.0]), "p/01": entry([0.0, 0.0]), "p/02": entry([5.0]),
+         "p/03": entry([2.0])}
+    b = {
+        # 1e-9 on entries of size 3: 1e-9 / (1 + 3)
+        "p/00": entry([1.0, -3.0 + 1e-9]),
+        "p/01": entry([0.0, 2e-10]),
+        # not optimal on both sides, or written without x
+        "p/02": entry([6.0], "iteration-limit"),
+        "p/03": {k: v for k, v in entry([3.0]).items() if k != "x"},
+    }
+    gap, key, count = tool.largest_x_change(a, b)
+    assert (key, count) == ("p/00", 2)
+    assert gap == abs((-3.0 + 1e-9) - -3.0) / 4.0
+    assert tool.largest_x_change(a, dict(a)) == (0.0, "p/00", 4)
+    assert tool.largest_x_change({"p/02": a["p/02"]}, {"p/02": b["p/02"]}) is None
+
+    paths = []
+    for name, instances in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"omit": [], "instances": instances}))
+    assert tool.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"2 instances end second-order-optimal on both sides; the largest"
+        f" max|x_B - x_A| / (1 + max|x_A|) is {gap:.3g}, at p/00"
+    )
+
+
+def test_pool_digests_keep_each_final_x_beside_its_f(monkeypatch):
+    tool = _load_tool()
+    problem = get_problem("saddle-line")
+    instance = SimpleNamespace(problem=problem, v0=None, config=None)
+    # a one-instance pool in place of perfbench's, which is only imported
+    monkeypatch.setitem(sys.modules, "run", SimpleNamespace(
+        WORKLOADS={"saddle": ("saddle", 1)}, POOL_SEED=0))
+    monkeypatch.setitem(sys.modules, "families", SimpleNamespace(saddle=lambda rng: instance))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _, out = tool.pool_digests(str(TOOL.parents[1] / "src"))
+    result = solve(problem)
+    assert out == {"saddle/00": {**tool.outcome(result, hessians=5), "f": result.f,
+                                 "x": result.iterate.x.tolist()}}

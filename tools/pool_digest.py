@@ -8,8 +8,8 @@ Solves every instance of the three benchmark pools (perfbench/families.py,
 drawn from perfbench/run.py's POOL_SEED, in generation order) and writes
 one SHA-256 per instance over the status, message, iteration count,
 final x, y and f, and every field of every IterationRecord, with the
-status, iteration count, final f and number of hessian callback calls
-beside it in plain text; the Hessian count is not digested. Floats are
+status, iteration count, final f and x and number of hessian callback
+calls beside it in plain text; the Hessian count is not digested. Floats are
 hashed through repr, which round-trips exactly, so two digests agree only when
 the solves agree bit for bit. --omit leaves named record fields out, for
 comparing against a version that lacks them or whose work counters are
@@ -28,7 +28,11 @@ sides for each such instance, then how many there are and how many of
 them went higher and lower: a change of behaviour may move a solve to
 another local minimizer, which the comparison reports but does not
 judge. Closer values of f are the same minimizer reached to within the
-solver's tolerances. When both sides count Hessians
+solver's tolerances. Over the instances that end second-order-optimal
+on both sides with x kept on both, it prints the largest
+max|x_B - x_A| / (1 + max|x_A|) and names the instance it belongs to:
+a change that should move the solves by rounding only must keep it
+small. When both sides count Hessians
 and some instance's count moved, it prints those instances and how many
 there are; a count alone never makes an instance differ. It exits with
 status 1 when any digest, status or iteration count differs.
@@ -126,7 +130,8 @@ def pool_digests(src, omit=()):
                 inst = families.parse_instance(inst)
             problem, calls = counting_hessian(inst.problem)
             result = curvsqp.solve(problem, inst.v0, inst.config)
-            out[f"{workload}/{i:02d}"] = dict(outcome(result, omit, len(calls)), f=result.f)
+            out[f"{workload}/{i:02d}"] = dict(outcome(result, omit, len(calls)), f=result.f,
+                                              x=result.iterate.x.tolist())
     return record_fields(curvsqp.IterationRecord, omit), out
 
 
@@ -177,6 +182,26 @@ def moved_optima(a, b):
     )
 
 
+def largest_x_change(a, b):
+    """(gap, key, count): the largest max|x_B - x_A| / (1 + max|x_A|) over
+    the count keys that end second-order-optimal on both sides with x kept
+    on both, and the first key where it occurs; None when there are none."""
+    keys = sorted(
+        k for k in set(a) & set(b)
+        if a[k]["status"] == b[k]["status"] == OPTIMAL and "x" in a[k] and "x" in b[k]
+    )
+    if not keys:
+        return None
+
+    def gap(k):
+        xa, xb = a[k]["x"], b[k]["x"]
+        moved = max((abs(q - p) for p, q in zip(xa, xb)), default=0.0)
+        return moved / (1.0 + max((abs(p) for p in xa), default=0.0))
+
+    worst = max(keys, key=gap)
+    return gap(worst), worst, len(keys)
+
+
 def left_optimal(a, b):
     """Keys that end second-order-optimal in a and not in b."""
     return sorted(
@@ -219,6 +244,11 @@ def main(argv=None):
             higher = sum(b[key]["f"] > a[key]["f"] for key in other_f)
             print(f"{len(other_f)} of {len(set(a) | set(b))} instances stay {OPTIMAL}"
                   f" at another f: {higher} higher, {len(other_f) - higher} lower")
+        x_change = largest_x_change(a, b)
+        if x_change:
+            gap, key, count = x_change
+            print(f"{count} instances end {OPTIMAL} on both sides; the largest"
+                  f" max|x_B - x_A| / (1 + max|x_A|) is {gap:.3g}, at {key}")
         moved = hessian_changes(a, b)
         for key in moved:
             print(f"{key}: {a[key]['hessians']} -> {b[key]['hessians']} Hessian calls")
