@@ -2,13 +2,17 @@
 
 When the Schur complement S is nonempty its largest-magnitude entry
 certifies negative curvature of H_F + (1/mu) J_F.T J_F: pick the unit
-(or two-index) vector h with h.T S h <= -|S|_max, lift sqrt(rho) h
-through the transposed triangular factor, and keep the primal part. The
-lifted vector automatically satisfies the dual stationarity rows, which
+(or two-index) vector h with h.T S h <= -|S|_max, lift w_S = sqrt(rho) h
+to the pivoted rows, and keep the primal part. In the pivot order the
+elimination is P K P.T = L diag(B, S) L.T with L = [[L11, 0], [L21, I]],
+and the lift is the solution d of L.T d = (0, w_S). Since the pivoted
+blocks of K are K_pp = L11 B L11.T and K_ps = L11 B L21.T, that is
+d_p = -K_pp^-1 K_ps w_S: one solve with K's own pivoted rows, so the
+factor need not keep L. The lifted vector satisfies K's pivoted rows,
+K_pp d_p + K_ps w_S = 0, the dual stationarity rows among them, which
 is what makes the full-space quadratic form collapse onto the free
-primal block. The lift is one triangular solve over the pivoted block.
-A diagonal factor (factor.stage1_factorize on a 1-D K) carries no L, so
-it has nothing to lift through, and its S is read as a diagonal: the
+primal block. A diagonal factor (factor.stage1_factorize on a 1-D K)
+has no coupling to lift through, and its S is read as a diagonal: the
 first largest |S| lies on it.
 """
 
@@ -103,15 +107,15 @@ def extract_direction(factor, ws, H, J):
         h[r] = -np.sign(S[q, r]) / np.sqrt(2.0)
     w_S = np.sqrt(rho) * h
 
-    # solve L.T d = (0, w_S); the unit upper-triangular solve needs only
-    # the pivoted leading block since the trailing part of L is identity.
-    # 0.0 - x is -x with no -0.0, so a zero rhs is all +0.0
-    N = factor.perm.shape[0]
-    k = factor.n_piv
+    # d_p = -K_pp^-1 K_ps w_S in pivot order; 0.0 - x is -x with no
+    # -0.0, so a zero rhs is all +0.0
+    K, perm, k = kkt.K, factor.perm, factor.n_piv
+    N = perm.shape[0]
     d = np.zeros(N)
     d[k:] = w_S
-    if k and factor.L is not None:
-        d[:k] = np.linalg.solve(factor.L[:k, :k].T, 0.0 - factor.L[k:, :k].T @ w_S)
+    if k and K.ndim == 2:
+        rows = perm[:k, None]
+        d[:k] = np.linalg.solve(K[rows, perm[:k]], 0.0 - K[rows, perm[k:]] @ w_S)
 
     # un-permute, keep the free primal components, zero on the active set
     z = np.zeros(N)

@@ -9,7 +9,9 @@ H rows and has no diagonal above the pivot threshold, and the pivot
 counts certify the inertia of the factored part. Adding a diagonal shift
 larger than -lambda_min(S) to the unpivoted H rows then makes the whole
 KKT matrix second-order-correct: exactly |F| positive and m negative
-eigenvalues.
+eigenvalues. The factor keeps the pivot order, the pivot blocks and S,
+not the multipliers: the one step that would read them, the curvature
+lift, solves with K's own pivoted rows instead (see curvature).
 
 With no dual rows (m = 0) and a diagonal H_F, every pivot column is
 zero, so the elimination only orders the pivots, and the shift, the
@@ -19,8 +21,8 @@ full Hessian, and then hands every step H's diagonal as a 1-D array: a
 1-D H_F, K, A, S, H_tilde or G stands for the diagonal matrix it holds,
 +0.0 off the diagonal, and no n x n array is built for it. build_kkt
 keeps K as its diagonal, stage1_factorize replays the elimination as one
-permutation (_diagonal_pivots) and keeps A and S as diagonals with no L,
-and convexify, curvature.extract_direction, apply_shift, the
+permutation (_diagonal_pivots) and keeps A and S as diagonals, and
+convexify, curvature.extract_direction, apply_shift, the
 certification (certify) and the QP (qpstep) read them as such, with the
 bits of the matrix routes. No kernel chooses the route again.
 
@@ -112,26 +114,25 @@ class PivotBlock(NamedTuple):
 
 
 class Stage1Factor(NamedTuple):
-    """Result of the restricted elimination: perm @ K @ perm.T = L diag(B, S) L.T.
+    """Result of the restricted elimination of K, permuted by perm.
 
     perm[i] is the original row now in position i; positions < n_piv are
     pivoted, the rest carry the Schur complement S. A is the eliminated
     matrix, whose leading n_piv x n_piv part holds the pivot blocks B on
     its block diagonal. ptype and psize are eliminate's records of the
     pivots in order: each one's PIVOT_TAGS index and its size. A
-    diagonal factor (of a 1-D K) holds A and S as their diagonals and L
-    as None, for the identity.
+    diagonal factor (of a 1-D K) holds A and S as their diagonals. The
+    multipliers are not kept: what reads them can solve with K's own
+    pivoted block instead (see curvature).
     """
 
     kkt: KktSystem
     perm: np.ndarray
-    L: np.ndarray
     A: np.ndarray
     S: np.ndarray
     n_piv: int
     ptype: np.ndarray
     psize: np.ndarray
-    tiny: float
 
     @property
     def blocks(self):
@@ -157,18 +158,14 @@ class Stage1Factor(NamedTuple):
         return self.perm[self.n_piv:]
 
 
-def _swap(A, L, perm, sign, k, r):
-    """Exchange positions k < r: rows and columns of A, L[:, :k], perm, sign."""
+def _swap(A, perm, sign, k, r):
+    """Exchange positions k < r: rows and columns of A, perm, sign."""
     row = A[k].copy()
     A[k] = A[r]
     A[r] = row
     col = A[:, k].copy()
     A[:, k] = A[:, r]
     A[:, r] = col
-    if k:
-        lrow = L[k, :k].copy()
-        L[k, :k] = L[r, :k]
-        L[r, :k] = lrow
     perm[k], perm[r] = perm[r], perm[k]
     sign[k], sign[r] = sign[r], sign[k]
 
@@ -210,7 +207,7 @@ def _diagonal_pivots(d, tiny):
     return vals, order, len(tops)
 
 
-def eliminate(A, L, perm, ptype, psize, nh, tiny):
+def eliminate(A, perm, ptype, psize, nh, tiny):
     """Restricted-pivot elimination of a symmetric saddle matrix, in place.
 
     Rows whose original index (tracked in perm) is < nh belong to the
@@ -223,13 +220,13 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
     largest-magnitude cross coupling in row-major order.
 
     A's leading k x k part retains the pivot blocks on its (block)
-    diagonal, the trailing part becomes the Schur complement, and L gets
-    unit-lower-triangular multipliers. Returns (k, npiv, status): k
-    eliminated positions, npiv pivot records, status 1 when dual rows
-    remain unpivoted (breakdown), else 0. Bit-identical to the scalar
-    loop stage1_reference in tests/reference.py: the Schur updates keep
-    its operation order, which is why they are outer products and not
-    matmuls. L must enter as the identity.
+    diagonal and the trailing part becomes the Schur complement; the
+    multipliers are formed for the updates and not stored. Returns (k,
+    npiv, status): k eliminated positions, npiv pivot records, status 1
+    when dual rows remain unpivoted (breakdown), else 0. Bit-identical
+    to the scalar loop stage1_reference in tests/reference.py: the Schur
+    updates keep its operation order, which is why they are outer
+    products and not matmuls.
     """
     N = A.shape[0]
     diag = A.diagonal()
@@ -259,11 +256,10 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
                     best = int(tied_dual.argmax())
             best += k
             if best != k:
-                _swap(A, L, perm, sign, k, best)
+                _swap(A, perm, sign, k, best)
             if k + 1 < N:  # the last pivot leaves nothing to update
                 inva = 1.0 / A[k, k]
                 c = A[k + 1:, k]
-                np.multiply(c, inva, out=L[k + 1:, k])
                 r = N - k - 1
                 T = work[:r * r].reshape(r, r)
                 np.multiply.outer(c, c, out=T)
@@ -294,11 +290,11 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
         if det >= 0.0:
             break
         if bi != k:
-            _swap(A, L, perm, sign, k, bi)
+            _swap(A, perm, sign, k, bi)
             if bj == k:
                 bj = bi
         if bj != k + 1:
-            _swap(A, L, perm, sign, k + 1, bj)
+            _swap(A, perm, sign, k + 1, bj)
         if k + 2 < N:  # as for 1x1 pivots
             e11 = A[k, k]
             e22 = A[k + 1, k + 1]
@@ -308,8 +304,6 @@ def eliminate(A, L, perm, ptype, psize, nh, tiny):
             w2 = A[k + 2:, k + 1]
             l1 = (w1 * e22 - w2 * e12) * idet
             l2 = (w2 * e11 - w1 * e12) * idet
-            L[k + 2:, k] = l1
-            L[k + 2:, k + 1] = l2
             S = A[k + 2:, k + 2:]
             np.subtract(S, np.multiply.outer(l1, w1) + np.multiply.outer(l2, w2), out=S)
         ptype[npiv] = 2
@@ -325,21 +319,18 @@ def stage1_factorize(kkt):
 
     A diagonal K (1-D, no dual rows) is factored by _diagonal_pivots
     instead of eliminate, with the same bits: each Schur update would
-    subtract +0.0, which changes no bit, and each multiplier would be
-    the +0.0 of an identity L. A then stays diagonal, so symmetrizing S
-    changes only its diagonal.
+    subtract +0.0, which changes no bit, so A stays diagonal and
+    symmetrizing S changes only its diagonal.
 
     Raises FactorizationBreakdown (carrying the partial factor) if dual
     rows remain when no admissible pivot is left; with a positive mu this
     indicates data so degenerate that the pivot threshold swallowed a
     whole dual row.
     """
-    N = kkt.n_free + kkt.m
     tiny = 1e-12 * (1.0 + kkt.norm_max)
     if kkt.K.ndim == 1:
         vals, order, n_piv = _diagonal_pivots(kkt.K, tiny)
         A = np.array(vals)
-        L = None
         perm = np.array(order, dtype=np.int64)
         ptype = np.zeros(n_piv, dtype=np.int64)
         psize = np.ones(n_piv, dtype=np.int64)
@@ -347,25 +338,22 @@ def stage1_factorize(kkt):
         status = 0
     else:
         A = kkt.K.copy()
-        L = np.zeros((N, N))
-        L.ravel()[::N + 1] = 1.0
+        N = A.shape[0]
         perm = np.arange(N, dtype=np.int64)
         ptype = np.zeros(N, dtype=np.int64)
         psize = np.zeros(N, dtype=np.int64)
-        n_piv, n_blocks, status = eliminate(A, L, perm, ptype, psize, kkt.n_free, tiny)
+        n_piv, n_blocks, status = eliminate(A, perm, ptype, psize, kkt.n_free, tiny)
         ptype, psize = ptype[:n_blocks], psize[:n_blocks]
         S = A[n_piv:, n_piv:]
     # of a 1-D S the transpose is S itself
     factor = Stage1Factor(
         kkt=kkt,
         perm=perm,
-        L=L,
         A=A,
         S=0.5 * (S + S.T),
         n_piv=n_piv,
         ptype=ptype,
         psize=psize,
-        tiny=tiny,
     )
     if status != 0:
         raise FactorizationBreakdown(
@@ -390,8 +378,9 @@ class Convexification(NamedTuple):
 def convexify(factor, margin):
     """Choose the diagonal shift for the unpivoted H rows.
 
-    The shift lands on S's rows and L's trailing block is the identity,
-    so the shifted KKT matrix has exactly |F| positive and m negative
+    The shift lands on S's rows, and the elimination only subtracts
+    products of pivot columns from their diagonal, so it reaches S
+    unchanged and the shifted KKT matrix has exactly |F| positive and m negative
     eigenvalues when S + delta*I is positive definite, that is when
     delta > -lambda_min(S). An empty S needs no shift. Otherwise
     delta = (1 + margin) * max(-lambda_min(S), 0); a small floor keeps a

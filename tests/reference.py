@@ -8,7 +8,9 @@ qpstep's loop and problemfile's monomial tables; each pair must agree
 bit for bit. diagonal_matrix builds the matrix a 1-D diagonal stands
 for, to run a diagonal through those routes. The stage-1 diagnostics
 below read a Stage1Factor: its pivot inertia, its permutation matrix and
-how well L diag(B, S) L.T rebuilds the permuted KKT matrix.
+how well L diag(B, S) L.T rebuilds the permuted KKT matrix, with the
+multipliers L, which the factor does not keep, taken from
+stage1_reference.
 """
 
 import numpy as np
@@ -384,8 +386,25 @@ def permutation_matrix(factor):
 
 
 def reconstruction_error(factor):
-    """Max-norm of P K P.T - L diag(B, S) L.T, B assembled from factor.blocks."""
-    N = factor.perm.shape[0]
+    """Max-norm of P K P.T - L diag(B, S) L.T, B assembled from factor.blocks.
+
+    factor is a Stage1Factor of a 2-D K. L comes from stage1_reference on
+    the same K, after its A, perm and pivot records are checked against
+    the factor's bit for bit, so L belongs to the factor's elimination.
+    """
+    kkt = factor.kkt
+    N = kkt.K.shape[0]
+    A, L = kkt.K.copy(), np.eye(N)
+    perm = np.arange(N, dtype=np.int64)
+    ptype = np.zeros(N, dtype=np.int64)
+    psize = np.zeros(N, dtype=np.int64)
+    k, npiv, _ = stage1_reference(A, L, perm, ptype, psize, kkt.n_free,
+                                  1e-12 * (1.0 + kkt.norm_max))
+    assert k == factor.n_piv
+    for ref, got in ((A, factor.A), (perm, factor.perm), (ptype[:npiv], factor.ptype),
+                     (psize[:npiv], factor.psize)):
+        assert ref.dtype == got.dtype and ref.shape == got.shape
+        assert ref.tobytes() == got.tobytes()
     D = np.zeros((N, N))
     for blk in factor.blocks:
         end = blk.offset + blk.values.shape[0]
@@ -393,4 +412,4 @@ def reconstruction_error(factor):
     k = factor.n_piv
     D[k:, k:] = factor.S
     P = permutation_matrix(factor)
-    return float(np.max(np.abs(P @ factor.kkt.K @ P.T - factor.L @ D @ factor.L.T), initial=0.0))
+    return float(np.max(np.abs(P @ kkt.K @ P.T - L @ D @ L.T), initial=0.0))

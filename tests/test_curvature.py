@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import DIAGONAL_VALUES, kkt_instances
+from conftest import DIAGONAL_VALUES, kkt_instances, scaled_kkt_instances
 from curvsqp.curvature import (
     CurvatureDirection,
     curvature_form,
@@ -11,6 +11,7 @@ from curvsqp.curvature import (
     refresh_direction,
     scale,
 )
+from curvsqp.errors import FactorizationBreakdown
 from curvsqp.factor import build_kkt, stage1_factorize
 from curvsqp.oracle import eigen, nullspace_basis
 from curvsqp.workset import estimate
@@ -231,20 +232,32 @@ def test_refresh_drops_direction_when_penalty_shrinks():
 
 
 def _recorded_solves(monkeypatch):
-    """Record the right-hand side of every np.linalg.solve call."""
+    """Record the matrix and right-hand side of every np.linalg.solve call."""
     lapack = np.linalg.solve
     calls = []
 
     def recorded(a, b):
-        calls.append(np.array(b))
+        calls.append((np.array(a), np.array(b)))
         return lapack(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
     return calls
 
 
+def _pivoted_blocks(factor):
+    """K_pp and K_ps: K's pivoted rows by its pivoted and by its S columns, in pivot order."""
+    k, perm = factor.n_piv, factor.perm
+    K = factor.kkt.K
+    return K[np.ix_(perm[:k], perm[:k])], K[np.ix_(perm[:k], perm[k:])]
+
+
 def test_lift_matches_lapack_bit_for_bit(monkeypatch):
-    """A zero right-hand side lifts to the +0.0 bits LAPACK returns for it."""
+    """The lift is LAPACK's solve with K_pp on 0.0 - K_ps w_S, bit for bit.
+
+    A zero right-hand side lifts to zeros, with the signs LAPACK gives
+    them: the back substitution of K_pp's LU divides +0.0 by its pivots,
+    so a negative pivot leaves a -0.0.
+    """
     rng = np.random.default_rng(75)
     cases = list(kkt_instances(76, 120))
     for _ in range(60):
@@ -269,25 +282,31 @@ def test_lift_matches_lapack_bit_for_bit(monkeypatch):
         k, ns = factor.n_piv, factor.S.shape[0]
         if not k:
             continue
-        U = factor.L[:k, :k].T
+        K_pp, K_ps = _pivoted_blocks(factor)
         # the premise: every zero right-hand side the lift can form,
-        # 0.0 - L_S.T @ w for a unit w, solves to +0.0 through LAPACK
+        # 0.0 - K_ps @ w for a unit w, is +0.0 and solves to zeros
         for w in np.eye(ns):
-            rhs = 0.0 - factor.L[k:, :k].T @ w
+            rhs = 0.0 - K_ps @ w
             if not rhs.any():
-                assert lapack(U, rhs).tobytes() == np.zeros(k).tobytes()
+                assert not rhs.view(np.uint64).any()
+                assert not lapack(K_pp, rhs).any()
         calls.clear()
         d = extract_direction(factor, _all_free(H.shape[0]), H, J)
         if not d.exists:
             continue
-        # a zero right-hand side leaves the pivoted primal entries at +0.0
-        pivoted = factor.perm[:k][factor.perm[:k] < factor.kkt.n_free]
-        (rhs,) = calls
+        ((a, rhs),) = calls
+        assert a.tobytes() == K_pp.tobytes()
+        # the pivoted primal entries are LAPACK's, and the S entries w_S
+        w_S = d.u_hat[factor.perm[k:]]
+        assert rhs.tobytes() == (0.0 - K_ps @ w_S).tobytes()
+        lifted = lapack(K_pp, rhs)
+        pivoted = factor.perm[:k] < factor.kkt.n_free
+        assert d.u_hat[factor.perm[:k][pivoted]].tobytes() == lifted[pivoted].tobytes()
         if rhs.any():
             coupled += 1
         else:
             zero += 1
-            assert not d.u_hat[pivoted].view(np.uint64).any()
+            assert not lifted.any()
     # both kinds of right-hand side are exercised
     assert zero > 40 and coupled > 40
 
@@ -296,18 +315,48 @@ def test_lift_matches_lapack_bit_for_bit(monkeypatch):
 def test_an_uncoupled_block_lifts_to_lapacks_bits(m):
     """Only the S row's own entry reaches the lift, which gives LAPACK's bits."""
     # a coupled positive block and an uncoupled negative entry that
-    # becomes S; the pivoted block's U is not the identity
+    # becomes S; the pivoted block K_pp is not diagonal
     H = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, -2.0]])
     J = np.array([[1.0, 2.0, 0.0]])[:m]
     factor = _factor(H, J, 0.5)
     k = factor.n_piv
-    U = factor.L[:k, :k].T
-    assert not np.array_equal(U, np.eye(k))
+    K_pp, K_ps = _pivoted_blocks(factor)
+    assert np.count_nonzero(K_pp - np.diag(K_pp.diagonal()))
     d = extract_direction(factor, _all_free(3), H, J)
     assert d.exists and d.rho == 2.0
     # the direction np.linalg.solve lifts, entry by entry
     w_S = np.sqrt(d.rho) * np.ones(1)
     lifted = np.zeros(k + 1)
-    lifted[factor.perm[:k]] = np.linalg.solve(U, 0.0 - factor.L[k:, :k].T @ w_S)
+    lifted[factor.perm[:k]] = np.linalg.solve(K_pp, 0.0 - K_ps @ w_S)
     lifted[factor.perm[k:]] = w_S
     assert d.u_hat.tobytes() == lifted[:3].tobytes()
+
+
+def test_the_lift_solves_the_pivoted_rows_of_k():
+    """u_hat with y = J u_hat / mu meets K's pivoted rows to rounding, HD
+    pivots included, and its curvature_B is the full-space form
+    z.T K z = w_S.T S w_S of the lifted vector z."""
+    hd = checked = 0
+    for H, J, mu in [*kkt_instances(77, 300), *scaled_kkt_instances(78, 300)]:
+        try:
+            factor = _factor(H, J, mu)
+        except FactorizationBreakdown:
+            continue
+        d = extract_direction(factor, _all_free(H.shape[0]), H, J)
+        if not d.exists:
+            continue
+        K, perm, k = factor.kkt.K, factor.perm, factor.n_piv
+        z = np.concatenate([d.u_hat, J @ d.u_hat / mu])
+        w_S = z[perm[k:]]
+        # the rows of K_pp d_p + K_ps w_S, at the rounding scale of its terms
+        residual = np.abs(K[perm[:k]] @ z)
+        scale = np.abs(K[perm[:k]]) @ np.abs(z)
+        assert np.all(residual <= 1e-10 * (1.0 + scale.max(initial=0.0)))
+        form = float(z @ (K @ z))
+        schur = float(w_S @ (factor.S @ w_S))
+        size = float(np.abs(K).max()) * float(z @ z)
+        assert abs(d.curvature_B - form) <= 1e-10 * size
+        assert abs(d.curvature_B - schur) <= 1e-10 * size
+        hd += factor.counts["HD"] > 0
+        checked += 1
+    assert checked > 150 and hd > 20

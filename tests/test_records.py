@@ -39,7 +39,7 @@ RECORDS = [
     (curvature.ScaledStep, ("u", "w", "beta")),
     (factor.KktSystem, ("mu", "K", "n_free", "m", "norm_max", "h_scale")),
     (factor.PivotBlock, ("values", "tag", "offset")),
-    (factor.Stage1Factor, ("kkt", "perm", "L", "A", "S", "n_piv", "ptype", "psize", "tiny")),
+    (factor.Stage1Factor, ("kkt", "perm", "A", "S", "n_piv", "ptype", "psize")),
     (factor.Convexification, ("delta", "shifted_rows")),
     (merit.MeritState, ("y_E", "mu", "nu", "eta_S", "alpha_min")),
     (merit.LineSearchResult,
