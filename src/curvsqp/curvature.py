@@ -81,8 +81,8 @@ def extract_direction(factor, ws, H, J):
 
     H and J are the full-space matrices used to report curvature_B; they
     must agree with the factor's free blocks on the free set. Returns a
-    non-direction when S is empty or its largest entry is below the
-    noise floor.
+    non-direction when S is empty or its largest |entry| is below the
+    noise floor, infinite or NaN.
     """
     kkt = factor.kkt
     n, m = H.shape[0], kkt.m
@@ -96,7 +96,8 @@ def extract_direction(factor, ws, H, J):
     flat = int(S_abs.argmax())
     q, r = divmod(flat, S.shape[1]) if S.ndim == 2 else (flat, flat)
     rho = float(S_abs.flat[flat])
-    if rho <= floor:
+    # an infinite rho would lift inf * 0 = NaN; a NaN fails this test too
+    if not floor < rho < np.inf:
         return no_direction(n, m)
     ns = S.shape[0]
     h = np.zeros(ns)

@@ -73,6 +73,23 @@ def test_extract_ignores_roundoff_schur():
     assert not d.exists
 
 
+@pytest.mark.parametrize("bad", [1.7e308, -1.7e308, np.nan])
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "matrix"])
+def test_extract_finds_nothing_when_the_largest_s_entry_is_not_finite(diagonal, bad):
+    # K's doubling of +-1.7e308 overflows to +-inf while H, and so the
+    # noise floor, stay finite; the pivot threshold is then inf (or NaN),
+    # so S is all of K, and lifting sqrt(rho) * h would put inf * 0 = NaN
+    # beside the chosen entry
+    d = np.array([bad, -1.0, 0.5])
+    H, J = np.diag(d), np.zeros((0, 3))
+    with np.errstate(over="ignore"):
+        factor = _factor(d if diagonal else H, J, 1.0)
+    assert factor.S.ndim == (1 if diagonal else 2) and factor.S.shape[0] == 3
+    got = extract_direction(factor, _all_free(3), H, J)
+    assert not got.exists and got.rho == 0.0
+    assert got.u_hat.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_extract_zero_on_active_set_exactly():
     rng = np.random.default_rng(41)
     for _ in range(25):
