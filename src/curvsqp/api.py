@@ -40,7 +40,9 @@ _EXIT_CODES = {
 
 # ranges of the float settings; every other one must be >= 0
 _FLOAT_RANGES = {
-    **{name: ("> 0", lambda v: v > 0.0) for name in ("mu0", "nu", "tau0", "u_max", "qp_tol")},
+    # margin = 0 shifts S by exactly -lambda_min(S), which leaves S + delta*I singular
+    **{name: ("> 0", lambda v: v > 0.0)
+       for name in ("mu0", "nu", "tau0", "u_max", "qp_tol", "margin")},
     "eta_S": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "alpha_min": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
 }

@@ -468,6 +468,7 @@ def test_out_of_range_flag_is_a_format_error(flags, capsys):
         {"alpha_min": 1.5},
         {"j_max": -1},
         {"margin": -0.5},
+        {"margin": 0},
         {"qp_tol": 0},
     ],
 )

@@ -729,6 +729,7 @@ def test_certificate_clean_at_a_minimizer():
         {"tol_first": -1e-8},
         {"epsilon_a": -1.0},
         {"margin": float("-inf")},
+        {"margin": 0.0},
         {"max_iterations": -1},
         {"max_iterations": 2.5},
         {"j_max": True},
@@ -839,7 +840,7 @@ def test_merit_state_defaults_equal_the_solver_config_defaults(monkeypatch, fiel
 def test_settings_at_the_ends_of_their_ranges_are_accepted():
     SolverConfig(
         tol_first=0.0, tol_second=0.0, tol_constraint=0.0, max_iterations=0,
-        epsilon_a=0.0, alpha_min=1.0, margin=0.0, j_max=0,
+        epsilon_a=0.0, alpha_min=1.0, j_max=0,
     )
 
 
