@@ -109,7 +109,7 @@ def extract_direction(factor, ws, H, J):
     w_S = np.sqrt(rho) * h
 
     # d_p = -K_pp^-1 K_ps w_S in pivot order; 0.0 - x is -x with no
-    # -0.0, so a zero rhs is all +0.0
+    # -0.0, so a zero rhs is all +0.0 (LU may still return -0.0 for it)
     K, perm, k = kkt.K, factor.perm, factor.n_piv
     N = perm.shape[0]
     d = np.zeros(N)

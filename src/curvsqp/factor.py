@@ -122,8 +122,7 @@ class Stage1Factor(NamedTuple):
     its block diagonal. ptype and psize are eliminate's records of the
     pivots in order: each one's PIVOT_TAGS index and its size. A
     diagonal factor (of a 1-D K) holds A and S as their diagonals. The
-    multipliers are not kept: what reads them can solve with K's own
-    pivoted block instead (see curvature).
+    multipliers L are not kept (see the module docstring).
     """
 
     kkt: KktSystem
@@ -380,9 +379,9 @@ def convexify(factor, margin):
 
     The shift lands on S's rows, and the elimination only subtracts
     products of pivot columns from their diagonal, so it reaches S
-    unchanged and the shifted KKT matrix has exactly |F| positive and m negative
-    eigenvalues when S + delta*I is positive definite, that is when
-    delta > -lambda_min(S). An empty S needs no shift. Otherwise
+    unchanged: the shifted KKT matrix has exactly |F| positive and m
+    negative eigenvalues when S + delta*I is positive definite, that is
+    when delta > -lambda_min(S). An empty S needs no shift. Otherwise
     delta = (1 + margin) * max(-lambda_min(S), 0); a small floor keeps a
     nonempty but numerically zero S from producing a singular shifted
     matrix. lambda_min is eigvalsh's least eigenvalue of a 2-D S and the
