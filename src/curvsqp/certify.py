@@ -13,35 +13,27 @@ from .errors import QpInternalError
 from .factor import apply_shift
 
 
-def _certification_grid(h_scale, theta_prev):
-    """(s, top, k0) of the certification grid 0, s, 2s, 4s, ... at h_scale.
+# 0 and 2**j for the points of the certification grid: s * 2**86 is the
+# last below the limit 1e18 * (1 + h_scale) whenever that limit is finite.
+# Python's exact powers, since numpy's power loop would page in about
+# 0.15 MB of code that no solve runs
+_DOUBLINGS = np.array([0.0] + [2.0 ** j for j in range(87)])
 
-    Point k > 0 is _grid_point(s, k) = s * 2.0 ** (k - 1), with
-    s = 1e-8 * (1 + h_scale), exact since doubling is. The grid ends at
-    point top, the last one at most 1e18 * (1 + h_scale), or the largest
-    finite one when that limit overflows. k0 is the index of the least
-    point >= theta_prev, clamped to top. top and k0 come from the
-    exponents of s and theta_prev (math.frexp), so no point is formed
-    until it is tried. h_scale must be finite.
+
+def _certification_grid(h_scale, theta_prev):
+    """(grid, top, k0) of the certification grid 0, s, 2s, 4s, ... at h_scale.
+
+    grid is s * _DOUBLINGS with s = 1e-8 * (1 + h_scale), exact since
+    doubling is, cut where it would pass the largest finite float:
+    s * 2**j is finite while frexp's exponent of s plus j is at most
+    1024, so no product overflows. top is its last index and k0 the
+    index of the least point >= theta_prev, clamped to top; a NaN
+    theta_prev sorts last. h_scale must be finite.
     """
     s = 1e-8 * (1.0 + h_scale)
-    ms, es = math.frexp(s)
-    # 2**86 * s is always below the limit; s * 2**j is finite while es + j <= 1024
-    top = min(87, 1025 - es)
-    if theta_prev <= 0.0:
-        k0 = 0
-    elif theta_prev < math.inf:
-        mt, et = math.frexp(theta_prev)
-        # the least j with s * 2**j >= theta_prev, compared as mantissa and exponent
-        k0 = min(max(et - es + (mt > ms), 0) + 1, top)
-    else:  # inf, or NaN, which a sorted search places last too
-        k0 = top
-    return s, top, k0
-
-
-def _grid_point(s, k):
-    """Point k of the certification grid whose first positive point is s."""
-    return s * 2.0 ** (k - 1) if k else 0.0
+    grid = s * _DOUBLINGS[:min(88, 1026 - math.frexp(s)[1])]
+    top = grid.shape[0] - 1
+    return grid, top, min(int(grid.searchsorted(theta_prev)), top)
 
 
 def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
@@ -82,7 +74,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     base = H_tilde + (J.T @ J) / mu if J.shape[0] else H_tilde
     base = 0.5 * (base + base.T)
 
-    s, top, k0 = _certification_grid(h_scale, theta_prev)
+    grid, top, k0 = _certification_grid(h_scale, theta_prev)
     attempts = 0
     # G keeps the trial of the least point found to factor
     G = None
@@ -90,7 +82,7 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
     def factors(k):
         nonlocal attempts, G
         attempts += 1
-        trial = apply_shift(base, bump_rows, _grid_point(s, k))
+        trial = apply_shift(base, bump_rows, grid[k])
         if base.ndim == 1:
             if not np.logical_and.reduce(trial > 0.0, None):
                 return False
@@ -130,4 +122,4 @@ def _certified_hessian(H_tilde, J, mu, bump_rows, h_scale, theta_prev=0.0):
             lo = mid
     if hi > top:
         raise QpInternalError("convexified Hessian cannot be made positive definite")
-    return G, _grid_point(s, hi), attempts
+    return G, float(grid[hi]), attempts

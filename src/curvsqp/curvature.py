@@ -108,19 +108,17 @@ def extract_direction(factor, ws, H, J):
         h[r] = -np.sign(S[q, r]) / np.sqrt(2.0)
     w_S = np.sqrt(rho) * h
 
-    # d_p = -K_pp^-1 K_ps w_S in pivot order; 0.0 - x is -x with no
-    # -0.0, so a zero rhs is all +0.0 (LU may still return -0.0 for it)
+    # the lift z in K's order: w_S on the Schur rows perm[k:] and
+    # d_p = -K_pp^-1 K_ps w_S on the pivot rows perm[:k]; 0.0 - x is -x
+    # with no -0.0, so a zero rhs is all +0.0 (LU may still return -0.0)
     K, perm, k = kkt.K, factor.perm, factor.n_piv
-    N = perm.shape[0]
-    d = np.zeros(N)
-    d[k:] = w_S
+    z = np.zeros(perm.shape[0])
+    z[perm[k:]] = w_S
     if k and K.ndim == 2:
         rows = perm[:k, None]
-        d[:k] = np.linalg.solve(K[rows, perm[:k]], 0.0 - K[rows, perm[k:]] @ w_S)
+        z[perm[:k]] = np.linalg.solve(K[rows, perm[:k]], 0.0 - K[rows, perm[k:]] @ w_S)
 
-    # un-permute, keep the free primal components, zero on the active set
-    z = np.zeros(N)
-    z[factor.perm] = d
+    # keep the free primal components, zero on the active set
     u_hat = np.zeros(n)
     u_hat[ws.free] = z[:kkt.n_free]
     return _certified_direction(u_hat, H, J, kkt.mu, rho, (int(q), int(r)))

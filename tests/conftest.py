@@ -177,6 +177,49 @@ def quadric_sphere_instances(seed, count, n=8):
         yield problem, make_iterate(ones, np.zeros(2))
 
 
+def sphere_saddle_instances(seed, count, n=8):
+    """Yield (problem, v0, f_star) triples that start at a saddle.
+
+    min 1/2 (x - s)'Q(x - s) subject to |x - s|^2 = n, x >= 0, with
+    s = 10 (the bounds never bind) and Q drawn as quadric_sphere_instances
+    draws it, with eigenpairs (lambda_j, v_j) ascending. Instance i starts
+    at x = s + sqrt(n) v_k, y = lambda_k / 2 with k = 1 + i mod (n - 1):
+    a KKT point whose reduced curvature is negative along v_0. The
+    minimizers are s +- sqrt(n) v_0, at f_star = n lambda_0 / 2: the
+    trust-region subproblem (More and Sorensen 1983), whose KKT points
+    are the eigenvectors. The constraint curves, so the problem does
+    not declare linear_constraints.
+    """
+    rng = np.random.default_rng(seed)
+    shift = np.full(n, 10.0)
+    for i in range(count):
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        Q = 0.5 * (A + A.T)
+        lam, V = np.linalg.eigh(Q)
+        k = 1 + i % (n - 1)
+
+        def f(x, Q=Q):
+            z = x - shift
+            return 0.5 * float(z @ (Q @ z))
+
+        def g(x, Q=Q):
+            return Q @ (x - shift)
+
+        def cons(x):
+            z = x - shift
+            return np.array([float(z @ z) - n])
+
+        def jac(x):
+            return 2.0 * (x - shift)[None, :]
+
+        def hess(x, y, Q=Q):
+            return Q + 2.0 * y[0] * np.eye(n)
+
+        problem = NlpProblem("sphere-saddle", n, 1, f, g, cons, jac, hess)
+        v0 = make_iterate(shift + np.sqrt(n) * V[:, k], [0.5 * lam[k]])
+        yield problem, v0, 0.5 * n * float(lam[0])
+
+
 def merit_form_instances(seed, count):
     """Yield (H, J, mu, nu, u) tuples for the stacked quadratic-form check."""
     rng = np.random.default_rng(seed)

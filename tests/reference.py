@@ -251,10 +251,10 @@ def certification_grid_reference(h_scale, theta_prev):
     """(grid, top, k0): the certification grid as one array, its last index
     and the index of the least point >= theta_prev, clamped to top.
 
-    The reference for certify._certification_grid and certify._grid_point:
-    every positive point is formed at once as s * 2**j, the points past
-    1e18 * (1 + h_scale) or past the largest finite one are dropped, and
-    k0 comes from a sorted search of the array.
+    The reference for certify._certification_grid: every positive point
+    is formed as s * 2**j, overflow allowed, and the points past
+    1e18 * (1 + h_scale) or past the largest finite one are dropped by
+    value, where certify cuts its grid by the exponent of s.
     """
     with np.errstate(over="ignore"):
         steps = (1e-8 * (1.0 + h_scale)) * _DOUBLINGS

@@ -112,6 +112,34 @@ def test_problem_file_solves_to_a_vertex(tmp_path):
     assert main(["solve", path]) == 0
 
 
+def test_a_file_with_a_curved_constraint_leaves_its_saddle_start(tmp_path, capsys):
+    # f = (a^2 - b^2) / 2 on the circle a^2 + b^2 = 2, with a = x0 - 3 and
+    # b = x1 - 3: the start a = sqrt(2), b = 0 is a KKT point at f = 1 with
+    # negative reduced curvature, and the minimizers b = +-sqrt(2) have f = -1
+    doc = {
+        "format_version": 1,
+        "name": "circle-saddle",
+        "n": 2,
+        "objective": [[0.5, [2, 0]], [-3.0, [1, 0]], [-0.5, [0, 2]], [3.0, [0, 1]]],
+        "constraints": [[[1.0, [2, 0]], [-6.0, [1, 0]], [1.0, [0, 2]], [-6.0, [0, 1]],
+                         [16.0, [0, 0]]]],
+        "start": {"x": [3.0 + np.sqrt(2.0), 3.0], "y": [0.5]},
+    }
+    path = _write(tmp_path, doc)
+    assert parse_problem_file(json.dumps(doc)).problem.linear_constraints is False
+    report = tmp_path / "report.json"
+    assert main(["solve", path, "--report", str(report)]) == 0
+    found = json.loads(report.read_text())
+    assert found["f"] == pytest.approx(-1.0, abs=1e-6)
+    assert found["x"][0] == pytest.approx(3.0, abs=1e-6)
+    assert abs(found["x"][1] - 3.0) == pytest.approx(np.sqrt(2.0), abs=1e-6)
+    assert main(["solve", path, "--no-curvature", "--report", str(report)]) == 2
+    assert json.loads(report.read_text())["f"] == pytest.approx(1.0, abs=1e-12)
+    capsys.readouterr()
+    assert main(["solve", path, "--check-derivatives"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_evaluation_blowup_maps_to_exit_four(tmp_path, capsys):
     # unbounded quartic: iterates grow geometrically until the objective
     # overflows and the evaluator rejects the non-finite value

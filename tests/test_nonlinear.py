@@ -3,7 +3,9 @@
 Every built-in and benchmark constraint is linear, so none of them
 depends on the sign with which constraint curvature enters the
 Lagrangian Hessian. The quadric-sphere family does: its sphere row
-curves. The simplex-qp family at a small penalty checks that the step
+curves. The sphere-saddle family starts each solve at a KKT point with
+negative reduced curvature, so only the paper's curvature direction
+leaves it. The simplex-qp family at a small penalty checks that the step
 QP on H + J'J/mu stays solvable as mu falls. perfbench/ is only read.
 """
 
@@ -12,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import load_perfbench, quadric_sphere_instances
+from conftest import load_perfbench, quadric_sphere_instances, sphere_saddle_instances
 from curvsqp.driver import SolveStatus, SolverConfig, solve
 from curvsqp.model import check_derivatives
 
@@ -46,6 +48,25 @@ def test_quadric_sphere_ends_optimal_once_u_of_zero_merit_curvature_is_dropped(i
     assert dropped and all(rec.norm_u == 0.0 == rec.R_k for rec in dropped)
     verdict = verify.check_point(problem, result.iterate.x)
     assert verdict.ok, verdict.reason
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_sphere_saddle_needs_the_curvature_direction(index):
+    # 78, 99, 69, 182 and 141 iterations at the default cap of 200; a
+    # later change that trips the cap shows a stall, not a bad draw
+    verify = load_perfbench("verify")
+    problem, v0, f_star = next(itertools.islice(sphere_saddle_instances(1, 5, n=8), index, None))
+    assert check_derivatives(problem, v0.x, v0.y).max_error <= 1e-6
+    result = solve(problem, v0)
+    assert result.status is SolveStatus.SECOND_ORDER_OPTIMAL, result.iterations
+    verdict = verify.check_point(problem, result.iterate.x)
+    assert verdict.ok, verdict.reason
+    assert abs(result.f - f_star) <= 1e-6 * (1.0 + abs(f_star))
+    # without it the start passes every first-order test and is kept
+    flat = solve(problem, v0, config=SolverConfig(enable_curvature=False))
+    assert flat.status is SolveStatus.FIRST_ORDER_ONLY
+    assert np.array_equal(flat.iterate.x, v0.x)
+    assert not verify.check_point(problem, flat.iterate.x).ok
 
 
 @pytest.mark.parametrize("n", [16, 32])
