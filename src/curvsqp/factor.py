@@ -119,10 +119,11 @@ class Stage1Factor(NamedTuple):
     perm[i] is the original row now in position i; positions < n_piv are
     pivoted, the rest carry the Schur complement S. A is the eliminated
     matrix, whose leading n_piv x n_piv part holds the pivot blocks B on
-    its block diagonal. ptype and psize are eliminate's records of the
-    pivots in order: each one's PIVOT_TAGS index and its size. A
-    diagonal factor (of a 1-D K) holds A and S as their diagonals. The
-    multipliers L are not kept (see the module docstring).
+    its block diagonal. ptype and psize record the pivots in order, each
+    one's PIVOT_TAGS index and its size: the arrays eliminate returns,
+    or n_piv 1x1 H+ pivots for a diagonal factor (of a 1-D K), which
+    holds A and S as their diagonals. The multipliers L are not kept
+    (see the module docstring).
     """
 
     kkt: KktSystem
@@ -157,8 +158,8 @@ class Stage1Factor(NamedTuple):
         return self.perm[self.n_piv:]
 
 
-def _swap(A, perm, sign, k, r):
-    """Exchange positions k < r: rows and columns of A, perm, sign."""
+def _swap(A, perm, k, r):
+    """Exchange positions k < r: rows and columns of A, and perm."""
     row = A[k].copy()
     A[k] = A[r]
     A[r] = row
@@ -166,7 +167,6 @@ def _swap(A, perm, sign, k, r):
     A[:, k] = A[:, r]
     A[:, r] = col
     perm[k], perm[r] = perm[r], perm[k]
-    sign[k], sign[r] = sign[r], sign[k]
 
 
 def diagonal_entries(A):
@@ -206,7 +206,7 @@ def _diagonal_pivots(d, tiny):
     return vals, order, len(tops)
 
 
-def eliminate(A, perm, ptype, psize, nh, tiny):
+def eliminate(A, perm, nh, tiny):
     """Restricted-pivot elimination of a symmetric saddle matrix, in place.
 
     Rows whose original index (tracked in perm) is < nh belong to the
@@ -221,7 +221,8 @@ def eliminate(A, perm, ptype, psize, nh, tiny):
     A's leading k x k part retains the pivot blocks on its (block)
     diagonal and the trailing part becomes the Schur complement; the
     multipliers are formed for the updates and not stored. Returns (k,
-    npiv, status): k eliminated positions, npiv pivot records, status 1
+    ptype, psize, status): k eliminated positions, the pivot records in
+    order as int64 arrays (each pivot's code and size), and status 1
     when dual rows remain unpivoted (breakdown), else 0. Bit-identical
     to the scalar loop stage1_reference in tests/reference.py: the Schur
     updates keep its operation order, which is why they are outer
@@ -229,18 +230,13 @@ def eliminate(A, perm, ptype, psize, nh, tiny):
     """
     N = A.shape[0]
     diag = A.diagonal()
-    dual = perm >= nh
-    duals_left = int(np.count_nonzero(dual))
-    # +1 on curvature rows, -1 on dual rows, permuted along with perm
-    sign = np.where(dual, -1.0, 1.0)
-    # the 1x1 Schur update's outer product, reshaped to the rows left
-    work = np.empty(max(N - 1, 0) ** 2)
+    duals_left = int(np.count_nonzero(perm >= nh))
+    ptype, psize = [], []
     k = 0
-    npiv = 0
     while k < N:
         # |diagonal| on admissible rows, at most tiny or NaN elsewhere;
         # once only curvature rows are left, the diagonal itself
-        s = sign[k:] * diag[k:] if duals_left else diag[k:]
+        s = np.where(perm[k:] < nh, diag[k:], -diag[k:]) if duals_left else diag[k:]
         best = int(s.argmax())
         top = s[best]
         if top != top:
@@ -248,34 +244,29 @@ def eliminate(A, perm, ptype, psize, nh, tiny):
             top = np.fmax.reduce(s)
             best = int((s == top).argmax())
         if top > tiny:
-            if duals_left and sign[k + best] > 0.0:
+            if duals_left and perm[k + best] < nh:
                 # best is the first row at top; a later tied dual row wins
-                tied_dual = (s == top) & (sign[k:] < 0.0)
+                tied_dual = (s == top) & (perm[k:] >= nh)
                 if np.logical_or.reduce(tied_dual, None):
                     best = int(tied_dual.argmax())
             best += k
             if best != k:
-                _swap(A, perm, sign, k, best)
-            if k + 1 < N:  # the last pivot leaves nothing to update
-                inva = 1.0 / A[k, k]
-                c = A[k + 1:, k]
-                r = N - k - 1
-                T = work[:r * r].reshape(r, r)
-                np.multiply.outer(c, c, out=T)
-                T *= inva
-                A[k + 1:, k + 1:] -= T
-            if sign[k] > 0.0:
-                ptype[npiv] = 0
+                _swap(A, perm, k, best)
+            c = A[k + 1:, k]
+            T = np.multiply.outer(c, c)
+            T *= 1.0 / A[k, k]
+            A[k + 1:, k + 1:] -= T
+            if perm[k] < nh:
+                ptype.append(0)
             else:
-                ptype[npiv] = 1
+                ptype.append(1)
                 duals_left -= 1
-            psize[npiv] = 1
-            npiv += 1
+            psize.append(1)
             k += 1
             continue
         if not duals_left:
             break
-        h = sign[k:] > 0.0
+        h = perm[k:] < nh
         # |A| on curvature rows by dual columns, zero elsewhere; fmax
         # turns NaN into 0, which the strict search never picks either
         cross = np.fmax(np.abs(A[k:, k:]) * np.multiply.outer(h, ~h), 0.0)
@@ -289,28 +280,26 @@ def eliminate(A, perm, ptype, psize, nh, tiny):
         if det >= 0.0:
             break
         if bi != k:
-            _swap(A, perm, sign, k, bi)
+            _swap(A, perm, k, bi)
             if bj == k:
                 bj = bi
         if bj != k + 1:
-            _swap(A, perm, sign, k + 1, bj)
-        if k + 2 < N:  # as for 1x1 pivots
-            e11 = A[k, k]
-            e22 = A[k + 1, k + 1]
-            e12 = A[k, k + 1]
-            idet = 1.0 / (e11 * e22 - e12 * e12)
-            w1 = A[k + 2:, k]
-            w2 = A[k + 2:, k + 1]
-            l1 = (w1 * e22 - w2 * e12) * idet
-            l2 = (w2 * e11 - w1 * e12) * idet
-            S = A[k + 2:, k + 2:]
-            np.subtract(S, np.multiply.outer(l1, w1) + np.multiply.outer(l2, w2), out=S)
-        ptype[npiv] = 2
-        psize[npiv] = 2
+            _swap(A, perm, k + 1, bj)
+        e11 = A[k, k]
+        e22 = A[k + 1, k + 1]
+        e12 = A[k, k + 1]
+        idet = 1.0 / (e11 * e22 - e12 * e12)
+        w1 = A[k + 2:, k]
+        w2 = A[k + 2:, k + 1]
+        l1 = (w1 * e22 - w2 * e12) * idet
+        l2 = (w2 * e11 - w1 * e12) * idet
+        A[k + 2:, k + 2:] -= np.multiply.outer(l1, w1) + np.multiply.outer(l2, w2)
+        ptype.append(2)
+        psize.append(2)
         duals_left -= 1
-        npiv += 1
         k += 2
-    return k, npiv, int(duals_left > 0)
+    return (k, np.array(ptype, dtype=np.int64), np.array(psize, dtype=np.int64),
+            int(duals_left > 0))
 
 
 def stage1_factorize(kkt):
@@ -339,10 +328,7 @@ def stage1_factorize(kkt):
         A = kkt.K.copy()
         N = A.shape[0]
         perm = np.arange(N, dtype=np.int64)
-        ptype = np.zeros(N, dtype=np.int64)
-        psize = np.zeros(N, dtype=np.int64)
-        n_piv, n_blocks, status = eliminate(A, perm, ptype, psize, kkt.n_free, tiny)
-        ptype, psize = ptype[:n_blocks], psize[:n_blocks]
+        n_piv, ptype, psize, status = eliminate(A, perm, kkt.n_free, tiny)
         S = A[n_piv:, n_piv:]
     # of a 1-D S the transpose is S itself
     factor = Stage1Factor(

@@ -115,12 +115,16 @@ def dual_step(ev, iterate, state, p):
 
 class LineSearchResult(NamedTuple):
     alpha: float
-    j: int
     accepted: Iterate
     ev: Evaluation
     merit_new: float
     n_trials: int
     bound_rejections: int
+
+    @property
+    def j(self):
+        """The accepted trial's exponent: alpha = 2**-j."""
+        return self.n_trials - 1
 
 
 def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j_max):
@@ -177,7 +181,6 @@ def curvilinear_search(problem, iterate, merit_old, step, dv, state, N_k, R_k, j
             if m_t <= relaxed + alpha * alpha * state.eta_S * (N_k + 0.5 * R_k):
                 return LineSearchResult(
                     alpha=alpha,
-                    j=j,
                     accepted=cand,
                     ev=evaluate(problem, cand, terms),
                     merit_new=m_t,

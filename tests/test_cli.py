@@ -25,6 +25,10 @@ BILINEAR = {
 }
 
 
+# problem files the console-script CI job solves too
+DATA = Path(__file__).parent / "data"
+
+
 def _write(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -116,17 +120,10 @@ def test_a_file_with_a_curved_constraint_leaves_its_saddle_start(tmp_path, capsy
     # f = (a^2 - b^2) / 2 on the circle a^2 + b^2 = 2, with a = x0 - 3 and
     # b = x1 - 3: the start a = sqrt(2), b = 0 is a KKT point at f = 1 with
     # negative reduced curvature, and the minimizers b = +-sqrt(2) have f = -1
-    doc = {
-        "format_version": 1,
-        "name": "circle-saddle",
-        "n": 2,
-        "objective": [[0.5, [2, 0]], [-3.0, [1, 0]], [-0.5, [0, 2]], [3.0, [0, 1]]],
-        "constraints": [[[1.0, [2, 0]], [-6.0, [1, 0]], [1.0, [0, 2]], [-6.0, [0, 1]],
-                         [16.0, [0, 0]]]],
-        "start": {"x": [3.0 + np.sqrt(2.0), 3.0], "y": [0.5]},
-    }
-    path = _write(tmp_path, doc)
-    assert parse_problem_file(json.dumps(doc)).problem.linear_constraints is False
+    path = str(DATA / "circle-saddle.json")
+    parsed = parse_problem_file((DATA / "circle-saddle.json").read_text())
+    assert parsed.x0.tolist() == [3.0 + np.sqrt(2.0), 3.0]
+    assert parsed.problem.linear_constraints is False
     report = tmp_path / "report.json"
     assert main(["solve", path, "--report", str(report)]) == 0
     found = json.loads(report.read_text())
@@ -140,18 +137,10 @@ def test_a_file_with_a_curved_constraint_leaves_its_saddle_start(tmp_path, capsy
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
-def test_evaluation_blowup_maps_to_exit_four(tmp_path, capsys):
+def test_evaluation_blowup_maps_to_exit_four(capsys):
     # unbounded quartic: iterates grow geometrically until the objective
     # overflows and the evaluator rejects the non-finite value
-    doc = {
-        "format_version": 1,
-        "name": "runaway",
-        "n": 1,
-        "objective": [[-1.0, [4]]],
-        "start": {"x": [2.0]},
-        "config": {"max_iterations": 400},
-    }
-    assert main(["solve", _write(tmp_path, doc)]) == 4
+    assert main(["solve", str(DATA / "runaway.json")]) == 4
     assert "non-finite" in capsys.readouterr().err
 
 

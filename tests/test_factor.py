@@ -107,12 +107,10 @@ def _eager_blocks(kkt):
     N = kkt.K.shape[0]
     A = kkt.K.copy()
     perm = np.arange(N, dtype=np.int64)
-    ptype = np.zeros(N, dtype=np.int64)
-    psize = np.zeros(N, dtype=np.int64)
     tiny = 1e-12 * (1.0 + kkt.norm_max)
-    _, n_blocks, _ = eliminate(A, perm, ptype, psize, kkt.n_free, tiny)
+    _, ptype, psize, _ = eliminate(A, perm, kkt.n_free, tiny)
     blocks, off = [], 0
-    for size, code in zip(psize[:n_blocks].tolist(), ptype[:n_blocks].tolist()):
+    for size, code in zip(psize.tolist(), ptype.tolist()):
         blocks.append((A[off:off + size, off:off + size].tobytes(), PIVOT_TAGS[code], off))
         off += size
     return blocks

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -132,7 +133,7 @@ def test_compare_reports_hessian_counts_without_judging_them(tmp_path, capsys):
     # a Hessian count alone never makes an instance differ
     assert tool.compare(a, b) == []
     # p/02 of b was written without counts
-    assert tool.hessian_changes(a, b) == ["p/00"]
+    assert tool.count_changes(a, b, "hessians") == ["p/00"]
 
     paths = []
     for name, instances in (("a", a), ("b", b)):
@@ -237,5 +238,51 @@ def test_pool_digests_keep_each_final_x_beside_its_f(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     _, out = tool.pool_digests(str(TOOL.parents[1] / "src"))
     result = solve(problem)
-    assert out == {"saddle/00": {**tool.outcome(result, hessians=5), "f": result.f,
+    assert out == {"saddle/00": {**tool.outcome(result, hessians=5, warned=0), "f": result.f,
                                  "x": result.iterate.x.tolist()}}
+
+
+def test_pool_digests_count_each_solves_warnings_and_compare_reports_them(
+        monkeypatch, tmp_path, capsys):
+    tool = _load_tool()
+    base = get_problem("saddle-line")
+    hessian = base.hessian
+
+    def warning_hessian(x, y):
+        # the same text every call: only an "always" filter counts each one
+        warnings.warn("overflow encountered", RuntimeWarning)
+        return hessian(x, y)
+
+    instance = SimpleNamespace(problem=dataclasses.replace(base, hessian=warning_hessian),
+                               v0=None, config=None)
+    monkeypatch.setitem(sys.modules, "run", SimpleNamespace(
+        WORKLOADS={"saddle": ("saddle", 1)}, POOL_SEED=0))
+    monkeypatch.setitem(sys.modules, "families", SimpleNamespace(saddle=lambda rng: instance))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _, out = tool.pool_digests(str(TOOL.parents[1] / "src"))
+    entry = out["saddle/00"]
+    # one warning per Hessian call, and the solve is the one without them
+    assert entry["warnings"] == entry["hessians"] == 5
+    assert entry["digest"] == tool.digest(solve(base))
+
+    quiet = {**entry, "warnings": 0}
+    old = {k: v for k, v in entry.items() if k != "warnings"}
+    a = {"p/00": entry, "p/01": entry, "p/02": entry}
+    b = {"p/00": quiet, "p/01": entry, "p/02": old}
+    # a warning count alone never makes an instance differ
+    assert tool.compare(a, b) == []
+    # p/02 of b was written without counts
+    assert tool.count_changes(a, b, "warnings") == ["p/00"]
+
+    paths = []
+    for name, instances in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"omit": [], "instances": instances}))
+    assert tool.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "p/00: 5 -> 0 warnings",
+        "1 of 3 instances change their warning count",
+    ]
+    assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert not any("warning" in line for line in capsys.readouterr().out.splitlines())

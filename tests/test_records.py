@@ -43,7 +43,7 @@ RECORDS = [
     (factor.Convexification, ("delta", "shifted_rows")),
     (merit.MeritState, ("y_E", "mu", "nu", "eta_S", "alpha_min")),
     (merit.LineSearchResult,
-     ("alpha", "j", "accepted", "ev", "merit_new", "n_trials", "bound_rejections")),
+     ("alpha", "accepted", "ev", "merit_new", "n_trials", "bound_rejections")),
     (model.Iterate, ("x", "y")),
     (model.Evaluation, ("f", "c", "g", "J", "H", "h_scale")),
     (model.DerivativeReport, ("gradient_error", "jacobian_error", "hessian_error", "step")),

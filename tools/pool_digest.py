@@ -8,8 +8,9 @@ Solves every instance of the three benchmark pools (perfbench/families.py,
 drawn from perfbench/run.py's POOL_SEED, in generation order) and writes
 one SHA-256 per instance over the status, message, iteration count,
 final x, y and f, and every field of every IterationRecord, with the
-status, iteration count, final f and x and number of hessian callback
-calls beside it in plain text; the Hessian count is not digested. Floats are
+status, iteration count, final f and x, number of hessian callback
+calls and number of warnings the solve emitted beside it in plain text;
+the two counts are not digested. Floats are
 hashed through repr, which round-trips exactly, so two digests agree only when
 the solves agree bit for bit. --omit leaves named record fields out, for
 comparing against a version that lacks them or whose work counters are
@@ -32,7 +33,7 @@ solver's tolerances. Over the instances that end second-order-optimal
 on both sides with x kept on both, it prints the largest
 max|x_B - x_A| / (1 + max|x_A|) and names the instance it belongs to:
 a change that should move the solves by rounding only must keep it
-small. When both sides count Hessians
+small. When both sides count Hessians, or warnings,
 and some instance's count moved, it prints those instances and how many
 there are; a count alone never makes an instance differ. It exits with
 status 1 when any digest, status or iteration count differs.
@@ -49,8 +50,10 @@ import warnings
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 OPTIMAL = "second-order-optimal"
-# the outcome entries compare judges; "hessians" and "f" are only reported
+# the outcome entries compare judges; the counts and "f" are only reported
 JUDGED = ("digest", "status", "iterations")
+# the counts compare reports when both sides keep them: entry, unit, name
+COUNTS = (("hessians", "Hessian calls", "Hessian count"), ("warnings", "warnings", "warning count"))
 # relative distance at which two optimal f belong to different minimizers
 F_TOL = 1e-6
 
@@ -82,19 +85,21 @@ def digest(result, omit=()):
     return h.hexdigest()
 
 
-def outcome(result, omit=(), hessians=None):
+def outcome(result, omit=(), hessians=None, warned=None):
     """The digest of one SolveResult, with its status and iteration count.
 
-    hessians, when given, is the number of hessian callback calls the
-    solve made, kept beside the digest.
+    hessians and warned, when given, are the number of hessian callback
+    calls the solve made and of warnings it emitted, kept beside the
+    digest as "hessians" and "warnings".
     """
     entry = {
         "digest": digest(result, omit),
         "status": result.status.value,
         "iterations": result.iterations,
     }
-    if hessians is not None:
-        entry["hessians"] = hessians
+    for key, count in (("hessians", hessians), ("warnings", warned)):
+        if count is not None:
+            entry[key] = count
     return entry
 
 
@@ -129,9 +134,12 @@ def pool_digests(src, omit=()):
             if workload == "poly-file":
                 inst = families.parse_instance(inst)
             problem, calls = counting_hessian(inst.problem)
-            result = curvsqp.solve(problem, inst.v0, inst.config)
-            out[f"{workload}/{i:02d}"] = dict(outcome(result, omit, len(calls)), f=result.f,
-                                              x=result.iterate.x.tolist())
+            # the diverging poly-file solves overflow on their way to a status
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = curvsqp.solve(problem, inst.v0, inst.config)
+            entry = outcome(result, omit, len(calls), len(caught))
+            out[f"{workload}/{i:02d}"] = dict(entry, f=result.f, x=result.iterate.x.tolist())
     return record_fields(curvsqp.IterationRecord, omit), out
 
 
@@ -164,11 +172,11 @@ def compare(a, b):
     return sorted(k for k in set(a) | set(b) if judged(a.get(k)) != judged(b.get(k)))
 
 
-def hessian_changes(a, b):
-    """Keys whose Hessian count both sides report and that count differs."""
+def count_changes(a, b, key):
+    """Keys whose count under key both sides report and that count differs."""
     return sorted(
         k for k in set(a) & set(b)
-        if "hessians" in a[k] and "hessians" in b[k] and a[k]["hessians"] != b[k]["hessians"]
+        if key in a[k] and key in b[k] and a[k][key] != b[k][key]
     )
 
 
@@ -249,16 +257,15 @@ def main(argv=None):
             gap, key, count = x_change
             print(f"{count} instances end {OPTIMAL} on both sides; the largest"
                   f" max|x_B - x_A| / (1 + max|x_A|) is {gap:.3g}, at {key}")
-        moved = hessian_changes(a, b)
-        for key in moved:
-            print(f"{key}: {a[key]['hessians']} -> {b[key]['hessians']} Hessian calls")
-        if moved:
-            print(f"{len(moved)} of {len(set(a) | set(b))} instances change their Hessian count")
+        for count, unit, name in COUNTS:
+            moved = count_changes(a, b, count)
+            for key in moved:
+                print(f"{key}: {a[key][count]} -> {b[key][count]} {unit}")
+            if moved:
+                print(f"{len(moved)} of {len(set(a) | set(b))} instances change their {name}")
         return 1 if differ else 0
 
     sys.path.insert(0, PERFBENCH)
-    # the diverging poly-file solves overflow on their way to a status
-    warnings.simplefilter("ignore", RuntimeWarning)
     fields, instances = pool_digests(os.path.abspath(args.src), set(args.omit))
     doc = {"omit": sorted(args.omit), "fields": fields, "instances": instances}
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
